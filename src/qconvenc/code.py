@@ -13,7 +13,9 @@ Text format (one code per file):
     k=<int>
     h <BLOCK>|<BLOCK>|...      (exactly n - k of these)
 
-where each BLOCK is exactly n characters over I, X, Y, Z.
+where each BLOCK is exactly n characters over I, X, Y, Z.  Trailing
+all-identity blocks are trimmed on parsing, keeping at least one block, so
+``h ZI|IZ|II`` is read as ``h ZI|IZ``; leading identity blocks are kept.
 """
 
 from __future__ import annotations
@@ -98,6 +100,13 @@ class ConvolutionalCode:
         return ConvolutionalCode(self.n, self.k, tuple(gens))
 
 
+def _trim_trailing(blocks: List[Pauli]) -> GeneratorPolynomial:
+    """Generator from the blocks, trailing identity blocks dropped (one kept)."""
+    while len(blocks) > 1 and blocks[-1].is_identity:
+        blocks.pop()
+    return GeneratorPolynomial(tuple(blocks))
+
+
 def _meaningful_lines(text: str) -> Iterator[Tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -141,7 +150,7 @@ def parse_code(text: str) -> ConvolutionalCode:
                 blocks.append(Pauli.from_string(part))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
-        generators.append(GeneratorPolynomial(tuple(blocks)))
+        generators.append(_trim_trailing(blocks))
 
     if len(generators) != n - k:
         raise ParseError(
@@ -214,7 +223,4 @@ def multiply_generators(
     if a.width != b.width:
         raise WidthMismatchError(f"generator widths {a.width} and {b.width} differ")
     degree = max(a.degree, b.degree)
-    blocks = [a.block(j) * b.block(j) for j in range(1, degree + 1)]
-    while len(blocks) > 1 and blocks[-1].is_identity:
-        blocks.pop()
-    return GeneratorPolynomial(tuple(blocks))
+    return _trim_trailing([a.block(j) * b.block(j) for j in range(1, degree + 1)])

@@ -14,6 +14,7 @@ __all__ = [
     "AssemblyError",
     "CompletionError",
     "SynthesisFailureError",
+    "ConsistencyError",
     "MemoryBoundError",
 ]
 
@@ -75,6 +76,10 @@ class CompletionError(QconvError, ValueError):
 
 class SynthesisFailureError(QconvError, RuntimeError):
     """No non-catastrophic row completion was found."""
+
+
+class ConsistencyError(SynthesisFailureError):
+    """Forward and backward memory obligations disagree on a valid code."""
 
 
 class MemoryBoundError(QconvError, RuntimeError):

@@ -1,4 +1,4 @@
-"""Projective Pauli operators and GF(2) symplectic linear algebra.
+"""Projective Pauli operators, GF(2) symplectic linear algebra, int digraphs.
 
 A projective Pauli on w qubits (phases ignored) is stored as two packed
 GF(2) words: bit q of ``x`` marks an X factor on qubit q, bit q of ``z`` a
@@ -7,15 +7,22 @@ form.  Multiplication is bitwise XOR; the symplectic product
 
     <a, b> = a.x . b.z + a.z . b.x   (mod 2)
 
-is 0 when the operators commute and 1 when they anticommute.
+is 0 when the operators commute and 1 when they anticommute.  As a single
+integer (``pauli_to_vec``) the x word fills bits 0..w-1 and the z word bits
+w..2w-1; every packed Pauli in the package uses this layout.
 
 GF(2) matrices are lists of packed row words plus an explicit column count.
+All elimination goes through one fully reduced echelon basis, ``_Echelon``.
+
+State diagrams are directed graphs on packed-Pauli int vertices, given as
+successor lists; ``strong_components`` and ``shortest_path`` answer the
+two questions the analyses ask of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidMatrixError, WidthMismatchError
 
@@ -23,8 +30,11 @@ __all__ = [
     "Pauli",
     "BinaryMatrix",
     "GramSchmidtResult",
+    "pauli_to_vec",
+    "vec_to_pauli",
     "symplectic_product",
-    "multiply",
+    "symplectic_product_vec",
+    "gf2_combination",
     "gf2_rank",
     "gf2_in_rowspan",
     "gf2_row_dependencies",
@@ -34,7 +44,9 @@ __all__ = [
     "symplectic_gram_schmidt",
     "operators_from_commutativity",
     "gram_matrix",
-    "exists_gram_realization",
+    "successor_lists",
+    "strong_components",
+    "shortest_path",
 ]
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -109,18 +121,33 @@ class Pauli:
         return Pauli(stop - start, (self.x >> start) & mask, (self.z >> start) & mask)
 
 
+def pauli_to_vec(p: Pauli) -> int:
+    return p.x | (p.z << p.width)
+
+
+def vec_to_pauli(vec: int, width: int) -> Pauli:
+    mask = (1 << width) - 1
+    return Pauli(width, vec & mask, (vec >> width) & mask)
+
+
+def swap_halves(vec: int, width: int) -> int:
+    """Exchange the x and z halves, so <a, b> is the parity of a & swap(b)."""
+    mask = (1 << width) - 1
+    return ((vec & mask) << width) | ((vec >> width) & mask)
+
+
+def symplectic_product_vec(a: int, b: int, width: int) -> int:
+    """Symplectic product of two packed ``width``-qubit vectors."""
+    return _parity(a & swap_halves(b, width))
+
+
 def symplectic_product(a: Pauli, b: Pauli) -> int:
     """0 if the operators commute, 1 if they anticommute."""
     if a.width != b.width:
         raise WidthMismatchError(
             f"symplectic product of widths {a.width} and {b.width}"
         )
-    return _parity(a.x & b.z) ^ _parity(a.z & b.x)
-
-
-def multiply(a: Pauli, b: Pauli) -> Pauli:
-    """Projective product (phase discarded)."""
-    return a * b
+    return symplectic_product_vec(pauli_to_vec(a), pauli_to_vec(b), a.width)
 
 
 @dataclass
@@ -161,53 +188,81 @@ class BinaryMatrix:
         return (self.rows[r] >> c) & 1
 
 
+def gf2_combination(rows: Sequence[int], mask: int) -> int:
+    """XOR of rows[i] over the set bits i of ``mask``."""
+    acc = 0
+    while mask:
+        acc ^= rows[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return acc
+
+
+class _Echelon:
+    """Fully reduced GF(2) row-echelon basis, grown one row at a time.
+
+    The pivot of a basis row is its lowest set bit, and no other basis row
+    has that bit set.  That reduced form of a row space is unique, and
+    reducing a vector may visit the pivots in any order.  Each basis row
+    carries a tag: the XOR of the tags of the added rows that sum to it.
+    """
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self.rows: Dict[int, int] = {}  # pivot -> basis row
+        self.tags: Dict[int, int] = {}  # pivot -> combination tag
+        self.pivots = 0  # mask of pivot bits
+        for i, row in enumerate(rows):
+            self.add(row, 1 << i)
+
+    def reduce(self, vec: int, tag: int = 0) -> Tuple[int, int]:
+        """``vec`` with every pivot bit cleared, and ``tag`` updated to match."""
+        hits = vec & self.pivots
+        while hits:
+            p = (hits & -hits).bit_length() - 1
+            vec ^= self.rows[p]
+            tag ^= self.tags[p]
+            hits &= hits - 1
+        return vec, tag
+
+    def add(self, vec: int, tag: int) -> Tuple[int, int]:
+        """Reduce ``vec`` and keep the remainder as a basis row if nonzero.
+
+        Returns the remainder and its tag; a zero remainder's tag names a
+        combination of added rows that XORs to zero.
+        """
+        vec, tag = self.reduce(vec, tag)
+        if vec:
+            p = (vec & -vec).bit_length() - 1
+            for q, row in self.rows.items():
+                if (row >> p) & 1:
+                    self.rows[q] = row ^ vec
+                    self.tags[q] ^= tag
+            self.rows[p] = vec
+            self.tags[p] = tag
+            self.pivots |= 1 << p
+        return vec, tag
+
+
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank of the row set over GF(2)."""
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
-def _reduce_against(row: int, basis: Sequence[int]) -> int:
-    for b in basis:
-        row = min(row, row ^ b)
-    return row
+    return len(_Echelon(rows).rows)
 
 
 def gf2_in_rowspan(vec: int, rows: Iterable[int]) -> bool:
-    basis: List[int] = []
-    for row in rows:
-        row = _reduce_against(row, basis)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return _reduce_against(vec, basis) == 0
+    return _Echelon(rows).reduce(vec)[0] == 0
 
 
 def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
     """Basis of coefficient masks c with XOR of {rows[i] : bit i of c} = 0.
 
-    Bit i of each returned mask refers to rows[i].
+    Bit i of each returned mask refers to rows[i].  Row i reducing to zero
+    gives one mask: bit i plus the unique combination of earlier
+    independent rows equal to it.
     """
-    # Reduce augmented rows (row | tracking tag); rows reducing to zero give
-    # the dependency coefficients.
-    basis: List[Tuple[int, int]] = []
+    basis = _Echelon()
     deps: List[int] = []
     for i, row in enumerate(rows):
-        tag = 1 << i
-        for b, btag in basis:
-            if min(row, row ^ b) != row:
-                row ^= b
-                tag ^= btag
-        if row:
-            basis.append((row, tag))
-            basis.sort(reverse=True)
-        else:
+        rest, tag = basis.add(row, 1 << i)
+        if not rest:
             deps.append(tag)
     return deps
 
@@ -217,21 +272,15 @@ def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
 
     Coefficients are compared as the sequence (c for rows[0], c for rows[1], ...),
     preferring 0 at the earliest position.  Returns None when no solution exists.
+    That solution uses rows[i] only when rows[i] is not in the span of the
+    later rows, and those rows are independent, so it is the one combination
+    of them found by adding the rows last to first.
     """
-    n = len(rows)
-    if not gf2_in_rowspan(target, rows):
-        return None
-    chosen = 0
-    residual = target
-    for i in range(n):
-        # Feasible with coefficient 0 here iff the residual stays in the span
-        # of the remaining rows.
-        if gf2_in_rowspan(residual, rows[i + 1 :]):
-            continue
-        chosen |= 1 << i
-        residual ^= rows[i]
-    assert residual == 0
-    return chosen
+    basis = _Echelon()
+    for i in reversed(range(len(rows))):
+        basis.add(rows[i], 1 << i)
+    rest, combo = basis.reduce(target)
+    return combo if rest == 0 else None
 
 
 def gf2_solve_dot_system(
@@ -243,66 +292,36 @@ def gf2_solve_dot_system(
     or None when inconsistent.
     """
     assert len(rows) == len(rhs)
-    eqs = [(row, int(b) & 1) for row, b in zip(rows, rhs)]
-    pivots: List[Tuple[int, int, int]] = []  # (column, row word, rhs bit)
-    used_cols: List[int] = []
-    for row, b in eqs:
-        for col, prow, pb in pivots:
-            if (row >> col) & 1:
-                row ^= prow
-                b ^= pb
-        if row == 0:
-            if b:
-                return None
-            continue
-        col = (row & -row).bit_length() - 1
-        pivots.append((col, row, b))
-        used_cols.append(col)
-    # Back-substitute so each pivot row has zeros in every other pivot column.
-    for idx in range(len(pivots) - 1, -1, -1):
-        col, row, b = pivots[idx]
-        for jdx in range(idx):
-            jcol, jrow, jb = pivots[jdx]
-            if (jrow >> col) & 1:
-                pivots[jdx] = (jcol, jrow ^ row, jb ^ b)
+    rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
+    basis = _Echelon()
+    for i, row in enumerate(rows):
+        rest, tag = basis.add(row, 1 << i)
+        if not rest and _parity(tag & rhs_mask):
+            return None
     particular = 0
-    for col, _row, b in pivots:
-        if b:
-            particular |= 1 << col
-    pivot_set = set(used_cols)
+    for p, tag in basis.tags.items():
+        if _parity(tag & rhs_mask):
+            particular |= 1 << p
     null_basis: List[int] = []
     for free in range(ncols):
-        if free in pivot_set:
+        if (basis.pivots >> free) & 1:
             continue
         vec = 1 << free
-        for col, row, _b in pivots:
+        for p, row in basis.rows.items():
             if (row >> free) & 1:
-                vec |= 1 << col
+                vec |= 1 << p
         null_basis.append(vec)
     return particular, null_basis
 
 
 def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
     """Inverse of an n x n matrix given as packed rows, or None if singular."""
-    work = list(rows)
-    inv = [1 << i for i in range(n)]
-    row_at = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row_at, n):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        work[row_at], work[pivot] = work[pivot], work[row_at]
-        inv[row_at], inv[pivot] = inv[pivot], inv[row_at]
-        for r in range(n):
-            if r != row_at and (work[r] >> col) & 1:
-                work[r] ^= work[row_at]
-                inv[r] ^= inv[row_at]
-        row_at += 1
-    return inv
+    basis = _Echelon(rows)
+    if basis.pivots != (1 << n) - 1:
+        return None
+    # Full rank: the reduced basis is the identity, so row p's tag is the
+    # combination of input rows equal to the unit vector p.
+    return [basis.tags[p] for p in range(n)]
 
 
 @dataclass
@@ -455,55 +474,79 @@ def operators_from_commutativity(
 
     ginv = gf2_invert(gs.transform.rows, n)
     assert ginv is not None
-    ops: List[Pauli] = []
-    for r in range(n):
-        acc = Pauli.identity(m)
-        combo = ginv[r]
-        for s in range(n):
-            if (combo >> s) & 1:
-                acc = acc * standard[s]
-        ops.append(acc)
+    standard_vecs = [pauli_to_vec(p) for p in standard]
+    ops = [vec_to_pauli(gf2_combination(standard_vecs, combo), m) for combo in ginv]
     assert gram_matrix(ops).rows == mat.rows
     return ops
 
 
-def exists_gram_realization(
-    mat: BinaryMatrix, qubits: int, require_independent: bool = True
-) -> bool:
-    """Whether some tuple of Paulis on ``qubits`` qubits has Gram matrix ``mat``.
+def successor_lists(edges: Iterable[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Successor lists of the directed multigraph with the given (u, v) edges.
 
-    With ``require_independent`` the tuple must be linearly independent as
-    GF(2) vectors, matching the role memory operators play in an encoder.
-    Exhaustive backtracking; intended for small dimensions only.
+    Every endpoint is a key, in order of first appearance; a parallel edge
+    repeats its successor.
     """
-    n = mat.nrows
-    width = 2 * qubits
-    target = mat.to_lists()
+    succ: Dict[int, List[int]] = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+        succ.setdefault(v, [])
+    return succ
 
-    def sym(u: int, v: int) -> int:
-        ux, uz = u & ((1 << qubits) - 1), u >> qubits
-        vx, vz = v & ((1 << qubits) - 1), v >> qubits
-        return _parity(ux & vz) ^ _parity(uz & vx)
 
-    chosen: List[int] = []
-
-    def backtrack(level: int) -> bool:
-        if level == n:
-            return True
-        for cand in range(1 << width):
-            ok = True
-            for prev_idx in range(level):
-                if sym(chosen[prev_idx], cand) != target[level][prev_idx]:
-                    ok = False
+def strong_components(succ: Dict[int, List[int]]) -> Dict[int, int]:
+    """Strongly connected component index of every vertex (iterative Tarjan)."""
+    component: Dict[int, int] = {}
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    count = 0
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-            if not ok:
-                continue
-            if require_independent and gf2_in_rowspan(cand, chosen):
-                continue
-            chosen.append(cand)
-            if backtrack(level + 1):
-                return True
-            chosen.pop()
-        return False
+                if w not in component:  # visited and still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    w = None
+                    while w != v:
+                        w = stack.pop()
+                        component[w] = count
+                    count += 1
+    return component
 
-    return backtrack(0)
+
+def shortest_path(
+    succ: Dict[int, List[int]], source: int, target: int
+) -> Optional[List[int]]:
+    """Vertices of a fewest-edge walk from source to target, or None."""
+    parent = {source: source}
+    frontier = [source]
+    while frontier and target not in parent:
+        reached = []
+        for u in frontier:
+            for w in succ[u]:
+                if w not in parent:
+                    parent[w] = u
+                    reached.append(w)
+        frontier = reached
+    if target not in parent:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]

@@ -19,7 +19,13 @@ from .code import (
     validate_code,
 )
 from .errors import DegenerateCodeError, WidthMismatchError, WindowError
-from .pauli import Pauli, gf2_rank, gf2_solve_combination, gf2_solve_dot_system
+from .pauli import (
+    gf2_combination,
+    gf2_rank,
+    gf2_solve_combination,
+    gf2_solve_dot_system,
+    pauli_to_vec,
+)
 
 __all__ = [
     "ShortenStep",
@@ -67,10 +73,6 @@ def normalize_leading_delay(code: ConvolutionalCode) -> ConvolutionalCode:
     return ConvolutionalCode(code.n, code.k, tuple(gens))
 
 
-def _block_vec(block: Pauli) -> int:
-    return block.x | (block.z << block.width)
-
-
 def _front_pass(code: ConvolutionalCode, steps: List[ShortenStep]) -> Optional[ConvolutionalCode]:
     gens = list(code.generators)
     for i, gen in enumerate(gens):
@@ -79,8 +81,8 @@ def _front_pass(code: ConvolutionalCode, steps: List[ShortenStep]) -> Optional[C
         ]
         if not cands:
             continue
-        target = _block_vec(gen.blocks[0])
-        combo = gf2_solve_combination([_block_vec(gens[j].blocks[0]) for j in cands], target)
+        target = pauli_to_vec(gen.blocks[0])
+        combo = gf2_solve_combination([pauli_to_vec(gens[j].blocks[0]) for j in cands], target)
         if combo is None:
             continue
         partners = [cands[b] for b in range(len(cands)) if (combo >> b) & 1]
@@ -113,9 +115,9 @@ def _back_pass(code: ConvolutionalCode, steps: List[ShortenStep]) -> Optional[Co
         ]
         if not cands:
             continue
-        target = _block_vec(gen.blocks[-1])
+        target = pauli_to_vec(gen.blocks[-1])
         combo = gf2_solve_combination(
-            [_block_vec(gens[j].blocks[-1]) for j in cands], target
+            [pauli_to_vec(gens[j].blocks[-1]) for j in cands], target
         )
         if combo is None:
             continue
@@ -128,7 +130,11 @@ def _back_pass(code: ConvolutionalCode, steps: List[ShortenStep]) -> Optional[Co
             raise DegenerateCodeError(
                 f"back rewrite collapsed generator {i + 1} to identity"
             )
-        assert new_gen.degree < gen.degree
+        if new_gen.degree >= gen.degree:
+            raise DegenerateCodeError(
+                f"back rewrite of generator {i + 1} did not lower its degree "
+                f"{gen.degree}; its last block is the identity"
+            )
         new_gen, _stripped = _strip_leading(new_gen)
         gens[i] = new_gen
         steps.append(
@@ -212,14 +218,7 @@ def _interior_basis(rows: Sequence[int], window: int, n: int) -> List[int]:
     solved = gf2_solve_dot_system(constraint_words, len(rows), [0] * len(constraint_words))
     assert solved is not None
     _part, null_basis = solved
-    out = []
-    for mask in null_basis:
-        vec = 0
-        for r in range(len(rows)):
-            if (mask >> r) & 1:
-                vec ^= rows[r]
-        out.append(vec)
-    return out
+    return [gf2_combination(rows, mask) for mask in null_basis]
 
 
 def group_equivalent(

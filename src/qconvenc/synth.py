@@ -20,6 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .code import ConvolutionalCode, validate_code
 from .errors import (
     AssemblyError,
+    ConsistencyError,
     InvalidCodeError,
     InvalidMatrixError,
     SynthesisFailureError,
@@ -31,7 +32,12 @@ from .pauli import (
     gf2_rank,
     gf2_solve_dot_system,
     operators_from_commutativity,
+    pauli_to_vec,
+    strong_components,
+    successor_lists,
+    swap_halves,
     symplectic_product,
+    vec_to_pauli,
 )
 
 __all__ = [
@@ -311,8 +317,7 @@ class CentralizerBasis:
             yield acc
 
     def contains(self, op: Pauli) -> bool:
-        vec = op.x | (op.z << self.m)
-        return gf2_in_rowspan(vec, [b.x | (b.z << self.m) for b in self.basis])
+        return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in self.basis])
 
 
 def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
@@ -324,12 +329,11 @@ def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
     m = table.m
     ops = table.as_list()
     # <w, g> depends linearly on w through the swapped vector (g.z | g.x).
-    constraint_rows = [g.z | (g.x << m) for g in ops]
+    constraint_rows = [swap_halves(pauli_to_vec(g), m) for g in ops]
     solved = gf2_solve_dot_system(constraint_rows, 2 * m, [0] * len(ops))
     assert solved is not None
     _particular, null_basis = solved
-    mask = (1 << m) - 1
-    basis = [Pauli(m, vec & mask, vec >> m) for vec in sorted(null_basis)]
+    basis = [vec_to_pauli(vec, m) for vec in sorted(null_basis)]
     return CentralizerBasis(m, basis)
 
 
@@ -417,28 +421,13 @@ def has_catastrophic_combination(
     Treats each combination as a state-diagram edge mem_in -> mem_out and
     reports whether an edge with non-identity logical label lies on a cycle.
     """
-    import networkx as nx
-
-    combos = combination_rows(rows, encoder)
-    graph = nx.DiGraph()
     labelled_edges = []
-    for row in combos:
+    for row in combination_rows(rows, encoder):
         assert row.phys_out.is_identity
-        u = row.mem_in.x | (row.mem_in.z << encoder.m)
-        v = row.mem_out.x | (row.mem_out.z << encoder.m)
-        graph.add_edge(u, v)
+        u, v = pauli_to_vec(row.mem_in), pauli_to_vec(row.mem_out)
         labelled_edges.append((u, v, not row.info_in.is_identity))
-    components = list(nx.strongly_connected_components(graph))
-    scc_of = {}
-    for idx, comp in enumerate(components):
-        for node in comp:
-            scc_of[node] = idx
-    for u, v, logical in labelled_edges:
-        if not logical:
-            continue
-        if u == v or scc_of[u] == scc_of[v]:
-            return True
-    return False
+    component = strong_components(successor_lists((u, v) for u, v, _ in labelled_edges))
+    return any(logical and component[u] == component[v] for u, v, logical in labelled_edges)
 
 
 @dataclass
@@ -466,10 +455,10 @@ def add_noncatastrophic_rows(
     s1 = find_s1(encoder, centralizer)
     m, n, k, s = encoder.m, encoder.n, encoder.k, encoder.n - encoder.k
 
-    s1_out_vecs = [row.mem_out.x | (row.mem_out.z << m) for row in s1]
+    s1_out_vecs = [pauli_to_vec(row.mem_out) for row in s1]
 
     def completion_ok(cands: List[Pauli]) -> bool:
-        vecs = list(s1_out_vecs) + [p.x | (p.z << m) for p in cands]
+        vecs = s1_out_vecs + [pauli_to_vec(p) for p in cands]
         return gf2_rank(vecs) == len(centralizer.basis)
 
     def build_rows(cands: List[Pauli]) -> List[EncoderRow]:
@@ -497,8 +486,8 @@ def add_noncatastrophic_rows(
     for b in centralizer.basis:
         if len(candidates) == needed:
             break
-        cur = s1_out_vecs + [p.x | (p.z << m) for p in candidates]
-        if gf2_rank(cur + [b.x | (b.z << m)]) > gf2_rank(cur):
+        cur = s1_out_vecs + [pauli_to_vec(p) for p in candidates]
+        if gf2_rank(cur + [pauli_to_vec(b)]) > gf2_rank(cur):
             candidates.append(b)
     attempts: List[List[Pauli]] = []
     if len(candidates) == needed:
@@ -554,7 +543,10 @@ class SynthesisResult:
 def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
     """Full synthesis chain for an already-shortened valid code."""
     omega = build_commutativity_matrix(code)
-    assert verify_consistency(code) == 1
+    if verify_consistency(code) != 1:
+        raise ConsistencyError(
+            "forward and backward accumulation of the memory obligations disagree"
+        )
     m = minimal_memory(omega)
     table = assign_memory_operators(omega)
     encoder = assemble_partial_encoder(code, table)

@@ -10,19 +10,26 @@ component), so composing and comparing maps is pure integer arithmetic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .code import ConvolutionalCode
 from .errors import CompletionError, MemoryBoundError
 from .pauli import (
     Pauli,
+    gf2_combination,
     gf2_in_rowspan,
     gf2_invert,
     gf2_row_dependencies,
     gf2_solve_dot_system,
+    pauli_to_vec,
+    shortest_path,
+    strong_components,
+    successor_lists,
+    swap_halves,
+    symplectic_product_vec,
+    vec_to_pauli,
 )
 from .synth import PartialEncoder
 
@@ -47,28 +54,6 @@ __all__ = [
 GATE_COUNT_FACTOR = 8
 
 DEFAULT_MEMORY_BOUND = 8
-
-
-def pauli_to_vec(p: Pauli) -> int:
-    return p.x | (p.z << p.width)
-
-
-def vec_to_pauli(vec: int, width: int) -> Pauli:
-    mask = (1 << width) - 1
-    return Pauli(width, vec & mask, (vec >> width) & mask)
-
-
-def _swap_halves(vec: int, width: int) -> int:
-    mask = (1 << width) - 1
-    return ((vec & mask) << width) | ((vec >> width) & mask)
-
-
-def _vec_parity(word: int) -> int:
-    return bin(word).count("1") & 1
-
-
-def symplectic_product_vec(a: int, b: int, width: int) -> int:
-    return _vec_parity(a & _swap_halves(b, width))
 
 
 @dataclass(frozen=True)
@@ -116,19 +101,7 @@ class CliffordTableau:
         return True
 
     def image_of_vector(self, vec: int) -> int:
-        w = self.width
-        out = 0
-        x_part = vec & ((1 << w) - 1)
-        z_part = vec >> w
-        while x_part:
-            q = (x_part & -x_part).bit_length() - 1
-            out ^= self.images[q]
-            x_part &= x_part - 1
-        while z_part:
-            q = (z_part & -z_part).bit_length() - 1
-            out ^= self.images[w + q]
-            z_part &= z_part - 1
-        return out
+        return gf2_combination(self.images, vec)
 
     def image_of_pauli(self, p: Pauli) -> Pauli:
         return vec_to_pauli(self.image_of_vector(pauli_to_vec(p)), self.width)
@@ -184,11 +157,8 @@ def _not_in_span_solution(
 ) -> Optional[int]:
     if rng is not None:
         for _ in range(64):
-            cand = particular
             mask = rng.getrandbits(len(null_basis)) if null_basis else 0
-            for b in range(len(null_basis)):
-                if (mask >> b) & 1:
-                    cand ^= null_basis[b]
+            cand = particular ^ gf2_combination(null_basis, mask)
             if not gf2_in_rowspan(cand, span_rows):
                 return cand
     if not gf2_in_rowspan(particular, span_rows):
@@ -248,7 +218,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
                     break
         assert v is not None
         rhs = [symplectic_product_vec(v, b, w) for b in basis_in]
-        words = [_swap_halves(b, w) for b in basis_out]
+        words = [swap_halves(b, w) for b in basis_out]
         solved = gf2_solve_dot_system(words, 2 * w, rhs)
         assert solved is not None
         particular, null_basis = solved
@@ -262,16 +232,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
         basis_out.append(image)
     inverse = gf2_invert(basis_in, 2 * w)
     assert inverse is not None
-    images = []
-    for t in range(2 * w):
-        img = 0
-        mask = inverse[t]
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            img ^= basis_out[i]
-            mask &= mask - 1
-        images.append(img)
-    tableau = CliffordTableau(w, images)
+    tableau = CliffordTableau(w, [gf2_combination(basis_out, mask) for mask in inverse])
     assert tableau.is_symplectic()
     for in_vec, out_vec in zip(in_vecs, out_vecs):
         assert tableau.image_of_vector(in_vec) == out_vec
@@ -372,12 +333,7 @@ class StateDiagramEdge:
 
     @property
     def logical_weight(self) -> int:
-        p = self.logical
-        weight = 0
-        for q in range(p.width):
-            if ((p.x >> q) | (p.z >> q)) & 1:
-                weight += 1
-        return weight
+        return (self.logical.x | self.logical.z).bit_count()
 
     def as_strings(self) -> Dict[str, str]:
         return {
@@ -466,18 +422,7 @@ def zero_physical_edges(
     assert particular == 0
     edges = []
     for combo in range(1 << len(null_basis)):
-        coeffs = 0
-        c = combo
-        while c:
-            b = (c & -c).bit_length() - 1
-            coeffs ^= null_basis[b]
-            c &= c - 1
-        in_vec = 0
-        cc = coeffs
-        while cc:
-            t = (cc & -cc).bit_length() - 1
-            in_vec ^= directions[t]
-            cc &= cc - 1
+        in_vec = gf2_combination(directions, gf2_combination(null_basis, combo))
         x = in_vec & ((1 << w) - 1)
         z = in_vec >> w
         mem = Pauli(m, x & ((1 << m) - 1), z & ((1 << m) - 1))
@@ -493,17 +438,13 @@ def zero_physical_edges(
     return edges
 
 
-def _vertex_int(p: Pauli) -> int:
-    return p.x | (p.z << p.width)
-
-
 def _zero_physical_graph(
     edges: Sequence[StateDiagramEdge],
-) -> "nx.MultiDiGraph":
-    graph = nx.MultiDiGraph()
-    for idx, edge in enumerate(edges):
-        graph.add_edge(_vertex_int(edge.mem_from), _vertex_int(edge.mem_to), key=idx)
-    return graph
+) -> Tuple[List[Tuple[int, int]], Dict[int, List[int]], Dict[int, int]]:
+    """Packed (mem_from, mem_to) of each edge, successor lists, components."""
+    pairs = [(pauli_to_vec(e.mem_from), pauli_to_vec(e.mem_to)) for e in edges]
+    succ = successor_lists(pairs)
+    return pairs, succ, strong_components(succ)
 
 
 def detect_catastrophic(
@@ -516,44 +457,24 @@ def detect_catastrophic(
     edges, and conversely any offending cycle contains such an edge.
     """
     edges = zero_physical_edges(tableau, n, k, m, max_memory)
-    graph = _zero_physical_graph(edges)
-    component_of: Dict[int, int] = {}
-    for comp_index, comp in enumerate(nx.strongly_connected_components(graph)):
-        for node in comp:
-            component_of[node] = comp_index
-    for edge in edges:
+    pairs, succ, component_of = _zero_physical_graph(edges)
+    for edge, (u, v) in zip(edges, pairs):
         if edge.logical_weight == 0:
             continue
-        u = _vertex_int(edge.mem_from)
-        v = _vertex_int(edge.mem_to)
         if u == v:
             return True, CycleWitness(vertices=[edge.mem_from], edges=[edge])
         if component_of[u] == component_of[v]:
-            path = nx.shortest_path(graph, v, u)
+            path = shortest_path(succ, v, u)
             witness_edges = [edge]
             vertices = [edge.mem_from]
             by_pair: Dict[Tuple[int, int], StateDiagramEdge] = {}
-            for e in edges:
-                pair = (_vertex_int(e.mem_from), _vertex_int(e.mem_to))
+            for e, pair in zip(edges, pairs):
                 by_pair.setdefault(pair, e)
             for a, b in zip(path, path[1:]):
                 witness_edges.append(by_pair[(a, b)])
-                vertices.append(Pauli(m, a & ((1 << m) - 1), a >> m))
+                vertices.append(vec_to_pauli(a, m))
             return True, CycleWitness(vertices=vertices, edges=witness_edges)
     return False, None
-
-
-def _loop_vertices(graph: "nx.MultiDiGraph") -> List[int]:
-    """Vertices lying on at least one cycle of the given subgraph."""
-    on_loop = set()
-    for comp in nx.strongly_connected_components(graph):
-        if len(comp) > 1:
-            on_loop.update(comp)
-        else:
-            (node,) = comp
-            if graph.has_edge(node, node):
-                on_loop.add(node)
-    return sorted(on_loop)
 
 
 def _weight_one_labels(k: int) -> List[Pauli]:
@@ -575,23 +496,23 @@ def verify_non_recursive(
     finite-impulse behavior: the encoder is not recursive.
     """
     edges = zero_physical_edges(tableau, n, k, m, max_memory)
-    graph = _zero_physical_graph(edges)
-    component_of: Dict[int, int] = {}
-    for comp_index, comp in enumerate(nx.strongly_connected_components(graph)):
-        for node in comp:
-            component_of[node] = comp_index
-    loop_vertices = set(_loop_vertices(graph))
+    pairs, _succ, component_of = _zero_physical_graph(edges)
+    # A vertex lies on a zero-physical loop when its component has another
+    # vertex or it carries a self-loop.
+    size = Counter(component_of.values())
+    loop_vertices = {u for u, c in component_of.items() if size[c] > 1}
+    loop_vertices.update(u for u, v in pairs if u == v)
     if not loop_vertices:
         # No zero-physical loop at all: trivially nothing to escape from.
         return True, []
     for start in sorted(loop_vertices):
-        mem = Pauli(m, start & ((1 << m) - 1), start >> m)
+        mem = vec_to_pauli(start, m)
         for logical in _weight_one_labels(k):
             for anc_mask in range(1 << (n - k)):
                 first = _edge_from_input(tableau, n, k, m, mem, anc_mask, logical)
                 if first.physical.is_identity:
-                    u = _vertex_int(first.mem_from)
-                    v = _vertex_int(first.mem_to)
+                    u = pauli_to_vec(first.mem_from)
+                    v = pauli_to_vec(first.mem_to)
                     if u == v or component_of.get(u) == component_of.get(v):
                         continue  # first edge lies on a zero-physical cycle
                 path = [first]
@@ -599,12 +520,13 @@ def verify_non_recursive(
                 seen = set()
                 found = False
                 while True:
-                    if _vertex_int(current) in loop_vertices:
+                    vertex = pauli_to_vec(current)
+                    if vertex in loop_vertices:
                         found = True
                         break
-                    if _vertex_int(current) in seen:
+                    if vertex in seen:
                         break
-                    seen.add(_vertex_int(current))
+                    seen.add(vertex)
                     step = _edge_from_input(
                         tableau, n, k, m, current, 0, Pauli.identity(k)
                     )

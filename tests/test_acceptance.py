@@ -15,7 +15,8 @@ import networkx as nx
 
 from conftest import load_code
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators
-from qconvenc.pauli import BinaryMatrix, Pauli, exists_gram_realization, gf2_rank
+from oracles import exists_gram_realization
+from qconvenc.pauli import BinaryMatrix, Pauli, gf2_rank
 from qconvenc.synth import (
     MemoryOperatorTable,
     assemble_partial_encoder,

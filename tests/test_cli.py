@@ -211,3 +211,28 @@ def test_console_module_entry():
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+TRAILING_IDENTITY = [
+    ("n=3\nk=1\nh ZZI|III\nh IZZ\n", ["ZZI", "IZZ"]),
+    ("n=2\nk=1\nh ZI|IZ|II\n", ["ZI|IZ"]),
+    ("n=3\nk=2\nh IIX|III\n", ["IIX"]),
+]
+
+
+@pytest.mark.parametrize("text,trimmed", TRAILING_IDENTITY)
+def test_trailing_identity_frames_are_trimmed(capsys, tmp_path, text, trimmed):
+    path = tmp_path / "trailing.qcc"
+    path.write_text(text, encoding="utf-8")
+    assert main(["shorten", "--json", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"]["generators"] == trimmed
+    assert report["shorten"]["output"]["generators"] == trimmed
+    assert main(["synthesize", str(path)]) == 0
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    probe = "import sys, qconvenc.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -146,6 +146,20 @@ def random_codes(draw):
     return ConvolutionalCode(n, k, tuple(gens))
 
 
+def without_trailing_identity(code):
+    gens = []
+    for gen in code.generators:
+        blocks = list(gen.blocks)
+        while len(blocks) > 1 and blocks[-1].is_identity:
+            blocks.pop()
+        gens.append(GeneratorPolynomial(tuple(blocks)))
+    return ConvolutionalCode(code.n, code.k, tuple(gens))
+
+
 @given(random_codes())
 def test_serializer_roundtrip_random(code):
-    assert parse_code(serialize_code(code)) == code
+    # Parsing trims trailing identity frames, so the round trip returns the
+    # code in that form, and a code already in it comes back unchanged.
+    canonical = without_trailing_identity(code)
+    assert parse_code(serialize_code(code)) == canonical
+    assert parse_code(serialize_code(canonical)) == canonical

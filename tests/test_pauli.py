@@ -1,14 +1,15 @@
 """Unit and property tests for the bit-packed Pauli/GF(2) layer."""
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import exists_gram_realization
 from qconvenc.errors import InvalidMatrixError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
-    exists_gram_realization,
     gf2_in_rowspan,
     gf2_invert,
     gf2_rank,
@@ -17,6 +18,9 @@ from qconvenc.pauli import (
     gf2_solve_dot_system,
     gram_matrix,
     operators_from_commutativity,
+    shortest_path,
+    strong_components,
+    successor_lists,
     symplectic_gram_schmidt,
     symplectic_product,
 )
@@ -45,6 +49,15 @@ def symmetric_zero_diag(draw):
             bit = draw(st.integers(0, 1))
             entries[i][j] = entries[j][i] = bit
     return BinaryMatrix.from_lists(entries, ncols=dim)
+
+
+@st.composite
+def multigraph_edges(draw):
+    # Sparse int vertices, as packed Paulis are; repeats give parallel edges
+    # and self-loops.
+    vertices = draw(st.lists(st.integers(0, 2**12), min_size=1, max_size=8, unique=True))
+    vertex = st.sampled_from(vertices)
+    return draw(st.lists(st.tuples(vertex, vertex), max_size=3 * len(vertices)))
 
 
 def test_string_roundtrip_examples():
@@ -231,3 +244,28 @@ def test_exists_gram_realization_small():
     pair = BinaryMatrix.from_lists([[0, 1], [1, 0]])
     assert exists_gram_realization(pair, 1)
     assert not exists_gram_realization(pair, 0)
+
+
+@given(multigraph_edges())
+# 0 -> 4 takes two edges through 1 and three through 2; a depth-first walk
+# that tries 2 first reports the longer one.
+@example([(0, 1), (0, 2), (1, 4), (2, 3), (3, 4)])
+def test_strong_components_and_shortest_path_match_networkx(edges):
+    succ = successor_lists(edges)
+    graph = nx.MultiDiGraph(edges)
+    component = strong_components(succ)
+    assert set(component) == set(graph.nodes)
+    ours = {
+        frozenset(v for v in component if component[v] == c)
+        for c in set(component.values())
+    }
+    assert ours == {frozenset(c) for c in nx.strongly_connected_components(graph)}
+    for source in succ:
+        for target in succ:
+            path = shortest_path(succ, source, target)
+            if not nx.has_path(graph, source, target):
+                assert path is None
+                continue
+            assert len(path) - 1 == nx.shortest_path_length(graph, source, target)
+            assert path[0] == source and path[-1] == target
+            assert all(b in succ[a] for a, b in zip(path, path[1:]))

@@ -114,3 +114,18 @@ def test_group_equivalent_sees_through_delay(running1):
     h1, h2 = running1.generators
     delayed = ConvolutionalCode(4, 2, (h1, delay_generator(h2, 1)))
     assert group_equivalent(running1, delayed) == 1
+
+
+def test_back_pass_rejects_trailing_identity_frame():
+    # Parsing trims such frames; a code built directly can still carry one,
+    # and the back pass cannot lower its degree.
+    code = ConvolutionalCode(
+        3,
+        1,
+        (
+            GeneratorPolynomial.from_strings(["ZZI", "III"]),
+            GeneratorPolynomial.from_strings(["IZZ"]),
+        ),
+    )
+    with pytest.raises(DegenerateCodeError, match="did not lower"):
+        shorten(code)

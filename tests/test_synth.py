@@ -4,7 +4,14 @@ import pytest
 
 from conftest import load_code
 from qconvenc.code import parse_code
-from qconvenc.errors import AssemblyError, InvalidCodeError, InvalidMatrixError
+import qconvenc.synth as synth_module
+from qconvenc.errors import (
+    AssemblyError,
+    ConsistencyError,
+    InvalidCodeError,
+    InvalidMatrixError,
+    QconvError,
+)
 from qconvenc.pauli import BinaryMatrix, Pauli, gram_matrix
 from qconvenc.synth import (
     EncoderRow,
@@ -28,21 +35,11 @@ from reference_data import (
     CORPUS,
     ENCODER_PUBLISHED,
     MEMORY_OPS_DERIVED,
+    M_STATED,
     MEMORY_OPS_PUBLISHED,
     OMEGA,
     S1_ROWS,
 )
-
-M_DERIVED = {
-    "running1": 3,
-    "running2": 6,
-    "forney2": 4,
-    "forney3": 4,
-    "forney4": 4,
-    "forney6": 4,
-    "forney8": 6,
-    "gr07-third": 6,
-}
 
 INVALID_TEXT = "n=3\nk=1\nh XII\nh ZII\n"
 
@@ -92,7 +89,7 @@ def test_consistency_zero_for_invalid_code():
 @pytest.mark.parametrize("name", CORPUS)
 def test_minimal_memory(name):
     omega = build_commutativity_matrix(load_code(name))
-    assert minimal_memory(omega) == M_DERIVED[name]
+    assert minimal_memory(omega) == M_STATED[name]
 
 
 def test_minimal_memory_rejects_odd_rank():
@@ -258,7 +255,7 @@ def test_catastrophic_combination_detects_logical_self_loop(running2):
 @pytest.mark.parametrize("name", CORPUS)
 def test_synthesize_end_to_end(name):
     result = synthesize(load_code(name))
-    assert result.m == M_DERIVED[name]
+    assert result.m == M_STATED[name]
     assert result.omega.matrix.to_lists() == OMEGA[name]
     assert [row.as_strings() for row in result.encoder.added_rows] == ADDED_ROWS_DERIVED[
         name
@@ -280,3 +277,18 @@ def test_synthesize_degree_one_code():
 def test_synthesize_rejects_invalid_code():
     with pytest.raises(InvalidCodeError):
         synthesize(parse_code(INVALID_TEXT))
+
+
+def test_synthesize_raises_typed_error_when_cross_check_fails(monkeypatch, running1):
+    # Corrupt the backward accumulation so the cross-check disagrees with the
+    # forward matrix on a valid code.
+    forward = build_commutativity_matrix(running1).matrix
+    monkeypatch.setattr(
+        synth_module,
+        "_backward_matrix",
+        lambda code: BinaryMatrix([0] * forward.nrows, forward.ncols),
+    )
+    assert verify_consistency(running1) == 0
+    with pytest.raises(ConsistencyError) as info:
+        synthesize(running1)
+    assert isinstance(info.value, QconvError)
