@@ -72,8 +72,11 @@ class _Pipeline:
 
     def parse(self) -> ConvolutionalCode:
         def step():
-            with open(self.path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            try:
+                with open(self.path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{self.path} is not UTF-8 text: {exc.reason}") from exc
             return parse_code(text)
 
         self.code = self._timed("parse", step)

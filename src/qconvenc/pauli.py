@@ -15,8 +15,8 @@ GF(2) matrices are lists of packed row words plus an explicit column count.
 All elimination goes through one fully reduced echelon basis, ``_Echelon``.
 
 State diagrams are directed graphs on packed-Pauli int vertices, given as
-successor lists; ``strong_components`` and ``shortest_path`` answer the
-two questions the analyses ask of them.
+successor lists; ``strong_components``, ``shortest_path`` and, for
+labelled edges, ``logical_cycle`` answer the questions the analyses ask.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "symplectic_product",
     "symplectic_product_vec",
     "gf2_combination",
+    "gf2_span",
     "gf2_rank",
     "gf2_in_rowspan",
     "gf2_row_dependencies",
@@ -47,6 +48,7 @@ __all__ = [
     "successor_lists",
     "strong_components",
     "shortest_path",
+    "logical_cycle",
 ]
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -197,6 +199,14 @@ def gf2_combination(rows: Sequence[int], mask: int) -> int:
     return acc
 
 
+def gf2_span(rows: Sequence[int]) -> List[int]:
+    """Every XOR-combination of rows: entry c is ``gf2_combination(rows, c)``."""
+    span = [0]
+    for row in rows:
+        span += [acc ^ row for acc in span]
+    return span
+
+
 class _Echelon:
     """Fully reduced GF(2) row-echelon basis, grown one row at a time.
 
@@ -328,17 +338,14 @@ def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
 class GramSchmidtResult:
     """Outcome of the symplectic Gram-Schmidt decomposition.
 
-    ``basis_change`` rows are coefficient combinations of the original rows,
-    permuted so hyperbolic pairs come first; conjugating the input by it
-    yields ``standard_form`` (c blocks [[0,1],[1,0]] then a d x d zero block).
-    ``pairs`` and ``isotropics`` use original row indices; ``transform`` is
-    the unpermuted row-operation matrix.
+    ``pairs`` and ``isotropics`` use original row indices.  Row r of
+    ``transform`` is the coefficient combination of original rows that row r
+    became; conjugating the input by the transform rows of the pairs, then
+    of the isotropics, gives c blocks [[0,1],[1,0]] and a d x d zero block.
     """
 
     c: int
     d: int
-    basis_change: BinaryMatrix
-    standard_form: BinaryMatrix
     pairs: List[Tuple[int, int]] = field(default_factory=list)
     isotropics: List[int] = field(default_factory=list)
     transform: Optional[BinaryMatrix] = None
@@ -405,14 +412,9 @@ def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
     for r in isotropics:
         assert all(bit == 0 for bit in w[r])
 
-    order = [idx for pair in pairs for idx in pair] + sorted(isotropics)
-    basis_rows = [g[idx] for idx in order]
-    standard = [[w[a][b] for b in order] for a in order]
     return GramSchmidtResult(
         c=len(pairs),
         d=len(isotropics),
-        basis_change=BinaryMatrix(basis_rows, n),
-        standard_form=BinaryMatrix.from_lists(standard, n),
         pairs=pairs,
         isotropics=isotropics,
         transform=BinaryMatrix(list(g), n),
@@ -550,3 +552,21 @@ def shortest_path(
     while path[-1] != source:
         path.append(parent[path[-1]])
     return path[::-1]
+
+
+def logical_cycle(
+    edges: Sequence[Tuple[int, int, int]],
+) -> Optional[Tuple[int, List[int]]]:
+    """First labelled edge on a cycle of the multigraph, and the way back.
+
+    ``edges`` are (u, v, label) triples.  Returns (i, path) for the first
+    edges[i] with a nonzero label whose endpoints share a strongly connected
+    component, path being a fewest-edge walk from v back to u ([u] for a
+    self-loop); None when no labelled edge lies on a cycle.
+    """
+    succ = successor_lists((u, v) for u, v, _ in edges)
+    component = strong_components(succ)
+    for i, (u, v, label) in enumerate(edges):
+        if label and component[u] == component[v]:
+            return i, shortest_path(succ, v, u)
+    return None

@@ -31,10 +31,10 @@ from .pauli import (
     gf2_in_rowspan,
     gf2_rank,
     gf2_solve_dot_system,
+    gf2_span,
+    logical_cycle,
     operators_from_commutativity,
     pauli_to_vec,
-    strong_components,
-    successor_lists,
     swap_halves,
     symplectic_product,
     vec_to_pauli,
@@ -55,7 +55,6 @@ __all__ = [
     "CentralizerBasis",
     "find_s1",
     "add_noncatastrophic_rows",
-    "combination_rows",
     "has_catastrophic_combination",
     "synthesize",
     "SynthesisResult",
@@ -309,12 +308,9 @@ class CentralizerBasis:
         return 1 << len(self.basis)
 
     def enumerate(self) -> Iterator[Pauli]:
-        for picks in itertools.product((0, 1), repeat=len(self.basis)):
-            acc = Pauli.identity(self.m)
-            for bit, op in zip(picks, self.basis):
-                if bit:
-                    acc = acc * op
-            yield acc
+        # Last basis element fastest: add_noncatastrophic_rows samples this order.
+        for vec in gf2_span([pauli_to_vec(b) for b in reversed(self.basis)]):
+            yield vec_to_pauli(vec, self.m)
 
     def contains(self, op: Pauli) -> bool:
         return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in self.basis])
@@ -401,18 +397,6 @@ def _identity_row(encoder: PartialEncoder) -> EncoderRow:
     )
 
 
-def combination_rows(rows: Sequence[EncoderRow], encoder: PartialEncoder) -> List[EncoderRow]:
-    """All nonzero GF(2) combinations of the given rows."""
-    out = []
-    for r in range(1, 1 << len(rows)):
-        acc = _identity_row(encoder)
-        for idx in range(len(rows)):
-            if (r >> idx) & 1:
-                acc = acc.combine(rows[idx])
-        out.append(acc)
-    return out
-
-
 def has_catastrophic_combination(
     rows: Sequence[EncoderRow], encoder: PartialEncoder
 ) -> bool:
@@ -420,14 +404,21 @@ def has_catastrophic_combination(
 
     Treats each combination as a state-diagram edge mem_in -> mem_out and
     reports whether an edge with non-identity logical label lies on a cycle.
+    Each row is packed once as mem_in | mem_out | info_in; the combinations
+    are XORs of those words.
     """
-    labelled_edges = []
-    for row in combination_rows(rows, encoder):
+    bits = 2 * encoder.m
+    packed = []
+    for row in rows:
         assert row.phys_out.is_identity
-        u, v = pauli_to_vec(row.mem_in), pauli_to_vec(row.mem_out)
-        labelled_edges.append((u, v, not row.info_in.is_identity))
-    component = strong_components(successor_lists((u, v) for u, v, _ in labelled_edges))
-    return any(logical and component[u] == component[v] for u, v, logical in labelled_edges)
+        packed.append(
+            pauli_to_vec(row.mem_in)
+            | pauli_to_vec(row.mem_out) << bits
+            | pauli_to_vec(row.info_in) << 2 * bits
+        )
+    mask = (1 << bits) - 1
+    edges = [(c & mask, (c >> bits) & mask, c >> 2 * bits) for c in gf2_span(packed)]
+    return logical_cycle(edges) is not None
 
 
 @dataclass
@@ -543,7 +534,8 @@ class SynthesisResult:
 def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
     """Full synthesis chain for an already-shortened valid code."""
     omega = build_commutativity_matrix(code)
-    if verify_consistency(code) != 1:
+    # verify_consistency's cross-check, on the matrix and validation above.
+    if omega.matrix.rows != _backward_matrix(code).rows:
         raise ConsistencyError(
             "forward and backward accumulation of the memory obligations disagree"
         )

@@ -23,8 +23,9 @@ from .pauli import (
     gf2_invert,
     gf2_row_dependencies,
     gf2_solve_dot_system,
+    gf2_span,
+    logical_cycle,
     pauli_to_vec,
-    shortest_path,
     strong_components,
     successor_lists,
     swap_halves,
@@ -362,36 +363,44 @@ def _check_memory_bound(m: int, max_memory: int) -> None:
         raise MemoryBoundError(m, max_memory)
 
 
-def _edge_from_input(
-    tableau: CliffordTableau, n: int, k: int, m: int, mem: Pauli, anc_mask: int, logical: Pauli
-) -> StateDiagramEdge:
+def _input_vec(n: int, k: int, m: int, mem: int, anc_mask: int = 0, logical: int = 0) -> int:
+    """Packed input from packed memory, ancilla Z on anc_mask, packed logical."""
+    info = m + n - k
+    x = (mem & ((1 << m) - 1)) | (logical & ((1 << k) - 1)) << info
+    z = (mem >> m) | anc_mask << m | (logical >> k) << info
+    return x | z << (m + n)
+
+
+def _part(vec: int, w: int, start: int, stop: int) -> int:
+    """Packed restriction of a packed width-w vector to qubits [start, stop)."""
+    mask = (1 << (stop - start)) - 1
+    return ((vec >> start) & mask) | ((vec >> (w + start)) & mask) << (stop - start)
+
+
+def _edge(tableau: CliffordTableau, n: int, k: int, m: int, vin: int) -> StateDiagramEdge:
+    """The transition taken on the packed input ``vin``."""
     w = tableau.width
-    info_shift = m + (n - k)
-    x = mem.x | (logical.x << info_shift)
-    z = mem.z | (anc_mask << m) | (logical.z << info_shift)
-    out = tableau.image_of_vector(x | (z << w))
-    out_x = out & ((1 << w) - 1)
-    out_z = out >> w
-    phys_mask = (1 << n) - 1
-    physical = Pauli(n, out_x & phys_mask, out_z & phys_mask)
-    mem_to = Pauli(m, out_x >> n, out_z >> n)
+    inp = vec_to_pauli(vin, w)
+    out = vec_to_pauli(tableau.image_of_vector(vin), w)
     return StateDiagramEdge(
-        mem_from=mem,
-        anc=Pauli(n - k, 0, anc_mask),
-        logical=logical,
-        physical=physical,
-        mem_to=mem_to,
+        mem_from=inp.cut(0, m),
+        anc=inp.cut(m, w - k),
+        logical=inp.cut(w - k, w),
+        physical=out.cut(0, n),
+        mem_to=out.cut(n, w),
     )
 
 
-def zero_physical_edges(
-    tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
-) -> List[StateDiagramEdge]:
-    """Every state-diagram edge whose physical output is the identity.
+def _zero_physical_inputs(
+    tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
+) -> List[Tuple[int, int, int]]:
+    """(input vector, packed mem_from, packed mem_to) of every zero-physical edge.
 
     The zero-physical condition is linear over the allowed inputs (memory
-    X/Z, ancilla Z, logical X/Z), so the solution space is enumerated from a
-    nullspace basis instead of scanning all inputs.
+    X/Z, ancilla Z, logical X/Z), so the solutions are the span of a
+    nullspace basis.  Each basis input is packed beside its image, and the
+    span of those words lists every edge with its output, in the mask order
+    of the nullspace basis.
     """
     _check_memory_bound(m, max_memory)
     w = tableau.width
@@ -408,43 +417,34 @@ def zero_physical_edges(
         directions.append(1 << (info_shift + q))  # logical X
         directions.append(1 << (w + info_shift + q))  # logical Z
     image_vecs = [tableau.image_of_vector(d) for d in directions]
-    phys_positions = [p for p in range(n)] + [w + p for p in range(n)]
-    words = []
-    for pos in phys_positions:
-        word = 0
-        for t, img in enumerate(image_vecs):
-            if (img >> pos) & 1:
-                word |= 1 << t
-        words.append(word)
+    phys_positions = list(range(n)) + list(range(w, w + n))
+    words = [
+        sum(((img >> pos) & 1) << t for t, img in enumerate(image_vecs))
+        for pos in phys_positions
+    ]
     solved = gf2_solve_dot_system(words, len(directions), [0] * len(words))
     assert solved is not None
     particular, null_basis = solved
     assert particular == 0
+    packed = [
+        gf2_combination(directions, combo) | gf2_combination(image_vecs, combo) << 2 * w
+        for combo in null_basis
+    ]
+    full = (1 << 2 * w) - 1
     edges = []
-    for combo in range(1 << len(null_basis)):
-        in_vec = gf2_combination(directions, gf2_combination(null_basis, combo))
-        x = in_vec & ((1 << w) - 1)
-        z = in_vec >> w
-        mem = Pauli(m, x & ((1 << m) - 1), z & ((1 << m) - 1))
-        anc_mask = (z >> m) & ((1 << (n - k)) - 1)
-        logical = Pauli(
-            k,
-            (x >> info_shift) & ((1 << k) - 1),
-            (z >> info_shift) & ((1 << k) - 1),
-        )
-        edge = _edge_from_input(tableau, n, k, m, mem, anc_mask, logical)
-        assert edge.physical.is_identity
-        edges.append(edge)
+    for word in gf2_span(packed):
+        vin, out = word & full, word >> 2 * w
+        assert _part(out, w, 0, n) == 0
+        edges.append((vin, _part(vin, w, 0, m), _part(out, w, n, w)))
     return edges
 
 
-def _zero_physical_graph(
-    edges: Sequence[StateDiagramEdge],
-) -> Tuple[List[Tuple[int, int]], Dict[int, List[int]], Dict[int, int]]:
-    """Packed (mem_from, mem_to) of each edge, successor lists, components."""
-    pairs = [(pauli_to_vec(e.mem_from), pauli_to_vec(e.mem_to)) for e in edges]
-    succ = successor_lists(pairs)
-    return pairs, succ, strong_components(succ)
+def zero_physical_edges(
+    tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
+) -> List[StateDiagramEdge]:
+    """Every state-diagram edge whose physical output is the identity."""
+    edges = _zero_physical_inputs(tableau, n, k, m, max_memory)
+    return [_edge(tableau, n, k, m, vin) for vin, _, _ in edges]
 
 
 def detect_catastrophic(
@@ -454,34 +454,33 @@ def detect_catastrophic(
 
     An edge with a non-identity logical label whose endpoints share a
     strongly connected component always closes to a cycle of zero-physical
-    edges, and conversely any offending cycle contains such an edge.
+    edges, and conversely any offending cycle contains such an edge.  The
+    cycle returns along a fewest-edge walk, taking the first enumerated
+    edge between each pair of vertices.
     """
-    edges = zero_physical_edges(tableau, n, k, m, max_memory)
-    pairs, succ, component_of = _zero_physical_graph(edges)
-    for edge, (u, v) in zip(edges, pairs):
-        if edge.logical_weight == 0:
-            continue
-        if u == v:
-            return True, CycleWitness(vertices=[edge.mem_from], edges=[edge])
-        if component_of[u] == component_of[v]:
-            path = shortest_path(succ, v, u)
-            witness_edges = [edge]
-            vertices = [edge.mem_from]
-            by_pair: Dict[Tuple[int, int], StateDiagramEdge] = {}
-            for e, pair in zip(edges, pairs):
-                by_pair.setdefault(pair, e)
-            for a, b in zip(path, path[1:]):
-                witness_edges.append(by_pair[(a, b)])
-                vertices.append(vec_to_pauli(a, m))
-            return True, CycleWitness(vertices=vertices, edges=witness_edges)
-    return False, None
+    edges = _zero_physical_inputs(tableau, n, k, m, max_memory)
+    w = tableau.width
+    logical = ((1 << k) - 1) << (w - k)
+    logical |= logical << w
+    found = logical_cycle([(u, v, vin & logical) for vin, u, v in edges])
+    if found is None:
+        return False, None
+    i, path = found
+    first: Dict[Tuple[int, int], int] = {}
+    for vin, u, v in edges:
+        first.setdefault((u, v), vin)
+    inputs = [edges[i][0]] + [first[pair] for pair in zip(path, path[1:])]
+    return True, CycleWitness(
+        vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
+        edges=[_edge(tableau, n, k, m, vin) for vin in inputs],
+    )
 
 
-def _weight_one_labels(k: int) -> List[Pauli]:
+def _weight_one_labels(k: int) -> List[int]:
     labels = []
     for q in range(k):
         for x, z in ((1, 0), (0, 1), (1, 1)):
-            labels.append(Pauli(k, x << q, z << q))
+            labels.append((x << q) | (z << (k + q)))
     return labels
 
 
@@ -495,8 +494,8 @@ def verify_non_recursive(
     which makes the continuation a deterministic walk.  Success exhibits
     finite-impulse behavior: the encoder is not recursive.
     """
-    edges = zero_physical_edges(tableau, n, k, m, max_memory)
-    pairs, _succ, component_of = _zero_physical_graph(edges)
+    pairs = [(u, v) for _, u, v in _zero_physical_inputs(tableau, n, k, m, max_memory)]
+    component_of = strong_components(successor_lists(pairs))
     # A vertex lies on a zero-physical loop when its component has another
     # vertex or it carries a self-loop.
     size = Counter(component_of.values())
@@ -505,35 +504,22 @@ def verify_non_recursive(
     if not loop_vertices:
         # No zero-physical loop at all: trivially nothing to escape from.
         return True, []
+    w = tableau.width
     for start in sorted(loop_vertices):
-        mem = vec_to_pauli(start, m)
         for logical in _weight_one_labels(k):
             for anc_mask in range(1 << (n - k)):
-                first = _edge_from_input(tableau, n, k, m, mem, anc_mask, logical)
-                if first.physical.is_identity:
-                    u = pauli_to_vec(first.mem_from)
-                    v = pauli_to_vec(first.mem_to)
-                    if u == v or component_of.get(u) == component_of.get(v):
-                        continue  # first edge lies on a zero-physical cycle
-                path = [first]
-                current = first.mem_to
+                inputs = [_input_vec(n, k, m, start, anc_mask, logical)]
+                out = tableau.image_of_vector(inputs[0])
+                vertex = _part(out, w, n, w)
+                if _part(out, w, 0, n) == 0 and component_of[start] == component_of[vertex]:
+                    continue  # first edge lies on a zero-physical cycle
                 seen = set()
-                found = False
-                while True:
-                    vertex = pauli_to_vec(current)
-                    if vertex in loop_vertices:
-                        found = True
-                        break
-                    if vertex in seen:
-                        break
+                while vertex not in loop_vertices and vertex not in seen:
                     seen.add(vertex)
-                    step = _edge_from_input(
-                        tableau, n, k, m, current, 0, Pauli.identity(k)
-                    )
-                    path.append(step)
-                    current = step.mem_to
-                if found:
-                    return True, path
+                    inputs.append(_input_vec(n, k, m, vertex))
+                    vertex = _part(tableau.image_of_vector(inputs[-1]), w, n, w)
+                if vertex in loop_vertices:
+                    return True, [_edge(tableau, n, k, m, vin) for vin in inputs]
     return False, None
 
 
@@ -547,15 +533,13 @@ def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
     n, k = code.n, code.k
     m = tableau.width - n
     for i, gen in enumerate(code.generators):
-        mem = Pauli.identity(m)
+        mem = 0
         for j, block in enumerate(gen.blocks):
             anc_mask = (1 << i) if j == 0 else 0
-            edge = _edge_from_input(
-                tableau, n, k, m, mem, anc_mask, Pauli.identity(k)
-            )
+            edge = _edge(tableau, n, k, m, _input_vec(n, k, m, mem, anc_mask))
             if edge.physical != block:
                 return 0
-            mem = edge.mem_to
-        if not mem.is_identity:
+            mem = pauli_to_vec(edge.mem_to)
+        if mem:
             return 0
     return 1

@@ -320,3 +320,51 @@ CATASTROPHIC_CONTROL = {
     ],
     "loop_vertex": "X",
 }
+
+# Cycle witnesses of running2's partial encoder (generator rows only, no
+# added rows) completed with seeds 0-5, recorded with the per-edge
+# enumerator the packed-span enumeration replaced.  Each edge is
+# "mem_from|anc|logical|physical|mem_to"; None means not catastrophic.
+RUNNING2_PARTIAL_CYCLE_WITNESSES = {
+    0: [
+        "ZIIIZI|II|IZ|IIII|IIIIZI",
+        "IIIIZI|ZI|II|IIII|ZIIIII",
+        "ZIIIII|ZI|IZ|IIII|ZIIIZI",
+    ],
+    1: [
+        "ZIIIZZ|ZI|ZX|IIII|ZIIIZZ",
+    ],
+    2: [
+        "IZIIII|II|YI|IIII|IIIIZI",
+        "IIIIZI|ZI|II|IIII|ZIIIII",
+        "ZIIIII|IZ|YZ|IIII|IIIIIZ",
+        "IIIIIZ|IZ|II|IIII|IZIIII",
+    ],
+    3: [
+        "ZZIIII|II|ZX|IIII|ZZIIZI",
+        "ZZIIZI|ZI|ZX|IIII|IZIIZI",
+        "IZIIZI|ZI|YZ|IIII|ZIIIZZ",
+        "ZIIIZZ|ZZ|XY|IIII|IIIIIZ",
+        "IIIIIZ|IZ|II|IIII|IZIIII",
+        "IZIIII|II|YZ|IIII|IIIIZZ",
+        "IIIIZZ|ZZ|II|IIII|ZZIIII",
+    ],
+    4: None,
+    5: [
+        "ZZIIII|II|ZX|IIII|ZIIIZZ",
+        "ZIIIZZ|ZI|XZ|IIII|IZIIIZ",
+        "IZIIIZ|II|YY|IIII|IZIIZI",
+        "IZIIZI|ZZ|YY|IIII|ZIIIZI",
+        "ZIIIZI|ZZ|XZ|IIII|IIIIIZ",
+        "IIIIIZ|IZ|II|IIII|IZIIII",
+        "IZIIII|IZ|YY|IIII|IIIIZI",
+        "IIIIZI|ZI|II|IIII|ZIIIII",
+        "ZIIIII|IZ|XZ|IIII|ZIIIIZ",
+        "ZIIIIZ|II|XZ|IIII|ZZIIIZ",
+        "ZZIIIZ|IZ|ZX|IIII|ZZIIZZ",
+        "ZZIIZZ|ZZ|ZX|IIII|IZIIZZ",
+        "IZIIZZ|ZI|YY|IIII|ZZIIZI",
+        "ZZIIZI|ZI|ZX|IIII|IIIIZZ",
+        "IIIIZZ|ZZ|II|IIII|ZZIIII",
+    ],
+}

@@ -78,6 +78,19 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "error:" in out.err
 
 
+@pytest.mark.parametrize(
+    "command", ["validate", "shorten", "omega", "synthesize", "analyze", "circuit"]
+)
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "binary.qcc"
+    path.write_bytes(b"\xffn=2\nk=1\nh ZZ\n")
+    rc = main([command, str(path)])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.err.startswith("error:")
+    assert "not UTF-8 text" in out.err
+
+
 def test_shorten_recovers_original(capsys, inflated_file, running1):
     rc = main(["shorten", inflated_file])
     out = capsys.readouterr()

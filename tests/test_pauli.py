@@ -10,13 +10,16 @@ from qconvenc.errors import InvalidMatrixError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
+    gf2_combination,
     gf2_in_rowspan,
     gf2_invert,
     gf2_rank,
     gf2_row_dependencies,
     gf2_solve_combination,
     gf2_solve_dot_system,
+    gf2_span,
     gram_matrix,
+    logical_cycle,
     operators_from_commutativity,
     shortest_path,
     strong_components,
@@ -58,6 +61,12 @@ def multigraph_edges(draw):
     vertices = draw(st.lists(st.integers(0, 2**12), min_size=1, max_size=8, unique=True))
     vertex = st.sampled_from(vertices)
     return draw(st.lists(st.tuples(vertex, vertex), max_size=3 * len(vertices)))
+
+
+@st.composite
+def labelled_edges(draw):
+    edges = draw(multigraph_edges())
+    return [(u, v, draw(st.integers(0, 3))) for u, v in edges]
 
 
 def test_string_roundtrip_examples():
@@ -207,9 +216,12 @@ def test_gram_schmidt_structure(mat):
     result = symplectic_gram_schmidt(mat)
     assert 2 * result.c == mat.rank()
     assert result.c + len(result.isotropics) + result.c == mat.nrows
-    # The permuted basis change must reproduce the hyperbolic standard form.
+    # Conjugating by the transform rows of the pairs, then of the isotropics,
+    # must give c blocks [[0,1],[1,0]] followed by a zero block.
     dim = mat.nrows
-    change = result.basis_change.rows
+    order = [idx for pair in result.pairs for idx in pair] + result.isotropics
+    assert sorted(order) == list(range(dim))
+    change = [result.transform.rows[idx] for idx in order]
     for a in range(dim):
         for b in range(dim):
             acc = 0
@@ -219,7 +231,8 @@ def test_gram_schmidt_structure(mat):
                 for j in range(dim):
                     if (change[b] >> j) & 1 and mat.get(i, j):
                         acc ^= 1
-            assert acc == result.standard_form.get(a, b)
+            hyperbolic = a < 2 * result.c and b == a ^ 1
+            assert acc == int(hyperbolic)
 
 
 def test_gram_schmidt_rejects_asymmetric():
@@ -269,3 +282,31 @@ def test_strong_components_and_shortest_path_match_networkx(edges):
             assert len(path) - 1 == nx.shortest_path_length(graph, source, target)
             assert path[0] == source and path[-1] == target
             assert all(b in succ[a] for a, b in zip(path, path[1:]))
+
+
+@given(st.lists(st.integers(0, 2**10), max_size=7))
+def test_span_lists_combinations_in_mask_order(rows):
+    span = gf2_span(rows)
+    assert len(span) == 1 << len(rows)
+    assert all(span[c] == gf2_combination(rows, c) for c in range(len(span)))
+
+
+@given(labelled_edges())
+# The labelled 0 -> 1 lies on no cycle; the labelled 2 -> 2 is a self-loop.
+@example([(0, 1, 1), (1, 2, 0), (2, 2, 1)])
+def test_logical_cycle_matches_networkx_has_path(labelled):
+    graph = nx.MultiDiGraph([(u, v) for u, v, _ in labelled])
+    expected = next(
+        (i for i, (u, v, label) in enumerate(labelled) if label and nx.has_path(graph, v, u)),
+        None,
+    )
+    found = logical_cycle(labelled)
+    if expected is None:
+        assert found is None
+        return
+    i, path = found
+    assert i == expected
+    u, v, _ = labelled[i]
+    assert path[0] == v and path[-1] == u
+    assert len(path) - 1 == nx.shortest_path_length(graph, v, u)
+    assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))

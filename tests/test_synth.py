@@ -1,5 +1,7 @@
 """Memory synthesis tests: commutativity matrix through added rows."""
 
+import itertools
+
 import pytest
 
 from conftest import load_code
@@ -197,6 +199,16 @@ def test_centralizer_enumeration_size(running2):
     assert len(cent) == 16
     assert len(elements) == 16
     assert len({(e.x, e.z) for e in elements}) == 16
+    # Binary-count order with the last basis element toggling fastest;
+    # add_noncatastrophic_rows draws its random candidates from this list.
+    expected = []
+    for picks in itertools.product((0, 1), repeat=len(cent.basis)):
+        acc = Pauli.identity(cent.m)
+        for bit, op in zip(picks, cent.basis):
+            if bit:
+                acc = acc * op
+        expected.append(acc)
+    assert elements == expected
 
 
 @pytest.mark.parametrize("name", CORPUS)

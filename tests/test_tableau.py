@@ -10,7 +10,14 @@ from conftest import load_code
 from qconvenc.code import ConvolutionalCode, parse_code
 from qconvenc.errors import CompletionError, MemoryBoundError
 from qconvenc.pauli import Pauli
-from qconvenc.synth import EncoderRow, PartialEncoder, synthesize
+from qconvenc.synth import (
+    EncoderRow,
+    PartialEncoder,
+    assemble_partial_encoder,
+    assign_memory_operators,
+    build_commutativity_matrix,
+    synthesize,
+)
 from qconvenc.tableau import (
     GATE_COUNT_FACTOR,
     CliffordTableau,
@@ -25,7 +32,11 @@ from qconvenc.tableau import (
     verify_non_recursive,
     zero_physical_edges,
 )
-from reference_data import CATASTROPHIC_CONTROL, CORPUS
+from reference_data import (
+    CATASTROPHIC_CONTROL,
+    CORPUS,
+    RUNNING2_PARTIAL_CYCLE_WITNESSES,
+)
 
 
 @lru_cache(maxsize=None)
@@ -298,6 +309,23 @@ def test_control_tableau_is_catastrophic():
     assert witness.edges[-1].mem_to == witness.edges[0].mem_from
     for e in witness.edges:
         assert e.physical.is_identity
+
+
+@pytest.mark.parametrize("seed", sorted(RUNNING2_PARTIAL_CYCLE_WITNESSES))
+def test_partial_encoder_cycle_witnesses_are_pinned(running2, seed):
+    encoder = assemble_partial_encoder(
+        running2, assign_memory_operators(build_commutativity_matrix(running2))
+    )
+    tableau = complete_to_clifford(encoder, seed=seed)
+    flag, witness = detect_catastrophic(tableau, encoder.n, encoder.k, encoder.m)
+    expected = RUNNING2_PARTIAL_CYCLE_WITNESSES[seed]
+    assert flag is (expected is not None)
+    if expected is None:
+        assert witness is None
+        return
+    edges = ["|".join(e.as_strings().values()) for e in witness.edges]
+    assert edges == expected
+    assert [str(v) for v in witness.vertices] == [e.split("|")[0] for e in expected]
 
 
 def brute_force_catastrophic(tableau, n, k, m):
