@@ -15,6 +15,7 @@ from .code import (
     validate_code,
 )
 from .errors import (
+    CodeShapeError,
     CompletionError,
     DegenerateCodeError,
     InvalidCodeError,
@@ -81,6 +82,7 @@ __all__ = [
     "InvalidDelayError",
     "DegenerateCodeError",
     "InvalidCodeError",
+    "CodeShapeError",
     "WindowError",
     "CompletionError",
     "SynthesisFailureError",

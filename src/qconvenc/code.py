@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from .errors import InvalidDelayError, ParseError, WidthMismatchError
+from .errors import (
+    CodeShapeError,
+    DegenerateCodeError,
+    InvalidDelayError,
+    ParseError,
+    WidthMismatchError,
+)
 from .pauli import Pauli, symplectic_product
 
 __all__ = [
@@ -45,9 +51,11 @@ class GeneratorPolynomial:
     blocks: Tuple[Pauli, ...]
 
     def __post_init__(self):
-        assert len(self.blocks) >= 1
+        if not self.blocks:
+            raise DegenerateCodeError("a generator needs at least one block")
         widths = {b.width for b in self.blocks}
-        assert len(widths) == 1
+        if len(widths) != 1:
+            raise WidthMismatchError(f"generator blocks have widths {sorted(widths)}")
 
     @classmethod
     def from_strings(cls, parts: List[str]) -> "GeneratorPolynomial":
@@ -84,10 +92,15 @@ class ConvolutionalCode:
     generators: Tuple[GeneratorPolynomial, ...]
 
     def __post_init__(self):
-        assert 1 <= self.k < self.n
-        assert len(self.generators) == self.n - self.k
-        for g in self.generators:
-            assert g.width == self.n
+        if not 1 <= self.k < self.n:
+            raise CodeShapeError(f"k={self.k} is outside 1..n-1 for n={self.n}")
+        if len(self.generators) != self.n - self.k:
+            raise CodeShapeError(
+                f"{len(self.generators)} generators, but n - k = {self.n - self.k}"
+            )
+        for i, g in enumerate(self.generators, start=1):
+            if g.width != self.n:
+                raise WidthMismatchError(f"generator {i} has width {g.width}, not n={self.n}")
 
     @property
     def max_degree(self) -> int:

@@ -10,6 +10,7 @@ __all__ = [
     "InvalidDelayError",
     "DegenerateCodeError",
     "InvalidCodeError",
+    "CodeShapeError",
     "WindowError",
     "AssemblyError",
     "CompletionError",
@@ -60,6 +61,10 @@ class InvalidCodeError(QconvError, ValueError):
         self.violations = list(violations)
         listing = ", ".join(f"(h{i} shifted {t}, h{j})" for i, j, t in self.violations)
         super().__init__(f"generators do not commute under frame shifts: {listing}")
+
+
+class CodeShapeError(QconvError, ValueError):
+    """Rate out of range (k not in 1..n-1) or not n - k generators."""
 
 
 class WindowError(QconvError, ValueError):

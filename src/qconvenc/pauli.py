@@ -14,9 +14,13 @@ w..2w-1; every packed Pauli in the package uses this layout.
 GF(2) matrices are lists of packed row words plus an explicit column count.
 All elimination goes through one fully reduced echelon basis, ``_Echelon``.
 
-State diagrams are directed graphs on packed-Pauli int vertices, given as
-successor lists; ``strong_components``, ``shortest_path`` and, for
-labelled edges, ``logical_cycle`` answer the questions the analyses ask.
+State diagrams are directed graphs on packed-Pauli int vertices.  The
+zero-physical transitions of an encoder form a GF(2) space of edges, so
+``cycle_core`` finds the edges that lie on cycles by linear algebra on a
+basis of that space, without listing it; the state-diagram verdicts rest on
+it.  Listed edges, given as successor lists, serve the witnesses:
+``strong_components``, ``shortest_path`` and, for labelled edges,
+``logical_cycle`` pick out a cycle and the way around it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "symplectic_product_vec",
     "gf2_combination",
     "gf2_span",
+    "gf2_basis",
     "gf2_rank",
     "gf2_in_rowspan",
     "gf2_row_dependencies",
@@ -49,6 +54,7 @@ __all__ = [
     "strong_components",
     "shortest_path",
     "logical_cycle",
+    "cycle_core",
 ]
 
 _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -68,9 +74,10 @@ class Pauli:
     z: int = 0
 
     def __post_init__(self):
-        assert self.width >= 0
-        mask = (1 << self.width) - 1
-        assert 0 <= self.x <= mask and 0 <= self.z <= mask
+        if self.width < 0 or self.x < 0 or self.z < 0 or (self.x | self.z) >> self.width:
+            raise WidthMismatchError(
+                f"words x={self.x:#x}, z={self.z:#x} do not fit {self.width} qubits"
+            )
 
     @classmethod
     def identity(cls, width: int) -> "Pauli":
@@ -250,6 +257,11 @@ class _Echelon:
             self.tags[p] = tag
             self.pivots |= 1 << p
         return vec, tag
+
+
+def gf2_basis(rows: Iterable[int]) -> List[int]:
+    """Independent rows spanning the same space (the reduced echelon basis)."""
+    return list(_Echelon(rows).rows.values())
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -570,3 +582,63 @@ def logical_cycle(
         if label and component[u] == component[v]:
             return i, shortest_path(succ, v, u)
     return None
+
+
+def _annihilator(rows: Sequence[int], bits: int) -> List[int]:
+    """Basis of the ``bits``-bit words c with parity(c & row) = 0 for every row."""
+    return gf2_solve_dot_system(rows, bits, [0] * len(rows))[1]
+
+
+def _parities(word: int, rows: Sequence[int]) -> int:
+    """Bit i is parity(word & rows[i])."""
+    return sum(_parity(word & row) << i for i, row in enumerate(rows))
+
+
+def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
+    """Basis of the edges on cycles, for a GF(2) space of edges.
+
+    ``edges`` spans a space E of packed edges ``u | v << bits | label <<
+    2 * bits``: each runs from state u to state v, both ``bits``-bit words,
+    and carries a label the routine only passes along.  E holds the zero
+    edge, a self-loop at state 0.  Every set below is a subspace:
+
+        S_0 = all states,   N_i = {e in E : src e and dst e in S_i},
+        S_{i+1} = src N_i & dst N_i.
+
+    N_{i+1} is the part of N_i whose sources lie in dst N_i and whose
+    targets lie in src N_i, so each round is two annihilators and one
+    nullspace over the current basis.  N_{i+1} differs from N_i only when
+    S_{i+1} is smaller than S_i, so the fixed point N* arrives within
+    ``bits`` + 1 rounds; its basis is returned.
+
+    Theorem: an edge of E lies on a cycle iff both of its endpoints lie in
+    the core S* = src N* & dst N*, that is, iff it lies in N*.
+
+    Proof.  Only if: when every vertex of a closed walk lies in S_i, every
+    edge of the walk lies in N_i, and each vertex is the source of one walk
+    edge and the target of another, so it lies in S_{i+1}; by induction the
+    walk stays in S*.  If: src N* and dst N* lie in S* and meet in S*, so
+    both equal S*, and every core state has a successor and a predecessor
+    along core edges.  N*^t, the t-edge walks, is again a linear relation,
+    so the states a core state u reaches in t steps form a nonempty coset
+    of R_t, the states 0 reaches in t steps.  The self-loop at 0 makes R_t
+    grow with t, up to a subspace K = R_t for all t >= t0.  K is closed
+    under steps, so u + K -> v + K for core edges (u, v) is a well-defined
+    linear map f of S*/K; it is onto because every state has a
+    predecessor, hence a permutation, and f^q = 1 for some q >= 1.  Take p
+    a multiple of q with p - 1 >= t0.  For a core edge (u, v), the states v
+    reaches in p - 1 steps form a coset of R_{p-1} = K inside
+    f^(p-1)(v + K) = f^p(u + K) = u + K, so they are all of u + K, and v
+    reaches u: the edge lies on a closed walk of p edges.
+    """
+    mask = (1 << bits) - 1
+    edges = list(edges)
+    while True:
+        src = [e & mask for e in edges]
+        dst = [(e >> bits) & mask for e in edges]
+        words = [_parities(c, src) for c in _annihilator(dst, bits)]
+        words += [_parities(c, dst) for c in _annihilator(src, bits)]
+        kept = gf2_solve_dot_system(words, len(edges), [0] * len(words))[1]
+        if len(kept) == len(edges):
+            return edges
+        edges = [gf2_combination(edges, combo) for combo in kept]

@@ -28,11 +28,11 @@ from .errors import (
 from .pauli import (
     BinaryMatrix,
     Pauli,
+    cycle_core,
     gf2_in_rowspan,
     gf2_rank,
     gf2_solve_dot_system,
     gf2_span,
-    logical_cycle,
     operators_from_commutativity,
     pauli_to_vec,
     swap_halves,
@@ -307,9 +307,13 @@ class CentralizerBasis:
     def __len__(self) -> int:
         return 1 << len(self.basis)
 
-    def enumerate(self) -> Iterator[Pauli]:
+    def vectors(self) -> List[int]:
+        """Every element, packed; entry 0 is the identity."""
         # Last basis element fastest: add_noncatastrophic_rows samples this order.
-        for vec in gf2_span([pauli_to_vec(b) for b in reversed(self.basis)]):
+        return gf2_span([pauli_to_vec(b) for b in reversed(self.basis)])
+
+    def enumerate(self) -> Iterator[Pauli]:
+        for vec in self.vectors():
             yield vec_to_pauli(vec, self.m)
 
     def contains(self, op: Pauli) -> bool:
@@ -400,12 +404,12 @@ def _identity_row(encoder: PartialEncoder) -> EncoderRow:
 def has_catastrophic_combination(
     rows: Sequence[EncoderRow], encoder: PartialEncoder
 ) -> bool:
-    """Brute-force cycle oracle on the span of the given zero-physical rows.
+    """Cycle oracle on the span of the given zero-physical rows.
 
     Treats each combination as a state-diagram edge mem_in -> mem_out and
     reports whether an edge with non-identity logical label lies on a cycle.
-    Each row is packed once as mem_in | mem_out | info_in; the combinations
-    are XORs of those words.
+    Each row is packed once as mem_in | mem_out | info_in, and
+    ``cycle_core`` decides on those words without listing the span.
     """
     bits = 2 * encoder.m
     packed = []
@@ -416,9 +420,7 @@ def has_catastrophic_combination(
             | pauli_to_vec(row.mem_out) << bits
             | pauli_to_vec(row.info_in) << 2 * bits
         )
-    mask = (1 << bits) - 1
-    edges = [(c & mask, (c >> bits) & mask, c >> 2 * bits) for c in gf2_span(packed)]
-    return logical_cycle(edges) is not None
+    return any(edge >> 2 * bits for edge in cycle_core(packed, bits))
 
 
 @dataclass
@@ -448,9 +450,8 @@ def add_noncatastrophic_rows(
 
     s1_out_vecs = [pauli_to_vec(row.mem_out) for row in s1]
 
-    def completion_ok(cands: List[Pauli]) -> bool:
-        vecs = s1_out_vecs + [pauli_to_vec(p) for p in cands]
-        return gf2_rank(vecs) == len(centralizer.basis)
+    def completion_ok(vecs: List[int]) -> bool:
+        return gf2_rank(s1_out_vecs + vecs) == len(centralizer.basis)
 
     def build_rows(cands: List[Pauli]) -> List[EncoderRow]:
         out = []
@@ -472,29 +473,30 @@ def add_noncatastrophic_rows(
             f"{needed} centralizer directions to cover but only {k} information qubits"
         )
 
-    # Greedy canonical completion from the centralizer basis.
-    candidates: List[Pauli] = []
-    for b in centralizer.basis:
+    def attempts() -> Iterator[List[Pauli]]:
+        # Greedy canonical completion from the centralizer basis.
+        candidates: List[Pauli] = []
+        for b in centralizer.basis:
+            if len(candidates) == needed:
+                break
+            cur = s1_out_vecs + [pauli_to_vec(p) for p in candidates]
+            if gf2_rank(cur + [pauli_to_vec(b)]) > gf2_rank(cur):
+                candidates.append(b)
         if len(candidates) == needed:
-            break
-        cur = s1_out_vecs + [pauli_to_vec(p) for p in candidates]
-        if gf2_rank(cur + [pauli_to_vec(b)]) > gf2_rank(cur):
-            candidates.append(b)
-    attempts: List[List[Pauli]] = []
-    if len(candidates) == needed:
-        assert completion_ok(candidates)
-        attempts.append(candidates)
-    rng = random.Random(seed)
-    elements = [e for e in centralizer.enumerate() if not e.is_identity]
-    for _ in range(500):
+            assert completion_ok([pauli_to_vec(p) for p in candidates])
+            yield candidates
+        # Seeded random draws, made only once the sets before them failed.
+        elements = centralizer.vectors()[1:]
         if not elements or needed == 0:
-            break
-        pick = rng.sample(elements, min(needed, len(elements)))
-        if len(pick) == needed and completion_ok(pick):
-            attempts.append(pick)
+            return
+        rng = random.Random(seed)
+        for _ in range(500):
+            pick = rng.sample(elements, min(needed, len(elements)))
+            if len(pick) == needed and completion_ok(pick):
+                yield [vec_to_pauli(vec, m) for vec in pick]
 
     tried = 0
-    for cands in attempts:
+    for cands in attempts():
         tried += 1
         s2 = build_rows(cands)
         if has_catastrophic_combination(s1 + s2, encoder):

@@ -10,7 +10,6 @@ component), so composing and comparing maps is pure integer arithmetic.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -18,6 +17,8 @@ from .code import ConvolutionalCode
 from .errors import CompletionError, MemoryBoundError
 from .pauli import (
     Pauli,
+    cycle_core,
+    gf2_basis,
     gf2_combination,
     gf2_in_rowspan,
     gf2_invert,
@@ -26,8 +27,6 @@ from .pauli import (
     gf2_span,
     logical_cycle,
     pauli_to_vec,
-    strong_components,
-    successor_lists,
     swap_halves,
     symplectic_product_vec,
     vec_to_pauli,
@@ -391,16 +390,14 @@ def _edge(tableau: CliffordTableau, n: int, k: int, m: int, vin: int) -> StateDi
     )
 
 
-def _zero_physical_inputs(
+def _zero_physical_basis(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
-) -> List[Tuple[int, int, int]]:
-    """(input vector, packed mem_from, packed mem_to) of every zero-physical edge.
+) -> List[int]:
+    """Words ``input | image << 2w`` spanning the zero-physical edges.
 
     The zero-physical condition is linear over the allowed inputs (memory
     X/Z, ancilla Z, logical X/Z), so the solutions are the span of a
-    nullspace basis.  Each basis input is packed beside its image, and the
-    span of those words lists every edge with its output, in the mask order
-    of the nullspace basis.
+    nullspace basis; each basis input is packed beside its image.
     """
     _check_memory_bound(m, max_memory)
     w = tableau.width
@@ -426,24 +423,51 @@ def _zero_physical_inputs(
     assert solved is not None
     particular, null_basis = solved
     assert particular == 0
-    packed = [
+    return [
         gf2_combination(directions, combo) | gf2_combination(image_vecs, combo) << 2 * w
         for combo in null_basis
     ]
+
+
+def _zero_physical_inputs(
+    tableau: CliffordTableau, n: int, m: int, basis: Sequence[int]
+) -> List[Tuple[int, int, int]]:
+    """(input vector, packed mem_from, packed mem_to) of every zero-physical edge.
+
+    The span of the basis words lists every edge with its output, in the
+    mask order of the basis.
+    """
+    w = tableau.width
     full = (1 << 2 * w) - 1
     edges = []
-    for word in gf2_span(packed):
+    for word in gf2_span(basis):
         vin, out = word & full, word >> 2 * w
         assert _part(out, w, 0, n) == 0
         edges.append((vin, _part(vin, w, 0, m), _part(out, w, n, w)))
     return edges
 
 
+def _core_edges(
+    tableau: CliffordTableau, n: int, k: int, m: int, basis: Sequence[int]
+) -> List[int]:
+    """Basis of the zero-physical edges on cycles, as mem_from | mem_to | logical."""
+    w = tableau.width
+    full = (1 << 2 * w) - 1
+    packed = [
+        _part(word & full, w, 0, m)
+        | _part(word >> 2 * w, w, n, w) << 2 * m
+        | _part(word & full, w, w - k, w) << 4 * m
+        for word in basis
+    ]
+    return cycle_core(packed, 2 * m)
+
+
 def zero_physical_edges(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
 ) -> List[StateDiagramEdge]:
     """Every state-diagram edge whose physical output is the identity."""
-    edges = _zero_physical_inputs(tableau, n, k, m, max_memory)
+    basis = _zero_physical_basis(tableau, n, k, m, max_memory)
+    edges = _zero_physical_inputs(tableau, n, m, basis)
     return [_edge(tableau, n, k, m, vin) for vin, _, _ in edges]
 
 
@@ -452,20 +476,22 @@ def detect_catastrophic(
 ) -> Tuple[bool, Optional[CycleWitness]]:
     """Search the zero-physical subgraph for a cycle with logical content.
 
-    An edge with a non-identity logical label whose endpoints share a
-    strongly connected component always closes to a cycle of zero-physical
-    edges, and conversely any offending cycle contains such an edge.  The
-    cycle returns along a fewest-edge walk, taking the first enumerated
-    edge between each pair of vertices.
+    The encoder is catastrophic iff some zero-physical edge with a
+    non-identity logical label lies on a cycle, iff some edge of the
+    ``cycle_core`` basis carries a logical label; no edge is listed to
+    decide.  Only for a witness are the edges listed: the first labelled
+    one whose endpoints share a strongly connected component returns along
+    a fewest-edge walk, taking the first enumerated edge between each pair
+    of vertices.
     """
-    edges = _zero_physical_inputs(tableau, n, k, m, max_memory)
+    basis = _zero_physical_basis(tableau, n, k, m, max_memory)
+    if not any(edge >> 4 * m for edge in _core_edges(tableau, n, k, m, basis)):
+        return False, None
+    edges = _zero_physical_inputs(tableau, n, m, basis)
     w = tableau.width
     logical = ((1 << k) - 1) << (w - k)
     logical |= logical << w
-    found = logical_cycle([(u, v, vin & logical) for vin, u, v in edges])
-    if found is None:
-        return False, None
-    i, path = found
+    i, path = logical_cycle([(u, v, vin & logical) for vin, u, v in edges])
     first: Dict[Tuple[int, int], int] = {}
     for vin, u, v in edges:
         first.setdefault((u, v), vin)
@@ -489,33 +515,32 @@ def verify_non_recursive(
 ) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
     """Find a path out of a zero-physical loop that returns to one.
 
-    The first edge carries exactly one non-identity logical label and must
-    not itself sit on a zero-physical cycle; all later inputs are identity,
-    which makes the continuation a deterministic walk.  Success exhibits
-    finite-impulse behavior: the encoder is not recursive.
+    The loop vertices, those on a zero-physical cycle, are the core of
+    ``cycle_core``; vertex 0 is one, by its zero-input self-loop.  The
+    first edge leaves a loop vertex on exactly one non-identity logical
+    label and must not itself sit on a zero-physical cycle, i.e. must not
+    be a zero-physical edge into a loop vertex.  All later inputs are
+    identity, which makes the continuation a deterministic walk; a walk
+    that ends in a cycle off the loops marks each vertex it passed, and
+    later walks stop at a marked vertex.  Success exhibits finite-impulse
+    behavior: the encoder is not recursive.
     """
-    pairs = [(u, v) for _, u, v in _zero_physical_inputs(tableau, n, k, m, max_memory)]
-    component_of = strong_components(successor_lists(pairs))
-    # A vertex lies on a zero-physical loop when its component has another
-    # vertex or it carries a self-loop.
-    size = Counter(component_of.values())
-    loop_vertices = {u for u, c in component_of.items() if size[c] > 1}
-    loop_vertices.update(u for u, v in pairs if u == v)
-    if not loop_vertices:
-        # No zero-physical loop at all: trivially nothing to escape from.
-        return True, []
+    basis = _zero_physical_basis(tableau, n, k, m, max_memory)
+    mask = (1 << 2 * m) - 1
+    sources = [edge & mask for edge in _core_edges(tableau, n, k, m, basis)]
+    loop_vertices = set(gf2_span(gf2_basis(sources)))
     w = tableau.width
+    stranded = set()  # vertices whose identity-input walk misses every loop
     for start in sorted(loop_vertices):
         for logical in _weight_one_labels(k):
             for anc_mask in range(1 << (n - k)):
                 inputs = [_input_vec(n, k, m, start, anc_mask, logical)]
                 out = tableau.image_of_vector(inputs[0])
                 vertex = _part(out, w, n, w)
-                if _part(out, w, 0, n) == 0 and component_of[start] == component_of[vertex]:
+                if _part(out, w, 0, n) == 0 and vertex in loop_vertices:
                     continue  # first edge lies on a zero-physical cycle
-                seen = set()
-                while vertex not in loop_vertices and vertex not in seen:
-                    seen.add(vertex)
+                while vertex not in loop_vertices and vertex not in stranded:
+                    stranded.add(vertex)
                     inputs.append(_input_vec(n, k, m, vertex))
                     vertex = _part(tableau.image_of_vector(inputs[-1]), w, n, w)
                 if vertex in loop_vertices:

@@ -1,8 +1,17 @@
 """Exhaustive search oracles that only the tests use."""
 
-from typing import List
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from qconvenc.pauli import BinaryMatrix, gf2_in_rowspan
+import networkx as nx
+
+from qconvenc.pauli import BinaryMatrix, gf2_in_rowspan, gf2_span, logical_cycle, pauli_to_vec
+from qconvenc.tableau import (
+    _edge,
+    _input_vec,
+    _part,
+    _weight_one_labels,
+    zero_physical_edges,
+)
 
 
 def _parity(word: int) -> int:
@@ -49,3 +58,65 @@ def exists_gram_realization(
         return False
 
     return backtrack(0)
+
+
+def span_edges(basis: Sequence[int], bits: int) -> List[Tuple[int, int, int]]:
+    """Every edge of the span, unpacked from ``u | v << bits | label << 2 * bits``."""
+    mask = (1 << bits) - 1
+    return [(e & mask, (e >> bits) & mask, e >> 2 * bits) for e in gf2_span(basis)]
+
+
+def labelled_cycle_by_enumeration(basis: Sequence[int], bits: int) -> bool:
+    """Whether a labelled edge of the span lies on a cycle, listing the span."""
+    return logical_cycle(span_edges(basis, bits)) is not None
+
+
+def component_index(graph: nx.MultiDiGraph) -> Dict[int, int]:
+    """Strongly connected component number of every vertex."""
+    return {v: i for i, comp in enumerate(nx.strongly_connected_components(graph)) for v in comp}
+
+
+def loop_vertices(graph: nx.MultiDiGraph) -> Set[int]:
+    """Vertices on a cycle: in a strongly connected component of two or more
+    vertices, or carrying a self-loop."""
+    loops = set()
+    for comp in nx.strongly_connected_components(graph):
+        node = next(iter(comp))
+        if len(comp) > 1 or graph.has_edge(node, node):
+            loops.update(comp)
+    return loops
+
+
+def zero_physical_graph(tableau, n: int, k: int, m: int) -> nx.MultiDiGraph:
+    """The listed zero-physical edges as a networkx graph on packed memory."""
+    graph = nx.MultiDiGraph()
+    for e in zero_physical_edges(tableau, n, k, m):
+        graph.add_edge(pauli_to_vec(e.mem_from), pauli_to_vec(e.mem_to))
+    return graph
+
+
+def escape_path_by_enumeration(tableau, n: int, k: int, m: int) -> Tuple[bool, Optional[list]]:
+    """``verify_non_recursive``'s search over listed edges and networkx components.
+
+    Every walk starts afresh, with nothing remembered from earlier walks.
+    """
+    graph = zero_physical_graph(tableau, n, k, m)
+    loops = loop_vertices(graph)
+    component = component_index(graph)
+    w = tableau.width
+    for start in sorted(loops):
+        for logical in _weight_one_labels(k):
+            for anc_mask in range(1 << (n - k)):
+                inputs = [_input_vec(n, k, m, start, anc_mask, logical)]
+                out = tableau.image_of_vector(inputs[0])
+                vertex = _part(out, w, n, w)
+                if _part(out, w, 0, n) == 0 and component[start] == component[vertex]:
+                    continue
+                seen = set()
+                while vertex not in loops and vertex not in seen:
+                    seen.add(vertex)
+                    inputs.append(_input_vec(n, k, m, vertex))
+                    vertex = _part(tableau.image_of_vector(inputs[-1]), w, n, w)
+                if vertex in loops:
+                    return True, [_edge(tableau, n, k, m, vin) for vin in inputs]
+    return False, None

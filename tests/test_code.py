@@ -15,7 +15,14 @@ from qconvenc.code import (
     serialize_code,
     validate_code,
 )
-from qconvenc.errors import InvalidDelayError, ParseError, WidthMismatchError
+from qconvenc.errors import (
+    CodeShapeError,
+    DegenerateCodeError,
+    InvalidDelayError,
+    ParseError,
+    QconvError,
+    WidthMismatchError,
+)
 from reference_data import CORPUS
 
 RUNNING1_TEXT = """\
@@ -163,3 +170,32 @@ def test_serializer_roundtrip_random(code):
     canonical = without_trailing_identity(code)
     assert parse_code(serialize_code(code)) == canonical
     assert parse_code(serialize_code(canonical)) == canonical
+
+
+def test_generator_without_blocks_is_degenerate():
+    with pytest.raises(DegenerateCodeError):
+        GeneratorPolynomial(())
+
+
+def test_generator_blocks_of_different_widths():
+    with pytest.raises(WidthMismatchError):
+        GeneratorPolynomial((Pauli.from_string("XX"), Pauli.from_string("ZZZ")))
+
+
+ZZ = GeneratorPolynomial.from_strings(["ZZ"])
+
+
+@pytest.mark.parametrize(
+    "n,k,generators,error",
+    [
+        (2, 0, (ZZ, ZZ), CodeShapeError),
+        (2, 2, (), CodeShapeError),
+        (2, 1, (ZZ, ZZ), CodeShapeError),
+        (3, 2, (ZZ,), WidthMismatchError),
+    ],
+    ids=["k-zero", "k-equals-n", "too-many-generators", "generator-width"],
+)
+def test_code_shape_errors_are_typed(n, k, generators, error):
+    with pytest.raises(error) as info:
+        ConvolutionalCode(n, k, generators)
+    assert isinstance(info.value, QconvError) and isinstance(info.value, ValueError)

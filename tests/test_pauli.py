@@ -1,15 +1,26 @@
 """Unit and property tests for the bit-packed Pauli/GF(2) layer."""
 
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import exists_gram_realization
-from qconvenc.errors import InvalidMatrixError, WidthMismatchError
+from oracles import (
+    component_index,
+    exists_gram_realization,
+    labelled_cycle_by_enumeration,
+    loop_vertices,
+    span_edges,
+)
+from qconvenc.errors import InvalidMatrixError, QconvError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
+    cycle_core,
+    gf2_basis,
     gf2_combination,
     gf2_in_rowspan,
     gf2_invert,
@@ -61,6 +72,15 @@ def multigraph_edges(draw):
     vertices = draw(st.lists(st.integers(0, 2**12), min_size=1, max_size=8, unique=True))
     vertex = st.sampled_from(vertices)
     return draw(st.lists(st.tuples(vertex, vertex), max_size=3 * len(vertices)))
+
+
+@st.composite
+def packed_relations(draw):
+    # A basis of a linear edge space on bits-bit states, packed as
+    # u | v << bits | label << 2 * bits, with up to two label bits.
+    bits = draw(st.integers(min_value=0, max_value=4))
+    word = st.integers(0, (1 << (2 * bits + 2)) - 1)
+    return draw(st.lists(word, max_size=7)), bits
 
 
 @st.composite
@@ -310,3 +330,60 @@ def test_logical_cycle_matches_networkx_has_path(labelled):
     assert path[0] == v and path[-1] == u
     assert len(path) - 1 == nx.shortest_path_length(graph, v, u)
     assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+
+@given(st.lists(st.integers(0, 2**10), max_size=7))
+def test_basis_is_independent_and_spans_the_rows(rows):
+    basis = gf2_basis(rows)
+    assert len(basis) == gf2_rank(rows)
+    assert all(gf2_in_rowspan(row, basis) for row in rows)
+
+
+@given(packed_relations())
+# The labelled 0 -> 1 lies on no cycle, and 1 has no way out.
+@example(([0b0110], 1))
+# A labelled self-loop at 1.
+@example(([0b0111], 1))
+# 1 -> 2 (labelled) and 2 -> 3 span 3 -> 1 as well: a labelled cycle.
+@example(([1 | 2 << 2 | 1 << 4, 2 | 3 << 2], 2))
+# 1 -> 2 and 3 -> 2 lead into 2 -> 0 (labelled): two rounds shrink the core to {0}.
+@example(([1 | 2 << 2, 2 | 1 << 4], 2))
+def test_cycle_core_matches_enumeration_and_networkx(relation):
+    basis, bits = relation
+    mask = (1 << bits) - 1
+    core = cycle_core(basis, bits)
+    edges = span_edges(basis, bits)
+    graph = nx.MultiDiGraph([(u, v) for u, v, _ in edges])
+    component = component_index(graph)
+    on_cycles = {
+        u | v << bits | label << 2 * bits
+        for u, v, label in edges
+        if component[u] == component[v]
+    }
+    assert set(gf2_span(core)) == on_cycles
+    assert {e & mask for e in gf2_span(core)} == loop_vertices(graph)
+    assert any(e >> 2 * bits for e in core) == labelled_cycle_by_enumeration(basis, bits)
+
+
+@pytest.mark.parametrize(
+    "width,x,z",
+    [(-1, 0, 0), (2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1)],
+    ids=["negative-width", "x-too-wide", "z-too-wide", "negative-x", "negative-z"],
+)
+def test_pauli_rejects_words_outside_its_width(width, x, z):
+    with pytest.raises(WidthMismatchError) as info:
+        Pauli(width, x, z)
+    assert isinstance(info.value, QconvError)
+
+
+def test_pauli_width_check_survives_optimized_mode():
+    # An assert would vanish under -O; the typed error must not.
+    script = (
+        "from qconvenc.errors import WidthMismatchError\n"
+        "from qconvenc.pauli import Pauli\n"
+        "try:\n    Pauli(1, 2, 0)\nexcept WidthMismatchError:\n    print('raised')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised"

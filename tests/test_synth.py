@@ -3,8 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_code
+from oracles import labelled_cycle_by_enumeration
 from qconvenc.code import parse_code
 import qconvenc.synth as synth_module
 from qconvenc.errors import (
@@ -14,11 +17,12 @@ from qconvenc.errors import (
     InvalidMatrixError,
     QconvError,
 )
-from qconvenc.pauli import BinaryMatrix, Pauli, gram_matrix
+from qconvenc.pauli import BinaryMatrix, Pauli, gram_matrix, pauli_to_vec, vec_to_pauli
 from qconvenc.synth import (
     EncoderRow,
     MemoryCommutativityMatrix,
     MemoryOperatorTable,
+    PartialEncoder,
     add_noncatastrophic_rows,
     assemble_partial_encoder,
     assign_memory_operators,
@@ -209,6 +213,7 @@ def test_centralizer_enumeration_size(running2):
                 acc = acc * op
         expected.append(acc)
     assert elements == expected
+    assert cent.vectors() == [pauli_to_vec(e) for e in expected]
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -262,6 +267,41 @@ def test_catastrophic_combination_detects_logical_self_loop(running2):
     )
     assert has_catastrophic_combination([bad], encoder) is True
     assert has_catastrophic_combination([], encoder) is False
+
+
+@st.composite
+def zero_physical_rows(draw):
+    # Rows on m = 6 memory qubits and k = 2 information qubits (n = 4).
+    # Memory words on the low three bits, so spans overlap and cycles are common.
+    mem = st.integers(0, 7).map(lambda vec: vec_to_pauli(vec, 6))
+    info = st.integers(0, 15).map(lambda vec: vec_to_pauli(vec, 2))
+    return [
+        EncoderRow(draw(mem), Pauli.identity(2), draw(info), Pauli.identity(4), draw(mem))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+
+
+@given(zero_physical_rows())
+@settings(max_examples=60)
+def test_catastrophic_combination_matches_enumeration(rows):
+    encoder = PartialEncoder(m=6, n=4, k=2, rows=[])
+    packed = [
+        pauli_to_vec(r.mem_in) | pauli_to_vec(r.mem_out) << 12 | pauli_to_vec(r.info_in) << 24
+        for r in rows
+    ]
+    expected = labelled_cycle_by_enumeration(packed, 12)
+    assert has_catastrophic_combination(rows, encoder) == expected
+
+
+def test_greedy_rows_accepted_without_drawing(monkeypatch, running1):
+    def refuse(self):
+        raise AssertionError("random candidates drawn")
+
+    monkeypatch.setattr(synth_module.CentralizerBasis, "vectors", refuse)
+    result = synthesize(running1)
+    assert [row.as_strings() for row in result.encoder.added_rows] == ADDED_ROWS_DERIVED[
+        "running1"
+    ]
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -6,7 +6,9 @@ from functools import lru_cache
 import networkx as nx
 import pytest
 
+import qconvenc.tableau as tableau_module
 from conftest import load_code
+from oracles import escape_path_by_enumeration, loop_vertices, zero_physical_graph
 from qconvenc.code import ConvolutionalCode, parse_code
 from qconvenc.errors import CompletionError, MemoryBoundError
 from qconvenc.pauli import Pauli
@@ -373,20 +375,43 @@ def test_corpus_non_recursive_with_checkable_path(name):
     for e, nxt in zip(path, path[1:]):
         assert e.mem_to == nxt.mem_from
     # Both endpoints touch the zero-physical loop structure.
-    edges = zero_physical_edges(tableau, n, k, m)
-    graph = nx.MultiDiGraph()
-    for e in edges:
-        graph.add_edge(pauli_to_vec(e.mem_from), pauli_to_vec(e.mem_to))
-    loop_nodes = set()
-    for comp in nx.strongly_connected_components(graph):
-        if len(comp) > 1:
-            loop_nodes.update(comp)
-        else:
-            (node,) = comp
-            if graph.has_edge(node, node):
-                loop_nodes.add(node)
+    loop_nodes = loop_vertices(zero_physical_graph(tableau, n, k, m))
     assert pauli_to_vec(path[0].mem_from) in loop_nodes
     assert pauli_to_vec(path[-1].mem_to) in loop_nodes
+
+
+@lru_cache(maxsize=None)
+def partial_encoder(name):
+    code = load_code(name)
+    return assemble_partial_encoder(code, assign_memory_operators(build_commutativity_matrix(code)))
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("name", ["running2", "forney8"])
+def test_partial_encoder_verdicts_match_enumeration(name, seed):
+    # Without added rows these completions are often catastrophic, and some
+    # recursive, so both verdicts are exercised both ways.
+    encoder = partial_encoder(name)
+    tableau = complete_to_clifford(encoder, seed=seed)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    flag, witness = detect_catastrophic(tableau, n, k, m)
+    assert flag == brute_force_catastrophic(tableau, n, k, m)
+    assert (witness is not None) == flag
+    assert verify_non_recursive(tableau, n, k, m) == escape_path_by_enumeration(tableau, n, k, m)
+
+
+def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
+    result, tableau = pipeline("forney8")
+    encoder = result.encoder
+    n, k, m = encoder.n, encoder.k, encoder.m
+
+    def refuse(*args):
+        raise AssertionError("a verdict listed the zero-physical edges")
+
+    monkeypatch.setattr(tableau_module, "_zero_physical_inputs", refuse)
+    assert detect_catastrophic(tableau, n, k, m) == (False, None)
+    ok, path = verify_non_recursive(tableau, n, k, m)
+    assert ok is True and path
 
 
 @pytest.mark.parametrize("name", CORPUS)
