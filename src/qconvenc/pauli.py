@@ -13,6 +13,9 @@ w..2w-1; every packed Pauli in the package uses this layout.
 
 GF(2) matrices are lists of packed row words plus an explicit column count.
 All elimination goes through one fully reduced echelon basis, ``_Echelon``.
+The ``gf2_*`` functions build one per call; an incremental caller, such as
+the Clifford completion, grows its own a row at a time and queries it in
+between (membership, dependencies, dot-product systems, inverse tags).
 
 State diagrams are directed graphs on packed-Pauli int vertices.  The
 zero-physical transitions of an encoder form a GF(2) space of edges, so
@@ -25,6 +28,7 @@ it.  Listed edges, given as successor lists, serve the witnesses:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -125,7 +129,10 @@ class Pauli:
 
     def cut(self, start: int, stop: int) -> "Pauli":
         """Restriction to the qubit range [start, stop)."""
-        assert 0 <= start <= stop <= self.width
+        if not 0 <= start <= stop <= self.width:
+            raise WidthMismatchError(
+                f"qubit range [{start}, {stop}) is not inside width {self.width}"
+            )
         mask = (1 << (stop - start)) - 1
         return Pauli(stop - start, (self.x >> start) & mask, (self.z >> start) & mask)
 
@@ -159,6 +166,20 @@ def symplectic_product(a: Pauli, b: Pauli) -> int:
     return symplectic_product_vec(pauli_to_vec(a), pauli_to_vec(b), a.width)
 
 
+def _product_mismatch(
+    a: Sequence[int], b: Sequence[int], width: int
+) -> Optional[Tuple[int, int]]:
+    """First pair i < j, in ``itertools.combinations`` order, with
+    <a[i], a[j]> != <b[i], b[j]>, found as an odd product of the words
+    a[i] | b[i] << 2 * width; None when every pair agrees."""
+    words = [x | y << 2 * width for x, y in zip(a, b)]
+    swapped = [swap_halves(x, width) | swap_halves(y, width) << 2 * width for x, y in zip(a, b)]
+    for i, j in itertools.combinations(range(len(words)), 2):
+        if _parity(words[i] & swapped[j]):
+            return i, j
+    return None
+
+
 @dataclass
 class BinaryMatrix:
     """GF(2) matrix as packed row words."""
@@ -172,7 +193,8 @@ class BinaryMatrix:
             ncols = len(entries[0]) if entries else 0
         rows = []
         for row in entries:
-            assert len(row) == ncols
+            if len(row) != ncols:
+                raise InvalidMatrixError(f"row of length {len(row)} in a {ncols}-column matrix")
             word = 0
             for c, bit in enumerate(row):
                 if bit & 1:
@@ -221,12 +243,17 @@ class _Echelon:
     has that bit set.  That reduced form of a row space is unique, and
     reducing a vector may visit the pivots in any order.  Each basis row
     carries a tag: the XOR of the tags of the added rows that sum to it.
+    An added row that reduces to zero leaves its tag in ``dependencies``.
+    The state after a sequence of ``add`` calls depends only on that
+    sequence, so a caller that grows one echelon row by row gets exactly
+    what a fresh echelon over the same rows would give.
     """
 
     def __init__(self, rows: Iterable[int] = ()):
         self.rows: Dict[int, int] = {}  # pivot -> basis row
         self.tags: Dict[int, int] = {}  # pivot -> combination tag
         self.pivots = 0  # mask of pivot bits
+        self.dependencies: List[int] = []  # tags of added rows that reduced to zero
         for i, row in enumerate(rows):
             self.add(row, 1 << i)
 
@@ -256,7 +283,33 @@ class _Echelon:
             self.rows[p] = vec
             self.tags[p] = tag
             self.pivots |= 1 << p
+        else:
+            self.dependencies.append(tag)
         return vec, tag
+
+    def solve_dot(self, rhs_mask: int, ncols: int) -> Optional[Tuple[int, List[int]]]:
+        """Solve parity(row_i & v) = bit i of ``rhs_mask`` over the added rows.
+
+        Row i is the one added with tag 1 << i.  Returns (particular
+        solution with free variables zero, nullspace basis over ``ncols``
+        columns), or None when some dependency has odd right-hand side.
+        """
+        if any(_parity(dep & rhs_mask) for dep in self.dependencies):
+            return None
+        particular = 0
+        for p, tag in self.tags.items():
+            if _parity(tag & rhs_mask):
+                particular |= 1 << p
+        null_basis: List[int] = []
+        for free in range(ncols):
+            if (self.pivots >> free) & 1:
+                continue
+            vec = 1 << free
+            for p, row in self.rows.items():
+                if (row >> free) & 1:
+                    vec |= 1 << p
+            null_basis.append(vec)
+        return particular, null_basis
 
 
 def gf2_basis(rows: Iterable[int]) -> List[int]:
@@ -280,13 +333,7 @@ def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
     gives one mask: bit i plus the unique combination of earlier
     independent rows equal to it.
     """
-    basis = _Echelon()
-    deps: List[int] = []
-    for i, row in enumerate(rows):
-        rest, tag = basis.add(row, 1 << i)
-        if not rest:
-            deps.append(tag)
-    return deps
+    return _Echelon(rows).dependencies
 
 
 def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
@@ -313,27 +360,10 @@ def gf2_solve_dot_system(
     Returns (particular solution with free variables zero, nullspace basis),
     or None when inconsistent.
     """
-    assert len(rows) == len(rhs)
+    if len(rows) != len(rhs):
+        raise InvalidMatrixError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
-    basis = _Echelon()
-    for i, row in enumerate(rows):
-        rest, tag = basis.add(row, 1 << i)
-        if not rest and _parity(tag & rhs_mask):
-            return None
-    particular = 0
-    for p, tag in basis.tags.items():
-        if _parity(tag & rhs_mask):
-            particular |= 1 << p
-    null_basis: List[int] = []
-    for free in range(ncols):
-        if (basis.pivots >> free) & 1:
-            continue
-        vec = 1 << free
-        for p, row in basis.rows.items():
-            if (row >> free) & 1:
-                vec |= 1 << p
-        null_basis.append(vec)
-    return particular, null_basis
+    return _Echelon(rows).solve_dot(rhs_mask, ncols)
 
 
 def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
@@ -457,7 +487,8 @@ def operators_from_commutativity(
     m = gs.c + gs.d
     if order is None:
         order = range(n)
-    assert sorted(order) == list(range(n))
+    if sorted(order) != list(range(n)):
+        raise InvalidMatrixError(f"order {list(order)} is not a permutation of the {n} rows")
 
     pair_of = {}
     for i, j in gs.pairs:

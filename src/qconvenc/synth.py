@@ -12,7 +12,6 @@ parts, outputs are (physical, memory) parts.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -24,10 +23,12 @@ from .errors import (
     InvalidCodeError,
     InvalidMatrixError,
     SynthesisFailureError,
+    WidthMismatchError,
 )
 from .pauli import (
     BinaryMatrix,
     Pauli,
+    _product_mismatch,
     cycle_core,
     gf2_in_rowspan,
     gf2_rank,
@@ -37,6 +38,7 @@ from .pauli import (
     pauli_to_vec,
     swap_halves,
     symplectic_product,
+    symplectic_product_vec,
     vec_to_pauli,
 )
 
@@ -92,14 +94,19 @@ def _memory_indices(code: ConvolutionalCode) -> List[Tuple[int, int]]:
 
 
 def build_commutativity_matrix(code: ConvolutionalCode) -> MemoryCommutativityMatrix:
-    """Forward-recursion matrix; refuses invalid codes with their violations.
+    """Forward-recursion matrix; refuses invalid codes with their violations."""
+    result = validate_code(code)
+    if not result.valid:
+        raise InvalidCodeError(result.violations)
+    return MemoryCommutativityMatrix(_forward_matrix(code), _memory_indices(code))
+
+
+def _forward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
+    """The commutativity matrix of a code already known to be valid.
 
     Entry ((i,j),(i2,j2)) is the parity of products between later blocks:
     sum over t >= 1 of <h_{i,j+t}, h_{i2,j2+t}>.
     """
-    result = validate_code(code)
-    if not result.valid:
-        raise InvalidCodeError(result.violations)
     index_map = _memory_indices(code)
     entries = []
     for i, j in index_map:
@@ -112,8 +119,7 @@ def build_commutativity_matrix(code: ConvolutionalCode) -> MemoryCommutativityMa
                 acc ^= symplectic_product(a.block(j + t), b.block(j2 + t))
             row.append(acc)
         entries.append(row)
-    matrix = BinaryMatrix.from_lists(entries, len(index_map))
-    return MemoryCommutativityMatrix(matrix, index_map)
+    return BinaryMatrix.from_lists(entries, len(index_map))
 
 
 def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
@@ -139,12 +145,9 @@ def verify_consistency(code: ConvolutionalCode) -> int:
     Agreement for every pair is equivalent to the code's validity, so this is
     an independent route to the same verdict as validate_code.
     """
-    result = validate_code(code)
-    if not result.valid:
+    if not validate_code(code).valid:
         return 0
-    forward = build_commutativity_matrix(code).matrix
-    backward = _backward_matrix(code)
-    return int(forward.rows == backward.rows)
+    return int(_forward_matrix(code).rows == _backward_matrix(code).rows)
 
 
 def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
@@ -252,14 +255,20 @@ class PartialEncoder:
 
 
 def _check_row_consistency(rows: Sequence[EncoderRow]) -> None:
-    for a, b in itertools.combinations(range(len(rows)), 2):
-        lhs = symplectic_product(rows[a].input_pauli(), rows[b].input_pauli())
-        rhs = symplectic_product(rows[a].output_pauli(), rows[b].output_pauli())
-        if lhs != rhs:
-            raise AssemblyError(
-                f"rows {a + 1} and {b + 1} disagree: inputs "
-                f"{'anticommute' if lhs else 'commute'} but outputs do not match"
-            )
+    ins = [row.input_pauli() for row in rows]
+    outs = [row.output_pauli() for row in rows]
+    w = ins[0].width if ins else 0
+    if any(p.width != w for p in ins + outs):
+        raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
+    in_vecs = [pauli_to_vec(p) for p in ins]
+    pair = _product_mismatch(in_vecs, [pauli_to_vec(p) for p in outs], w)
+    if pair is not None:
+        a, b = pair
+        lhs = symplectic_product_vec(in_vecs[a], in_vecs[b], w)
+        raise AssemblyError(
+            f"rows {a + 1} and {b + 1} disagree: inputs "
+            f"{'anticommute' if lhs else 'commute'} but outputs do not match"
+        )
 
 
 def assemble_partial_encoder(

@@ -17,12 +17,11 @@ from .code import ConvolutionalCode
 from .errors import CompletionError, MemoryBoundError
 from .pauli import (
     Pauli,
+    _Echelon,
+    _product_mismatch,
     cycle_core,
     gf2_basis,
     gf2_combination,
-    gf2_in_rowspan,
-    gf2_invert,
-    gf2_row_dependencies,
     gf2_solve_dot_system,
     gf2_span,
     logical_cycle,
@@ -153,18 +152,18 @@ class CliffordTableau:
 
 
 def _not_in_span_solution(
-    particular: int, null_basis: Sequence[int], span_rows: Sequence[int], rng: Optional[random.Random]
+    particular: int, null_basis: Sequence[int], span: _Echelon, rng: Optional[random.Random]
 ) -> Optional[int]:
     if rng is not None:
         for _ in range(64):
             mask = rng.getrandbits(len(null_basis)) if null_basis else 0
             cand = particular ^ gf2_combination(null_basis, mask)
-            if not gf2_in_rowspan(cand, span_rows):
+            if span.reduce(cand)[0]:
                 return cand
-    if not gf2_in_rowspan(particular, span_rows):
+    if span.reduce(particular)[0]:
         return particular
     for vec in null_basis:
-        if not gf2_in_rowspan(particular ^ vec, span_rows):
+        if span.reduce(particular ^ vec)[0]:
             return particular ^ vec
     return None
 
@@ -176,6 +175,13 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     time; every commutation relation already fixed is preserved, and the
     given rows map exactly as specified.  Seed 0 extends along the standard
     basis; other seeds randomize both the direction and the image choice.
+
+    Three echelons grow by one row per pair: the inputs, the swapped
+    outputs and the outputs.  They answer every membership probe, solve
+    each new image's commutation constraints, report dependent given rows,
+    and, once the inputs span everything, their tags give the inverse of
+    the input basis.  Each is the echelon a fresh build over the same rows
+    would give, so the choices made do not depend on the growing.
     """
     w = encoder.width
     in_vecs: List[int] = []
@@ -186,53 +192,64 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
         assert in_p.width == w and out_p.width == w
         in_vecs.append(pauli_to_vec(in_p))
         out_vecs.append(pauli_to_vec(out_p))
-    for i in range(len(in_vecs)):
-        for j in range(i + 1, len(in_vecs)):
-            if symplectic_product_vec(
-                in_vecs[i], in_vecs[j], w
-            ) != symplectic_product_vec(out_vecs[i], out_vecs[j], w):
-                raise CompletionError(
-                    f"rows {i + 1} and {j + 1} do not transform consistently"
-                )
-    deps = gf2_row_dependencies(in_vecs)
-    if deps:
-        members = [str(b + 1) for b in range(len(in_vecs)) if (deps[0] >> b) & 1]
+    pair = _product_mismatch(in_vecs, out_vecs, w)
+    if pair is not None:
+        raise CompletionError(
+            f"rows {pair[0] + 1} and {pair[1] + 1} do not transform consistently"
+        )
+    inputs, swapped_outputs, outputs = _Echelon(), _Echelon(), _Echelon()
+    basis_in: List[int] = []
+    basis_out: List[int] = []
+
+    def append(v: int, image: int) -> None:
+        tag = 1 << len(basis_in)
+        basis_in.append(v)
+        basis_out.append(image)
+        inputs.add(v, tag)
+        swapped_outputs.add(swap_halves(image, w), tag)
+        outputs.add(image, tag)
+
+    for v, image in zip(in_vecs, out_vecs):
+        append(v, image)
+    if inputs.dependencies:
+        dep = inputs.dependencies[0]
+        members = [str(b + 1) for b in range(len(in_vecs)) if (dep >> b) & 1]
         raise CompletionError(
             "input rows are dependent: rows " + ", ".join(members)
         )
     rng = random.Random(seed) if seed != 0 else None
-    basis_in = list(in_vecs)
-    basis_out = list(out_vecs)
     while len(basis_in) < 2 * w:
         v = None
         if rng is not None:
             while True:
                 cand = rng.getrandbits(2 * w)
-                if cand and not gf2_in_rowspan(cand, basis_in):
+                if cand and inputs.reduce(cand)[0]:
                     v = cand
                     break
         else:
             for t in range(2 * w):
-                if not gf2_in_rowspan(1 << t, basis_in):
+                if inputs.reduce(1 << t)[0]:
                     v = 1 << t
                     break
         assert v is not None
-        rhs = [symplectic_product_vec(v, b, w) for b in basis_in]
-        words = [swap_halves(b, w) for b in basis_out]
-        solved = gf2_solve_dot_system(words, 2 * w, rhs)
+        swapped_v = swap_halves(v, w)
+        rhs_mask = sum(((b & swapped_v).bit_count() & 1) << i for i, b in enumerate(basis_in))
+        solved = swapped_outputs.solve_dot(rhs_mask, 2 * w)
         assert solved is not None
         particular, null_basis = solved
-        image = _not_in_span_solution(particular, null_basis, basis_out, rng)
+        image = _not_in_span_solution(particular, null_basis, outputs, rng)
         if image is None:
             raise CompletionError(
                 "no independent image for a new input direction; given rows are "
                 "not jointly symplectic"
             )
-        basis_in.append(v)
-        basis_out.append(image)
-    inverse = gf2_invert(basis_in, 2 * w)
-    assert inverse is not None
-    tableau = CliffordTableau(w, [gf2_combination(basis_out, mask) for mask in inverse])
+        append(v, image)
+    # Full rank: the reduced input basis is the identity, so unit vector t's
+    # tag is the combination of input rows equal to it.
+    assert inputs.pivots == (1 << 2 * w) - 1
+    tableau = CliffordTableau(
+        w, [gf2_combination(basis_out, inputs.tags[t]) for t in range(2 * w)]
+    )
     assert tableau.is_symplectic()
     for in_vec, out_vec in zip(in_vecs, out_vecs):
         assert tableau.image_of_vector(in_vec) == out_vec

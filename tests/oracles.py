@@ -25,8 +25,32 @@ def exists_gram_realization(
 
     With ``require_independent`` the tuple must be linearly independent as
     GF(2) vectors, matching the role memory operators play in an encoder.
-    Exhaustive backtracking; intended for small dimensions only.
+    Backtracking over every candidate at every level but the first, which
+    tries only Z on qubit 0, plus the identity when independence is not
+    required; intended for small dimensions only.
+
+    The first level loses nothing.  Let v_0, ..., v_{n-1} realise ``mat``.
+    If v_0 = 0, the tuple is found with the identity first (and is then
+    dependent).  Otherwise, the symplectic group Sp(2q, 2) is transitive
+    on nonzero vectors: v_0 is the first vector of some symplectic basis
+    (pair it with any w having <v_0, w> = 1, then extend by symplectic
+    Gram-Schmidt on the complement of that pair), and the linear map
+    sending that basis to the standard one, Z_0 first, is symplectic.
+    That map S keeps every product, <S u, S v> = <u, v>, and, being
+    invertible, keeps linear independence, so S v_0 = Z_0, S v_1, ...,
+    S v_{n-1} is another realisation, with Z_0 first.
     """
+    first = [] if require_independent else [0]
+    if qubits:
+        first.append(1 << qubits)  # Z on qubit 0
+    return gram_search(mat, qubits, require_independent, first)
+
+
+def gram_search(
+    mat: BinaryMatrix, qubits: int, require_independent: bool, first: Sequence[int]
+) -> bool:
+    """Exhaustive backtracking for a realisation of ``mat`` whose first
+    Pauli is one of ``first``; every later level tries all 4^qubits Paulis."""
     n = mat.nrows
     width = 2 * qubits
     target = mat.to_lists()
@@ -41,7 +65,7 @@ def exists_gram_realization(
     def backtrack(level: int) -> bool:
         if level == n:
             return True
-        for cand in range(1 << width):
+        for cand in first if level == 0 else range(1 << width):
             ok = True
             for prev_idx in range(level):
                 if sym(chosen[prev_idx], cand) != target[level][prev_idx]:

@@ -368,3 +368,9 @@ RUNNING2_PARTIAL_CYCLE_WITNESSES = {
         "IIIIZZ|ZZ|II|IIII|ZZIIII",
     ],
 }
+
+# sha256 of the lines "<name> <seed> <tableau images> <gates>" for every
+# corpus code (shortened, then synthesized and completed with seeds 0-3),
+# where gates are [kind, [qubits]] pairs in circuit order; recorded from
+# the completion that built a fresh echelon for every probe.
+COMPLETION_CIRCUIT_DIGEST = "eb96d988181a0ef328aaeea50daf213b47e2f2c397609b169b3aeeaf09b5081e"

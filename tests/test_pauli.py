@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     component_index,
     exists_gram_realization,
+    gram_search,
     labelled_cycle_by_enumeration,
     loop_vertices,
     span_edges,
@@ -19,6 +20,7 @@ from qconvenc.errors import InvalidMatrixError, QconvError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
+    _Echelon,
     cycle_core,
     gf2_basis,
     gf2_combination,
@@ -55,8 +57,8 @@ def pauli_triples(draw):
 
 
 @st.composite
-def symmetric_zero_diag(draw):
-    dim = draw(st.integers(min_value=0, max_value=6))
+def symmetric_zero_diag(draw, max_dim=6):
+    dim = draw(st.integers(min_value=0, max_value=max_dim))
     entries = [[0] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -279,6 +281,17 @@ def test_exists_gram_realization_small():
     assert not exists_gram_realization(pair, 0)
 
 
+@given(symmetric_zero_diag(max_dim=4), st.integers(0, 2), st.booleans())
+@settings(max_examples=80)
+def test_gram_realization_symmetry_breaking_loses_nothing(mat, qubits, independent):
+    # Fixing the first Pauli to Z_0 (or the identity) must agree with trying
+    # all 4^qubits first Paulis.
+    every = range(1 << 2 * qubits)
+    assert exists_gram_realization(mat, qubits, independent) == gram_search(
+        mat, qubits, independent, every
+    )
+
+
 @given(multigraph_edges())
 # 0 -> 4 takes two edges through 1 and three through 2; a depth-first walk
 # that tries 2 first reports the longer one.
@@ -376,14 +389,78 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
     assert isinstance(info.value, QconvError)
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: Pauli(2, 1, 0).cut(1, 5), WidthMismatchError),
+        (lambda: Pauli(2, 1, 0).cut(2, 1), WidthMismatchError),
+        (lambda: BinaryMatrix.from_lists([[1, 0], [1]], 2), InvalidMatrixError),
+        (lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]), InvalidMatrixError),
+        (
+            lambda: operators_from_commutativity(
+                BinaryMatrix.from_lists([[0, 1], [1, 0]]), order=[0, 0]
+            ),
+            InvalidMatrixError,
+        ),
+    ],
+    ids=["cut-past-width", "cut-reversed", "short-row", "rhs-length", "order-not-permutation"],
+)
+def test_caller_input_raises_typed_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, QconvError)
+
+
 def test_pauli_width_check_survives_optimized_mode():
-    # An assert would vanish under -O; the typed error must not.
+    # An assert would vanish under -O; the typed errors must not.
     script = (
-        "from qconvenc.errors import WidthMismatchError\n"
-        "from qconvenc.pauli import Pauli\n"
-        "try:\n    Pauli(1, 2, 0)\nexcept WidthMismatchError:\n    print('raised')\n"
+        "from qconvenc.pauli import BinaryMatrix, Pauli, gf2_solve_dot_system, "
+        "operators_from_commutativity\n"
+        "calls = [\n"
+        "    lambda: Pauli(1, 2, 0),\n"
+        "    lambda: Pauli(2, 1, 0).cut(1, 5),\n"
+        "    lambda: BinaryMatrix.from_lists([[1, 0], [1]], 2),\n"
+        "    lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]),\n"
+        "    lambda: operators_from_commutativity(\n"
+        "        BinaryMatrix.from_lists([[0, 1], [1, 0]]), order=[0, 0]),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n        call()\n        print('accepted')\n"
+        "    except Exception as exc:\n        print(type(exc).__name__)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == [
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "InvalidMatrixError",
+        "InvalidMatrixError",
+        "InvalidMatrixError",
+    ]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**5 - 1), st.integers(0, 1)), max_size=8),
+)
+@example([(0b11, 0), (0b01, 1), (0b10, 0)])  # dependent rows, odd right-hand side
+@example([(0b0, 1)])  # a zero row asked for parity 1
+def test_grown_echelon_matches_fresh_solves(system):
+    # One echelon grown a row at a time answers, after every row, what the
+    # fresh solvers answer over the rows so far.
+    echelon = _Echelon()
+    rows: list = []
+    rhs: list = []
+    for row, bit in system:
+        echelon.add(row, 1 << len(rows))
+        rows.append(row)
+        rhs.append(bit)
+        rhs_mask = sum(b << i for i, b in enumerate(rhs))
+        assert echelon.dependencies == gf2_row_dependencies(rows)
+        solved = echelon.solve_dot(rhs_mask, 5)
+        assert solved == gf2_solve_dot_system(rows, 5, rhs)
+        # Independent check: None exactly when no 5-bit word solves the system.
+        solvable = any(
+            all(bin(r & v).count("1") & 1 == b for r, b in zip(rows, rhs)) for v in range(32)
+        )
+        assert (solved is not None) == solvable

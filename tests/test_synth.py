@@ -17,7 +17,14 @@ from qconvenc.errors import (
     InvalidMatrixError,
     QconvError,
 )
-from qconvenc.pauli import BinaryMatrix, Pauli, gram_matrix, pauli_to_vec, vec_to_pauli
+from qconvenc.pauli import (
+    BinaryMatrix,
+    Pauli,
+    gram_matrix,
+    pauli_to_vec,
+    symplectic_product,
+    vec_to_pauli,
+)
 from qconvenc.synth import (
     EncoderRow,
     MemoryCommutativityMatrix,
@@ -171,6 +178,59 @@ def test_assemble_rejects_mismatched_table(running1):
     )
     with pytest.raises(AssemblyError):
         assemble_partial_encoder(running1, bogus)
+
+
+def test_row_consistency_reports_the_first_offending_pair():
+    # Rows 1-3 and 2-3 both disagree; pairs are checked in combinations
+    # order, so (1, 3) is reported.
+    rows = [
+        row_from_strings(dict(mem_in="", anc_in="Z", info_in="I", phys_out="ZI", mem_out="")),
+        row_from_strings(dict(mem_in="", anc_in="I", info_in="X", phys_out="IZ", mem_out="")),
+        row_from_strings(dict(mem_in="", anc_in="I", info_in="Z", phys_out="XI", mem_out="")),
+    ]
+    with pytest.raises(
+        AssemblyError,
+        match=r"^rows 1 and 3 disagree: inputs commute but outputs do not match$",
+    ):
+        synth_module._check_row_consistency(rows)
+    synth_module._check_row_consistency(rows[:2])
+
+
+def first_disagreeing_pair(rows):
+    """The pairwise Pauli-product check the packed one must reproduce."""
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        lhs = symplectic_product(rows[a].input_pauli(), rows[b].input_pauli())
+        rhs = symplectic_product(rows[a].output_pauli(), rows[b].output_pauli())
+        if lhs != rhs:
+            return a, b, lhs
+    return None
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=6))
+def test_row_consistency_matches_pairwise_products(words):
+    # Width-2 rows: one ancilla and one information qubit in, two physical
+    # qubits out, no memory.
+    def row(anc, info, phys_x, phys_z):
+        return EncoderRow(
+            Pauli.identity(0),
+            Pauli(1, anc & 1, anc >> 1),
+            Pauli(1, info & 1, info >> 1),
+            Pauli(2, phys_x, phys_z),
+            Pauli.identity(0),
+        )
+
+    rows = [row(*w) for w in words]
+    want = first_disagreeing_pair(rows)
+    if want is None:
+        synth_module._check_row_consistency(rows)
+        return
+    a, b, lhs = want
+    with pytest.raises(AssemblyError) as info:
+        synth_module._check_row_consistency(rows)
+    assert str(info.value) == (
+        f"rows {a + 1} and {b + 1} disagree: inputs "
+        f"{'anticommute' if lhs else 'commute'} but outputs do not match"
+    )
 
 
 @pytest.mark.parametrize("name", CORPUS)

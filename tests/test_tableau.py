@@ -1,5 +1,6 @@
 """Tableau completion, circuit extraction, and state-diagram analysis tests."""
 
+import hashlib
 import random
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from oracles import escape_path_by_enumeration, loop_vertices, zero_physical_gra
 from qconvenc.code import ConvolutionalCode, parse_code
 from qconvenc.errors import CompletionError, MemoryBoundError
 from qconvenc.pauli import Pauli
+from qconvenc.shorten import shorten
 from qconvenc.synth import (
     EncoderRow,
     PartialEncoder,
@@ -36,6 +38,7 @@ from qconvenc.tableau import (
 )
 from reference_data import (
     CATASTROPHIC_CONTROL,
+    COMPLETION_CIRCUIT_DIGEST,
     CORPUS,
     RUNNING2_PARTIAL_CYCLE_WITNESSES,
 )
@@ -249,6 +252,20 @@ def test_circuit_replays_to_pipeline_tableau(name):
     gates = synthesize_circuit(tableau)
     assert replay_gates(tableau.width, gates) == tableau
     assert len(gates) <= GATE_COUNT_FACTOR * tableau.width**2
+
+
+def test_completions_and_circuits_match_pinned_digest():
+    # Tableau images and gate lists of every corpus code, completion seeds
+    # 0-3, hashed in a fixed text form; any change in a choice the
+    # completion or the extraction makes changes the digest.
+    digest = hashlib.sha256()
+    for name in CORPUS:
+        code = shorten(load_code(name)).output_code
+        for seed in range(4):
+            tableau = complete_to_clifford(synthesize(code, seed=seed).encoder, seed=seed)
+            gates = [(g.kind, list(g.qubits)) for g in synthesize_circuit(tableau)]
+            digest.update(f"{name} {seed} {tableau.images} {gates}\n".encode())
+    assert digest.hexdigest() == COMPLETION_CIRCUIT_DIGEST
 
 
 @pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 7, 8])
