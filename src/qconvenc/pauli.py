@@ -21,9 +21,8 @@ State diagrams are directed graphs on packed-Pauli int vertices.  The
 zero-physical transitions of an encoder form a GF(2) space of edges, so
 ``cycle_core`` finds the edges that lie on cycles by linear algebra on a
 basis of that space, without listing it; the state-diagram verdicts rest on
-it.  Listed edges, given as successor lists, serve the witnesses:
-``strong_components``, ``shortest_path`` and, for labelled edges,
-``logical_cycle`` pick out a cycle and the way around it.
+it.  A catastrophic witness lists only those core edges, and
+``successor_lists`` and ``shortest_path`` find the way around its cycle.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ __all__ = [
     "operators_from_commutativity",
     "gram_matrix",
     "successor_lists",
-    "strong_components",
     "shortest_path",
-    "logical_cycle",
     "cycle_core",
 ]
 
@@ -313,8 +310,18 @@ class _Echelon:
 
 
 def gf2_basis(rows: Iterable[int]) -> List[int]:
-    """Independent rows spanning the same space (the reduced echelon basis)."""
-    return list(_Echelon(rows).rows.values())
+    """Independent rows spanning the same space, in ascending order.
+
+    The basis is fully reduced on highest-bit pivots (the lowest-bit echelon
+    of the bit-reversed rows), so ``gf2_span`` of it is ascending.
+    """
+    rows = list(rows)
+    width = max(rows, default=0).bit_length()
+
+    def reverse(word: int) -> int:
+        return int(f"{word:0{width}b}"[::-1], 2)
+
+    return sorted(reverse(row) for row in _Echelon(map(reverse, rows)).rows.values())
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
@@ -538,43 +545,6 @@ def successor_lists(edges: Iterable[Tuple[int, int]]) -> Dict[int, List[int]]:
     return succ
 
 
-def strong_components(succ: Dict[int, List[int]]) -> Dict[int, int]:
-    """Strongly connected component index of every vertex (iterative Tarjan)."""
-    component: Dict[int, int] = {}
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    stack: List[int] = []
-    count = 0
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w not in component:  # visited and still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    w = None
-                    while w != v:
-                        w = stack.pop()
-                        component[w] = count
-                    count += 1
-    return component
-
-
 def shortest_path(
     succ: Dict[int, List[int]], source: int, target: int
 ) -> Optional[List[int]]:
@@ -595,24 +565,6 @@ def shortest_path(
     while path[-1] != source:
         path.append(parent[path[-1]])
     return path[::-1]
-
-
-def logical_cycle(
-    edges: Sequence[Tuple[int, int, int]],
-) -> Optional[Tuple[int, List[int]]]:
-    """First labelled edge on a cycle of the multigraph, and the way back.
-
-    ``edges`` are (u, v, label) triples.  Returns (i, path) for the first
-    edges[i] with a nonzero label whose endpoints share a strongly connected
-    component, path being a fewest-edge walk from v back to u ([u] for a
-    self-loop); None when no labelled edge lies on a cycle.
-    """
-    succ = successor_lists((u, v) for u, v, _ in edges)
-    component = strong_components(succ)
-    for i, (u, v, label) in enumerate(edges):
-        if label and component[u] == component[v]:
-            return i, shortest_path(succ, v, u)
-    return None
 
 
 def _annihilator(rows: Sequence[int], bits: int) -> List[int]:

@@ -452,7 +452,8 @@ def add_noncatastrophic_rows(
     span the centralizer without admitting a catastrophic cycle.  A greedy
     canonical choice is tried first, then seeded random completions.
     """
-    assert encoder.memory_ops is not None
+    if encoder.memory_ops is None:
+        raise AssemblyError("the encoder has no memory operator table")
     centralizer = compute_centralizer(encoder.memory_ops)
     s1 = find_s1(encoder, centralizer)
     m, n, k, s = encoder.m, encoder.n, encoder.k, encoder.n - encoder.k

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode
-from .errors import CompletionError, MemoryBoundError
+from .errors import CompletionError, MemoryBoundError, WidthMismatchError
 from .pauli import (
     Pauli,
     _Echelon,
@@ -24,8 +24,9 @@ from .pauli import (
     gf2_combination,
     gf2_solve_dot_system,
     gf2_span,
-    logical_cycle,
     pauli_to_vec,
+    shortest_path,
+    successor_lists,
     swap_halves,
     symplectic_product_vec,
     vec_to_pauli,
@@ -189,7 +190,10 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     for row in encoder.all_rows:
         in_p = row.input_pauli()
         out_p = row.output_pauli()
-        assert in_p.width == w and out_p.width == w
+        if in_p.width != w or out_p.width != w:
+            raise WidthMismatchError(
+                f"a row maps {in_p.width} to {out_p.width} qubits in a {w}-qubit encoder"
+            )
         in_vecs.append(pauli_to_vec(in_p))
         out_vecs.append(pauli_to_vec(out_p))
     pair = _product_mismatch(in_vecs, out_vecs, w)
@@ -418,7 +422,8 @@ def _zero_physical_basis(
     """
     _check_memory_bound(m, max_memory)
     w = tableau.width
-    assert w == m + n
+    if w != m + n:
+        raise WidthMismatchError(f"tableau width {w} is not m + n = {m} + {n}")
     info_shift = m + (n - k)
     # Input coefficient directions, as full input vectors.
     directions: List[int] = []
@@ -449,11 +454,8 @@ def _zero_physical_basis(
 def _zero_physical_inputs(
     tableau: CliffordTableau, n: int, m: int, basis: Sequence[int]
 ) -> List[Tuple[int, int, int]]:
-    """(input vector, packed mem_from, packed mem_to) of every zero-physical edge.
-
-    The span of the basis words lists every edge with its output, in the
-    mask order of the basis.
-    """
+    """(input vector, packed mem_from, packed mem_to) of every zero-physical
+    edge in the span of the basis words, in the mask order of the basis."""
     w = tableau.width
     full = (1 << 2 * w) - 1
     edges = []
@@ -467,14 +469,18 @@ def _zero_physical_inputs(
 def _core_edges(
     tableau: CliffordTableau, n: int, k: int, m: int, basis: Sequence[int]
 ) -> List[int]:
-    """Basis of the zero-physical edges on cycles, as mem_from | mem_to | logical."""
+    """Basis of the zero-physical edges on cycles, as mem_from | mem_to | label.
+
+    The label is the 2k logical bits, then a tag whose bit t marks basis word
+    t, so each core edge carries its combination mask over ``basis``.
+    """
     w = tableau.width
     full = (1 << 2 * w) - 1
     packed = [
         _part(word & full, w, 0, m)
         | _part(word >> 2 * w, w, n, w) << 2 * m
-        | _part(word & full, w, w - k, w) << 4 * m
-        for word in basis
+        | (_part(word & full, w, w - k, w) | 1 << 2 * k + t) << 4 * m
+        for t, word in enumerate(basis)
     ]
     return cycle_core(packed, 2 * m)
 
@@ -496,23 +502,29 @@ def detect_catastrophic(
     The encoder is catastrophic iff some zero-physical edge with a
     non-identity logical label lies on a cycle, iff some edge of the
     ``cycle_core`` basis carries a logical label; no edge is listed to
-    decide.  Only for a witness are the edges listed: the first labelled
-    one whose endpoints share a strongly connected component returns along
-    a fewest-edge walk, taking the first enumerated edge between each pair
-    of vertices.
+    decide.  The witness is the first labelled edge on a cycle, in the mask
+    order of the zero-physical basis, and a fewest-edge walk back, taking
+    the first edge between each pair of vertices.  Only the core edges are
+    listed for it, in that order (their masks span a subspace, listed
+    ascending over its ``gf2_basis``).  That loses nothing: u -> v lies on
+    a cycle iff v reaches u, iff u and v share a strongly connected
+    component.  So every edge inside v's component is a core edge, and a
+    breadth-first search from v over the core edges keeps the levels,
+    frontier order and parents of one over all edges, up to u.
     """
     basis = _zero_physical_basis(tableau, n, k, m, max_memory)
-    if not any(edge >> 4 * m for edge in _core_edges(tableau, n, k, m, basis)):
+    core = _core_edges(tableau, n, k, m, basis)
+    if not any((edge >> 4 * m) & ((1 << 2 * k) - 1) for edge in core):
         return False, None
-    edges = _zero_physical_inputs(tableau, n, m, basis)
+    masks = gf2_basis(edge >> 4 * m + 2 * k for edge in core)
+    edges = _zero_physical_inputs(tableau, n, m, [gf2_combination(basis, c) for c in masks])
     w = tableau.width
     logical = ((1 << k) - 1) << (w - k)
     logical |= logical << w
-    i, path = logical_cycle([(u, v, vin & logical) for vin, u, v in edges])
-    first: Dict[Tuple[int, int], int] = {}
-    for vin, u, v in edges:
-        first.setdefault((u, v), vin)
-    inputs = [edges[i][0]] + [first[pair] for pair in zip(path, path[1:])]
+    vin, u, v = next(edge for edge in edges if edge[0] & logical)
+    path = shortest_path(successor_lists((a, b) for _, a, b in edges), v, u)
+    first = {(a, b): x for x, a, b in reversed(edges)}  # first listed per pair
+    inputs = [vin] + [first[pair] for pair in zip(path, path[1:])]
     return True, CycleWitness(
         vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
         edges=[_edge(tableau, n, k, m, vin) for vin in inputs],
@@ -545,10 +557,11 @@ def verify_non_recursive(
     basis = _zero_physical_basis(tableau, n, k, m, max_memory)
     mask = (1 << 2 * m) - 1
     sources = [edge & mask for edge in _core_edges(tableau, n, k, m, basis)]
-    loop_vertices = set(gf2_span(gf2_basis(sources)))
+    starts = gf2_span(gf2_basis(sources))  # ascending
+    loop_vertices = set(starts)
     w = tableau.width
     stranded = set()  # vertices whose identity-input walk misses every loop
-    for start in sorted(loop_vertices):
+    for start in starts:
         for logical in _weight_one_labels(k):
             for anc_mask in range(1 << (n - k)):
                 inputs = [_input_vec(n, k, m, start, anc_mask, logical)]

@@ -4,12 +4,24 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from qconvenc.pauli import BinaryMatrix, gf2_in_rowspan, gf2_span, logical_cycle, pauli_to_vec
+from qconvenc.pauli import (
+    BinaryMatrix,
+    gf2_in_rowspan,
+    gf2_span,
+    pauli_to_vec,
+    shortest_path,
+    successor_lists,
+    vec_to_pauli,
+)
 from qconvenc.tableau import (
+    DEFAULT_MEMORY_BOUND,
+    CycleWitness,
     _edge,
     _input_vec,
     _part,
     _weight_one_labels,
+    _zero_physical_basis,
+    _zero_physical_inputs,
     zero_physical_edges,
 )
 
@@ -82,6 +94,89 @@ def gram_search(
         return False
 
     return backtrack(0)
+
+
+def strong_components(succ: Dict[int, List[int]]) -> Dict[int, int]:
+    """Strongly connected component index of every vertex (iterative Tarjan)."""
+    component: Dict[int, int] = {}
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    count = 0
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in component:  # visited and still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    w = None
+                    while w != v:
+                        w = stack.pop()
+                        component[w] = count
+                    count += 1
+    return component
+
+
+def logical_cycle(
+    edges: Sequence[Tuple[int, int, int]],
+) -> Optional[Tuple[int, List[int]]]:
+    """First labelled edge on a cycle of the multigraph, and the way back.
+
+    ``edges`` are (u, v, label) triples.  Returns (i, path) for the first
+    edges[i] with a nonzero label whose endpoints share a strongly connected
+    component, path being a fewest-edge walk from v back to u ([u] for a
+    self-loop); None when no labelled edge lies on a cycle.
+    """
+    succ = successor_lists((u, v) for u, v, _ in edges)
+    component = strong_components(succ)
+    for i, (u, v, label) in enumerate(edges):
+        if label and component[u] == component[v]:
+            return i, shortest_path(succ, v, u)
+    return None
+
+
+def cycle_witness_by_enumeration(
+    tableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
+) -> Optional[CycleWitness]:
+    """``detect_catastrophic``'s witness over every listed zero-physical edge.
+
+    The first labelled edge whose endpoints share a strongly connected
+    component, then a fewest-edge walk back over all edges, taking the first
+    listed edge between each pair of vertices; None when no labelled edge
+    lies on a cycle.
+    """
+    edges = _zero_physical_inputs(tableau, n, m, _zero_physical_basis(tableau, n, k, m, max_memory))
+    w = tableau.width
+    logical = ((1 << k) - 1) << (w - k)
+    logical |= logical << w
+    found = logical_cycle([(u, v, vin & logical) for vin, u, v in edges])
+    if found is None:
+        return None
+    i, path = found
+    first: Dict[Tuple[int, int], int] = {}
+    for vin, u, v in edges:
+        first.setdefault((u, v), vin)
+    inputs = [edges[i][0]] + [first[pair] for pair in zip(path, path[1:])]
+    return CycleWitness(
+        vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
+        edges=[_edge(tableau, n, k, m, vin) for vin in inputs],
+    )
 
 
 def span_edges(basis: Sequence[int], bits: int) -> List[Tuple[int, int, int]]:

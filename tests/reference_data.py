@@ -369,6 +369,28 @@ RUNNING2_PARTIAL_CYCLE_WITNESSES = {
     ],
 }
 
+# Cycle witness of forney8 inflated by d = 5 (g1 <- g1 * D^5 g1, m = 11):
+# its partial encoder completed with seed 0 and analysed with
+# max_memory = 11, recorded over all 2^20 listed zero-physical edges.  Each
+# edge is "mem_from|anc|logical|physical|mem_to".
+FORNEY8_D5_PARTIAL_CYCLE_WITNESS = [
+    "ZIZIIIIIIII|II|XXIIII|IIIIIIII|IIZIZIIIIII",
+    "IIZIZIIIIII|ZI|IXXIII|IIIIIIII|ZIIIZIZIIII",
+    "ZIIIZIZIIII|ZI|XIXIII|IIIIIIII|ZIZIIIZZIII",
+    "ZIZIIIZZIII|ZI|XXIIII|IIIIIIII|ZIZIZIIZZII",
+    "ZIZIZIIZZII|II|IXXIII|IIIIIIII|IIZIZIZIZZI",
+    "IIZIZIZIZZI|ZI|XIXIII|IIIIIIII|ZIIIZIZZIZZ",
+    "ZIIIZIZZIZZ|ZI|XXIIII|IIIIIIII|ZIZIIIZZZIZ",
+    "ZIZIIIZZZIZ|II|IXXIII|IIIIIIII|IIZIZIIZZZI",
+    "IIZIZIIZZZI|II|XIXIII|IIIIIIII|IIIIZIZIZZZ",
+    "IIIIZIZIZZZ|II|XXIIII|IIIIIIII|IIIIIIZZIZZ",
+    "IIIIIIZZIZZ|II|IXXIII|IIIIIIII|IIIIIIIZZIZ",
+    "IIIIIIIZZIZ|II|XIXIII|IIIIIIII|IIIIIIIIZZI",
+    "IIIIIIIIZZI|II|XXIIII|IIIIIIII|IIIIIIIIIZZ",
+    "IIIIIIIIIZZ|ZI|IXXIII|IIIIIIII|ZIIIIIIIIIZ",
+    "ZIIIIIIIIIZ|ZI|XIXIII|IIIIIIII|ZIZIIIIIIII",
+]
+
 # sha256 of the lines "<name> <seed> <tableau images> <gates>" for every
 # corpus code (shortened, then synthesized and completed with seeds 0-3),
 # where gates are [kind, [qubits]] pairs in circuit order; recorded from

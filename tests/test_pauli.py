@@ -13,8 +13,10 @@ from oracles import (
     exists_gram_realization,
     gram_search,
     labelled_cycle_by_enumeration,
+    logical_cycle,
     loop_vertices,
     span_edges,
+    strong_components,
 )
 from qconvenc.errors import InvalidMatrixError, QconvError, WidthMismatchError
 from qconvenc.pauli import (
@@ -32,10 +34,8 @@ from qconvenc.pauli import (
     gf2_solve_dot_system,
     gf2_span,
     gram_matrix,
-    logical_cycle,
     operators_from_commutativity,
     shortest_path,
-    strong_components,
     successor_lists,
     symplectic_gram_schmidt,
     symplectic_product,
@@ -350,6 +350,10 @@ def test_basis_is_independent_and_spans_the_rows(rows):
     basis = gf2_basis(rows)
     assert len(basis) == gf2_rank(rows)
     assert all(gf2_in_rowspan(row, basis) for row in rows)
+    # Distinct highest bits, fully reduced: the span lists in ascending order.
+    span = gf2_span(basis)
+    assert all(a < b for a, b in zip(span, span[1:]))
+    assert span == sorted(set(gf2_span(rows)))
 
 
 @given(packed_relations())
@@ -416,6 +420,10 @@ def test_pauli_width_check_survives_optimized_mode():
     script = (
         "from qconvenc.pauli import BinaryMatrix, Pauli, gf2_solve_dot_system, "
         "operators_from_commutativity\n"
+        "from qconvenc.synth import EncoderRow, PartialEncoder, add_noncatastrophic_rows\n"
+        "from qconvenc.tableau import CliffordTableau, complete_to_clifford, "
+        "detect_catastrophic, verify_non_recursive\n"
+        "wide_row = EncoderRow(*(Pauli.identity(q) for q in (2, 1, 0, 1, 1)))\n"
         "calls = [\n"
         "    lambda: Pauli(1, 2, 0),\n"
         "    lambda: Pauli(2, 1, 0).cut(1, 5),\n"
@@ -423,6 +431,10 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]),\n"
         "    lambda: operators_from_commutativity(\n"
         "        BinaryMatrix.from_lists([[0, 1], [1, 0]]), order=[0, 0]),\n"
+        "    lambda: verify_non_recursive(CliffordTableau.identity(4), 2, 1, 1),\n"
+        "    lambda: detect_catastrophic(CliffordTableau.identity(4), 2, 1, 1),\n"
+        "    lambda: complete_to_clifford(PartialEncoder(1, 1, 0, [wide_row])),\n"
+        "    lambda: add_noncatastrophic_rows(PartialEncoder(1, 1, 0, [])),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -437,6 +449,10 @@ def test_pauli_width_check_survives_optimized_mode():
         "InvalidMatrixError",
         "InvalidMatrixError",
         "InvalidMatrixError",
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "AssemblyError",
     ]
 
 

@@ -9,8 +9,13 @@ import pytest
 
 import qconvenc.tableau as tableau_module
 from conftest import load_code
-from oracles import escape_path_by_enumeration, loop_vertices, zero_physical_graph
-from qconvenc.code import ConvolutionalCode, parse_code
+from oracles import (
+    cycle_witness_by_enumeration,
+    escape_path_by_enumeration,
+    loop_vertices,
+    zero_physical_graph,
+)
+from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
 from qconvenc.errors import CompletionError, MemoryBoundError
 from qconvenc.pauli import Pauli
 from qconvenc.shorten import shorten
@@ -40,6 +45,7 @@ from reference_data import (
     CATASTROPHIC_CONTROL,
     COMPLETION_CIRCUIT_DIGEST,
     CORPUS,
+    FORNEY8_D5_PARTIAL_CYCLE_WITNESS,
     RUNNING2_PARTIAL_CYCLE_WITNESSES,
 )
 
@@ -371,8 +377,9 @@ def test_catastrophic_agrees_with_path_search():
     checked = 0
     for _ in range(40):
         t = random_tableau(3, rng)  # m=2, n=1, k=1
-        flag, _witness = detect_catastrophic(t, 1, 1, 2)
+        flag, witness = detect_catastrophic(t, 1, 1, 2)
         assert flag == brute_force_catastrophic(t, 1, 1, 2)
+        assert witness == cycle_witness_by_enumeration(t, 1, 1, 2)
         checked += 1
     assert checked == 40
 
@@ -398,8 +405,11 @@ def test_corpus_non_recursive_with_checkable_path(name):
 
 
 @lru_cache(maxsize=None)
-def partial_encoder(name):
+def partial_encoder(name, d=0):
     code = load_code(name)
+    if d:  # g1 <- g1 * D^d g1 raises the memory to m + d
+        g1 = code.generators[0]
+        code = code.with_generator(0, multiply_generators(g1, delay_generator(g1, d)))
     return assemble_partial_encoder(code, assign_memory_operators(build_commutativity_matrix(code)))
 
 
@@ -414,7 +424,40 @@ def test_partial_encoder_verdicts_match_enumeration(name, seed):
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag == brute_force_catastrophic(tableau, n, k, m)
     assert (witness is not None) == flag
+    assert witness == cycle_witness_by_enumeration(tableau, n, k, m)
     assert verify_non_recursive(tableau, n, k, m) == escape_path_by_enumeration(tableau, n, k, m)
+
+
+def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
+    encoder = partial_encoder("forney8")
+    tableau = complete_to_clifford(encoder, seed=0)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    basis = tableau_module._zero_physical_basis(tableau, n, k, m, m)
+    core = tableau_module._core_edges(tableau, n, k, m, basis)
+    listed = []
+    enumerate_edges = tableau_module._zero_physical_inputs
+
+    def record(tableau, n, m, words):
+        listed.append(len(words))
+        return enumerate_edges(tableau, n, m, words)
+
+    monkeypatch.setattr(tableau_module, "_zero_physical_inputs", record)
+    flag, witness = detect_catastrophic(tableau, n, k, m)
+    assert flag is True and witness is not None
+    assert listed == [len(core)]
+    assert len(core) < len(basis)
+
+
+def test_forney8_d5_partial_cycle_witness_is_pinned():
+    # m = 11: the witness over all listed edges took seconds and ~600 MB.
+    encoder = partial_encoder("forney8", 5)
+    assert encoder.m == 11
+    tableau = complete_to_clifford(encoder, seed=0)
+    flag, witness = detect_catastrophic(tableau, encoder.n, encoder.k, encoder.m, max_memory=11)
+    assert flag is True
+    edges = ["|".join(e.as_strings().values()) for e in witness.edges]
+    assert edges == FORNEY8_D5_PARTIAL_CYCLE_WITNESS
+    assert [str(v) for v in witness.vertices] == [e.split("|")[0] for e in edges]
 
 
 def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
