@@ -6,6 +6,12 @@ Pauli blocks h_{i,1} | ... | h_{i,l_i}; block j acts on frame j.  The code is
 valid when every generator commutes with every generator shifted by any whole
 number of frames.
 
+Each generator also has one packed stream word: frame j (1-based) fills bits
+2n(j-1)..2nj-1 with ``pauli_to_vec`` of block j.  A delay by t frames is a
+shift left by 2nt, and the symplectic product of two aligned streams, summed
+over frames, is parity(word_a & swapped_b), where ``swapped_b`` has the x and
+z halves of every frame exchanged.  ``_stream_words`` returns both words.
+
 Text format (one code per file):
 
     # optional comment lines
@@ -30,7 +36,7 @@ from .errors import (
     ParseError,
     WidthMismatchError,
 )
-from .pauli import Pauli, symplectic_product
+from .pauli import Pauli, _parity, pauli_to_vec, swap_halves
 
 __all__ = [
     "GeneratorPolynomial",
@@ -185,29 +191,35 @@ class ValidationResult:
     violations: List[Tuple[int, int, int]]
 
 
-def _shifted_product(a: GeneratorPolynomial, b: GeneratorPolynomial, t: int) -> int:
-    """Symplectic product of a delayed by t frames with b, summed over frames."""
-    total = 0
-    for j in range(1, b.degree + 1):
-        total ^= symplectic_product(a.block(j - t), b.block(j))
-    return total
+def _stream_words(gen: GeneratorPolynomial) -> Tuple[int, int]:
+    """The generator's stream word, and the same word with x and z swapped per frame."""
+    frame = 2 * gen.width
+    word = swapped = 0
+    for j, block in enumerate(gen.blocks):
+        vec = pauli_to_vec(block)
+        word |= vec << frame * j
+        swapped |= swap_halves(vec, gen.width) << frame * j
+    return word, swapped
 
 
 def validate_code(code: ConvolutionalCode) -> ValidationResult:
     """Check all generator pairs against all frame shifts.
 
     A violation (i, i2, t) means generator i delayed by t frames anticommutes
-    with generator i2; indices are 1-based and 0 <= t < max(l_i, l_i2).
+    with generator i2, that is parity((word_i << 2nt) & swapped_i2) = 1;
+    indices are 1-based and 0 <= t < max(l_i, l_i2).
     """
     violations: List[Tuple[int, int, int]] = []
     gens = code.generators
-    for i, a in enumerate(gens, start=1):
-        for i2, b in enumerate(gens, start=1):
+    words = [_stream_words(g) for g in gens]
+    frame = 2 * code.n
+    for i, (a, (word, _)) in enumerate(zip(gens, words), start=1):
+        for i2, (b, (_, swapped)) in enumerate(zip(gens, words), start=1):
             for t in range(max(a.degree, b.degree)):
                 if t == 0 and i2 <= i:
                     # Symmetric at zero shift; report each unordered pair once.
                     continue
-                if _shifted_product(a, b, t):
+                if _parity((word << frame * t) & swapped):
                     violations.append((i, i2, t))
     violations.sort()
     return ValidationResult(not violations, violations)

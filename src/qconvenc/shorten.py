@@ -14,12 +14,14 @@ from typing import List, Optional, Sequence, Tuple
 from .code import (
     ConvolutionalCode,
     GeneratorPolynomial,
+    _stream_words,
     delay_generator,
     multiply_generators,
     validate_code,
 )
 from .errors import DegenerateCodeError, WidthMismatchError, WindowError
 from .pauli import (
+    _parities,
     gf2_combination,
     gf2_rank,
     gf2_solve_combination,
@@ -180,41 +182,24 @@ def shorten(code: ConvolutionalCode) -> ShorteningReport:
 
 
 def _strip_rows(code: ConvolutionalCode, window: int) -> List[int]:
-    """All whole placements of each generator inside a window-frame strip."""
-    n = code.n
-    strip_qubits = window * n
+    """All whole placements of each generator inside a window-frame strip.
+
+    Placement t is the stream word delayed by t frames, word << 2nt.
+    """
+    frame = 2 * code.n
     rows = []
     for gen in code.generators:
-        for t in range(window - gen.degree + 1):
-            x = 0
-            z = 0
-            for j, block in enumerate(gen.blocks):
-                shift = (t + j) * n
-                x |= block.x << shift
-                z |= block.z << shift
-            rows.append(x | (z << strip_qubits))
+        word, _swapped = _stream_words(gen)
+        rows += [word << frame * t for t in range(window - gen.degree + 1)]
     return rows
 
 
 def _interior_basis(rows: Sequence[int], window: int, n: int) -> List[int]:
     """Basis of combinations vanishing on the first and last frame."""
-    strip_qubits = window * n
-    edge_bits = []
-    for q in range(n):
-        edge_bits.append(q)
-        edge_bits.append(strip_qubits - n + q)
-    edge_positions = []
-    for b in edge_bits:
-        edge_positions.append(b)  # x part
-        edge_positions.append(b + strip_qubits)  # z part
+    frame = 2 * n
+    edge_bits = [*range(frame), *range(frame * (window - 1), frame * window)]
     # Solve for coefficient masks killing every edge coordinate.
-    constraint_words = []
-    for pos in edge_positions:
-        word = 0
-        for r, vec in enumerate(rows):
-            if (vec >> pos) & 1:
-                word |= 1 << r
-        constraint_words.append(word)
+    constraint_words = [_parities(1 << b, rows) for b in edge_bits]
     solved = gf2_solve_dot_system(constraint_words, len(rows), [0] * len(constraint_words))
     assert solved is not None
     _part, null_basis = solved

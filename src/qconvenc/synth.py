@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .code import ConvolutionalCode, validate_code
+from .code import ConvolutionalCode, _stream_words, validate_code
 from .errors import (
     AssemblyError,
     ConsistencyError,
@@ -28,6 +28,8 @@ from .errors import (
 from .pauli import (
     BinaryMatrix,
     Pauli,
+    _Echelon,
+    _parities,
     _product_mismatch,
     cycle_core,
     gf2_in_rowspan,
@@ -37,7 +39,6 @@ from .pauli import (
     operators_from_commutativity,
     pauli_to_vec,
     swap_halves,
-    symplectic_product,
     symplectic_product_vec,
     vec_to_pauli,
 )
@@ -104,39 +105,38 @@ def build_commutativity_matrix(code: ConvolutionalCode) -> MemoryCommutativityMa
 def _forward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
     """The commutativity matrix of a code already known to be valid.
 
-    Entry ((i,j),(i2,j2)) is the parity of products between later blocks:
-    sum over t >= 1 of <h_{i,j+t}, h_{i2,j2+t}>.
+    Entry ((i,j),(i2,j2)) is the parity of products between later blocks,
+    sum over t >= 1 of <h_{i,j+t}, h_{i2,j2+t}>, that is
+    parity((word_i >> 2nj) & (swapped_i2 >> 2nj2)) on the stream words:
+    the shifts drop the first j and j2 frames.
     """
     index_map = _memory_indices(code)
-    entries = []
-    for i, j in index_map:
-        a = code.generators[i - 1]
-        row = []
-        for i2, j2 in index_map:
-            b = code.generators[i2 - 1]
-            acc = 0
-            for t in range(1, min(a.degree - j, b.degree - j2) + 1):
-                acc ^= symplectic_product(a.block(j + t), b.block(j2 + t))
-            row.append(acc)
-        entries.append(row)
-    return BinaryMatrix.from_lists(entries, len(index_map))
+    words = [_stream_words(g) for g in code.generators]
+    frame = 2 * code.n
+    later = [words[i - 1][0] >> frame * j for i, j in index_map]
+    later_swapped = [words[i - 1][1] >> frame * j for i, j in index_map]
+    return BinaryMatrix([_parities(a, later_swapped) for a in later], len(index_map))
 
 
 def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
-    # Same obligations accumulated from earlier blocks instead of later ones.
+    """Same obligations accumulated from earlier blocks instead of later ones.
+
+    Entry ((i,j),(i2,j2)) is sum over 0 <= t < min(j, j2) of
+    <h_{i,j-t}, h_{i2,j2-t}>, that is parity(((word_i & low(2nj)) << 2nj2)
+    & ((swapped_i2 & low(2nj2)) << 2nj)): the first j and j2 frames, aligned
+    so that frame j meets frame j2 (here both on frame ``max_degree``).
+    """
     index_map = _memory_indices(code)
-    entries = []
-    for i, j in index_map:
-        a = code.generators[i - 1]
-        row = []
-        for i2, j2 in index_map:
-            b = code.generators[i2 - 1]
-            acc = 0
-            for t in range(min(j, j2)):
-                acc ^= symplectic_product(a.block(j - t), b.block(j2 - t))
-            row.append(acc)
-        entries.append(row)
-    return BinaryMatrix.from_lists(entries, len(index_map))
+    words = [_stream_words(g) for g in code.generators]
+    frame = 2 * code.n
+    top = code.max_degree
+
+    def head(word: int, j: int) -> int:
+        return (word & ((1 << frame * j) - 1)) << frame * (top - j)
+
+    earlier = [head(words[i - 1][0], j) for i, j in index_map]
+    earlier_swapped = [head(words[i - 1][1], j) for i, j in index_map]
+    return BinaryMatrix([_parities(a, earlier_swapped) for a in earlier], len(index_map))
 
 
 def verify_consistency(code: ConvolutionalCode) -> int:
@@ -351,46 +351,33 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
 
     Selected combinations of the generator rows must emit identity on all
     physical qubits and have both memory parts inside the centralizer span.
+    Each row is packed once as phys_out | mem_in << 2n | mem_out << 2n + 2m.
+    One GF(2) coefficient per row is unknown, and each constraint word is
+    ``_parities(probe, packed)``: probe 1 << b for each of the 2n physical
+    bits, then swap_halves(g) << 2n and then swap_halves(g) << 2n + 2m for
+    each memory operator g, so that both memory parts commute with every g.
     """
     rows = encoder.rows
-    m = encoder.m
+    m, n = encoder.m, encoder.n
     ops = encoder.memory_ops.as_list() if encoder.memory_ops else []
-    # Unknowns: one GF(2) coefficient per generator row.  Constraints: each
-    # physical bit of the combined output vanishes, and both memory parts
-    # commute with every memory operator.
-    n_rows = len(rows)
-    constraint_cols: List[int] = []
-    n_phys_bits = 2 * encoder.n
-
-    def row_constraint_bits(row: EncoderRow) -> List[int]:
-        bits = []
-        for b in range(encoder.n):
-            bits.append((row.phys_out.x >> b) & 1)
-        for b in range(encoder.n):
-            bits.append((row.phys_out.z >> b) & 1)
-        for g in ops:
-            bits.append(symplectic_product(row.mem_in, g))
-        for g in ops:
-            bits.append(symplectic_product(row.mem_out, g))
-        return bits
-
-    per_row = [row_constraint_bits(r) for r in rows]
-    n_constraints = n_phys_bits + 2 * len(ops)
-    # Transpose into constraint rows over the coefficient space.
-    constraint_words = []
-    for c in range(n_constraints):
-        word = 0
-        for r in range(n_rows):
-            if per_row[r][c]:
-                word |= 1 << r
-        constraint_words.append(word)
-    solved = gf2_solve_dot_system(constraint_words, n_rows, [0] * n_constraints)
+    packed = [
+        pauli_to_vec(row.phys_out)
+        | pauli_to_vec(row.mem_in) << 2 * n
+        | pauli_to_vec(row.mem_out) << 2 * n + 2 * m
+        for row in rows
+    ]
+    swapped_ops = [swap_halves(pauli_to_vec(g), m) for g in ops]
+    probes = [1 << b for b in range(2 * n)]
+    probes += [g << 2 * n for g in swapped_ops]
+    probes += [g << 2 * n + 2 * m for g in swapped_ops]
+    constraint_words = [_parities(probe, packed) for probe in probes]
+    solved = gf2_solve_dot_system(constraint_words, len(rows), [0] * len(probes))
     assert solved is not None
     _particular, null_basis = solved
     combos: List[EncoderRow] = []
     for mask in sorted(null_basis):
         acc = _identity_row(encoder)
-        for r in range(n_rows):
+        for r in range(len(rows)):
             if (mask >> r) & 1:
                 acc = acc.combine(rows[r])
         assert acc.phys_out.is_identity
@@ -485,12 +472,13 @@ def add_noncatastrophic_rows(
 
     def attempts() -> Iterator[List[Pauli]]:
         # Greedy canonical completion from the centralizer basis.
+        # b raises the rank iff it leaves a nonzero remainder.
         candidates: List[Pauli] = []
+        span = _Echelon(s1_out_vecs)
         for b in centralizer.basis:
             if len(candidates) == needed:
                 break
-            cur = s1_out_vecs + [pauli_to_vec(p) for p in candidates]
-            if gf2_rank(cur + [pauli_to_vec(b)]) > gf2_rank(cur):
+            if span.add(pauli_to_vec(b), 0)[0]:
                 candidates.append(b)
         if len(candidates) == needed:
             assert completion_ok([pauli_to_vec(p) for p in candidates])

@@ -277,6 +277,22 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
         work.apply_gate(gate)
         applied.append(gate)
 
+    def sweep(q: int, t: int) -> None:
+        # Clear image t, which has an x component on qubit q, down to X_q:
+        # CNOTs clear its other x bits, S its z bit on q, CZs its other z bits.
+        xbit, zbit = 1 << q, 1 << (w + q)
+        a = work.images[t]
+        for r in range(q + 1, w):
+            if a & (1 << r):
+                emit("cnot", q, r)
+        if work.images[t] & zbit:
+            emit("s", q)
+        a = work.images[t]
+        for r in range(q + 1, w):
+            if a & (1 << (w + r)):
+                emit("cz", q, r)
+        assert work.images[t] == xbit
+
     for q in range(w):
         xbit, zbit = 1 << q, 1 << (w + q)
         a = work.images[q]
@@ -296,35 +312,12 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
             assert pivot is not None
             if pivot != q:
                 emit("cnot", pivot, q)
-        # Clear every other component of the X_q image.
-        a = work.images[q]
-        for r in range(q + 1, w):
-            if a & (1 << r):
-                emit("cnot", q, r)
-        a = work.images[q]
-        if a & zbit:
-            emit("s", q)
-        a = work.images[q]
-        for r in range(q + 1, w):
-            if a & (1 << (w + r)):
-                emit("cz", q, r)
-        assert work.images[q] == xbit
+        sweep(q, q)
         # Fix the Z_q image, conjugating through h so the same sweep applies.
         if work.images[w + q] != zbit:
             emit("h", q)
-            b = work.images[w + q]
-            assert b & xbit
-            for r in range(q + 1, w):
-                if b & (1 << r):
-                    emit("cnot", q, r)
-            b = work.images[w + q]
-            if b & zbit:
-                emit("s", q)
-            b = work.images[w + q]
-            for r in range(q + 1, w):
-                if b & (1 << (w + r)):
-                    emit("cz", q, r)
-            assert work.images[w + q] == xbit
+            assert work.images[w + q] & xbit
+            sweep(q, w + q)
             emit("h", q)
         assert work.images[q] == xbit and work.images[w + q] == zbit
     assert work.is_identity()

@@ -4,15 +4,22 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
 from qconvenc.pauli import (
     BinaryMatrix,
+    Pauli,
+    gf2_combination,
     gf2_in_rowspan,
+    gf2_rank,
+    gf2_solve_dot_system,
     gf2_span,
     pauli_to_vec,
     shortest_path,
     successor_lists,
+    symplectic_product,
     vec_to_pauli,
 )
+from qconvenc.synth import _memory_indices
 from qconvenc.tableau import (
     DEFAULT_MEMORY_BOUND,
     CycleWitness,
@@ -239,3 +246,94 @@ def escape_path_by_enumeration(tableau, n: int, k: int, m: int) -> Tuple[bool, O
                 if vertex in loops:
                     return True, [_edge(tableau, n, k, m, vin) for vin in inputs]
     return False, None
+
+
+def _shifted_product(a: GeneratorPolynomial, b: GeneratorPolynomial, t: int) -> int:
+    """Symplectic product of a delayed by t frames with b, summed over frames."""
+    total = 0
+    for j in range(1, b.degree + 1):
+        total ^= symplectic_product(a.block(j - t), b.block(j))
+    return total
+
+
+def violations_by_blocks(code: ConvolutionalCode) -> List[Tuple[int, int, int]]:
+    """``validate_code``'s violations from block-by-block shifted products."""
+    violations: List[Tuple[int, int, int]] = []
+    gens = code.generators
+    for i, a in enumerate(gens, start=1):
+        for i2, b in enumerate(gens, start=1):
+            for t in range(max(a.degree, b.degree)):
+                if t == 0 and i2 <= i:
+                    # Symmetric at zero shift; report each unordered pair once.
+                    continue
+                if _shifted_product(a, b, t):
+                    violations.append((i, i2, t))
+    violations.sort()
+    return violations
+
+
+def forward_matrix_by_blocks(code: ConvolutionalCode) -> BinaryMatrix:
+    """The commutativity matrix of a code already known to be valid.
+
+    Entry ((i,j),(i2,j2)) is the parity of products between later blocks:
+    sum over t >= 1 of <h_{i,j+t}, h_{i2,j2+t}>.
+    """
+    index_map = _memory_indices(code)
+    entries = []
+    for i, j in index_map:
+        a = code.generators[i - 1]
+        row = []
+        for i2, j2 in index_map:
+            b = code.generators[i2 - 1]
+            acc = 0
+            for t in range(1, min(a.degree - j, b.degree - j2) + 1):
+                acc ^= symplectic_product(a.block(j + t), b.block(j2 + t))
+            row.append(acc)
+        entries.append(row)
+    return BinaryMatrix.from_lists(entries, len(index_map))
+
+
+def backward_matrix_by_blocks(code: ConvolutionalCode) -> BinaryMatrix:
+    # Same obligations accumulated from earlier blocks instead of later ones.
+    index_map = _memory_indices(code)
+    entries = []
+    for i, j in index_map:
+        a = code.generators[i - 1]
+        row = []
+        for i2, j2 in index_map:
+            b = code.generators[i2 - 1]
+            acc = 0
+            for t in range(min(j, j2)):
+                acc ^= symplectic_product(a.block(j - t), b.block(j2 - t))
+            row.append(acc)
+        entries.append(row)
+    return BinaryMatrix.from_lists(entries, len(index_map))
+
+
+def group_equivalent_on_strip_paulis(
+    a: ConvolutionalCode, b: ConvolutionalCode, window: int
+) -> int:
+    """``group_equivalent`` with each placement as one strip-wide Pauli.
+
+    The coordinates are the strip's x bits, then its z bits, instead of
+    frame after frame; the ranks compared do not depend on that order.
+    """
+
+    def interior(code: ConvolutionalCode) -> List[int]:
+        n = code.n
+        rows = []
+        for gen in code.generators:
+            for t in range(window - gen.degree + 1):
+                strip = Pauli.identity(n * t)
+                for block in gen.blocks:
+                    strip = strip.concat(block)
+                strip = strip.concat(Pauli.identity(n * (window - t - gen.degree)))
+                rows.append(pauli_to_vec(strip))
+        edges = [f + q for f in (0, n * (window - 1)) for q in range(n)]
+        edges += [e + n * window for e in edges]
+        constraints = [sum(((row >> e) & 1) << r for r, row in enumerate(rows)) for e in edges]
+        null_basis = gf2_solve_dot_system(constraints, len(rows), [0] * len(edges))[1]
+        return [gf2_combination(rows, mask) for mask in null_basis]
+
+    basis_a, basis_b = interior(a), interior(b)
+    return int(gf2_rank(basis_a) == gf2_rank(basis_b) == gf2_rank(basis_a + basis_b))

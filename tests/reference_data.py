@@ -396,3 +396,9 @@ FORNEY8_D5_PARTIAL_CYCLE_WITNESS = [
 # where gates are [kind, [qubits]] pairs in circuit order; recorded from
 # the completion that built a fresh echelon for every probe.
 COMPLETION_CIRCUIT_DIGEST = "eb96d988181a0ef328aaeea50daf213b47e2f2c397609b169b3aeeaf09b5081e"
+
+# sha256 over the CLI reports of every corpus file x subcommand x seed in
+# (0, 1, 7), run through qconvenc.cli.main with --json; see
+# tests/test_cli.py:cli_report_digest for the line format.  Recorded from
+# the pipeline that built the shifted products block by block.
+CLI_REPORT_DIGEST = "f9084621033480e42de93c342848115ad5877a2d3939c11a722ee758073e5b84"

@@ -1,8 +1,12 @@
 """End-to-end command-line tests driven through qconvenc.cli.main."""
 
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -11,7 +15,13 @@ from qconvenc.cli import main
 from qconvenc.code import delay_generator, multiply_generators, serialize_code
 from qconvenc.synth import synthesize
 from qconvenc.tableau import Gate, complete_to_clifford, replay_gates
-from reference_data import ADDED_ROWS_DERIVED, MEMORY_OPS_DERIVED, OMEGA
+from reference_data import (
+    ADDED_ROWS_DERIVED,
+    CLI_REPORT_DIGEST,
+    CORPUS,
+    MEMORY_OPS_DERIVED,
+    OMEGA,
+)
 
 INVALID_TEXT = "n=3\nk=1\nh XII\nh ZII\n"
 MALFORMED_TEXT = "n=4\nk=2\nh XXXX\n"
@@ -249,3 +259,42 @@ def test_cli_import_leaves_networkx_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+SUBCOMMANDS = ["validate", "shorten", "omega", "synthesize", "analyze", "circuit"]
+
+
+def cli_report_digest() -> str:
+    """sha256 of every corpus file x subcommand x seed 0, 1, 7 run through main.
+
+    Each run adds the line "<file> <cmd> <seed> <exit code> <stdout JSON
+    without timing, key order kept> <stderr>".
+    """
+    digest = hashlib.sha256()
+    for name in CORPUS:
+        for cmd in SUBCOMMANDS:
+            for seed in (0, 1, 7):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    rc = main([cmd, "--json", "--seed", str(seed), corpus_path(name)])
+                report = json.loads(out.getvalue())
+                del report["timing"]
+                line = f"{name} {cmd} {seed} {rc} {json.dumps(report)} {err.getvalue()}\n"
+                digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_cli_reports_match_pinned_digest():
+    assert cli_report_digest() == CLI_REPORT_DIGEST
+
+
+def test_cli_reports_match_pinned_digest_under_optimized_mode():
+    # Stripped asserts must not change any report.
+    script = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
+        "from test_cli import cli_report_digest; print(cli_report_digest())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == CLI_REPORT_DIGEST

@@ -1,8 +1,11 @@
 """Degree-reduction (shortening) and group-equivalence tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_code
+from oracles import group_equivalent_on_strip_paulis
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from qconvenc.code import delay_generator, multiply_generators
 from qconvenc.errors import DegenerateCodeError, WidthMismatchError, WindowError
@@ -129,3 +132,35 @@ def test_back_pass_rejects_trailing_identity_frame():
     )
     with pytest.raises(DegenerateCodeError, match="did not lower"):
         shorten(code)
+
+
+@st.composite
+def rewritten_codes(draw, base):
+    """``base`` after up to two rewrites g_i <- g_i * D^d g_j, d <= 3."""
+    code = load_code(base)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, 1))
+        g = multiply_generators(
+            code.generators[i],
+            delay_generator(code.generators[1 - i], draw(st.integers(0, 3))),
+        )
+        if not g.is_identity:
+            code = code.with_generator(i, g)
+    return code
+
+
+SAME_WIDTH = ["running1", "running2", "forney2", "forney3", "gr07-third"]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_group_equivalent_matches_strip_pauli_oracle(data):
+    base = data.draw(st.sampled_from(SAME_WIDTH))
+    a = data.draw(rewritten_codes(base))
+    if data.draw(st.booleans()):
+        b = shorten(a).output_code
+    else:
+        b = data.draw(rewritten_codes(data.draw(st.sampled_from(SAME_WIDTH))))
+    need = max(a.max_degree, b.max_degree) + 2
+    window = need + data.draw(st.integers(0, 3))
+    assert group_equivalent(a, b, window) == group_equivalent_on_strip_paulis(a, b, window)

@@ -7,8 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_code
-from oracles import labelled_cycle_by_enumeration
-from qconvenc.code import parse_code
+from oracles import (
+    backward_matrix_by_blocks,
+    forward_matrix_by_blocks,
+    labelled_cycle_by_enumeration,
+    violations_by_blocks,
+)
+from qconvenc.code import (
+    ConvolutionalCode,
+    GeneratorPolynomial,
+    delay_generator,
+    multiply_generators,
+    parse_code,
+    validate_code,
+)
 import qconvenc.synth as synth_module
 from qconvenc.errors import (
     AssemblyError,
@@ -404,3 +416,49 @@ def test_synthesize_raises_typed_error_when_cross_check_fails(monkeypatch, runni
     with pytest.raises(ConsistencyError) as info:
         synthesize(running1)
     assert isinstance(info.value, QconvError)
+
+
+@st.composite
+def streamed_codes(draw):
+    """Codes with n <= 5 and degree <= 5, valid or not.
+
+    Half are random streams, mostly invalid.  The other half are corpus
+    codes with n <= 5, their qubits permuted, X and Z exchanged on some
+    qubits (a frame-wise symplectic map) and g1 <- g1 * D^d g2 for d <= 1,
+    which keeps them valid.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        k = draw(st.integers(1, n - 1))
+        word = st.integers(0, (1 << n) - 1)
+        gens = [
+            GeneratorPolynomial(
+                tuple(Pauli(n, draw(word), draw(word)) for _ in range(draw(st.integers(1, 5))))
+            )
+            for _ in range(n - k)
+        ]
+        return ConvolutionalCode(n, k, tuple(gens))
+    code = load_code(draw(st.sampled_from([name for name in CORPUS if name != "forney8"])))
+    n = code.n
+    perm = draw(st.permutations(range(n)))
+    flip = draw(st.integers(0, (1 << n) - 1))
+
+    def move(p):
+        x = sum(((p.x >> q) & 1) << perm[q] for q in range(n))
+        z = sum(((p.z >> q) & 1) << perm[q] for q in range(n))
+        return Pauli(n, x ^ ((x ^ z) & flip), z ^ ((x ^ z) & flip))
+
+    gens = [GeneratorPolynomial(tuple(move(b) for b in g.blocks)) for g in code.generators]
+    g1 = multiply_generators(gens[0], delay_generator(gens[1], draw(st.integers(0, 1))))
+    if g1.degree <= 5 and not g1.is_identity:
+        gens[0] = g1
+    return ConvolutionalCode(n, code.k, tuple(gens))
+
+
+@given(streamed_codes())
+@settings(max_examples=150)
+def test_shifted_products_match_block_oracle(code):
+    # Stream-word parities against block-by-block symplectic products.
+    assert validate_code(code).violations == violations_by_blocks(code)
+    assert synth_module._forward_matrix(code) == forward_matrix_by_blocks(code)
+    assert synth_module._backward_matrix(code) == backward_matrix_by_blocks(code)
