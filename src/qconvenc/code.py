@@ -26,7 +26,7 @@ all-identity blocks are trimmed on parsing, keeping at least one block, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, List, Tuple
 
 from .errors import (
@@ -50,18 +50,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorPolynomial:
+class GeneratorPolynomial(namedtuple("GeneratorPolynomial", "blocks")):
     """One generator as a tuple of equal-width Pauli blocks, frame 1 first."""
 
-    blocks: Tuple[Pauli, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __new__(cls, blocks: Tuple[Pauli, ...]) -> "GeneratorPolynomial":
+        if not blocks:
             raise DegenerateCodeError("a generator needs at least one block")
-        widths = {b.width for b in self.blocks}
+        widths = {b.width for b in blocks}
         if len(widths) != 1:
             raise WidthMismatchError(f"generator blocks have widths {sorted(widths)}")
+        return tuple.__new__(cls, (blocks,))
 
     @classmethod
     def from_strings(cls, parts: List[str]) -> "GeneratorPolynomial":
@@ -89,24 +89,22 @@ class GeneratorPolynomial:
         return "|".join(str(b) for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class ConvolutionalCode:
+class ConvolutionalCode(namedtuple("ConvolutionalCode", "n k generators")):
     """A rate k/n code given by its n - k generator streams."""
 
-    n: int
-    k: int
-    generators: Tuple[GeneratorPolynomial, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k < self.n:
-            raise CodeShapeError(f"k={self.k} is outside 1..n-1 for n={self.n}")
-        if len(self.generators) != self.n - self.k:
-            raise CodeShapeError(
-                f"{len(self.generators)} generators, but n - k = {self.n - self.k}"
-            )
-        for i, g in enumerate(self.generators, start=1):
-            if g.width != self.n:
-                raise WidthMismatchError(f"generator {i} has width {g.width}, not n={self.n}")
+    def __new__(
+        cls, n: int, k: int, generators: Tuple[GeneratorPolynomial, ...]
+    ) -> "ConvolutionalCode":
+        if not 1 <= k < n:
+            raise CodeShapeError(f"k={k} is outside 1..n-1 for n={n}")
+        if len(generators) != n - k:
+            raise CodeShapeError(f"{len(generators)} generators, but n - k = {n - k}")
+        for i, g in enumerate(generators, start=1):
+            if g.width != n:
+                raise WidthMismatchError(f"generator {i} has width {g.width}, not n={n}")
+        return tuple.__new__(cls, (n, k, generators))
 
     @property
     def max_degree(self) -> int:
@@ -185,10 +183,12 @@ def serialize_code(code: ConvolutionalCode) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass
 class ValidationResult:
-    valid: bool
-    violations: List[Tuple[int, int, int]]
+    __slots__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: List[Tuple[int, int, int]]):
+        self.valid = valid
+        self.violations = violations
 
 
 def _stream_words(gen: GeneratorPolynomial) -> Tuple[int, int]:

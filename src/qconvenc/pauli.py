@@ -28,7 +28,7 @@ it.  A catastrophic witness lists only those core edges, and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidMatrixError, WidthMismatchError
@@ -66,19 +66,15 @@ def _parity(word: int) -> int:
     return word.bit_count() & 1
 
 
-@dataclass(frozen=True)
-class Pauli:
+class Pauli(namedtuple("Pauli", "width x z")):
     """Immutable projective Pauli operator on ``width`` qubits."""
 
-    width: int
-    x: int = 0
-    z: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width < 0 or self.x < 0 or self.z < 0 or (self.x | self.z) >> self.width:
-            raise WidthMismatchError(
-                f"words x={self.x:#x}, z={self.z:#x} do not fit {self.width} qubits"
-            )
+    def __new__(cls, width: int, x: int = 0, z: int = 0) -> "Pauli":
+        if width < 0 or x < 0 or z < 0 or (x | z) >> width:
+            raise WidthMismatchError(f"words x={x:#x}, z={z:#x} do not fit {width} qubits")
+        return tuple.__new__(cls, (width, x, z))
 
     @classmethod
     def identity(cls, width: int) -> "Pauli":
@@ -177,12 +173,19 @@ def _product_mismatch(
     return None
 
 
-@dataclass
 class BinaryMatrix:
     """GF(2) matrix as packed row words."""
 
-    rows: List[int]
-    ncols: int
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows: List[int], ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BinaryMatrix):
+            return NotImplemented
+        return self.rows == other.rows and self.ncols == other.ncols
 
     @classmethod
     def from_lists(cls, entries: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "BinaryMatrix":
@@ -383,7 +386,6 @@ def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
     return [basis.tags[p] for p in range(n)]
 
 
-@dataclass
 class GramSchmidtResult:
     """Outcome of the symplectic Gram-Schmidt decomposition.
 
@@ -393,11 +395,21 @@ class GramSchmidtResult:
     of the isotropics, gives c blocks [[0,1],[1,0]] and a d x d zero block.
     """
 
-    c: int
-    d: int
-    pairs: List[Tuple[int, int]] = field(default_factory=list)
-    isotropics: List[int] = field(default_factory=list)
-    transform: Optional[BinaryMatrix] = None
+    __slots__ = ("c", "d", "pairs", "isotropics", "transform")
+
+    def __init__(
+        self,
+        c: int,
+        d: int,
+        pairs: Optional[List[Tuple[int, int]]] = None,
+        isotropics: Optional[List[int]] = None,
+        transform: Optional[BinaryMatrix] = None,
+    ):
+        self.c = c
+        self.d = d
+        self.pairs = [] if pairs is None else pairs
+        self.isotropics = [] if isotropics is None else isotropics
+        self.transform = transform
 
 
 def _check_commutativity_matrix(mat: BinaryMatrix) -> None:

@@ -8,8 +8,7 @@ while needing less memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import (
     ConvolutionalCode,
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShortenStep:
+class ShortenStep(NamedTuple):
     """One rewrite: which pass fired, on which generator, using which others."""
 
     action: str  # "normalize", "front" or "back"
@@ -48,11 +46,18 @@ class ShortenStep:
     degree_after: int
 
 
-@dataclass
 class ShorteningReport:
-    input_code: ConvolutionalCode
-    output_code: ConvolutionalCode
-    steps: List[ShortenStep] = field(default_factory=list)
+    __slots__ = ("input_code", "output_code", "steps")
+
+    def __init__(
+        self,
+        input_code: ConvolutionalCode,
+        output_code: ConvolutionalCode,
+        steps: Optional[List[ShortenStep]] = None,
+    ):
+        self.input_code = input_code
+        self.output_code = output_code
+        self.steps = [] if steps is None else steps
 
 
 def _strip_leading(gen: GeneratorPolynomial) -> Tuple[GeneratorPolynomial, int]:

@@ -13,8 +13,7 @@ parts, outputs are (physical, memory) parts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, _stream_words, validate_code
 from .errors import (
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class MemoryCommutativityMatrix:
     """Symmetric GF(2) matrix of deferred commutation obligations.
 
@@ -74,8 +72,11 @@ class MemoryCommutativityMatrix:
     anticommute for the streamed generators to commute across frames.
     """
 
-    matrix: BinaryMatrix
-    index_map: List[Tuple[int, int]]
+    __slots__ = ("matrix", "index_map")
+
+    def __init__(self, matrix: BinaryMatrix, index_map: List[Tuple[int, int]]):
+        self.matrix = matrix
+        self.index_map = index_map
 
     @property
     def dim(self) -> int:
@@ -168,13 +169,17 @@ def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
     return omega.dim - rank // 2
 
 
-@dataclass
 class MemoryOperatorTable:
     """Concrete memory operators g_{i,j} on m qubits, keyed by (i, j)."""
 
-    m: int
-    ops: Dict[Tuple[int, int], Pauli]
-    index_map: List[Tuple[int, int]]
+    __slots__ = ("m", "ops", "index_map")
+
+    def __init__(
+        self, m: int, ops: Dict[Tuple[int, int], Pauli], index_map: List[Tuple[int, int]]
+    ):
+        self.m = m
+        self.ops = ops
+        self.index_map = index_map
 
     def op(self, i: int, j: int) -> Pauli:
         return self.ops[(i, j)]
@@ -199,8 +204,7 @@ def assign_memory_operators(omega: MemoryCommutativityMatrix) -> MemoryOperatorT
     return MemoryOperatorTable(m, table, list(omega.index_map))
 
 
-@dataclass(frozen=True)
-class EncoderRow:
+class EncoderRow(NamedTuple):
     """One input-output Pauli constraint on the encoder unitary."""
 
     mem_in: Pauli
@@ -234,16 +238,26 @@ class EncoderRow:
         }
 
 
-@dataclass
 class PartialEncoder:
     """Generator rows plus any added rows, with the operator table used."""
 
-    m: int
-    n: int
-    k: int
-    rows: List[EncoderRow]
-    added_rows: List[EncoderRow] = field(default_factory=list)
-    memory_ops: Optional[MemoryOperatorTable] = None
+    __slots__ = ("m", "n", "k", "rows", "added_rows", "memory_ops")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        k: int,
+        rows: List[EncoderRow],
+        added_rows: Optional[List[EncoderRow]] = None,
+        memory_ops: Optional[MemoryOperatorTable] = None,
+    ):
+        self.m = m
+        self.n = n
+        self.k = k
+        self.rows = rows
+        self.added_rows = [] if added_rows is None else added_rows
+        self.memory_ops = memory_ops
 
     @property
     def all_rows(self) -> List[EncoderRow]:
@@ -306,12 +320,14 @@ def assemble_partial_encoder(
     return PartialEncoder(m=m, n=n, k=k, rows=rows, memory_ops=table)
 
 
-@dataclass
 class CentralizerBasis:
     """Span of memory Paulis commuting with every memory operator."""
 
-    m: int
-    basis: List[Pauli]
+    __slots__ = ("m", "basis")
+
+    def __init__(self, m: int, basis: List[Pauli]):
+        self.m = m
+        self.basis = basis
 
     def __len__(self) -> int:
         return 1 << len(self.basis)
@@ -419,14 +435,22 @@ def has_catastrophic_combination(
     return any(edge >> 2 * bits for edge in cycle_core(packed, bits))
 
 
-@dataclass
 class CatastrophicityContext:
     """Everything needed to audit the added-row choice afterwards."""
 
-    centralizer: CentralizerBasis
-    s1_rows: List[EncoderRow]
-    s2_rows: List[EncoderRow]
-    basis_m: List[Pauli]
+    __slots__ = ("centralizer", "s1_rows", "s2_rows", "basis_m")
+
+    def __init__(
+        self,
+        centralizer: CentralizerBasis,
+        s1_rows: List[EncoderRow],
+        s2_rows: List[EncoderRow],
+        basis_m: List[Pauli],
+    ):
+        self.centralizer = centralizer
+        self.s1_rows = s1_rows
+        self.s2_rows = s2_rows
+        self.basis_m = basis_m
 
 
 def add_noncatastrophic_rows(
@@ -521,14 +545,24 @@ def add_noncatastrophic_rows(
     )
 
 
-@dataclass
 class SynthesisResult:
-    code: ConvolutionalCode
-    omega: MemoryCommutativityMatrix
-    m: int
-    table: MemoryOperatorTable
-    encoder: PartialEncoder
-    context: CatastrophicityContext
+    __slots__ = ("code", "omega", "m", "table", "encoder", "context")
+
+    def __init__(
+        self,
+        code: ConvolutionalCode,
+        omega: MemoryCommutativityMatrix,
+        m: int,
+        table: MemoryOperatorTable,
+        encoder: PartialEncoder,
+        context: CatastrophicityContext,
+    ):
+        self.code = code
+        self.omega = omega
+        self.m = m
+        self.table = table
+        self.encoder = encoder
+        self.context = context
 
 
 def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:

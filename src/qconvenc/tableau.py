@@ -10,11 +10,10 @@ component), so composing and comparing maps is pure integer arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode
-from .errors import CompletionError, MemoryBoundError, WidthMismatchError
+from .errors import CompletionError, MemoryBoundError, SynthesisFailureError, WidthMismatchError
 from .pauli import (
     Pauli,
     _Echelon,
@@ -56,8 +55,7 @@ GATE_COUNT_FACTOR = 8
 DEFAULT_MEMORY_BOUND = 8
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str  # "h", "s", "cnot" or "cz"
     qubits: Tuple[int, ...]
 
@@ -323,8 +321,8 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     assert work.is_identity()
     gates = list(reversed(applied))
     assert len(gates) <= GATE_COUNT_FACTOR * w * w
-    replayed = replay_gates(w, gates)
-    assert replayed == tableau
+    if replay_gates(w, gates) != tableau:
+        raise SynthesisFailureError("the extracted circuit does not replay to the tableau")
     return gates
 
 
@@ -335,8 +333,7 @@ def replay_gates(width: int, gates: Iterable[Gate]) -> CliffordTableau:
     return tableau
 
 
-@dataclass(frozen=True)
-class StateDiagramEdge:
+class StateDiagramEdge(NamedTuple):
     """One transition: inputs (M, S_z, L) produce outputs (P, M')."""
 
     mem_from: Pauli
@@ -359,12 +356,19 @@ class StateDiagramEdge:
         }
 
 
-@dataclass
 class CycleWitness:
     """Zero-physical cycle carrying at least one non-identity logical label."""
 
-    vertices: List[Pauli]
-    edges: List[StateDiagramEdge]
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: List[Pauli], edges: List[StateDiagramEdge]):
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CycleWitness):
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
 
     @property
     def logical_weight(self) -> int:

@@ -261,6 +261,21 @@ def test_cli_import_leaves_networkx_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_machinery_unloaded():
+    # Only what the import adds counts, whatever the host preloads; -S keeps
+    # site's own imports out as well.
+    package_root = os.path.dirname(os.path.dirname(sys.modules["qconvenc"].__file__))
+    probe = (
+        f"import sys; sys.path.insert(0, {package_root!r}); before = set(sys.modules); "
+        "import qconvenc.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "qconvenc.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 SUBCOMMANDS = ["validate", "shorten", "omega", "synthesize", "analyze", "circuit"]
 
 

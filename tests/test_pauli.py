@@ -418,14 +418,24 @@ def test_caller_input_raises_typed_errors(call, error):
 def test_pauli_width_check_survives_optimized_mode():
     # An assert would vanish under -O; the typed errors must not.
     script = (
+        "import qconvenc.tableau as tableau_module\n"
+        "from qconvenc.code import ConvolutionalCode, GeneratorPolynomial\n"
         "from qconvenc.pauli import BinaryMatrix, Pauli, gf2_solve_dot_system, "
         "operators_from_commutativity\n"
         "from qconvenc.synth import EncoderRow, PartialEncoder, add_noncatastrophic_rows\n"
-        "from qconvenc.tableau import CliffordTableau, complete_to_clifford, "
-        "detect_catastrophic, verify_non_recursive\n"
+        "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
+        "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
         "wide_row = EncoderRow(*(Pauli.identity(q) for q in (2, 1, 0, 1, 1)))\n"
+        "swapped = CliffordTableau.identity(1)\n"
+        "swapped.apply_gate(Gate('h', (0,)))\n"
+        "# A replay that misses the tableau must be refused, not passed through.\n"
+        "tableau_module.replay_gates = lambda w, gates: CliffordTableau.identity(w)\n"
+        "gen = GeneratorPolynomial((Pauli.from_string('XZ'),))\n"
         "calls = [\n"
         "    lambda: Pauli(1, 2, 0),\n"
+        "    lambda: Pauli(width=-1),\n"
+        "    lambda: GeneratorPolynomial((Pauli(1), Pauli(2))),\n"
+        "    lambda: ConvolutionalCode(n=2, k=1, generators=(gen, gen)),\n"
         "    lambda: Pauli(2, 1, 0).cut(1, 5),\n"
         "    lambda: BinaryMatrix.from_lists([[1, 0], [1]], 2),\n"
         "    lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]),\n"
@@ -435,6 +445,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: detect_catastrophic(CliffordTableau.identity(4), 2, 1, 1),\n"
         "    lambda: complete_to_clifford(PartialEncoder(1, 1, 0, [wide_row])),\n"
         "    lambda: add_noncatastrophic_rows(PartialEncoder(1, 1, 0, [])),\n"
+        "    lambda: synthesize_circuit(swapped),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -446,6 +457,9 @@ def test_pauli_width_check_survives_optimized_mode():
     assert out.stdout.split() == [
         "WidthMismatchError",
         "WidthMismatchError",
+        "WidthMismatchError",
+        "CodeShapeError",
+        "WidthMismatchError",
         "InvalidMatrixError",
         "InvalidMatrixError",
         "InvalidMatrixError",
@@ -453,6 +467,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "WidthMismatchError",
         "AssemblyError",
+        "SynthesisFailureError",
     ]
 
 
