@@ -12,7 +12,10 @@ integer (``pauli_to_vec``) the x word fills bits 0..w-1 and the z word bits
 w..2w-1; every packed Pauli in the package uses this layout.
 
 GF(2) matrices are lists of packed row words plus an explicit column count.
-All elimination goes through one fully reduced echelon basis, ``_Echelon``.
+A row set multiplied by many words is transposed once (``_transpose``), and
+then each word's products with all rows are one XOR per set bit of the word
+(``_products``).  All elimination goes through one fully reduced echelon
+basis, ``_Echelon``.
 The ``gf2_*`` functions build one per call; an incremental caller, such as
 the Clifford completion, grows its own a row at a time and queries it in
 between (membership, dependencies, dot-product systems, inverse tags).
@@ -27,7 +30,6 @@ it.  A catastrophic witness lists only those core edges, and
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -167,9 +169,10 @@ def _product_mismatch(
     a[i] | b[i] << 2 * width; None when every pair agrees."""
     words = [x | y << 2 * width for x, y in zip(a, b)]
     swapped = [swap_halves(x, width) | swap_halves(y, width) << 2 * width for x, y in zip(a, b)]
-    for i, j in itertools.combinations(range(len(words)), 2):
-        if _parity(words[i] & swapped[j]):
-            return i, j
+    for i, row in enumerate(_products(words, swapped)):
+        later = row >> (i + 1)
+        if later:
+            return i, i + (later & -later).bit_length()
     return None
 
 
@@ -275,14 +278,15 @@ class _Echelon:
         """
         vec, tag = self.reduce(vec, tag)
         if vec:
-            p = (vec & -vec).bit_length() - 1
+            low = vec & -vec
             for q, row in self.rows.items():
-                if (row >> p) & 1:
+                if row & low:
                     self.rows[q] = row ^ vec
                     self.tags[q] ^= tag
+            p = low.bit_length() - 1
             self.rows[p] = vec
             self.tags[p] = tag
-            self.pivots |= 1 << p
+            self.pivots |= low
         else:
             self.dependencies.append(tag)
         return vec, tag
@@ -294,22 +298,20 @@ class _Echelon:
         solution with free variables zero, nullspace basis over ``ncols``
         columns), or None when some dependency has odd right-hand side.
         """
-        if any(_parity(dep & rhs_mask) for dep in self.dependencies):
-            return None
         particular = 0
-        for p, tag in self.tags.items():
-            if _parity(tag & rhs_mask):
-                particular |= 1 << p
-        null_basis: List[int] = []
-        for free in range(ncols):
-            if (self.pivots >> free) & 1:
-                continue
-            vec = 1 << free
-            for p, row in self.rows.items():
-                if (row >> free) & 1:
-                    vec |= 1 << p
-            null_basis.append(vec)
-        return particular, null_basis
+        if rhs_mask:  # a homogeneous system always has the zero solution
+            if any(_parity(dep & rhs_mask) for dep in self.dependencies):
+                return None
+            for p, tag in self.tags.items():
+                if _parity(tag & rhs_mask):
+                    particular |= 1 << p
+        # Free column f's basis vector is f plus the pivots of the basis rows
+        # with bit f set.  A reduced row holds no pivot but its own, so the
+        # transpose walks the set free bits of each row, placed by pivot.
+        by_pivot = [self.rows.get(p, 0) for p in range(self.pivots.bit_length())]
+        columns = _transpose(by_pivot, ncols)
+        free = [f for f in range(ncols) if not (self.pivots >> f) & 1]
+        return particular, [columns[f] | 1 << f for f in free]
 
 
 def gf2_basis(rows: Iterable[int]) -> List[int]:
@@ -484,8 +486,11 @@ def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
 
 def gram_matrix(ops: Sequence[Pauli]) -> BinaryMatrix:
     """Pairwise symplectic products of the given operators."""
-    entries = [[symplectic_product(a, b) for b in ops] for a in ops]
-    return BinaryMatrix.from_lists(entries, len(ops))
+    width = ops[0].width if ops else 0
+    if any(p.width != width for p in ops):
+        raise WidthMismatchError(f"operators of widths {sorted({p.width for p in ops})}")
+    vecs = [pauli_to_vec(p) for p in ops]
+    return BinaryMatrix(_products(vecs, [swap_halves(v, width) for v in vecs]), len(ops))
 
 
 def operators_from_commutativity(
@@ -581,12 +586,34 @@ def shortest_path(
 
 def _annihilator(rows: Sequence[int], bits: int) -> List[int]:
     """Basis of the ``bits``-bit words c with parity(c & row) = 0 for every row."""
-    return gf2_solve_dot_system(rows, bits, [0] * len(rows))[1]
+    return _Echelon(rows).solve_dot(0, bits)[1]
 
 
-def _parities(word: int, rows: Sequence[int]) -> int:
-    """Bit i is parity(word & rows[i])."""
-    return sum(_parity(word & row) << i for i, row in enumerate(rows))
+def _transpose(rows: Sequence[int], bits: int) -> List[int]:
+    """The ``bits`` columns of a row set: bit i of column b is bit b of rows[i].
+
+    Row bits at ``bits`` and above are dropped.  Transposed once, a row set
+    answers each product in one XOR per set bit of the multiplying word.
+    """
+    columns = [0] * bits
+    mask = (1 << bits) - 1
+    for i, row in enumerate(rows):
+        bit, row = 1 << i, row & mask
+        while row:  # one step per set bit
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return columns
+
+
+def _products(words: Sequence[int], rows: Sequence[int]) -> List[int]:
+    """Bit i of entry r is parity(words[r] & rows[i]).
+
+    The rows are transposed once, to the width of the widest word: a row bit
+    beyond it meets only zeros and drops out.
+    """
+    columns = _transpose(rows, max(words, default=0).bit_length())
+    return [gf2_combination(columns, word) for word in words]
 
 
 def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
@@ -631,9 +658,8 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
     while True:
         src = [e & mask for e in edges]
         dst = [(e >> bits) & mask for e in edges]
-        words = [_parities(c, src) for c in _annihilator(dst, bits)]
-        words += [_parities(c, dst) for c in _annihilator(src, bits)]
-        kept = gf2_solve_dot_system(words, len(edges), [0] * len(words))[1]
+        words = _products(_annihilator(dst, bits), src) + _products(_annihilator(src, bits), dst)
+        kept = _annihilator(words, len(edges))
         if len(kept) == len(edges):
             return edges
         edges = [gf2_combination(edges, combo) for combo in kept]

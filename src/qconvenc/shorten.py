@@ -20,11 +20,11 @@ from .code import (
 )
 from .errors import DegenerateCodeError, WidthMismatchError, WindowError
 from .pauli import (
-    _parities,
+    _annihilator,
+    _products,
     gf2_combination,
     gf2_rank,
     gf2_solve_combination,
-    gf2_solve_dot_system,
     pauli_to_vec,
 )
 
@@ -204,11 +204,8 @@ def _interior_basis(rows: Sequence[int], window: int, n: int) -> List[int]:
     frame = 2 * n
     edge_bits = [*range(frame), *range(frame * (window - 1), frame * window)]
     # Solve for coefficient masks killing every edge coordinate.
-    constraint_words = [_parities(1 << b, rows) for b in edge_bits]
-    solved = gf2_solve_dot_system(constraint_words, len(rows), [0] * len(constraint_words))
-    assert solved is not None
-    _part, null_basis = solved
-    return [gf2_combination(rows, mask) for mask in null_basis]
+    constraint_words = _products([1 << b for b in edge_bits], rows)
+    return [gf2_combination(rows, mask) for mask in _annihilator(constraint_words, len(rows))]
 
 
 def group_equivalent(

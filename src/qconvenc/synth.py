@@ -28,12 +28,12 @@ from .pauli import (
     BinaryMatrix,
     Pauli,
     _Echelon,
-    _parities,
+    _annihilator,
     _product_mismatch,
+    _products,
     cycle_core,
     gf2_in_rowspan,
     gf2_rank,
-    gf2_solve_dot_system,
     gf2_span,
     operators_from_commutativity,
     pauli_to_vec,
@@ -116,7 +116,7 @@ def _forward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
     frame = 2 * code.n
     later = [words[i - 1][0] >> frame * j for i, j in index_map]
     later_swapped = [words[i - 1][1] >> frame * j for i, j in index_map]
-    return BinaryMatrix([_parities(a, later_swapped) for a in later], len(index_map))
+    return BinaryMatrix(_products(later, later_swapped), len(index_map))
 
 
 def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
@@ -137,7 +137,7 @@ def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
 
     earlier = [head(words[i - 1][0], j) for i, j in index_map]
     earlier_swapped = [head(words[i - 1][1], j) for i, j in index_map]
-    return BinaryMatrix([_parities(a, earlier_swapped) for a in earlier], len(index_map))
+    return BinaryMatrix(_products(earlier, earlier_swapped), len(index_map))
 
 
 def verify_consistency(code: ConvolutionalCode) -> int:
@@ -355,10 +355,7 @@ def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
     ops = table.as_list()
     # <w, g> depends linearly on w through the swapped vector (g.z | g.x).
     constraint_rows = [swap_halves(pauli_to_vec(g), m) for g in ops]
-    solved = gf2_solve_dot_system(constraint_rows, 2 * m, [0] * len(ops))
-    assert solved is not None
-    _particular, null_basis = solved
-    basis = [vec_to_pauli(vec, m) for vec in sorted(null_basis)]
+    basis = [vec_to_pauli(vec, m) for vec in sorted(_annihilator(constraint_rows, 2 * m))]
     return CentralizerBasis(m, basis)
 
 
@@ -368,8 +365,8 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     Selected combinations of the generator rows must emit identity on all
     physical qubits and have both memory parts inside the centralizer span.
     Each row is packed once as phys_out | mem_in << 2n | mem_out << 2n + 2m.
-    One GF(2) coefficient per row is unknown, and each constraint word is
-    ``_parities(probe, packed)``: probe 1 << b for each of the 2n physical
+    One GF(2) coefficient per row is unknown, and the constraint words are
+    ``_products(probes, packed)``: probe 1 << b for each of the 2n physical
     bits, then swap_halves(g) << 2n and then swap_halves(g) << 2n + 2m for
     each memory operator g, so that both memory parts commute with every g.
     """
@@ -386,12 +383,8 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     probes = [1 << b for b in range(2 * n)]
     probes += [g << 2 * n for g in swapped_ops]
     probes += [g << 2 * n + 2 * m for g in swapped_ops]
-    constraint_words = [_parities(probe, packed) for probe in probes]
-    solved = gf2_solve_dot_system(constraint_words, len(rows), [0] * len(probes))
-    assert solved is not None
-    _particular, null_basis = solved
     combos: List[EncoderRow] = []
-    for mask in sorted(null_basis):
+    for mask in sorted(_annihilator(_products(probes, packed), len(rows))):
         acc = _identity_row(encoder)
         for r in range(len(rows)):
             if (mask >> r) & 1:

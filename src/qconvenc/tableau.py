@@ -5,6 +5,11 @@ as memory, then ancilla, then information; output qubits as physical frame,
 then memory.  A tableau stores the image of each input X_q and Z_q as a
 packed 2*width-bit vector (bit q = x component on qubit q, bit width+q = z
 component), so composing and comparing maps is pure integer arithmetic.
+
+Those rows serve the completion and the state-diagram verdicts, which ask
+for images of inputs.  Circuit extraction and replay work on the transposed
+tableau, one x and one z column per qubit holding that qubit's bits of all
+2*width images, where a gate updates one or two whole columns.
 """
 
 from __future__ import annotations
@@ -17,17 +22,18 @@ from .errors import CompletionError, MemoryBoundError, SynthesisFailureError, Wi
 from .pauli import (
     Pauli,
     _Echelon,
+    _annihilator,
     _product_mismatch,
+    _products,
+    _transpose,
     cycle_core,
     gf2_basis,
     gf2_combination,
-    gf2_solve_dot_system,
     gf2_span,
     pauli_to_vec,
     shortest_path,
     successor_lists,
     swap_halves,
-    symplectic_product_vec,
     vec_to_pauli,
 )
 from .synth import PartialEncoder
@@ -78,9 +84,6 @@ class CliffordTableau:
     def identity(cls, width: int) -> "CliffordTableau":
         return cls(width, [1 << t for t in range(2 * width)])
 
-    def copy(self) -> "CliffordTableau":
-        return CliffordTableau(self.width, list(self.images))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CliffordTableau):
             return NotImplemented
@@ -90,64 +93,40 @@ class CliffordTableau:
         return self.images == [1 << t for t in range(2 * self.width)]
 
     def is_symplectic(self) -> bool:
+        """Whether every image pair keeps the product of its inputs: each
+        whole Gram row, from one transpose, must be the identity's."""
         w = self.width
-        for a in range(2 * w):
-            for b in range(a + 1, 2 * w):
-                want = 1 if b == a + w else 0
-                if symplectic_product_vec(self.images[a], self.images[b], w) != want:
-                    return False
-        return True
+        gram = _products(self.images, [swap_halves(vec, w) for vec in self.images])
+        return gram == [swap_halves(1 << a, w) for a in range(2 * w)]
 
     def image_of_vector(self, vec: int) -> int:
         return gf2_combination(self.images, vec)
 
-    def image_of_pauli(self, p: Pauli) -> Pauli:
-        return vec_to_pauli(self.image_of_vector(pauli_to_vec(p)), self.width)
 
-    # Gate actions update every stored image in place.  Each primitive is an
-    # involution on vectors, which circuit extraction relies on.
-    def apply_gate(self, gate: Gate) -> None:
-        w = self.width
-        if gate.kind == "h":
-            (q,) = gate.qubits
-            xbit, zbit = 1 << q, 1 << (w + q)
-            for t, vec in enumerate(self.images):
-                x = vec & xbit
-                z = vec & zbit
-                vec &= ~(xbit | zbit)
-                if x:
-                    vec |= zbit
-                if z:
-                    vec |= xbit
-                self.images[t] = vec
-        elif gate.kind == "s":
-            (q,) = gate.qubits
-            xbit, zbit = 1 << q, 1 << (w + q)
-            for t, vec in enumerate(self.images):
-                if vec & xbit:
-                    self.images[t] = vec ^ zbit
-        elif gate.kind == "cnot":
-            c, t_q = gate.qubits
-            xc, xt = 1 << c, 1 << t_q
-            zc, zt = 1 << (w + c), 1 << (w + t_q)
-            for t, vec in enumerate(self.images):
-                if vec & xc:
-                    vec ^= xt
-                if vec & zt:
-                    vec ^= zc
-                self.images[t] = vec
-        elif gate.kind == "cz":
-            a, b = gate.qubits
-            xa, xb = 1 << a, 1 << b
-            za, zb = 1 << (w + a), 1 << (w + b)
-            for t, vec in enumerate(self.images):
-                if vec & xa:
-                    vec ^= zb
-                if vec & xb:
-                    vec ^= za
-                self.images[t] = vec
-        else:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
+def _apply_gate(xs: List[int], zs: List[int], gate: Gate) -> None:
+    """Conjugate every image by ``gate``, on the qubit columns of a tableau.
+
+    ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
+    bit t for image t.  Each primitive is an involution on vectors, which
+    circuit extraction relies on.
+    """
+    kind, qubits = gate
+    if kind == "h":
+        (q,) = qubits
+        xs[q], zs[q] = zs[q], xs[q]
+    elif kind == "s":
+        (q,) = qubits
+        zs[q] ^= xs[q]
+    elif kind == "cnot":
+        c, t = qubits
+        xs[t] ^= xs[c]
+        zs[c] ^= zs[t]
+    elif kind == "cz":
+        a, b = qubits
+        zs[b] ^= xs[a]
+        zs[a] ^= xs[b]
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def _not_in_span_solution(
@@ -202,11 +181,17 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     inputs, swapped_outputs, outputs = _Echelon(), _Echelon(), _Echelon()
     basis_in: List[int] = []
     basis_out: List[int] = []
+    in_columns = [0] * (2 * w)  # bit i of column b: bit b of basis_in[i]
 
     def append(v: int, image: int) -> None:
         tag = 1 << len(basis_in)
         basis_in.append(v)
         basis_out.append(image)
+        rest = v
+        while rest:
+            low = rest & -rest
+            in_columns[low.bit_length() - 1] |= tag
+            rest ^= low
         inputs.add(v, tag)
         swapped_outputs.add(swap_halves(image, w), tag)
         outputs.add(image, tag)
@@ -235,7 +220,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
                     break
         assert v is not None
         swapped_v = swap_halves(v, w)
-        rhs_mask = sum(((b & swapped_v).bit_count() & 1) << i for i, b in enumerate(basis_in))
+        rhs_mask = gf2_combination(in_columns, swapped_v)
         solved = swapped_outputs.solve_dot(rhs_mask, 2 * w)
         assert solved is not None
         particular, null_basis = solved
@@ -252,9 +237,11 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     tableau = CliffordTableau(
         w, [gf2_combination(basis_out, inputs.tags[t]) for t in range(2 * w)]
     )
-    assert tableau.is_symplectic()
-    for in_vec, out_vec in zip(in_vecs, out_vecs):
-        assert tableau.image_of_vector(in_vec) == out_vec
+    if not tableau.is_symplectic():
+        raise CompletionError("the completed tableau is not symplectic")
+    for row, (in_vec, out_vec) in enumerate(zip(in_vecs, out_vecs), start=1):
+        if tableau.image_of_vector(in_vec) != out_vec:
+            raise CompletionError(f"the completed tableau does not map row {row} as given")
     return tableau
 
 
@@ -264,61 +251,59 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     One qubit at a time, conjugation by primitive gates reduces the working
     tableau to the identity; the reversed gate sequence (every primitive is
     its own inverse) is the circuit.  Gate count stays below
-    GATE_COUNT_FACTOR * width**2.
+    GATE_COUNT_FACTOR * width**2.  The work runs on qubit columns, so a gate
+    costs one or two integer updates however wide the tableau is.
     """
     w = tableau.width
-    work = tableau.copy()
+    columns = _transpose(tableau.images, 2 * w)
+    xs, zs = columns[:w], columns[w:]
     applied: List[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
         gate = Gate(kind, qubits)
-        work.apply_gate(gate)
+        _apply_gate(xs, zs, gate)
         applied.append(gate)
+
+    def is_unit(t: int, u: int) -> bool:
+        # Whether image t is the unit vector 1 << u: column u alone has bit t.
+        bit = 1 << t
+        columns = xs + zs
+        return bool(columns[u] & bit) and [c & bit for c in columns].count(0) == 2 * w - 1
 
     def sweep(q: int, t: int) -> None:
         # Clear image t, which has an x component on qubit q, down to X_q:
         # CNOTs clear its other x bits, S its z bit on q, CZs its other z bits.
-        xbit, zbit = 1 << q, 1 << (w + q)
-        a = work.images[t]
+        # cnot(q, r) and cz(q, r) change no column past r but column r, so
+        # the live bits each loop reads are those of image t before it.
         for r in range(q + 1, w):
-            if a & (1 << r):
+            if (xs[r] >> t) & 1:
                 emit("cnot", q, r)
-        if work.images[t] & zbit:
+        if (zs[q] >> t) & 1:
             emit("s", q)
-        a = work.images[t]
         for r in range(q + 1, w):
-            if a & (1 << (w + r)):
+            if (zs[r] >> t) & 1:
                 emit("cz", q, r)
-        assert work.images[t] == xbit
+        assert is_unit(t, q)
 
     for q in range(w):
-        xbit, zbit = 1 << q, 1 << (w + q)
-        a = work.images[q]
         # Give the X_q image an x component on qubit q itself.
-        if not a & xbit:
-            pivot = None
-            for r in range(q, w):
-                if a & (1 << r):
-                    pivot = r
-                    break
+        if not (xs[q] >> q) & 1:
+            pivot = next((r for r in range(q, w) if (xs[r] >> q) & 1), None)
             if pivot is None:
-                for r in range(q, w):
-                    if a & (1 << (w + r)):
-                        emit("h", r)
-                        pivot = r
-                        break
-            assert pivot is not None
+                pivot = next((r for r in range(q, w) if (zs[r] >> q) & 1), None)
+                assert pivot is not None
+                emit("h", pivot)
             if pivot != q:
                 emit("cnot", pivot, q)
         sweep(q, q)
         # Fix the Z_q image, conjugating through h so the same sweep applies.
-        if work.images[w + q] != zbit:
+        if not is_unit(w + q, w + q):
             emit("h", q)
-            assert work.images[w + q] & xbit
+            assert (xs[q] >> (w + q)) & 1
             sweep(q, w + q)
             emit("h", q)
-        assert work.images[q] == xbit and work.images[w + q] == zbit
-    assert work.is_identity()
+        assert is_unit(q, q) and is_unit(w + q, w + q)
+    assert xs + zs == [1 << t for t in range(2 * w)]
     gates = list(reversed(applied))
     assert len(gates) <= GATE_COUNT_FACTOR * w * w
     if replay_gates(w, gates) != tableau:
@@ -327,10 +312,12 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
 
 
 def replay_gates(width: int, gates: Iterable[Gate]) -> CliffordTableau:
-    tableau = CliffordTableau.identity(width)
+    """The tableau of the gates applied in order, replayed on qubit columns."""
+    xs = [1 << q for q in range(width)]
+    zs = [1 << (width + q) for q in range(width)]
     for gate in gates:
-        tableau.apply_gate(gate)
-    return tableau
+        _apply_gate(xs, zs, gate)
+    return CliffordTableau(width, _transpose(xs + zs, 2 * width))
 
 
 class StateDiagramEdge(NamedTuple):
@@ -433,18 +420,10 @@ def _zero_physical_basis(
         directions.append(1 << (info_shift + q))  # logical X
         directions.append(1 << (w + info_shift + q))  # logical Z
     image_vecs = [tableau.image_of_vector(d) for d in directions]
-    phys_positions = list(range(n)) + list(range(w, w + n))
-    words = [
-        sum(((img >> pos) & 1) << t for t, img in enumerate(image_vecs))
-        for pos in phys_positions
-    ]
-    solved = gf2_solve_dot_system(words, len(directions), [0] * len(words))
-    assert solved is not None
-    particular, null_basis = solved
-    assert particular == 0
+    words = _products([1 << pos for pos in (*range(n), *range(w, w + n))], image_vecs)
     return [
         gf2_combination(directions, combo) | gf2_combination(image_vecs, combo) << 2 * w
-        for combo in null_basis
+        for combo in _annihilator(words, len(directions))
     ]
 
 

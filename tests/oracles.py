@@ -17,12 +17,15 @@ from qconvenc.pauli import (
     shortest_path,
     successor_lists,
     symplectic_product,
+    symplectic_product_vec,
     vec_to_pauli,
 )
 from qconvenc.synth import _memory_indices
 from qconvenc.tableau import (
     DEFAULT_MEMORY_BOUND,
+    CliffordTableau,
     CycleWitness,
+    Gate,
     _edge,
     _input_vec,
     _part,
@@ -337,3 +340,83 @@ def group_equivalent_on_strip_paulis(
 
     basis_a, basis_b = interior(a), interior(b)
     return int(gf2_rank(basis_a) == gf2_rank(basis_b) == gf2_rank(basis_a + basis_b))
+
+
+# --- Row-wise tableau reference -------------------------------------------------
+# The package extracts and replays circuits on qubit columns.  These routines
+# act on the stored images one row at a time, the textbook layout, so the
+# column code has an independent reference.
+
+
+def parities(word: int, rows: Sequence[int]) -> int:
+    """Bit i is parity(word & rows[i])."""
+    return sum(_parity(word & row) << i for i, row in enumerate(rows))
+
+
+def apply_gate(tableau: CliffordTableau, gate: Gate) -> None:
+    """Conjugate every stored image of ``tableau`` by ``gate``, in place."""
+    w = tableau.width
+    images = tableau.images
+    if gate.kind == "h":
+        (q,) = gate.qubits
+        xbit, zbit = 1 << q, 1 << (w + q)
+        for t, vec in enumerate(images):
+            x = vec & xbit
+            z = vec & zbit
+            vec &= ~(xbit | zbit)
+            if x:
+                vec |= zbit
+            if z:
+                vec |= xbit
+            images[t] = vec
+    elif gate.kind == "s":
+        (q,) = gate.qubits
+        xbit, zbit = 1 << q, 1 << (w + q)
+        for t, vec in enumerate(images):
+            if vec & xbit:
+                images[t] = vec ^ zbit
+    elif gate.kind == "cnot":
+        c, t_q = gate.qubits
+        xc, xt = 1 << c, 1 << t_q
+        zc, zt = 1 << (w + c), 1 << (w + t_q)
+        for t, vec in enumerate(images):
+            if vec & xc:
+                vec ^= xt
+            if vec & zt:
+                vec ^= zc
+            images[t] = vec
+    elif gate.kind == "cz":
+        a, b = gate.qubits
+        xa, xb = 1 << a, 1 << b
+        za, zb = 1 << (w + a), 1 << (w + b)
+        for t, vec in enumerate(images):
+            if vec & xa:
+                vec ^= zb
+            if vec & xb:
+                vec ^= za
+            images[t] = vec
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+
+
+def replay_rows(width: int, gates: Sequence[Gate]) -> CliffordTableau:
+    """``replay_gates`` on the rows: each gate updates every image."""
+    tableau = CliffordTableau.identity(width)
+    for gate in gates:
+        apply_gate(tableau, gate)
+    return tableau
+
+
+def image_of_pauli(tableau: CliffordTableau, p: Pauli) -> Pauli:
+    return vec_to_pauli(tableau.image_of_vector(pauli_to_vec(p)), tableau.width)
+
+
+def is_symplectic_pairwise(tableau: CliffordTableau) -> bool:
+    """``is_symplectic`` one image pair at a time, upper triangle only."""
+    w = tableau.width
+    for a in range(2 * w):
+        for b in range(a + 1, 2 * w):
+            want = 1 if b == a + w else 0
+            if symplectic_product_vec(tableau.images[a], tableau.images[b], w) != want:
+                return False
+    return True

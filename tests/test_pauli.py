@@ -15,6 +15,7 @@ from oracles import (
     labelled_cycle_by_enumeration,
     logical_cycle,
     loop_vertices,
+    parities,
     span_edges,
     strong_components,
 )
@@ -23,6 +24,8 @@ from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
     _Echelon,
+    _products,
+    _transpose,
     cycle_core,
     gf2_basis,
     gf2_combination,
@@ -426,10 +429,11 @@ def test_pauli_width_check_survives_optimized_mode():
         "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
         "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
         "wide_row = EncoderRow(*(Pauli.identity(q) for q in (2, 1, 0, 1, 1)))\n"
-        "swapped = CliffordTableau.identity(1)\n"
-        "swapped.apply_gate(Gate('h', (0,)))\n"
+        "swapped = tableau_module.replay_gates(1, [Gate('h', (0,))])\n"
         "# A replay that misses the tableau must be refused, not passed through.\n"
         "tableau_module.replay_gates = lambda w, gates: CliffordTableau.identity(w)\n"
+        "# So must a completion that fails its symplectic post-condition.\n"
+        "CliffordTableau.is_symplectic = lambda self: False\n"
         "gen = GeneratorPolynomial((Pauli.from_string('XZ'),))\n"
         "calls = [\n"
         "    lambda: Pauli(1, 2, 0),\n"
@@ -446,6 +450,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: complete_to_clifford(PartialEncoder(1, 1, 0, [wide_row])),\n"
         "    lambda: add_noncatastrophic_rows(PartialEncoder(1, 1, 0, [])),\n"
         "    lambda: synthesize_circuit(swapped),\n"
+        "    lambda: complete_to_clifford(PartialEncoder(0, 1, 0, [])),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -468,6 +473,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "AssemblyError",
         "SynthesisFailureError",
+        "CompletionError",
     ]
 
 
@@ -495,3 +501,25 @@ def test_grown_echelon_matches_fresh_solves(system):
             all(bin(r & v).count("1") & 1 == b for r, b in zip(rows, rhs)) for v in range(32)
         )
         assert (solved is not None) == solvable
+
+
+@given(
+    st.lists(st.integers(0, 2**12 - 1), max_size=8),
+    st.lists(st.integers(0, 2**16 - 1), max_size=8),
+    st.integers(0, 4),
+)
+@example([], [0b1011], 0)  # no rows: every product is the empty word
+@example([0b11, 0b101], [0b111000111], 0)  # a word wider than every row
+@example([0b111000111], [0b11], 0)  # rows wider than every word: their bits drop
+def test_transposed_products_match_parities(rows, words, extra):
+    # Transposed to at least the width of the multiplying word, a row set
+    # gives every product as one combination of its columns; row bits past
+    # that width meet only zeros, and so do word bits past the rows.
+    for word in words:
+        bits = word.bit_length() + extra
+        columns = _transpose(rows, bits)
+        assert columns == [
+            sum(((row >> b) & 1) << i for i, row in enumerate(rows)) for b in range(bits)
+        ]
+        assert gf2_combination(columns, word) == parities(word, rows)
+    assert _products(words, rows) == [parities(word, rows) for word in words]

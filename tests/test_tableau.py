@@ -6,18 +6,24 @@ from functools import lru_cache
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qconvenc.tableau as tableau_module
 from conftest import load_code
 from oracles import (
+    apply_gate,
     cycle_witness_by_enumeration,
     escape_path_by_enumeration,
+    image_of_pauli,
+    is_symplectic_pairwise,
     loop_vertices,
+    replay_rows,
     zero_physical_graph,
 )
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
 from qconvenc.errors import CompletionError, MemoryBoundError
-from qconvenc.pauli import Pauli
+from qconvenc.pauli import Pauli, symplectic_product_vec
 from qconvenc.shorten import shorten
 from qconvenc.synth import (
     EncoderRow,
@@ -71,14 +77,21 @@ def control_tableau():
     return tableau
 
 
+def random_gates(width, rng, count=30):
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(["h", "s", "cnot", "cz"] if width > 1 else ["h", "s"])
+        if kind in ("h", "s"):
+            gates.append(Gate(kind, (rng.randrange(width),)))
+        else:
+            gates.append(Gate(kind, tuple(rng.sample(range(width), 2))))
+    return gates
+
+
 def random_tableau(width, rng):
     tableau = CliffordTableau.identity(width)
-    for _ in range(30):
-        kind = rng.choice(["h", "s", "cnot", "cz"])
-        if kind in ("h", "s"):
-            tableau.apply_gate(Gate(kind, (rng.randrange(width),)))
-        else:
-            tableau.apply_gate(Gate(kind, tuple(rng.sample(range(width), 2))))
+    for gate in random_gates(width, rng):
+        apply_gate(tableau, gate)
     return tableau
 
 
@@ -92,7 +105,7 @@ def test_identity_tableau():
     assert t.is_identity()
     assert t.is_symplectic()
     p = Pauli.from_string("XYZ")
-    assert t.image_of_pauli(p) == p
+    assert image_of_pauli(t, p) == p
 
 
 def test_tableau_rejects_wrong_image_count():
@@ -101,22 +114,19 @@ def test_tableau_rejects_wrong_image_count():
 
 
 def test_hadamard_action():
-    t = CliffordTableau.identity(1)
-    t.apply_gate(Gate("h", (0,)))
-    assert t.image_of_pauli(Pauli.from_string("X")) == Pauli.from_string("Z")
-    assert t.image_of_pauli(Pauli.from_string("Z")) == Pauli.from_string("X")
+    t = replay_gates(1, [Gate("h", (0,))])
+    assert image_of_pauli(t, Pauli.from_string("X")) == Pauli.from_string("Z")
+    assert image_of_pauli(t, Pauli.from_string("Z")) == Pauli.from_string("X")
 
 
 def test_phase_action():
-    t = CliffordTableau.identity(1)
-    t.apply_gate(Gate("s", (0,)))
-    assert t.image_of_pauli(Pauli.from_string("X")) == Pauli.from_string("Y")
-    assert t.image_of_pauli(Pauli.from_string("Z")) == Pauli.from_string("Z")
+    t = replay_gates(1, [Gate("s", (0,))])
+    assert image_of_pauli(t, Pauli.from_string("X")) == Pauli.from_string("Y")
+    assert image_of_pauli(t, Pauli.from_string("Z")) == Pauli.from_string("Z")
 
 
 def test_cnot_action():
-    t = CliffordTableau.identity(2)
-    t.apply_gate(Gate("cnot", (0, 1)))
+    t = replay_gates(2, [Gate("cnot", (0, 1))])
     images = {
         "XI": "XX",
         "IX": "IX",
@@ -124,12 +134,11 @@ def test_cnot_action():
         "IZ": "ZZ",
     }
     for src, dst in images.items():
-        assert t.image_of_pauli(Pauli.from_string(src)) == Pauli.from_string(dst)
+        assert image_of_pauli(t, Pauli.from_string(src)) == Pauli.from_string(dst)
 
 
 def test_cz_action():
-    t = CliffordTableau.identity(2)
-    t.apply_gate(Gate("cz", (0, 1)))
+    t = replay_gates(2, [Gate("cz", (0, 1))])
     images = {
         "XI": "XZ",
         "IX": "ZX",
@@ -137,23 +146,22 @@ def test_cz_action():
         "IZ": "IZ",
     }
     for src, dst in images.items():
-        assert t.image_of_pauli(Pauli.from_string(src)) == Pauli.from_string(dst)
+        assert image_of_pauli(t, Pauli.from_string(src)) == Pauli.from_string(dst)
 
 
 @pytest.mark.parametrize("kind,qubits", [("h", (0,)), ("s", (0,)), ("cnot", (0, 1)), ("cz", (0, 1))])
 def test_gates_are_involutions(kind, qubits):
     rng = random.Random(7)
-    t = random_tableau(3, rng)
-    before = t.copy()
-    t.apply_gate(Gate(kind, qubits))
-    t.apply_gate(Gate(kind, qubits))
-    assert t == before
+    gates = random_gates(3, rng)
+    twice = gates + [Gate(kind, qubits)] * 2
+    assert replay_gates(3, twice) == replay_gates(3, gates) == replay_rows(3, twice)
 
 
 def test_unknown_gate_kind():
-    t = CliffordTableau.identity(1)
     with pytest.raises(ValueError):
-        t.apply_gate(Gate("t", (0,)))
+        replay_gates(1, [Gate("t", (0,))])
+    with pytest.raises(ValueError):
+        apply_gate(CliffordTableau.identity(1), Gate("t", (0,)))
 
 
 def test_gate_as_json():
@@ -165,7 +173,7 @@ def test_image_respects_products():
     t = random_tableau(4, rng)
     a = Pauli.from_string("XYIZ")
     b = Pauli.from_string("IZZX")
-    assert t.image_of_pauli(a * b) == t.image_of_pauli(a) * t.image_of_pauli(b)
+    assert image_of_pauli(t, a * b) == image_of_pauli(t, a) * image_of_pauli(t, b)
 
 
 def test_complete_empty_encoder_is_identity():
@@ -179,7 +187,7 @@ def test_completion_extends_rows_exactly(name):
     assert tableau.width == result.encoder.width
     assert tableau.is_symplectic()
     for row in result.encoder.all_rows:
-        assert tableau.image_of_pauli(row.input_pauli()) == row.output_pauli()
+        assert image_of_pauli(tableau, row.input_pauli()) == row.output_pauli()
 
 
 def test_completion_row_counts(running1, running2):
@@ -198,7 +206,7 @@ def test_seeded_completions_agree_on_rows(running1):
     for tab in variants:
         assert tab.is_symplectic()
         for row in result.encoder.all_rows:
-            assert tab.image_of_pauli(row.input_pauli()) == row.output_pauli()
+            assert image_of_pauli(tab, row.input_pauli()) == row.output_pauli()
     assert any(tab != base for tab in variants)
 
 
@@ -240,15 +248,13 @@ def test_circuit_for_identity_is_empty():
 
 
 def test_circuit_for_single_hadamard():
-    t = CliffordTableau.identity(1)
-    t.apply_gate(Gate("h", (0,)))
+    t = replay_gates(1, [Gate("h", (0,))])
     gates = synthesize_circuit(t)
     assert gates == [Gate("h", (0,))]
 
 
 def test_circuit_for_single_phase():
-    t = CliffordTableau.identity(1)
-    t.apply_gate(Gate("s", (0,)))
+    t = replay_gates(1, [Gate("s", (0,))])
     assert synthesize_circuit(t) == [Gate("s", (0,))]
 
 
@@ -282,6 +288,73 @@ def test_circuit_replays_random_tableaux(width):
         gates = synthesize_circuit(tableau)
         assert replay_gates(width, gates) == tableau
         assert len(gates) <= GATE_COUNT_FACTOR * width**2
+
+
+@st.composite
+def gate_lists(draw, max_width=12):
+    """A width in 1..max_width and a list of gates on that many qubits."""
+    width = draw(st.integers(1, max_width))
+    qubit = st.integers(0, width - 1)
+    gate = st.builds(lambda kind, q: Gate(kind, (q,)), st.sampled_from(["h", "s"]), qubit)
+    if width > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True).map(tuple)
+        gate |= st.builds(Gate, st.sampled_from(["cnot", "cz"]), pair)
+    return width, draw(st.lists(gate, max_size=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_lists())
+def test_column_replay_matches_row_reference(case):
+    width, gates = case
+    tableau = replay_gates(width, gates)
+    assert tableau == replay_rows(width, gates)
+    assert tableau.is_symplectic()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gate_lists())
+def test_circuit_of_a_replayed_tableau_replays_to_it(case):
+    width, gates = case
+    tableau = replay_gates(width, gates)
+    circuit = synthesize_circuit(tableau)
+    assert replay_gates(width, circuit) == tableau
+    assert replay_rows(width, circuit) == tableau
+    assert len(circuit) <= GATE_COUNT_FACTOR * width**2
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_is_symplectic_rejects_every_breaking_bit_flip(width):
+    # Flip each bit of each image of a symplectic tableau.  A flip of image a
+    # is refused exactly when some product <image a, image b> moved: b below
+    # a (the lower triangle of the Gram matrix), above it, or at its
+    # conjugate a +- width, whose product must stay 1.  Some flips keep the
+    # map symplectic (an extra Z on X_q's own qubit is an S gate) and pass.
+    tableau = random_tableau(width, random.Random(width))
+    assert tableau.is_symplectic()
+    kinds = set()
+    for a in range(2 * width):
+        for bit in range(2 * width):
+            flipped = CliffordTableau(width, tableau.images)
+            flipped.images[a] ^= 1 << bit
+            broken = [
+                b
+                for b in range(2 * width)
+                if b != a
+                and symplectic_product_vec(flipped.images[a], flipped.images[b], width)
+                != (abs(a - b) == width)
+            ]
+            assert flipped.is_symplectic() == (not broken) == is_symplectic_pairwise(flipped)
+            kinds.update(b < a for b in broken)
+            kinds.update("conjugate" for b in broken if abs(a - b) == width)
+    assert kinds == {True, False, "conjugate"}
+
+
+def test_completion_refuses_a_tableau_that_misses_a_given_row(monkeypatch, running1):
+    # The given-rows image check is a typed error, not an assert.
+    encoder = synthesize(running1).encoder
+    monkeypatch.setattr(CliffordTableau, "image_of_vector", lambda self, vec: 0)
+    with pytest.raises(CompletionError, match="row 1 "):
+        complete_to_clifford(encoder)
 
 
 def test_zero_physical_edges_contain_known_rows(running2):
