@@ -32,11 +32,10 @@ from .synth import (
 from .tableau import (
     DEFAULT_MEMORY_BOUND,
     CliffordTableau,
+    _Realisation,
     complete_to_clifford,
-    detect_catastrophic,
     roundtrip_verify,
     synthesize_circuit,
-    verify_non_recursive,
 )
 
 EXIT_OK = 0
@@ -159,11 +158,10 @@ class _Pipeline:
         n, k, m = encoder.n, encoder.k, encoder.m
 
         def analyze():
-            cat, cycle = detect_catastrophic(self.tableau, n, k, m, self.max_memory)
-            non_rec, rec_path = verify_non_recursive(
-                self.tableau, n, k, m, self.max_memory
-            )
-            return cat, cycle, non_rec, rec_path
+            # Both verdicts read one realisation: one nullspace, one core.
+            realisation = _Realisation(self.tableau, n, k, m)
+            basis, core = realisation.zero_physical(self.max_memory)
+            return (*realisation.catastrophic(basis, core), *realisation.non_recursive(core))
 
         cat, cycle, non_rec, rec_path = self._timed("analyze", analyze)
         roundtrip = roundtrip_verify(self.tableau, self.working_code)

@@ -6,10 +6,13 @@ then memory.  A tableau stores the image of each input X_q and Z_q as a
 packed 2*width-bit vector (bit q = x component on qubit q, bit width+q = z
 component), so composing and comparing maps is pure integer arithmetic.
 
-Those rows serve the completion and the state-diagram verdicts, which ask
-for images of inputs.  Circuit extraction and replay work on the transposed
-tableau, one x and one z column per qubit holding that qubit's bits of all
-2*width images, where a gate updates one or two whole columns.
+Those rows serve the completion, which asks for images of inputs.  Circuit
+extraction and replay work on the transposed tableau, one x and one z column
+per qubit holding that qubit's bits of all 2*width images, where a gate
+updates one or two whole columns.  The state diagram is read from one
+realisation of the encoder as a linear system over GF(2) (``_Realisation``),
+built once per tableau from the images of the memory, ancilla Z and logical
+inputs; both verdicts and the round trip read it.
 """
 
 from __future__ import annotations
@@ -362,112 +365,150 @@ class CycleWitness:
         return sum(edge.logical_weight for edge in self.edges)
 
 
-def _check_memory_bound(m: int, max_memory: int) -> None:
-    if m > max_memory:
-        raise MemoryBoundError(m, max_memory)
+def _weight_one_labels(k: int) -> List[int]:
+    return [x << q | z << k + q for q in range(k) for x, z in ((1, 0), (0, 1), (1, 1))]
 
 
-def _input_vec(n: int, k: int, m: int, mem: int, anc_mask: int = 0, logical: int = 0) -> int:
-    """Packed input from packed memory, ancilla Z on anc_mask, packed logical."""
-    info = m + n - k
-    x = (mem & ((1 << m) - 1)) | (logical & ((1 << k) - 1)) << info
-    z = (mem >> m) | anc_mask << m | (logical >> k) << info
-    return x | z << (m + n)
+class _Realisation:
+    """The encoder as a linear system over GF(2): memory' = A mem + B u and
+    physical = C mem + D u, read once from the tableau.
 
-
-def _part(vec: int, w: int, start: int, stop: int) -> int:
-    """Packed restriction of a packed width-w vector to qubits [start, stop)."""
-    mask = (1 << (stop - start)) - 1
-    return ((vec >> start) & mask) | ((vec >> (w + start)) & mask) << (stop - start)
-
-
-def _edge(tableau: CliffordTableau, n: int, k: int, m: int, vin: int) -> StateDiagramEdge:
-    """The transition taken on the packed input ``vin``."""
-    w = tableau.width
-    inp = vec_to_pauli(vin, w)
-    out = vec_to_pauli(tableau.image_of_vector(vin), w)
-    return StateDiagramEdge(
-        mem_from=inp.cut(0, m),
-        anc=inp.cut(m, w - k),
-        logical=inp.cut(w - k, w),
-        physical=out.cut(0, n),
-        mem_to=out.cut(n, w),
-    )
-
-
-def _zero_physical_basis(
-    tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
-) -> List[int]:
-    """Words ``input | image << 2w`` spanning the zero-physical edges.
-
-    The zero-physical condition is linear over the allowed inputs (memory
-    X/Z, ancilla Z, logical X/Z), so the solutions are the span of a
-    nullspace basis; each basis input is packed beside its image.
+    A transition word is ``s | u << 2m``: the packed memory s (x bits, then
+    z bits), then u, the ancilla Z bits and the packed logical x and z bits.
+    ``columns[i]`` is the output of input bit i, ``physical | mem_to << 2n``,
+    so a word's output is the XOR of the columns of its set bits.
     """
-    _check_memory_bound(m, max_memory)
-    w = tableau.width
-    if w != m + n:
-        raise WidthMismatchError(f"tableau width {w} is not m + n = {m} + {n}")
-    info_shift = m + (n - k)
-    # Input coefficient directions, as full input vectors.
-    directions: List[int] = []
-    for q in range(m):
-        directions.append(1 << q)  # memory X
-        directions.append(1 << (w + q))  # memory Z
-    for q in range(n - k):
-        directions.append(1 << (w + m + q))  # ancilla Z
-    for q in range(k):
-        directions.append(1 << (info_shift + q))  # logical X
-        directions.append(1 << (w + info_shift + q))  # logical Z
-    image_vecs = [tableau.image_of_vector(d) for d in directions]
-    words = _products([1 << pos for pos in (*range(n), *range(w, w + n))], image_vecs)
-    return [
-        gf2_combination(directions, combo) | gf2_combination(image_vecs, combo) << 2 * w
-        for combo in _annihilator(words, len(directions))
-    ]
 
+    def __init__(self, tableau: CliffordTableau, n: int, k: int, m: int):
+        w = tableau.width
+        if not (0 <= k <= n and m >= 0 and w == m + n):
+            raise WidthMismatchError(f"(n, k, m) = ({n}, {k}, {m}) does not split width {w}")
+        self.n, self.k, self.m = n, k, m
+        self.physical = (1 << 2 * n) - 1  # mask of an output's physical bits
+        inputs = (
+            *range(m), *range(w, w + m),  # memory X, Z
+            *range(w + m, 2 * w - k),  # ancilla Z
+            *range(w - k, w), *range(2 * w - k, 2 * w),  # logical X, Z
+        )
+        low_n, all_w = (1 << n) - 1, (1 << w) - 1
+        self.columns = []
+        for t in inputs:
+            x, z = tableau.images[t] & all_w, tableau.images[t] >> w
+            mem_to = x >> n | (z >> n) << m
+            self.columns.append(x & low_n | (z & low_n) << n | mem_to << 2 * n)
 
-def _zero_physical_inputs(
-    tableau: CliffordTableau, n: int, m: int, basis: Sequence[int]
-) -> List[Tuple[int, int, int]]:
-    """(input vector, packed mem_from, packed mem_to) of every zero-physical
-    edge in the span of the basis words, in the mask order of the basis."""
-    w = tableau.width
-    full = (1 << 2 * w) - 1
-    edges = []
-    for word in gf2_span(basis):
-        vin, out = word & full, word >> 2 * w
-        assert _part(out, w, 0, n) == 0
-        edges.append((vin, _part(vin, w, 0, m), _part(out, w, n, w)))
-    return edges
+    def out(self, word: int) -> int:
+        """The output ``physical | mem_to << 2n`` of a transition word."""
+        return gf2_combination(self.columns, word)
 
+    def edge(self, word: int) -> StateDiagramEdge:
+        """The transition a word takes, as Paulis."""
+        n, k, m = self.n, self.k, self.m
+        out = self.out(word)
+        u = word >> 2 * m
+        return StateDiagramEdge(
+            mem_from=vec_to_pauli(word, m),
+            anc=Pauli(n - k, 0, u & ((1 << n - k) - 1)),
+            logical=vec_to_pauli(u >> n - k, k),
+            physical=vec_to_pauli(out, n),
+            mem_to=vec_to_pauli(out >> 2 * n, m),
+        )
 
-def _core_edges(
-    tableau: CliffordTableau, n: int, k: int, m: int, basis: Sequence[int]
-) -> List[int]:
-    """Basis of the zero-physical edges on cycles, as mem_from | mem_to | label.
+    def zero_physical(self, max_memory: int) -> Tuple[List[int], List[int]]:
+        """Basis of the zero-physical edges, and the ``cycle_core`` of its span.
 
-    The label is the 2k logical bits, then a tag whose bit t marks basis word
-    t, so each core edge carries its combination mask over ``basis``.
-    """
-    w = tableau.width
-    full = (1 << 2 * w) - 1
-    packed = [
-        _part(word & full, w, 0, m)
-        | _part(word >> 2 * w, w, n, w) << 2 * m
-        | (_part(word & full, w, w - k, w) | 1 << 2 * k + t) << 4 * m
-        for t, word in enumerate(basis)
-    ]
-    return cycle_core(packed, 2 * m)
+        The zero-physical condition C mem + D u = 0 is linear, so its
+        solutions are the span of a nullspace basis, taken over the
+        directions memory X_q, Z_q per qubit, ancilla Z, then logical X_q,
+        Z_q per qubit.  Each basis entry is ``word | out << bits`` over the
+        ``bits`` input bits.  A core edge is ``mem_from | mem_to << 2m |
+        label << 4m``, the label being the 2k logical bits, then a tag whose
+        bit t marks basis entry t.
+        """
+        n, k, m = self.n, self.k, self.m
+        if m > max_memory:
+            raise MemoryBoundError(m, max_memory)
+        order = [b for q in range(m) for b in (q, m + q)]
+        order += range(2 * m, 2 * m + n - k)
+        order += [b for q in range(k) for b in (2 * m + n - k + q, 2 * m + n + q)]
+        directions = [1 << b for b in order]
+        images = [self.columns[b] for b in order]
+        bits = len(self.columns)
+        basis = [
+            gf2_combination(directions, combo) | gf2_combination(images, combo) << bits
+            for combo in _annihilator(_transpose(images, 2 * n), len(order))
+        ]
+        low_m, logical = (1 << 2 * m) - 1, (1 << 2 * k) - 1
+        packed = [
+            entry & low_m
+            | (entry >> bits + 2 * n) << 2 * m
+            | ((entry >> 2 * m + n - k) & logical | 1 << 2 * k + t) << 4 * m
+            for t, entry in enumerate(basis)
+        ]
+        return basis, cycle_core(packed, 2 * m)
+
+    def listed(self, basis: Sequence[int]) -> List[Tuple[int, int, int]]:
+        """(word, packed mem_from, packed mem_to) of every edge in the span of
+        ``zero_physical`` basis entries, in the mask order of the basis."""
+        bits = len(self.columns)
+        full, low_m = (1 << bits) - 1, (1 << 2 * self.m) - 1
+        edges = []
+        for entry in gf2_span(basis):
+            word, out = entry & full, entry >> bits
+            if out & self.physical:
+                raise SynthesisFailureError("a listed zero-physical edge has physical output")
+            edges.append((word, word & low_m, out >> 2 * self.n))
+        return edges
+
+    def catastrophic(
+        self, basis: Sequence[int], core: Sequence[int]
+    ) -> Tuple[bool, Optional[CycleWitness]]:
+        """``detect_catastrophic``'s verdict and witness."""
+        n, k, m = self.n, self.k, self.m
+        if not any((edge >> 4 * m) & ((1 << 2 * k) - 1) for edge in core):
+            return False, None
+        masks = gf2_basis(edge >> 4 * m + 2 * k for edge in core)
+        edges = self.listed([gf2_combination(basis, c) for c in masks])
+        logical = ((1 << 2 * k) - 1) << 2 * m + n - k
+        word, u, v = next(edge for edge in edges if edge[0] & logical)
+        path = shortest_path(successor_lists((a, b) for _, a, b in edges), v, u)
+        first = {(a, b): x for x, a, b in reversed(edges)}  # first listed per pair
+        words = [word] + [first[pair] for pair in zip(path, path[1:])]
+        return True, CycleWitness(
+            vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
+            edges=[self.edge(x) for x in words],
+        )
+
+    def non_recursive(self, core: Sequence[int]) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
+        """``verify_non_recursive``'s verdict and escape path."""
+        n, k, m = self.n, self.k, self.m
+        starts = gf2_span(gf2_basis(edge & ((1 << 2 * m) - 1) for edge in core))  # ascending
+        loop_vertices = set(starts)
+        stranded = set()  # vertices whose identity-input walk misses every loop
+        for start in starts:
+            for logical in _weight_one_labels(k):
+                for anc_mask in range(1 << (n - k)):
+                    words = [start | (anc_mask | logical << n - k) << 2 * m]
+                    out = self.out(words[0])
+                    vertex = out >> 2 * n
+                    if not out & self.physical and vertex in loop_vertices:
+                        continue  # first edge lies on a zero-physical cycle
+                    while vertex not in loop_vertices and vertex not in stranded:
+                        stranded.add(vertex)
+                        words.append(vertex)  # identity input: the word is the state
+                        vertex = self.out(vertex) >> 2 * n
+                    if vertex in loop_vertices:
+                        return True, [self.edge(x) for x in words]
+        return False, None
 
 
 def zero_physical_edges(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
 ) -> List[StateDiagramEdge]:
     """Every state-diagram edge whose physical output is the identity."""
-    basis = _zero_physical_basis(tableau, n, k, m, max_memory)
-    edges = _zero_physical_inputs(tableau, n, m, basis)
-    return [_edge(tableau, n, k, m, vin) for vin, _, _ in edges]
+    realisation = _Realisation(tableau, n, k, m)
+    basis, _ = realisation.zero_physical(max_memory)
+    return [realisation.edge(word) for word, _, _ in realisation.listed(basis)]
 
 
 def detect_catastrophic(
@@ -488,31 +529,8 @@ def detect_catastrophic(
     breadth-first search from v over the core edges keeps the levels,
     frontier order and parents of one over all edges, up to u.
     """
-    basis = _zero_physical_basis(tableau, n, k, m, max_memory)
-    core = _core_edges(tableau, n, k, m, basis)
-    if not any((edge >> 4 * m) & ((1 << 2 * k) - 1) for edge in core):
-        return False, None
-    masks = gf2_basis(edge >> 4 * m + 2 * k for edge in core)
-    edges = _zero_physical_inputs(tableau, n, m, [gf2_combination(basis, c) for c in masks])
-    w = tableau.width
-    logical = ((1 << k) - 1) << (w - k)
-    logical |= logical << w
-    vin, u, v = next(edge for edge in edges if edge[0] & logical)
-    path = shortest_path(successor_lists((a, b) for _, a, b in edges), v, u)
-    first = {(a, b): x for x, a, b in reversed(edges)}  # first listed per pair
-    inputs = [vin] + [first[pair] for pair in zip(path, path[1:])]
-    return True, CycleWitness(
-        vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
-        edges=[_edge(tableau, n, k, m, vin) for vin in inputs],
-    )
-
-
-def _weight_one_labels(k: int) -> List[int]:
-    labels = []
-    for q in range(k):
-        for x, z in ((1, 0), (0, 1), (1, 1)):
-            labels.append((x << q) | (z << (k + q)))
-    return labels
+    realisation = _Realisation(tableau, n, k, m)
+    return realisation.catastrophic(*realisation.zero_physical(max_memory))
 
 
 def verify_non_recursive(
@@ -530,28 +548,8 @@ def verify_non_recursive(
     later walks stop at a marked vertex.  Success exhibits finite-impulse
     behavior: the encoder is not recursive.
     """
-    basis = _zero_physical_basis(tableau, n, k, m, max_memory)
-    mask = (1 << 2 * m) - 1
-    sources = [edge & mask for edge in _core_edges(tableau, n, k, m, basis)]
-    starts = gf2_span(gf2_basis(sources))  # ascending
-    loop_vertices = set(starts)
-    w = tableau.width
-    stranded = set()  # vertices whose identity-input walk misses every loop
-    for start in starts:
-        for logical in _weight_one_labels(k):
-            for anc_mask in range(1 << (n - k)):
-                inputs = [_input_vec(n, k, m, start, anc_mask, logical)]
-                out = tableau.image_of_vector(inputs[0])
-                vertex = _part(out, w, n, w)
-                if _part(out, w, 0, n) == 0 and vertex in loop_vertices:
-                    continue  # first edge lies on a zero-physical cycle
-                while vertex not in loop_vertices and vertex not in stranded:
-                    stranded.add(vertex)
-                    inputs.append(_input_vec(n, k, m, vertex))
-                    vertex = _part(tableau.image_of_vector(inputs[-1]), w, n, w)
-                if vertex in loop_vertices:
-                    return True, [_edge(tableau, n, k, m, vin) for vin in inputs]
-    return False, None
+    realisation = _Realisation(tableau, n, k, m)
+    return realisation.non_recursive(realisation.zero_physical(max_memory)[1])
 
 
 def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
@@ -563,14 +561,15 @@ def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
     """
     n, k = code.n, code.k
     m = tableau.width - n
+    realisation = _Realisation(tableau, n, k, m)
     for i, gen in enumerate(code.generators):
         mem = 0
         for j, block in enumerate(gen.blocks):
             anc_mask = (1 << i) if j == 0 else 0
-            edge = _edge(tableau, n, k, m, _input_vec(n, k, m, mem, anc_mask))
-            if edge.physical != block:
+            out = realisation.out(mem | anc_mask << 2 * m)
+            if out & realisation.physical != pauli_to_vec(block):
                 return 0
-            mem = pauli_to_vec(edge.mem_to)
+            mem = out >> 2 * n
         if mem:
             return 0
     return 1

@@ -26,12 +26,8 @@ from qconvenc.tableau import (
     CliffordTableau,
     CycleWitness,
     Gate,
-    _edge,
-    _input_vec,
-    _part,
+    StateDiagramEdge,
     _weight_one_labels,
-    _zero_physical_basis,
-    _zero_physical_inputs,
     zero_physical_edges,
 )
 
@@ -171,21 +167,20 @@ def cycle_witness_by_enumeration(
     listed edge between each pair of vertices; None when no labelled edge
     lies on a cycle.
     """
-    edges = _zero_physical_inputs(tableau, n, m, _zero_physical_basis(tableau, n, k, m, max_memory))
-    w = tableau.width
-    logical = ((1 << k) - 1) << (w - k)
-    logical |= logical << w
-    found = logical_cycle([(u, v, vin & logical) for vin, u, v in edges])
+    edges = [
+        (pauli_to_vec(e.mem_from), pauli_to_vec(e.mem_to), e)
+        for e in zero_physical_edges(tableau, n, k, m, max_memory)
+    ]
+    found = logical_cycle([(u, v, e.logical_weight) for u, v, e in edges])
     if found is None:
         return None
     i, path = found
-    first: Dict[Tuple[int, int], int] = {}
-    for vin, u, v in edges:
-        first.setdefault((u, v), vin)
-    inputs = [edges[i][0]] + [first[pair] for pair in zip(path, path[1:])]
+    first: Dict[Tuple[int, int], StateDiagramEdge] = {}
+    for u, v, e in edges:
+        first.setdefault((u, v), e)
     return CycleWitness(
         vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
-        edges=[_edge(tableau, n, k, m, vin) for vin in inputs],
+        edges=[edges[i][2]] + [first[pair] for pair in zip(path, path[1:])],
     )
 
 
@@ -222,6 +217,35 @@ def zero_physical_graph(tableau, n: int, k: int, m: int) -> nx.MultiDiGraph:
     for e in zero_physical_edges(tableau, n, k, m):
         graph.add_edge(pauli_to_vec(e.mem_from), pauli_to_vec(e.mem_to))
     return graph
+
+
+def _input_vec(n: int, k: int, m: int, mem: int, anc_mask: int = 0, logical: int = 0) -> int:
+    """Packed input from packed memory, ancilla Z on anc_mask, packed logical."""
+    info = m + n - k
+    x = (mem & ((1 << m) - 1)) | (logical & ((1 << k) - 1)) << info
+    z = (mem >> m) | anc_mask << m | (logical >> k) << info
+    return x | z << (m + n)
+
+
+def _part(vec: int, w: int, start: int, stop: int) -> int:
+    """Packed restriction of a packed width-w vector to qubits [start, stop)."""
+    mask = (1 << (stop - start)) - 1
+    return ((vec >> start) & mask) | ((vec >> (w + start)) & mask) << (stop - start)
+
+
+def _edge(tableau, n: int, k: int, m: int, vin: int) -> StateDiagramEdge:
+    """The transition taken on the packed input ``vin``, read off the image
+    rows: the layout reference for the state-space realisation."""
+    w = tableau.width
+    inp = vec_to_pauli(vin, w)
+    out = vec_to_pauli(tableau.image_of_vector(vin), w)
+    return StateDiagramEdge(
+        mem_from=inp.cut(0, m),
+        anc=inp.cut(m, w - k),
+        logical=inp.cut(w - k, w),
+        physical=out.cut(0, n),
+        mem_to=out.cut(n, w),
+    )
 
 
 def escape_path_by_enumeration(tableau, n: int, k: int, m: int) -> Tuple[bool, Optional[list]]:

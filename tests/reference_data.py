@@ -402,3 +402,9 @@ COMPLETION_CIRCUIT_DIGEST = "eb96d988181a0ef328aaeea50daf213b47e2f2c397609b169b3
 # tests/test_cli.py:cli_report_digest for the line format.  Recorded from
 # the pipeline that built the shifted products block by block.
 CLI_REPORT_DIGEST = "f9084621033480e42de93c342848115ad5877a2d3939c11a722ee758073e5b84"
+
+# sha256 over both state-diagram verdicts and both full witnesses of the
+# partial-encoder completions in tests/test_tableau.py:STATE_DIAGRAM_CASES,
+# seeds 0-15; see state_diagram_digest for the line format.  Recorded from
+# the verdicts that rebuilt the zero-physical basis and core per call.
+STATE_DIAGRAM_DIGEST = "ba226e921f8644c60371a32cbf83fff3e721600093ce2e6bb8ff2b132bc80113"

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import qconvenc.tableau as tableau_module
 from conftest import corpus_path, load_code
 from qconvenc.cli import main
 from qconvenc.code import delay_generator, multiply_generators, serialize_code
@@ -274,6 +275,21 @@ def test_cli_import_leaves_dataclasses_machinery_unloaded():
     added = set(proc.stdout.split())
     assert "qconvenc.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_analysis_builds_one_state_diagram(monkeypatch):
+    # Both verdicts read one realisation, so one cycle_core per tableau.
+    calls = []
+    cycle_core = tableau_module.cycle_core
+
+    def counted(*args):
+        calls.append(args)
+        return cycle_core(*args)
+
+    monkeypatch.setattr(tableau_module, "cycle_core", counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--json", corpus_path("forney8")]) == 0
+    assert len(calls) == 1
 
 
 SUBCOMMANDS = ["validate", "shorten", "omega", "synthesize", "analyze", "circuit"]

@@ -1,6 +1,7 @@
 """Tableau completion, circuit extraction, and state-diagram analysis tests."""
 
 import hashlib
+import json
 import random
 from functools import lru_cache
 
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 import qconvenc.tableau as tableau_module
 from conftest import load_code
 from oracles import (
+    _edge,
+    _input_vec,
+    _part,
     apply_gate,
     cycle_witness_by_enumeration,
     escape_path_by_enumeration,
@@ -22,7 +26,12 @@ from oracles import (
     zero_physical_graph,
 )
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
-from qconvenc.errors import CompletionError, MemoryBoundError
+from qconvenc.errors import (
+    CompletionError,
+    MemoryBoundError,
+    SynthesisFailureError,
+    WidthMismatchError,
+)
 from qconvenc.pauli import Pauli, symplectic_product_vec
 from qconvenc.shorten import shorten
 from qconvenc.synth import (
@@ -53,6 +62,7 @@ from reference_data import (
     CORPUS,
     FORNEY8_D5_PARTIAL_CYCLE_WITNESS,
     RUNNING2_PARTIAL_CYCLE_WITNESSES,
+    STATE_DIAGRAM_DIGEST,
 )
 
 
@@ -385,6 +395,61 @@ def test_zero_physical_memory_bound():
         verify_non_recursive(t, 1, 1, 3, max_memory=2)
 
 
+# (width, n, k, m) that split no tableau.
+BAD_SHAPES = {
+    "k>n": (3, 1, 2, 2), "k<0": (3, 2, -1, 1), "width": (4, 1, 1, 2), "m<0": (3, 4, 0, -1),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        pytest.param(verdict, shape, id=f"{verdict.__name__}-{name}")
+        for verdict in (detect_catastrophic, verify_non_recursive, zero_physical_edges)
+        for name, shape in BAD_SHAPES.items()
+    ]
+    # running1 has n = 4 frame qubits, more than the whole tableau.
+    + [pytest.param(roundtrip_verify, (2, "running1"), id="roundtrip_verify-narrow")],
+)
+def test_state_diagram_entry_points_refuse_a_bad_shape(entry, args):
+    width, *shape = args
+    if entry is roundtrip_verify:
+        shape = [load_code(*shape)]
+    with pytest.raises(WidthMismatchError):
+        entry(CliffordTableau.identity(width), *shape)
+
+
+def test_listing_refuses_an_edge_with_physical_output():
+    realisation = tableau_module._Realisation(CliffordTableau.identity(2), 1, 1, 1)
+    with pytest.raises(SynthesisFailureError, match="physical output"):
+        realisation.listed([1 << len(realisation.columns)])  # output X on qubit 0
+
+
+@st.composite
+def realisation_cases(draw, max_width=10):
+    """A replayed tableau, a valid (n, k, m) split of it and transition words."""
+    width, gates = draw(gate_lists(max_width))
+    n = draw(st.integers(0, width))
+    k = draw(st.integers(0, n))
+    m = width - n
+    words = draw(st.lists(st.integers(0, (1 << 2 * m + n + k) - 1), min_size=1, max_size=8))
+    return replay_gates(width, gates), n, k, m, words
+
+
+@settings(max_examples=150, deadline=None)
+@given(realisation_cases())
+def test_realisation_matches_row_reference(case):
+    tableau, n, k, m = case[:4]
+    realisation = tableau_module._Realisation(tableau, n, k, m)
+    w = tableau.width
+    for word in case[4]:
+        mem, u = word & ((1 << 2 * m) - 1), word >> 2 * m
+        vin = _input_vec(n, k, m, mem, u & ((1 << n - k) - 1), u >> n - k)
+        image = tableau.image_of_vector(vin)
+        assert realisation.out(word) == _part(image, w, 0, n) | _part(image, w, n, w) << 2 * n
+        assert realisation.edge(word) == _edge(tableau, n, k, m, vin)
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_not_catastrophic(name):
     result, tableau = pipeline(name)
@@ -501,20 +566,51 @@ def test_partial_encoder_verdicts_match_enumeration(name, seed):
     assert verify_non_recursive(tableau, n, k, m) == escape_path_by_enumeration(tableau, n, k, m)
 
 
+# Partial encoders whose completions give both verdicts both ways: 128
+# tableaux, 107 catastrophic and 33 recursive.
+STATE_DIAGRAM_CASES = [
+    ("forney8", 0), ("forney8", 1), ("running2", 0), ("forney2", 0),
+    ("forney3", 0), ("forney4", 0), ("forney6", 0), ("gr07-third", 0),
+]
+
+
+def state_diagram_digest() -> str:
+    """sha256 of both verdicts and both full witnesses of every
+    ``STATE_DIAGRAM_CASES`` partial encoder completed with seeds 0-15."""
+    digest = hashlib.sha256()
+    for name, d in STATE_DIAGRAM_CASES:
+        encoder = partial_encoder(name, d)
+        n, k, m = encoder.n, encoder.k, encoder.m
+        for seed in range(16):
+            tableau = complete_to_clifford(encoder, seed=seed)
+            flag, witness = detect_catastrophic(tableau, n, k, m)
+            ok, path = verify_non_recursive(tableau, n, k, m)
+            cycle = witness and (
+                [str(v) for v in witness.vertices], [e.as_strings() for e in witness.edges]
+            )
+            escape = path and [e.as_strings() for e in path]
+            line = [name, d, seed, flag, cycle, ok, escape]
+            digest.update((json.dumps(line) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_state_diagram_verdicts_match_pinned_digest():
+    assert state_diagram_digest() == STATE_DIAGRAM_DIGEST
+
+
 def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
-    basis = tableau_module._zero_physical_basis(tableau, n, k, m, m)
-    core = tableau_module._core_edges(tableau, n, k, m, basis)
+    basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical(m)
     listed = []
-    enumerate_edges = tableau_module._zero_physical_inputs
+    enumerate_edges = tableau_module._Realisation.listed
 
-    def record(tableau, n, m, words):
+    def record(self, words):
         listed.append(len(words))
-        return enumerate_edges(tableau, n, m, words)
+        return enumerate_edges(self, words)
 
-    monkeypatch.setattr(tableau_module, "_zero_physical_inputs", record)
+    monkeypatch.setattr(tableau_module._Realisation, "listed", record)
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag is True and witness is not None
     assert listed == [len(core)]
@@ -541,7 +637,7 @@ def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
     def refuse(*args):
         raise AssertionError("a verdict listed the zero-physical edges")
 
-    monkeypatch.setattr(tableau_module, "_zero_physical_inputs", refuse)
+    monkeypatch.setattr(tableau_module._Realisation, "listed", refuse)
     assert detect_catastrophic(tableau, n, k, m) == (False, None)
     ok, path = verify_non_recursive(tableau, n, k, m)
     assert ok is True and path
