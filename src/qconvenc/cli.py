@@ -32,10 +32,11 @@ from .synth import (
 from .tableau import (
     DEFAULT_MEMORY_BOUND,
     CliffordTableau,
-    _Realisation,
     complete_to_clifford,
+    detect_catastrophic,
     roundtrip_verify,
     synthesize_circuit,
+    verify_non_recursive,
 )
 
 EXIT_OK = 0
@@ -158,10 +159,11 @@ class _Pipeline:
         n, k, m = encoder.n, encoder.k, encoder.m
 
         def analyze():
-            # Both verdicts read one realisation: one nullspace, one core.
-            realisation = _Realisation(self.tableau, n, k, m)
-            basis, core = realisation.zero_physical(self.max_memory)
-            return (*realisation.catastrophic(basis, core), *realisation.non_recursive(core))
+            # Both verdicts read the tableau's one zero-physical solve.
+            return (
+                *detect_catastrophic(self.tableau, n, k, m, self.max_memory),
+                *verify_non_recursive(self.tableau, n, k, m, self.max_memory),
+            )
 
         cat, cycle, non_rec, rec_path = self._timed("analyze", analyze)
         roundtrip = roundtrip_verify(self.tableau, self.working_code)

@@ -291,6 +291,17 @@ class _Echelon:
             self.dependencies.append(tag)
         return vec, tag
 
+    def particular(self, rhs_mask: int) -> Optional[int]:
+        """The solution of ``solve_dot``'s system with free variables zero,
+        read off the tags, or None when some dependency has odd right-hand side."""
+        if any(_parity(dep & rhs_mask) for dep in self.dependencies):
+            return None
+        solution = 0
+        for p, tag in self.tags.items():
+            if _parity(tag & rhs_mask):
+                solution |= 1 << p
+        return solution
+
     def solve_dot(self, rhs_mask: int, ncols: int) -> Optional[Tuple[int, List[int]]]:
         """Solve parity(row_i & v) = bit i of ``rhs_mask`` over the added rows.
 
@@ -298,13 +309,10 @@ class _Echelon:
         solution with free variables zero, nullspace basis over ``ncols``
         columns), or None when some dependency has odd right-hand side.
         """
-        particular = 0
-        if rhs_mask:  # a homogeneous system always has the zero solution
-            if any(_parity(dep & rhs_mask) for dep in self.dependencies):
-                return None
-            for p, tag in self.tags.items():
-                if _parity(tag & rhs_mask):
-                    particular |= 1 << p
+        # A homogeneous system always has the zero solution.
+        particular = self.particular(rhs_mask) if rhs_mask else 0
+        if particular is None:
+            return None
         # Free column f's basis vector is f plus the pivots of the basis rows
         # with bit f set.  A reduced row holds no pivot but its own, so the
         # transpose walks the set free bits of each row, placed by pivot.
@@ -312,6 +320,26 @@ class _Echelon:
         columns = _transpose(by_pivot, ncols)
         free = [f for f in range(ncols) if not (self.pivots >> f) & 1]
         return particular, [columns[f] | 1 << f for f in free]
+
+
+def _add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag: int) -> None:
+    """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis
+    ``basis.solve_dot(_, ncols)`` lists, as free column f -> vector N_f.
+
+    ``nullspace`` starts as {f: 1 << f for f < ncols}, and rows fit in ncols
+    bits.  N_f is the one nullspace vector whose only free bit is f.  A
+    remainder with new pivot p pops N_p, whose product with it is odd: the
+    remainder holds no older pivot, so it meets N_p only in p.  Each N_f
+    with odd product takes N_p on, which evens the product and adds no free
+    bit.  A zero remainder changes nothing.  Keys stay ascending, the order
+    ``solve_dot`` lists.
+    """
+    rest, _ = basis.add(vec, tag)
+    if rest:
+        pivot = nullspace.pop((rest & -rest).bit_length() - 1)
+        for f, null in nullspace.items():
+            if _parity(null & rest):
+                nullspace[f] = null ^ pivot
 
 
 def gf2_basis(rows: Iterable[int]) -> List[int]:
@@ -631,7 +659,8 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
     targets lie in src N_i, so each round is two annihilators and one
     nullspace over the current basis.  N_{i+1} differs from N_i only when
     S_{i+1} is smaller than S_i, so the fixed point N* arrives within
-    ``bits`` + 1 rounds; its basis is returned.
+    ``bits`` + 1 rounds; its basis is returned.  A round whose constraint
+    words are all zero keeps every edge, so it returns without the nullspace.
 
     Theorem: an edge of E lies on a cycle iff both of its endpoints lie in
     the core S* = src N* & dst N*, that is, iff it lies in N*.
@@ -659,7 +688,6 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
         src = [e & mask for e in edges]
         dst = [(e >> bits) & mask for e in edges]
         words = _products(_annihilator(dst, bits), src) + _products(_annihilator(src, bits), dst)
-        kept = _annihilator(words, len(edges))
-        if len(kept) == len(edges):
+        if not any(words):  # every edge kept: the fixed point, no nullspace to take
             return edges
-        edges = [gf2_combination(edges, combo) for combo in kept]
+        edges = [gf2_combination(edges, combo) for combo in _annihilator(words, len(edges))]

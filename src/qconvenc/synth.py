@@ -369,6 +369,8 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     ``_products(probes, packed)``: probe 1 << b for each of the 2n physical
     bits, then swap_halves(g) << 2n and then swap_halves(g) << 2n + 2m for
     each memory operator g, so that both memory parts commute with every g.
+    Each combination is checked against those conditions again, its memory
+    parts by one echelon over the centralizer basis.
     """
     rows = encoder.rows
     m, n = encoder.m, encoder.n
@@ -383,15 +385,17 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     probes = [1 << b for b in range(2 * n)]
     probes += [g << 2 * n for g in swapped_ops]
     probes += [g << 2 * n + 2 * m for g in swapped_ops]
+    span = _Echelon(pauli_to_vec(b) for b in centralizer.basis)
     combos: List[EncoderRow] = []
     for mask in sorted(_annihilator(_products(probes, packed), len(rows))):
         acc = _identity_row(encoder)
         for r in range(len(rows)):
             if (mask >> r) & 1:
                 acc = acc.combine(rows[r])
-        assert acc.phys_out.is_identity
-        assert centralizer.contains(acc.mem_in)
-        assert centralizer.contains(acc.mem_out)
+        if not acc.phys_out.is_identity:
+            raise SynthesisFailureError("an S1 combination has physical output")
+        if span.reduce(pauli_to_vec(acc.mem_in))[0] or span.reduce(pauli_to_vec(acc.mem_out))[0]:
+            raise SynthesisFailureError("an S1 combination leaves the centralizer")
         combos.append(acc)
     return combos
 

@@ -11,8 +11,9 @@ extraction and replay work on the transposed tableau, one x and one z column
 per qubit holding that qubit's bits of all 2*width images, where a gate
 updates one or two whole columns.  The state diagram is read from one
 realisation of the encoder as a linear system over GF(2) (``_Realisation``),
-built once per tableau from the images of the memory, ancilla Z and logical
-inputs; both verdicts and the round trip read it.
+built from the images of the memory, ancilla Z and logical inputs.  It and
+its zero-physical solve are kept on the tableau, so both verdicts read one;
+the round trip reads a realisation of its own.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import CompletionError, MemoryBoundError, SynthesisFailureError, Wi
 from .pauli import (
     Pauli,
     _Echelon,
+    _add_to_dot_system,
     _annihilator,
     _product_mismatch,
     _products,
@@ -73,7 +75,12 @@ class Gate(NamedTuple):
 
 
 class CliffordTableau:
-    """Symplectic map given by the images of every input X_q and Z_q."""
+    """Symplectic map given by the images of every input X_q and Z_q.
+
+    ``_solved`` keeps the last state-diagram solve (``_state_diagram``).
+    """
+
+    __slots__ = ("width", "images", "_solved")
 
     def __init__(self, width: int, images: Sequence[int]):
         if len(images) != 2 * width:
@@ -82,6 +89,7 @@ class CliffordTableau:
             )
         self.width = width
         self.images = list(images)
+        self._solved: Optional[tuple] = None
 
     @classmethod
     def identity(cls, width: int) -> "CliffordTableau":
@@ -161,8 +169,10 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     outputs and the outputs.  They answer every membership probe, solve
     each new image's commutation constraints, report dependent given rows,
     and, once the inputs span everything, their tags give the inverse of
-    the input basis.  Each is the echelon a fresh build over the same rows
-    would give, so the choices made do not depend on the growing.
+    the input basis.  The nullspace of the swapped outputs grows with them
+    (``_add_to_dot_system``); a new image is a particular solution read off
+    the tags plus a combination of it.  Each is what a fresh build over the
+    same rows would give, so the choices made do not depend on the growing.
     """
     w = encoder.width
     in_vecs: List[int] = []
@@ -182,6 +192,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
             f"rows {pair[0] + 1} and {pair[1] + 1} do not transform consistently"
         )
     inputs, swapped_outputs, outputs = _Echelon(), _Echelon(), _Echelon()
+    nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
     basis_in: List[int] = []
     basis_out: List[int] = []
     in_columns = [0] * (2 * w)  # bit i of column b: bit b of basis_in[i]
@@ -196,7 +207,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
             in_columns[low.bit_length() - 1] |= tag
             rest ^= low
         inputs.add(v, tag)
-        swapped_outputs.add(swap_halves(image, w), tag)
+        _add_to_dot_system(swapped_outputs, nullspace, swap_halves(image, w), tag)
         outputs.add(image, tag)
 
     for v, image in zip(in_vecs, out_vecs):
@@ -224,10 +235,10 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
         assert v is not None
         swapped_v = swap_halves(v, w)
         rhs_mask = gf2_combination(in_columns, swapped_v)
-        solved = swapped_outputs.solve_dot(rhs_mask, 2 * w)
-        assert solved is not None
-        particular, null_basis = solved
-        image = _not_in_span_solution(particular, null_basis, outputs, rng)
+        particular = swapped_outputs.particular(rhs_mask)
+        image = None
+        if particular is not None:
+            image = _not_in_span_solution(particular, list(nullspace.values()), outputs, rng)
         if image is None:
             raise CompletionError(
                 "no independent image for a new input direction; given rows are "
@@ -502,12 +513,30 @@ class _Realisation:
         return False, None
 
 
+def _state_diagram(
+    tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
+) -> Tuple[_Realisation, List[int], List[int]]:
+    """The tableau's realisation, zero-physical basis and core, solved once
+    per ``(images, n, k, m)`` and kept on the tableau; a mutated image or
+    another shape is solved again.  The memory bound is checked every call.
+    """
+    key = (tuple(tableau.images), n, k, m)
+    solved = tableau._solved
+    if solved is None or solved[0] != key:
+        realisation = _Realisation(tableau, n, k, m)
+        solved = (key, realisation, *realisation.zero_physical(max_memory))
+        tableau._solved = solved
+    elif m > max_memory:
+        raise MemoryBoundError(m, max_memory)
+    return solved[1:]
+
+
 def zero_physical_edges(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
 ) -> List[StateDiagramEdge]:
-    """Every state-diagram edge whose physical output is the identity."""
-    realisation = _Realisation(tableau, n, k, m)
-    basis, _ = realisation.zero_physical(max_memory)
+    """Every state-diagram edge whose physical output is the identity,
+    listed from the zero-physical solve the verdicts share."""
+    realisation, basis, _ = _state_diagram(tableau, n, k, m, max_memory)
     return [realisation.edge(word) for word, _, _ in realisation.listed(basis)]
 
 
@@ -528,9 +557,12 @@ def detect_catastrophic(
     component.  So every edge inside v's component is a core edge, and a
     breadth-first search from v over the core edges keeps the levels,
     frontier order and parents of one over all edges, up to u.
+
+    The basis and core are the tableau's one solve (``_state_diagram``),
+    which ``verify_non_recursive`` and ``zero_physical_edges`` also read.
     """
-    realisation = _Realisation(tableau, n, k, m)
-    return realisation.catastrophic(*realisation.zero_physical(max_memory))
+    realisation, basis, core = _state_diagram(tableau, n, k, m, max_memory)
+    return realisation.catastrophic(basis, core)
 
 
 def verify_non_recursive(
@@ -547,9 +579,11 @@ def verify_non_recursive(
     that ends in a cycle off the loops marks each vertex it passed, and
     later walks stop at a marked vertex.  Success exhibits finite-impulse
     behavior: the encoder is not recursive.
+
+    The core is the tableau's one solve, shared with ``detect_catastrophic``.
     """
-    realisation = _Realisation(tableau, n, k, m)
-    return realisation.non_recursive(realisation.zero_physical(max_memory)[1])
+    realisation, _, core = _state_diagram(tableau, n, k, m, max_memory)
+    return realisation.non_recursive(core)
 
 
 def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:

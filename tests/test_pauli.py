@@ -24,6 +24,7 @@ from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
     _Echelon,
+    _add_to_dot_system,
     _products,
     _transpose,
     cycle_core,
@@ -501,6 +502,35 @@ def test_grown_echelon_matches_fresh_solves(system):
             all(bin(r & v).count("1") & 1 == b for r, b in zip(rows, rhs)) for v in range(32)
         )
         assert (solved is not None) == solvable
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**6 - 1), st.integers(0, 1)), max_size=10),
+)
+@example([(0b011, 1), (0b110, 0), (0b101, 1)])  # the third row is dependent
+@example([(0b0, 0), (0b100000, 1)])  # a zero row, then the top column
+def test_grown_nullspace_matches_fresh_solves(system):
+    # The nullspace kept beside a growing echelon, and the particular
+    # solution read off its tags, equal a fresh solve after every row, the
+    # nullspace in the same order; a dependent row leaves it unchanged.
+    echelon = _Echelon()
+    nullspace = {f: 1 << f for f in range(6)}
+    rows: list = []
+    rhs: list = []
+    for row, bit in system:
+        before, dependencies = dict(nullspace), len(echelon.dependencies)
+        _add_to_dot_system(echelon, nullspace, row, 1 << len(rows))
+        rows.append(row)
+        rhs.append(bit)
+        if len(echelon.dependencies) > dependencies:
+            assert nullspace == before
+        rhs_mask = sum(b << i for i, b in enumerate(rhs))
+        particular = echelon.particular(rhs_mask)
+        solved = gf2_solve_dot_system(rows, 6, rhs)
+        assert (particular is None) == (solved is None)
+        if solved is not None:
+            assert (particular, list(nullspace.values())) == solved
+        assert list(nullspace.values()) == gf2_solve_dot_system(rows, 6, [0] * len(rows))[1]
 
 
 @given(

@@ -28,6 +28,7 @@ from qconvenc.errors import (
     InvalidCodeError,
     InvalidMatrixError,
     QconvError,
+    SynthesisFailureError,
 )
 from qconvenc.pauli import (
     BinaryMatrix,
@@ -38,6 +39,7 @@ from qconvenc.pauli import (
     vec_to_pauli,
 )
 from qconvenc.synth import (
+    CentralizerBasis,
     EncoderRow,
     MemoryCommutativityMatrix,
     MemoryOperatorTable,
@@ -296,6 +298,19 @@ def test_zero_output_row_combinations(name):
     cent = compute_centralizer(table)
     s1 = find_s1(encoder, cent)
     assert [row.as_strings() for row in s1] == S1_ROWS[name]
+
+
+def test_find_s1_refuses_a_combination_that_breaks_its_conditions(monkeypatch):
+    # Typed errors, not asserts, so the checks also hold under python -O.
+    code = load_code("running2")
+    table = assign_memory_operators(build_commutativity_matrix(code))
+    encoder = assemble_partial_encoder(code, table)
+    cent = compute_centralizer(table)
+    with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
+        find_s1(encoder, CentralizerBasis(cent.m, []))
+    monkeypatch.setattr(synth_module, "_annihilator", lambda rows, bits: [1])  # row 1 alone
+    with pytest.raises(SynthesisFailureError, match="physical output"):
+        find_s1(encoder, cent)
 
 
 @pytest.mark.parametrize("name", CORPUS)

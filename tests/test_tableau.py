@@ -253,6 +253,22 @@ def test_completion_rejects_inconsistent_rows():
         complete_to_clifford(encoder)
 
 
+def test_completion_rejects_a_row_mapped_to_the_identity():
+    # No image of X can anticommute with Z's image I: the commutation
+    # system for the new direction is inconsistent.  A typed error, also
+    # under python -O.
+    row = EncoderRow(
+        mem_in=Pauli.identity(0),
+        anc_in=Pauli.from_string("Z"),
+        info_in=Pauli.identity(0),
+        phys_out=Pauli.from_string("I"),
+        mem_out=Pauli.identity(0),
+    )
+    encoder = PartialEncoder(m=0, n=1, k=0, rows=[row])
+    with pytest.raises(CompletionError, match="not jointly symplectic"):
+        complete_to_clifford(encoder)
+
+
 def test_circuit_for_identity_is_empty():
     assert synthesize_circuit(CliffordTableau.identity(4)) == []
 
@@ -641,6 +657,59 @@ def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
     assert detect_catastrophic(tableau, n, k, m) == (False, None)
     ok, path = verify_non_recursive(tableau, n, k, m)
     assert ok is True and path
+
+
+def test_both_verdicts_share_one_state_diagram_solve(monkeypatch):
+    # The realisation and its cycle_core are kept on the tableau, so both
+    # verdicts and the edge listing solve the state diagram once.
+    calls = []
+    cycle_core = tableau_module.cycle_core
+
+    def counted(*args):
+        calls.append(args)
+        return cycle_core(*args)
+
+    monkeypatch.setattr(tableau_module, "cycle_core", counted)
+    encoder = partial_encoder("forney8")
+    tableau = complete_to_clifford(encoder, seed=0)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    assert detect_catastrophic(tableau, n, k, m)[0] is True
+    verify_non_recursive(tableau, n, k, m)
+    zero_physical_edges(tableau, n, k, m)
+    assert len(calls) == 1
+
+
+def verdicts_of(tableau, n, k, m):
+    cat, cycle = detect_catastrophic(tableau, n, k, m)
+    return cat, cycle, verify_non_recursive(tableau, n, k, m), zero_physical_edges(tableau, n, k, m)
+
+
+def test_a_mutated_tableau_is_solved_again():
+    # Flipping one image bit in place after a solve gives the verdicts of a
+    # fresh tableau with those images; this flip ends the catastrophe.
+    encoder = partial_encoder("forney8")
+    tableau = complete_to_clifford(encoder, seed=0)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    before = verdicts_of(tableau, n, k, m)
+    tableau.images[9] ^= 1
+    after = verdicts_of(tableau, n, k, m)
+    assert after == verdicts_of(CliffordTableau(tableau.width, tableau.images), n, k, m)
+    assert before[0] is True and after[0] is False
+
+
+@pytest.mark.parametrize("entry", [detect_catastrophic, verify_non_recursive, zero_physical_edges])
+def test_a_solved_tableau_still_checks_bound_and_shape(entry):
+    encoder = partial_encoder("forney8")
+    tableau = complete_to_clifford(encoder, seed=0)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    entry(tableau, n, k, m)
+    with pytest.raises(MemoryBoundError):
+        entry(tableau, n, k, m, max_memory=m - 1)
+    with pytest.raises(WidthMismatchError):
+        entry(tableau, n, k, m + 1)
+    with pytest.raises(WidthMismatchError):
+        entry(tableau, n, n + 1, m)
+    entry(tableau, n, k, m)
 
 
 @pytest.mark.parametrize("name", CORPUS)
