@@ -48,7 +48,6 @@ __all__ = [
     "gf2_basis",
     "gf2_rank",
     "gf2_in_rowspan",
-    "gf2_row_dependencies",
     "gf2_solve_combination",
     "gf2_solve_dot_system",
     "gf2_invert",
@@ -298,7 +297,7 @@ class _Echelon:
             return None
         solution = 0
         for p, tag in self.tags.items():
-            if _parity(tag & rhs_mask):
+            if (tag & rhs_mask).bit_count() & 1:  # _parity, inline on this hot path
                 solution |= 1 << p
         return solution
 
@@ -338,7 +337,7 @@ def _add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag
     if rest:
         pivot = nullspace.pop((rest & -rest).bit_length() - 1)
         for f, null in nullspace.items():
-            if _parity(null & rest):
+            if (null & rest).bit_count() & 1:
                 nullspace[f] = null ^ pivot
 
 
@@ -364,16 +363,6 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 def gf2_in_rowspan(vec: int, rows: Iterable[int]) -> bool:
     return _Echelon(rows).reduce(vec)[0] == 0
-
-
-def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
-    """Basis of coefficient masks c with XOR of {rows[i] : bit i of c} = 0.
-
-    Bit i of each returned mask refers to rows[i].  Row i reducing to zero
-    gives one mask: bit i plus the unique combination of earlier
-    independent rows equal to it.
-    """
-    return _Echelon(rows).dependencies
 
 
 def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
@@ -443,15 +432,17 @@ class GramSchmidtResult:
 
 
 def _check_commutativity_matrix(mat: BinaryMatrix) -> None:
+    """Refuse a non-square, asymmetric or nonzero-diagonal matrix at its first bad entry."""
     n = mat.nrows
     if n != mat.ncols:
         raise InvalidMatrixError(f"matrix is {n} x {mat.ncols}, not square")
-    for r in range(n):
-        if mat.get(r, r):
+    columns = _transpose(mat.rows, n)
+    for r, row in enumerate(mat.rows):
+        if (row >> r) & 1:
             raise InvalidMatrixError(f"nonzero diagonal entry at {r}")
-        for s in range(r + 1, n):
-            if mat.get(r, s) != mat.get(s, r):
-                raise InvalidMatrixError(f"asymmetry at ({r}, {s})")
+        later = (row ^ columns[r]) & (1 << n) - (2 << r)  # entries (r, s > r)
+        if later:
+            raise InvalidMatrixError(f"asymmetry at ({r}, {(later & -later).bit_length() - 1})")
 
 
 def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
@@ -460,55 +451,46 @@ def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
     Scans rows in ascending order; an unprocessed row is paired with the
     lowest-index unprocessed row it anticommutes with, and the pair is
     eliminated from all remaining rows by congruence row operations.
+
+    On packed rows: pairing i with j turns each remaining entry (r, s) into
+    W[r][s] + W[r][i] W[j][s] + W[r][j] W[i][s], symmetric with a zero
+    diagonal, and only remaining columns are read again.
     """
     _check_commutativity_matrix(mat)
     n = mat.nrows
-    w = [list(row_bits) for row_bits in mat.to_lists()]
+    w = list(mat.rows)
     g = [1 << i for i in range(n)]
-    done = [False] * n
+    remaining = (1 << n) - 1  # rows neither paired nor isotropic
     pairs: List[Tuple[int, int]] = []
     isotropics: List[int] = []
     for i in range(n):
-        if done[i]:
+        if not (remaining >> i) & 1:
             continue
-        partner = None
-        for j in range(i + 1, n):
-            if not done[j] and w[i][j]:
-                partner = j
-                break
-        if partner is None:
-            done[i] = True
+        remaining ^= 1 << i
+        partners = w[i] & remaining
+        if not partners:
             isotropics.append(i)
             continue
-        j = partner
-        done[i] = done[j] = True
+        j = (partners & -partners).bit_length() - 1
+        remaining ^= 1 << j
         pairs.append((i, j))
-        for r in range(n):
-            if done[r]:
-                continue
-            a = w[r][i]
-            b = w[r][j]
-            if a:
+        row_i, row_j = w[i] & remaining, w[j] & remaining
+        rest = remaining
+        while rest:
+            r = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if (w[r] >> i) & 1:
                 g[r] ^= g[j]
-                for s in range(n):
-                    w[r][s] ^= w[j][s]
-            if b:
+                w[r] ^= row_j
+            if (w[r] >> j) & 1:
                 g[r] ^= g[i]
-                for s in range(n):
-                    w[r][s] ^= w[i][s]
-            for s in range(n):
-                w[s][r] = w[r][s]
-    for i, j in pairs:
-        assert w[i][j] == 1 and w[j][i] == 1
-    for r in isotropics:
-        assert all(bit == 0 for bit in w[r])
-
+                w[r] ^= row_i
     return GramSchmidtResult(
         c=len(pairs),
         d=len(isotropics),
         pairs=pairs,
         isotropics=isotropics,
-        transform=BinaryMatrix(list(g), n),
+        transform=BinaryMatrix(g, n),
     )
 
 

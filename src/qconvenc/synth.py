@@ -7,7 +7,9 @@ rows that provably rule out catastrophic behavior.
 
 Encoder rows describe how one application of the (not yet completed) encoder
 unitary must transform Paulis: inputs are (memory, ancilla, information)
-parts, outputs are (physical, memory) parts.
+parts, outputs are (physical, memory) parts.  ``EncoderRow`` holds them
+as ``Pauli``s; the checks and searches read each row as one input and one
+output word on all m + n qubits (``_row_words``), laid out as ``pauli_to_vec``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .pauli import (
     _product_mismatch,
     _products,
     cycle_core,
+    gf2_combination,
     gf2_in_rowspan,
     gf2_rank,
     gf2_span,
@@ -219,15 +222,6 @@ class EncoderRow(NamedTuple):
     def output_pauli(self) -> Pauli:
         return self.phys_out.concat(self.mem_out)
 
-    def combine(self, other: "EncoderRow") -> "EncoderRow":
-        return EncoderRow(
-            self.mem_in * other.mem_in,
-            self.anc_in * other.anc_in,
-            self.info_in * other.info_in,
-            self.phys_out * other.phys_out,
-            self.mem_out * other.mem_out,
-        )
-
     def as_strings(self) -> Dict[str, str]:
         return {
             "mem_in": str(self.mem_in),
@@ -268,14 +262,51 @@ class PartialEncoder:
         return self.m + self.n
 
 
+def _row_words(row: EncoderRow) -> Tuple[int, int, int, int]:
+    """``pauli_to_vec`` of the row's input and output Paulis, and their
+    widths, by shifts of the five parts' words: no Pauli is built."""
+    ((mem_w, mem_x, mem_z), (anc_w, anc_x, anc_z), (info_w, info_x, info_z),
+     (phys_w, phys_x, phys_z), (next_w, next_x, next_z)) = row
+    info_at = mem_w + anc_w
+    in_w = info_at + info_w
+    out_w = phys_w + next_w
+    in_x = mem_x | anc_x << mem_w | info_x << info_at
+    in_z = mem_z | anc_z << mem_w | info_z << info_at
+    out_x, out_z = phys_x | next_x << phys_w, phys_z | next_z << phys_w
+    return in_x | in_z << in_w, out_x | out_z << out_w, in_w, out_w
+
+
+def _encoder_words(rows: Sequence[EncoderRow], w: int) -> Tuple[List[int], List[int]]:
+    """Input and output words of rows of a ``w``-qubit encoder; a row of
+    another width raises ``WidthMismatchError``."""
+    words = [_row_words(row) for row in rows]
+    for _, _, in_w, out_w in words:
+        if in_w != w or out_w != w:
+            raise WidthMismatchError(f"a row maps {in_w} to {out_w} qubits in a {w}-qubit encoder")
+    return [word[0] for word in words], [word[1] for word in words]
+
+
+def _restrict(word: int, w: int, start: int, stop: int) -> int:
+    """The packed restriction of a packed ``w``-qubit word to qubits [start, stop)."""
+    mask = (1 << stop - start) - 1
+    return word >> start & mask | (word >> w + start & mask) << stop - start
+
+
+def _row_from_words(in_word: int, out_word: int, m: int, n: int, k: int) -> EncoderRow:
+    """The row of an (m, n, k) encoder that ``_row_words`` packs into these words."""
+    w = m + n
+    cuts = [(in_word, 0, m), (in_word, m, w - k), (in_word, w - k, w)]
+    cuts += [(out_word, 0, n), (out_word, n, w)]
+    return EncoderRow(*(vec_to_pauli(_restrict(word, w, a, b), b - a) for word, a, b in cuts))
+
+
 def _check_row_consistency(rows: Sequence[EncoderRow]) -> None:
-    ins = [row.input_pauli() for row in rows]
-    outs = [row.output_pauli() for row in rows]
-    w = ins[0].width if ins else 0
-    if any(p.width != w for p in ins + outs):
+    words = [_row_words(row) for row in rows]
+    w = words[0][2] if words else 0
+    if any(in_w != w or out_w != w for _, _, in_w, out_w in words):
         raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
-    in_vecs = [pauli_to_vec(p) for p in ins]
-    pair = _product_mismatch(in_vecs, [pauli_to_vec(p) for p in outs], w)
+    in_vecs = [word[0] for word in words]
+    pair = _product_mismatch(in_vecs, [word[1] for word in words], w)
     if pair is not None:
         a, b = pair
         lhs = symplectic_product_vec(in_vecs[a], in_vecs[b], w)
@@ -297,23 +328,17 @@ def assemble_partial_encoder(
     n, k = code.n, code.k
     s = n - k
     m = table.m
+    no_mem, no_anc, no_info = Pauli.identity(m), Pauli.identity(s), Pauli.identity(k)
     rows: List[EncoderRow] = []
     for i, gen in enumerate(code.generators, start=1):
         for j in range(1, gen.degree + 1):
-            mem_in = table.op(i, j - 1) if j > 1 else Pauli.identity(m)
-            anc_in = (
-                Pauli(s, 0, 1 << (i - 1)) if j == 1 else Pauli.identity(s)
-            )
-            mem_out = (
-                table.op(i, j) if j < gen.degree else Pauli.identity(m)
-            )
             rows.append(
                 EncoderRow(
-                    mem_in=mem_in,
-                    anc_in=anc_in,
-                    info_in=Pauli.identity(k),
+                    mem_in=table.op(i, j - 1) if j > 1 else no_mem,
+                    anc_in=Pauli(s, 0, 1 << (i - 1)) if j == 1 else no_anc,
+                    info_in=no_info,
                     phys_out=gen.block(j),
-                    mem_out=mem_out,
+                    mem_out=table.op(i, j) if j < gen.degree else no_mem,
                 )
             )
     _check_row_consistency(rows)
@@ -336,10 +361,6 @@ class CentralizerBasis:
         """Every element, packed; entry 0 is the identity."""
         # Last basis element fastest: add_noncatastrophic_rows samples this order.
         return gf2_span([pauli_to_vec(b) for b in reversed(self.basis)])
-
-    def enumerate(self) -> Iterator[Pauli]:
-        for vec in self.vectors():
-            yield vec_to_pauli(vec, self.m)
 
     def contains(self, op: Pauli) -> bool:
         return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in self.basis])
@@ -364,50 +385,35 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
 
     Selected combinations of the generator rows must emit identity on all
     physical qubits and have both memory parts inside the centralizer span.
-    Each row is packed once as phys_out | mem_in << 2n | mem_out << 2n + 2m.
-    One GF(2) coefficient per row is unknown, and the constraint words are
-    ``_products(probes, packed)``: probe 1 << b for each of the 2n physical
-    bits, then swap_halves(g) << 2n and then swap_halves(g) << 2n + 2m for
-    each memory operator g, so that both memory parts commute with every g.
-    Each combination is checked against those conditions again, its memory
-    parts by one echelon over the centralizer basis.
+    Row r is the word in | out << 2w of its two words (w = m + n), with one
+    unknown GF(2) coefficient.  The constraints are ``_products(probes,
+    words)``: bits 2w + b and 3w + b for each physical qubit b, then, with
+    each memory operator g placed as g.x | g.z << w, swap_halves(g) and
+    swap_halves(g) << n + 2w, so both memory parts commute with every g.  An
+    S1 row is one combination of the words, checked against those
+    conditions again (memory by one echelon over the centralizer basis),
+    then made a row of Paulis.
     """
-    rows = encoder.rows
-    m, n = encoder.m, encoder.n
+    m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
+    ins, outs = _encoder_words(encoder.rows, w)
+    words = [x | y << 2 * w for x, y in zip(ins, outs)]
     ops = encoder.memory_ops.as_list() if encoder.memory_ops else []
-    packed = [
-        pauli_to_vec(row.phys_out)
-        | pauli_to_vec(row.mem_in) << 2 * n
-        | pauli_to_vec(row.mem_out) << 2 * n + 2 * m
-        for row in rows
-    ]
-    swapped_ops = [swap_halves(pauli_to_vec(g), m) for g in ops]
-    probes = [1 << b for b in range(2 * n)]
-    probes += [g << 2 * n for g in swapped_ops]
-    probes += [g << 2 * n + 2 * m for g in swapped_ops]
-    span = _Echelon(pauli_to_vec(b) for b in centralizer.basis)
+    swapped_ops = [swap_halves(g.x | g.z << w, w) for g in ops]
+    probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
+    probes += swapped_ops
+    probes += [g << n + 2 * w for g in swapped_ops]
+    span = _Echelon(b.x | b.z << w for b in centralizer.basis)
+    physical = ((1 << n) - 1) * (1 | 1 << w)
+    memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
-    for mask in sorted(_annihilator(_products(probes, packed), len(rows))):
-        acc = _identity_row(encoder)
-        for r in range(len(rows)):
-            if (mask >> r) & 1:
-                acc = acc.combine(rows[r])
-        if not acc.phys_out.is_identity:
+    for mask in sorted(_annihilator(_products(probes, words), len(words))):
+        combo = gf2_combination(words, mask)
+        if combo >> 2 * w & physical:
             raise SynthesisFailureError("an S1 combination has physical output")
-        if span.reduce(pauli_to_vec(acc.mem_in))[0] or span.reduce(pauli_to_vec(acc.mem_out))[0]:
+        if span.reduce(combo & memory)[0] or span.reduce(combo >> n + 2 * w & memory)[0]:
             raise SynthesisFailureError("an S1 combination leaves the centralizer")
-        combos.append(acc)
+        combos.append(_row_from_words(combo & (1 << 2 * w) - 1, combo >> 2 * w, m, n, k))
     return combos
-
-
-def _identity_row(encoder: PartialEncoder) -> EncoderRow:
-    return EncoderRow(
-        Pauli.identity(encoder.m),
-        Pauli.identity(encoder.n - encoder.k),
-        Pauli.identity(encoder.k),
-        Pauli.identity(encoder.n),
-        Pauli.identity(encoder.m),
-    )
 
 
 def has_catastrophic_combination(
@@ -417,19 +423,21 @@ def has_catastrophic_combination(
 
     Treats each combination as a state-diagram edge mem_in -> mem_out and
     reports whether an edge with non-identity logical label lies on a cycle.
-    Each row is packed once as mem_in | mem_out | info_in, and
-    ``cycle_core`` decides on those words without listing the span.
+    Each row's words give the edge mem_in | mem_out << 2m | info_in << 4m,
+    and ``cycle_core`` decides on those edges without listing the span.
+    A row with physical output is no such edge and raises ``AssemblyError``.
     """
-    bits = 2 * encoder.m
-    packed = []
-    for row in rows:
-        assert row.phys_out.is_identity
-        packed.append(
-            pauli_to_vec(row.mem_in)
-            | pauli_to_vec(row.mem_out) << bits
-            | pauli_to_vec(row.info_in) << 2 * bits
+    m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
+    bits = 2 * m
+    physical = ((1 << n) - 1) * (1 | 1 << w)
+    edges = []
+    for x, y in zip(*_encoder_words(rows, w)):
+        if y & physical:
+            raise AssemblyError("a row given to the cycle oracle has physical output")
+        edges.append(
+            _restrict(x, w, 0, m) | _restrict(y, w, n, w) << bits | _restrict(x, w, w - k, w) << 2 * bits
         )
-    return any(edge >> 2 * bits for edge in cycle_core(packed, bits))
+    return any(edge >> 2 * bits for edge in cycle_core(edges, bits))
 
 
 class CatastrophicityContext:
@@ -485,7 +493,8 @@ def add_noncatastrophic_rows(
             )
         return out
 
-    needed = len(centralizer.basis) - gf2_rank(s1_out_vecs)
+    span = _Echelon(s1_out_vecs)  # the greedy attempt grows it
+    needed = len(centralizer.basis) - len(span.rows)
     if needed > k:
         raise SynthesisFailureError(
             f"{needed} centralizer directions to cover but only {k} information qubits"
@@ -495,14 +504,12 @@ def add_noncatastrophic_rows(
         # Greedy canonical completion from the centralizer basis.
         # b raises the rank iff it leaves a nonzero remainder.
         candidates: List[Pauli] = []
-        span = _Echelon(s1_out_vecs)
         for b in centralizer.basis:
             if len(candidates) == needed:
                 break
             if span.add(pauli_to_vec(b), 0)[0]:
                 candidates.append(b)
-        if len(candidates) == needed:
-            assert completion_ok([pauli_to_vec(p) for p in candidates])
+        if len(candidates) == needed:  # each raised the rank: completion_ok holds
             yield candidates
         # Seeded random draws, made only once the sets before them failed.
         elements = centralizer.vectors()[1:]

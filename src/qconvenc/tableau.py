@@ -41,7 +41,7 @@ from .pauli import (
     swap_halves,
     vec_to_pauli,
 )
-from .synth import PartialEncoder
+from .synth import PartialEncoder, _encoder_words
 
 __all__ = [
     "Gate",
@@ -141,18 +141,24 @@ def _apply_gate(xs: List[int], zs: List[int], gate: Gate) -> None:
 
 
 def _not_in_span_solution(
-    particular: int, null_basis: Sequence[int], span: _Echelon, rng: Optional[random.Random]
+    particular: int, null_basis: Sequence[int], swapped_span: _Echelon, w: int,
+    rng: Optional[random.Random],
 ) -> Optional[int]:
+    """A solution whose swapped halves lie outside ``swapped_span``."""
+
+    def outside(cand: int) -> int:
+        return swapped_span.reduce(swap_halves(cand, w))[0]
+
     if rng is not None:
         for _ in range(64):
             mask = rng.getrandbits(len(null_basis)) if null_basis else 0
             cand = particular ^ gf2_combination(null_basis, mask)
-            if span.reduce(cand)[0]:
+            if outside(cand):
                 return cand
-    if span.reduce(particular)[0]:
+    if outside(particular):
         return particular
     for vec in null_basis:
-        if span.reduce(particular ^ vec)[0]:
+        if outside(particular ^ vec):
             return particular ^ vec
     return None
 
@@ -165,33 +171,27 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     given rows map exactly as specified.  Seed 0 extends along the standard
     basis; other seeds randomize both the direction and the image choice.
 
-    Three echelons grow by one row per pair: the inputs, the swapped
-    outputs and the outputs.  They answer every membership probe, solve
-    each new image's commutation constraints, report dependent given rows,
-    and, once the inputs span everything, their tags give the inverse of
-    the input basis.  The nullspace of the swapped outputs grows with them
+    Rows are read as packed words (``synth._encoder_words``).  Two echelons
+    grow by one row per pair: the inputs and the swapped outputs (an image
+    is outside span(outputs) iff its swap_halves is outside theirs).  They
+    answer every membership probe, solve each new image's commutation
+    constraints, report dependent given rows, and, once the inputs span
+    everything, the input tags give the inverse of the input basis.  The
+    nullspace of the swapped outputs grows with them
     (``_add_to_dot_system``); a new image is a particular solution read off
     the tags plus a combination of it.  Each is what a fresh build over the
     same rows would give, so the choices made do not depend on the growing.
+    Seed 0's scan for a unit vector outside the input span resumes where it
+    stopped: a vector in the span stays there.
     """
     w = encoder.width
-    in_vecs: List[int] = []
-    out_vecs: List[int] = []
-    for row in encoder.all_rows:
-        in_p = row.input_pauli()
-        out_p = row.output_pauli()
-        if in_p.width != w or out_p.width != w:
-            raise WidthMismatchError(
-                f"a row maps {in_p.width} to {out_p.width} qubits in a {w}-qubit encoder"
-            )
-        in_vecs.append(pauli_to_vec(in_p))
-        out_vecs.append(pauli_to_vec(out_p))
+    in_vecs, out_vecs = _encoder_words(encoder.all_rows, w)
     pair = _product_mismatch(in_vecs, out_vecs, w)
     if pair is not None:
         raise CompletionError(
             f"rows {pair[0] + 1} and {pair[1] + 1} do not transform consistently"
         )
-    inputs, swapped_outputs, outputs = _Echelon(), _Echelon(), _Echelon()
+    inputs, swapped_outputs = _Echelon(), _Echelon()
     nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
     basis_in: List[int] = []
     basis_out: List[int] = []
@@ -208,7 +208,6 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
             rest ^= low
         inputs.add(v, tag)
         _add_to_dot_system(swapped_outputs, nullspace, swap_halves(image, w), tag)
-        outputs.add(image, tag)
 
     for v, image in zip(in_vecs, out_vecs):
         append(v, image)
@@ -219,6 +218,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
             "input rows are dependent: rows " + ", ".join(members)
         )
     rng = random.Random(seed) if seed != 0 else None
+    t = 0  # seed 0: every unit vector below t is in the input span
     while len(basis_in) < 2 * w:
         v = None
         if rng is not None:
@@ -228,17 +228,20 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
                     v = cand
                     break
         else:
-            for t in range(2 * w):
+            while t < 2 * w:
                 if inputs.reduce(1 << t)[0]:
                     v = 1 << t
                     break
+                t += 1
         assert v is not None
         swapped_v = swap_halves(v, w)
         rhs_mask = gf2_combination(in_columns, swapped_v)
         particular = swapped_outputs.particular(rhs_mask)
         image = None
         if particular is not None:
-            image = _not_in_span_solution(particular, list(nullspace.values()), outputs, rng)
+            image = _not_in_span_solution(
+                particular, list(nullspace.values()), swapped_outputs, w, rng
+            )
         if image is None:
             raise CompletionError(
                 "no independent image for a new input direction; given rows are "

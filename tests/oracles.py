@@ -5,9 +5,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import networkx as nx
 
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
+from qconvenc.errors import InvalidMatrixError
 from qconvenc.pauli import (
     BinaryMatrix,
+    GramSchmidtResult,
     Pauli,
+    _Echelon,
     gf2_combination,
     gf2_in_rowspan,
     gf2_rank,
@@ -34,6 +37,22 @@ from qconvenc.tableau import (
 
 def _parity(word: int) -> int:
     return word.bit_count() & 1
+
+
+def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
+    """Basis of coefficient masks c with XOR of {rows[i] : bit i of c} = 0.
+
+    Bit i of each returned mask refers to rows[i].  Row i reducing to zero
+    gives one mask: bit i plus the unique combination of earlier
+    independent rows equal to it.
+    """
+    return _Echelon(rows).dependencies
+
+
+def enumerate_centralizer(centralizer) -> List[Pauli]:
+    """Every element of a ``CentralizerBasis`` as a Pauli, in the order of
+    ``centralizer.vectors()``: 2^|basis| of them, for small bases only."""
+    return [vec_to_pauli(vec, centralizer.m) for vec in centralizer.vectors()]
 
 
 def exists_gram_realization(
@@ -444,3 +463,70 @@ def is_symplectic_pairwise(tableau: CliffordTableau) -> bool:
             if symplectic_product_vec(tableau.images[a], tableau.images[b], w) != want:
                 return False
     return True
+
+
+def check_commutativity_matrix_by_lists(mat: BinaryMatrix) -> None:
+    """Entry-by-entry reference for ``pauli._check_commutativity_matrix``."""
+    n = mat.nrows
+    if n != mat.ncols:
+        raise InvalidMatrixError(f"matrix is {n} x {mat.ncols}, not square")
+    for r in range(n):
+        if mat.get(r, r):
+            raise InvalidMatrixError(f"nonzero diagonal entry at {r}")
+        for s in range(r + 1, n):
+            if mat.get(r, s) != mat.get(s, r):
+                raise InvalidMatrixError(f"asymmetry at ({r}, {s})")
+
+
+def symplectic_gram_schmidt_by_lists(mat: BinaryMatrix) -> GramSchmidtResult:
+    """List-of-lists reference for ``pauli.symplectic_gram_schmidt``: the
+    same scan, with every row operation applied to a full 0/1 matrix and
+    each updated row copied into its column."""
+    check_commutativity_matrix_by_lists(mat)
+    n = mat.nrows
+    w = [list(row_bits) for row_bits in mat.to_lists()]
+    g = [1 << i for i in range(n)]
+    done = [False] * n
+    pairs: List[Tuple[int, int]] = []
+    isotropics: List[int] = []
+    for i in range(n):
+        if done[i]:
+            continue
+        partner = None
+        for j in range(i + 1, n):
+            if not done[j] and w[i][j]:
+                partner = j
+                break
+        if partner is None:
+            done[i] = True
+            isotropics.append(i)
+            continue
+        j = partner
+        done[i] = done[j] = True
+        pairs.append((i, j))
+        for r in range(n):
+            if done[r]:
+                continue
+            a = w[r][i]
+            b = w[r][j]
+            if a:
+                g[r] ^= g[j]
+                for s in range(n):
+                    w[r][s] ^= w[j][s]
+            if b:
+                g[r] ^= g[i]
+                for s in range(n):
+                    w[r][s] ^= w[i][s]
+            for s in range(n):
+                w[s][r] = w[r][s]
+    for i, j in pairs:
+        assert w[i][j] == 1 and w[j][i] == 1
+    for r in isotropics:
+        assert all(bit == 0 for bit in w[r])
+    return GramSchmidtResult(
+        c=len(pairs),
+        d=len(isotropics),
+        pairs=pairs,
+        isotropics=isotropics,
+        transform=BinaryMatrix(list(g), n),
+    )

@@ -408,3 +408,10 @@ CLI_REPORT_DIGEST = "f9084621033480e42de93c342848115ad5877a2d3939c11a722ee758073
 # seeds 0-15; see state_diagram_digest for the line format.  Recorded from
 # the verdicts that rebuilt the zero-physical basis and core per call.
 STATE_DIAGRAM_DIGEST = "ba226e921f8644c60371a32cbf83fff3e721600093ce2e6bb8ff2b132bc80113"
+
+# sha256 over the S1 rows, added rows, tableau images and gate lists of the
+# self-delay inflations in tests/test_tableau.py:INFLATED_SYNTHESIS_CASES,
+# seeds 0-7; see inflated_synthesis_digest for the line format.  Recorded
+# from the synthesis that combined S1 rows and checked row consistency on
+# Pauli objects.
+INFLATED_SYNTHESIS_DIGEST = "1ba73ed4600661e79251afcfa2e7c02abb5172c33353b302b22ecb26256d5ae8"

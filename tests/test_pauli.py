@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    check_commutativity_matrix_by_lists,
     component_index,
     exists_gram_realization,
+    gf2_row_dependencies,
     gram_search,
     labelled_cycle_by_enumeration,
     logical_cycle,
@@ -18,7 +20,9 @@ from oracles import (
     parities,
     span_edges,
     strong_components,
+    symplectic_gram_schmidt_by_lists,
 )
+import qconvenc.pauli as pauli_module
 from qconvenc.errors import InvalidMatrixError, QconvError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
@@ -33,7 +37,6 @@ from qconvenc.pauli import (
     gf2_in_rowspan,
     gf2_invert,
     gf2_rank,
-    gf2_row_dependencies,
     gf2_solve_combination,
     gf2_solve_dot_system,
     gf2_span,
@@ -259,6 +262,41 @@ def test_gram_schmidt_structure(mat):
                         acc ^= 1
             hyperbolic = a < 2 * result.c and b == a ^ 1
             assert acc == int(hyperbolic)
+
+
+@given(symmetric_zero_diag(max_dim=12))
+@example(BinaryMatrix([0] * 7, 7))
+@example(BinaryMatrix([0b10, 0b01, 0b1000, 0b0100, 0b100000, 0b010000], 6))
+@example(BinaryMatrix([((1 << 8) - 1) ^ (1 << r) for r in range(8)], 8))
+@settings(max_examples=80)
+def test_gram_schmidt_matches_list_reference(mat):
+    # The packed rows must make every choice the row-by-row reference makes.
+    got, want = symplectic_gram_schmidt(mat), symplectic_gram_schmidt_by_lists(mat)
+    assert (got.c, got.d, got.pairs, got.isotropics) == (want.c, want.d, want.pairs, want.isotropics)
+    assert got.transform == want.transform
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+))
+@example((2, [0b10, 0b00]))
+@example((3, [0b110, 0b101, 0b011]))
+def test_commutativity_matrix_check_matches_list_reference(shape):
+    # Square matrices, most of them neither symmetric nor zero on the
+    # diagonal: the same refusal, naming the same first entry.
+    n, rows = shape
+    mat = BinaryMatrix(rows, n)
+
+    def outcome(check):
+        try:
+            check(mat)
+        except InvalidMatrixError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(pauli_module._check_commutativity_matrix) == outcome(
+        check_commutativity_matrix_by_lists
+    )
 
 
 def test_gram_schmidt_rejects_asymmetric():

@@ -3,12 +3,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_code
 from oracles import (
     backward_matrix_by_blocks,
+    enumerate_centralizer,
     forward_matrix_by_blocks,
     labelled_cycle_by_enumeration,
     violations_by_blocks,
@@ -29,6 +30,7 @@ from qconvenc.errors import (
     InvalidMatrixError,
     QconvError,
     SynthesisFailureError,
+    WidthMismatchError,
 )
 from qconvenc.pauli import (
     BinaryMatrix,
@@ -247,6 +249,48 @@ def test_row_consistency_matches_pairwise_products(words):
     )
 
 
+@st.composite
+def pauli_on(draw, width):
+    return Pauli(width, draw(st.integers(0, 2**width - 1)), draw(st.integers(0, 2**width - 1)))
+
+
+@st.composite
+def encoder_rows(draw):
+    # Half the rows fit an (m, n, k) encoder; the others take each part's
+    # width at random, so input and output widths often differ.
+    m, s, k = (draw(st.integers(0, 3)) for _ in range(3))
+    widths = [m, s, k, s + k, m]
+    if draw(st.booleans()):
+        widths = [draw(st.integers(0, 3)) for _ in widths]
+    return EncoderRow(*(draw(pauli_on(width)) for width in widths))
+
+
+@given(encoder_rows())
+@example(row_from_strings(dict(mem_in="Z", anc_in="Y", info_in="X", phys_out="XZ", mem_out="Y")))
+@example(row_from_strings(dict(mem_in="Z", anc_in="I", info_in="X", phys_out="XZ", mem_out="YY")))
+@settings(max_examples=150)
+def test_row_words_match_the_concatenated_paulis(row):
+    # The packed words are the Pauli-object reference without building it.
+    want_in, want_out = row.input_pauli(), row.output_pauli()
+    in_word, out_word, in_w, out_w = synth_module._row_words(row)
+    assert (in_word, in_w) == (pauli_to_vec(want_in), want_in.width)
+    assert (out_word, out_w) == (pauli_to_vec(want_out), want_out.width)
+    m, k = row.mem_in.width, row.info_in.width
+    n = row.anc_in.width + k
+    if [p.width for p in row] == [m, n - k, k, n, m]:
+        assert synth_module._row_from_words(in_word, out_word, m, n, k) == row
+    if in_w == out_w == m + n:
+        assert synth_module._encoder_words([row], m + n) == ([in_word], [out_word])
+    else:
+        with pytest.raises(WidthMismatchError):
+            synth_module._encoder_words([row], m + n)
+    if in_w == out_w:
+        synth_module._check_row_consistency([row])
+    else:
+        with pytest.raises(WidthMismatchError, match=f"^encoder rows are not all {in_w} qubits wide$"):
+            synth_module._check_row_consistency([row])
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_centralizer_of_published_tables(name):
     table = table_from_strings(MEMORY_OPS_PUBLISHED[name])
@@ -273,7 +317,7 @@ def test_centralizer_of_assigned_tables(name):
 def test_centralizer_enumeration_size(running2):
     table = assign_memory_operators(build_commutativity_matrix(running2))
     cent = compute_centralizer(table)
-    elements = list(cent.enumerate())
+    elements = enumerate_centralizer(cent)
     assert len(cent) == 16
     assert len(elements) == 16
     assert len({(e.x, e.z) for e in elements}) == 16
@@ -354,6 +398,21 @@ def test_catastrophic_combination_detects_logical_self_loop(running2):
     )
     assert has_catastrophic_combination([bad], encoder) is True
     assert has_catastrophic_combination([], encoder) is False
+
+
+def test_catastrophic_combination_refuses_a_row_with_physical_output(running2):
+    # A typed error, not an assert, so the check also holds under python -O.
+    table = assign_memory_operators(build_commutativity_matrix(running2))
+    encoder = assemble_partial_encoder(running2, table)
+    leaky = EncoderRow(
+        mem_in=Pauli.from_string("ZIIIII"),
+        anc_in=Pauli.identity(2),
+        info_in=Pauli.from_string("XI"),
+        phys_out=Pauli.from_string("IIXI"),
+        mem_out=Pauli.from_string("ZIIIII"),
+    )
+    with pytest.raises(AssemblyError, match="physical output"):
+        has_catastrophic_combination([leaky], encoder)
 
 
 @st.composite

@@ -61,6 +61,7 @@ from reference_data import (
     COMPLETION_CIRCUIT_DIGEST,
     CORPUS,
     FORNEY8_D5_PARTIAL_CYCLE_WITNESS,
+    INFLATED_SYNTHESIS_DIGEST,
     RUNNING2_PARTIAL_CYCLE_WITNESSES,
     STATE_DIAGRAM_DIGEST,
 )
@@ -558,12 +559,17 @@ def test_corpus_non_recursive_with_checkable_path(name):
     assert pauli_to_vec(path[-1].mem_to) in loop_nodes
 
 
-@lru_cache(maxsize=None)
-def partial_encoder(name, d=0):
+def inflated_code(name, d=0):
     code = load_code(name)
     if d:  # g1 <- g1 * D^d g1 raises the memory to m + d
         g1 = code.generators[0]
         code = code.with_generator(0, multiply_generators(g1, delay_generator(g1, d)))
+    return code
+
+
+@lru_cache(maxsize=None)
+def partial_encoder(name, d=0):
+    code = inflated_code(name, d)
     return assemble_partial_encoder(code, assign_memory_operators(build_commutativity_matrix(code)))
 
 
@@ -612,6 +618,32 @@ def state_diagram_digest() -> str:
 
 def test_state_diagram_verdicts_match_pinned_digest():
     assert state_diagram_digest() == STATE_DIAGRAM_DIGEST
+
+
+# Self-delay inflations at m = 6 and 7, beyond the corpus codes the other
+# digests synthesize.
+INFLATED_SYNTHESIS_CASES = [("running1", 3), ("running1", 4), ("forney8", 0), ("forney8", 1)]
+
+
+def inflated_synthesis_digest() -> str:
+    """sha256 of the S1 rows, added rows, tableau images and gates of every
+    ``INFLATED_SYNTHESIS_CASES`` code synthesized and completed with seeds 0-7."""
+    digest = hashlib.sha256()
+    for name, d in INFLATED_SYNTHESIS_CASES:
+        code = inflated_code(name, d)
+        for seed in range(8):
+            result = synthesize(code, seed=seed)
+            tableau = complete_to_clifford(result.encoder, seed=seed)
+            s1 = [row.as_strings() for row in result.context.s1_rows]
+            added = [row.as_strings() for row in result.encoder.added_rows]
+            gates = [(g.kind, list(g.qubits)) for g in synthesize_circuit(tableau)]
+            line = [name, d, seed, s1, added, tableau.images, gates]
+            digest.update((json.dumps(line) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_inflated_synthesis_matches_pinned_digest():
+    assert inflated_synthesis_digest() == INFLATED_SYNTHESIS_DIGEST
 
 
 def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
