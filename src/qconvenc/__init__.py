@@ -29,7 +29,7 @@ from .errors import (
     WindowError,
 )
 from .pauli import Pauli, symplectic_product
-from .shorten import group_equivalent, normalize_leading_delay, shorten
+from .shorten import group_equivalent, shorten
 from .synth import (
     build_commutativity_matrix,
     compute_centralizer,
@@ -60,7 +60,6 @@ __all__ = [
     "validate_code",
     "delay_generator",
     "multiply_generators",
-    "normalize_leading_delay",
     "shorten",
     "group_equivalent",
     "build_commutativity_matrix",

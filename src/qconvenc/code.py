@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     WidthMismatchError,
 )
-from .pauli import Pauli, _parity, pauli_to_vec, swap_halves
+from .pauli import Pauli, _parity, pauli_to_vec, swap_halves, vec_to_pauli
 
 __all__ = [
     "GeneratorPolynomial",
@@ -238,14 +238,24 @@ def delay_generator(gen: GeneratorPolynomial, j: int) -> GeneratorPolynomial:
     return GeneratorPolynomial(gen.blocks[strip:])
 
 
+def _generator_from_word(word: int, n: int) -> GeneratorPolynomial:
+    """The generator whose stream word is ``word``, trailing identity frames
+    trimmed; the zero word is a single identity block."""
+    frame = 2 * n
+    frames = max(1, -(-word.bit_length() // frame))
+    return GeneratorPolynomial(
+        tuple(vec_to_pauli(word >> frame * j, n) for j in range(frames))
+    )
+
+
 def multiply_generators(
     a: GeneratorPolynomial, b: GeneratorPolynomial
 ) -> GeneratorPolynomial:
     """Frame-wise product aligned at frame 1, trailing identity frames trimmed.
 
-    An all-identity product is collapsed to a single identity block.
+    The product's stream word is the XOR of the two words; an all-identity
+    product is collapsed to a single identity block.
     """
     if a.width != b.width:
         raise WidthMismatchError(f"generator widths {a.width} and {b.width} differ")
-    degree = max(a.degree, b.degree)
-    return _trim_trailing([a.block(j) * b.block(j) for j in range(1, degree + 1)])
+    return _generator_from_word(_stream_words(a)[0] ^ _stream_words(b)[0], a.width)

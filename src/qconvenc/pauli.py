@@ -214,9 +214,6 @@ class BinaryMatrix:
     def rank(self) -> int:
         return gf2_rank(self.rows)
 
-    def copy(self) -> "BinaryMatrix":
-        return BinaryMatrix(list(self.rows), self.ncols)
-
     def get(self, r: int, c: int) -> int:
         return (self.rows[r] >> c) & 1
 

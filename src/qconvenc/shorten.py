@@ -3,7 +3,12 @@
 Rewrites allowed here (multiplying one generator by others, shifting a
 generator whose leading frames are identity) never change the group the
 shifted generators produce, so the shortened code stabilizes the same states
-while needing less memory.
+while needing less memory.  They are row operations over GF(2)[D] (Forney,
+"Convolutional codes I", 1970; Grassl-Roetteler, quant-ph/0602129).
+
+A rewrite works on the generators' stream words (``code._stream_words``):
+placing a generator d frames later is a left shift by 2nd, a product is one
+XOR, and the rewritten generator is rebuilt from its word once.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import (
     ConvolutionalCode,
-    GeneratorPolynomial,
+    _generator_from_word,
     _stream_words,
     delay_generator,
-    multiply_generators,
     validate_code,
 )
 from .errors import DegenerateCodeError, WidthMismatchError, WindowError
@@ -31,7 +35,6 @@ from .pauli import (
 __all__ = [
     "ShortenStep",
     "ShorteningReport",
-    "normalize_leading_delay",
     "shorten",
     "group_equivalent",
 ]
@@ -60,128 +63,87 @@ class ShorteningReport:
         self.steps = [] if steps is None else steps
 
 
-def _strip_leading(gen: GeneratorPolynomial) -> Tuple[GeneratorPolynomial, int]:
-    if gen.is_identity:
-        raise DegenerateCodeError("generator is the all-identity stream")
-    count = 0
-    while gen.blocks[count].is_identity:
-        count += 1
-    if count:
-        gen = delay_generator(gen, -count)
-    return gen, count
+def _rewrite(
+    code: ConvolutionalCode, steps: List[ShortenStep], action: str
+) -> Optional[ConvolutionalCode]:
+    """The code after the first ``action`` rewrite that fires, or None.
 
-
-def normalize_leading_delay(code: ConvolutionalCode) -> ConvolutionalCode:
-    """Strip leading identity frames from every generator."""
-    gens = []
-    for gen in code.generators:
-        stripped, _count = _strip_leading(gen)
-        gens.append(stripped)
-    return ConvolutionalCode(code.n, code.k, tuple(gens))
-
-
-def _front_pass(code: ConvolutionalCode, steps: List[ShortenStep]) -> Optional[ConvolutionalCode]:
-    gens = list(code.generators)
+    The "front" rewrite clears generator i's first block, the "back" rewrite
+    its last block.  That end block is solved as a combination of the same
+    end blocks of the other generators of degree at most deg_i.  On the
+    stream words, a front partner j is placed at frame 1 and a back partner
+    end-aligned, shifted left by 2n(deg_i - deg_j), and the product is the
+    XOR of the placed words.  Its end frame is then clear.  Its leading
+    identity frames go by one right shift by whole frames, and its trailing
+    ones as the generator is rebuilt from the word.  A back combination of 0
+    means the last block is already the identity (only a generator built
+    with trailing identity frames has one), so the degree cannot drop.
+    """
+    gens = code.generators
+    frame = 2 * code.n
+    front = action == "front"
+    end = 0 if front else -1
     for i, gen in enumerate(gens):
         cands = [
             j for j, other in enumerate(gens) if j != i and other.degree <= gen.degree
         ]
         if not cands:
             continue
-        target = pauli_to_vec(gen.blocks[0])
-        combo = gf2_solve_combination([pauli_to_vec(gens[j].blocks[0]) for j in cands], target)
+        target = pauli_to_vec(gen.blocks[end])
+        combo = gf2_solve_combination([pauli_to_vec(gens[j].blocks[end]) for j in cands], target)
         if combo is None:
             continue
         partners = [cands[b] for b in range(len(cands)) if (combo >> b) & 1]
-        new_gen = gen
+        word = _stream_words(gen)[0]
         for j in partners:
-            new_gen = multiply_generators(new_gen, gens[j])
-        if not new_gen.blocks[0].is_identity:
+            shift = 0 if front else gen.degree - gens[j].degree
+            word ^= _stream_words(gens[j])[0] << frame * shift
+        if not word:
             raise DegenerateCodeError(
-                f"front rewrite of generator {i + 1} failed to clear the first block"
+                "generator is the all-identity stream"
+                if front
+                else f"back rewrite collapsed generator {i + 1} to identity"
             )
-        new_gen, _stripped = _strip_leading(new_gen)
-        gens[i] = new_gen
-        steps.append(
-            ShortenStep(
-                action="front",
-                generator=i + 1,
-                partners=tuple(j + 1 for j in partners),
-                degree_after=new_gen.degree,
-            )
-        )
-        return ConvolutionalCode(code.n, code.k, tuple(gens))
-    return None
-
-
-def _back_pass(code: ConvolutionalCode, steps: List[ShortenStep]) -> Optional[ConvolutionalCode]:
-    gens = list(code.generators)
-    for i, gen in enumerate(gens):
-        cands = [
-            j for j, other in enumerate(gens) if j != i and other.degree <= gen.degree
-        ]
-        if not cands:
-            continue
-        target = pauli_to_vec(gen.blocks[-1])
-        combo = gf2_solve_combination(
-            [pauli_to_vec(gens[j].blocks[-1]) for j in cands], target
-        )
-        if combo is None:
-            continue
-        partners = [cands[b] for b in range(len(cands)) if (combo >> b) & 1]
-        new_gen = gen
-        for j in partners:
-            shifted = delay_generator(gens[j], gen.degree - gens[j].degree)
-            new_gen = multiply_generators(new_gen, shifted)
-        if new_gen.is_identity:
+        if word >> frame * (0 if front else gen.degree - 1) & (1 << frame) - 1:
             raise DegenerateCodeError(
-                f"back rewrite collapsed generator {i + 1} to identity"
+                f"{action} rewrite of generator {i + 1} failed to clear the "
+                f"{'first' if front else 'last'} block"
             )
-        if new_gen.degree >= gen.degree:
+        if not front and not combo:
             raise DegenerateCodeError(
                 f"back rewrite of generator {i + 1} did not lower its degree "
                 f"{gen.degree}; its last block is the identity"
             )
-        new_gen, _stripped = _strip_leading(new_gen)
-        gens[i] = new_gen
+        leading = ((word & -word).bit_length() - 1) // frame
+        new_gen = _generator_from_word(word >> frame * leading, code.n)
         steps.append(
-            ShortenStep(
-                action="back",
-                generator=i + 1,
-                partners=tuple(j + 1 for j in partners),
-                degree_after=new_gen.degree,
-            )
+            ShortenStep(action, i + 1, tuple(j + 1 for j in partners), new_gen.degree)
         )
-        return ConvolutionalCode(code.n, code.k, tuple(gens))
+        return code.with_generator(i, new_gen)
     return None
 
 
 def shorten(code: ConvolutionalCode) -> ShorteningReport:
-    """Reduce generator degrees until neither pass can rewrite anything.
+    """Reduce generator degrees until neither rewrite fires.
 
-    The front pass clears a first block expressible through other first
-    blocks (of generators with degree no larger) and advances the stream;
-    the back pass clears a last block the same way with end-aligned shifts.
+    Leading identity frames are stripped first ("normalize" steps).  Then
+    each round applies the front rewrite to the first generator that admits
+    one, or else the back rewrite.
     """
     steps: List[ShortenStep] = []
     current = code
     for i, gen in enumerate(current.generators):
-        stripped, count = _strip_leading(gen)
+        if gen.is_identity:
+            raise DegenerateCodeError("generator is the all-identity stream")
+        count = 0
+        while gen.blocks[count].is_identity:
+            count += 1
         if count:
+            stripped = delay_generator(gen, -count)
             current = current.with_generator(i, stripped)
-            steps.append(
-                ShortenStep("normalize", i + 1, (), stripped.degree)
-            )
-    while True:
-        nxt = _front_pass(current, steps)
-        if nxt is not None:
-            current = nxt
-            continue
-        nxt = _back_pass(current, steps)
-        if nxt is not None:
-            current = nxt
-            continue
-        break
+            steps.append(ShortenStep("normalize", i + 1, (), stripped.degree))
+    while nxt := _rewrite(current, steps, "front") or _rewrite(current, steps, "back"):
+        current = nxt
     assert validate_code(current).valid
     return ShorteningReport(input_code=code, output_code=current, steps=steps)
 

@@ -37,7 +37,6 @@ from .pauli import (
     gf2_combination,
     gf2_in_rowspan,
     gf2_rank,
-    gf2_span,
     operators_from_commutativity,
     pauli_to_vec,
     swap_halves,
@@ -357,11 +356,6 @@ class CentralizerBasis:
     def __len__(self) -> int:
         return 1 << len(self.basis)
 
-    def vectors(self) -> List[int]:
-        """Every element, packed; entry 0 is the identity."""
-        # Last basis element fastest: add_noncatastrophic_rows samples this order.
-        return gf2_span([pauli_to_vec(b) for b in reversed(self.basis)])
-
     def contains(self, op: Pauli) -> bool:
         return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in self.basis])
 
@@ -388,20 +382,28 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     Row r is the word in | out << 2w of its two words (w = m + n), with one
     unknown GF(2) coefficient.  The constraints are ``_products(probes,
     words)``: bits 2w + b and 3w + b for each physical qubit b, then, with
-    each memory operator g placed as g.x | g.z << w, swap_halves(g) and
-    swap_halves(g) << n + 2w, so both memory parts commute with every g.  An
-    S1 row is one combination of the words, checked against those
-    conditions again (memory by one echelon over the centralizer basis),
-    then made a row of Paulis.
+    each memory operator g placed as g.x | g.z << w, swap_halves(g), so the
+    input memory commutes with every g.  An S1 row is one combination of
+    the words, checked against the conditions again (both memory parts by
+    one echelon over the centralizer basis), then made a row of Paulis.
+
+    The output memory needs no constraint of its own.  Consistent rows keep
+    products: <in(c), in(r)> = <out(c), out(r)> for a combination c and
+    each generator row r.  With no physical output in c, and ancilla inputs
+    that are all Z-only and no information input, this is
+    <mem_out(c), mem_out(r)> = <mem_in(c), mem_in(r)>, which is 0 when
+    mem_in(c) commutes with every g.  The rows' mem_out range over every
+    g_{i,j}, so mem_out(c) then commutes with every g too.  Constraints on
+    the output memory would leave the solution space, and with it the
+    reduced echelon and the annihilator basis, unchanged.  Inconsistent
+    hand-built rows fail the output check instead.
     """
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
     ins, outs = _encoder_words(encoder.rows, w)
     words = [x | y << 2 * w for x, y in zip(ins, outs)]
     ops = encoder.memory_ops.as_list() if encoder.memory_ops else []
-    swapped_ops = [swap_halves(g.x | g.z << w, w) for g in ops]
     probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
-    probes += swapped_ops
-    probes += [g << n + 2 * w for g in swapped_ops]
+    probes += [swap_halves(g.x | g.z << w, w) for g in ops]
     span = _Echelon(b.x | b.z << w for b in centralizer.basis)
     physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
@@ -511,13 +513,19 @@ def add_noncatastrophic_rows(
                 candidates.append(b)
         if len(candidates) == needed:  # each raised the rank: completion_ok holds
             yield candidates
-        # Seeded random draws, made only once the sets before them failed.
-        elements = centralizer.vectors()[1:]
+        # Seeded random draws, made only once the sets before them failed,
+        # from the nonidentity centralizer elements.  Element c is the
+        # combination c of the reversed basis (last basis element fastest).
+        # Sampling reads only the population's length and entries, so
+        # sampling the indices c draws what sampling the listed elements would.
+        vecs = [pauli_to_vec(b) for b in reversed(centralizer.basis)]
+        elements = range(1, len(centralizer))
         if not elements or needed == 0:
             return
         rng = random.Random(seed)
         for _ in range(500):
-            pick = rng.sample(elements, min(needed, len(elements)))
+            picked = rng.sample(elements, min(needed, len(elements)))
+            pick = [gf2_combination(vecs, c) for c in picked]
             if len(pick) == needed and completion_ok(pick):
                 yield [vec_to_pauli(vec, m) for vec in pick]
 

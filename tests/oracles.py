@@ -4,8 +4,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
-from qconvenc.errors import InvalidMatrixError
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, _trim_trailing, delay_generator
+from qconvenc.errors import DegenerateCodeError, InvalidMatrixError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
     GramSchmidtResult,
@@ -49,10 +49,43 @@ def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
     return _Echelon(rows).dependencies
 
 
+def centralizer_vectors(centralizer) -> List[int]:
+    """Every element of a ``CentralizerBasis``, packed; entry 0 is the identity.
+
+    Entry c is ``gf2_combination`` of the reversed basis with mask c, so the
+    last basis element toggles fastest: add_noncatastrophic_rows draws entry
+    c without listing the others.
+    """
+    return gf2_span([pauli_to_vec(b) for b in reversed(centralizer.basis)])
+
+
 def enumerate_centralizer(centralizer) -> List[Pauli]:
     """Every element of a ``CentralizerBasis`` as a Pauli, in the order of
-    ``centralizer.vectors()``: 2^|basis| of them, for small bases only."""
-    return [vec_to_pauli(vec, centralizer.m) for vec in centralizer.vectors()]
+    ``centralizer_vectors``: 2^|basis| of them, for small bases only."""
+    return [vec_to_pauli(vec, centralizer.m) for vec in centralizer_vectors(centralizer)]
+
+
+def normalize_leading_delay(code: ConvolutionalCode) -> ConvolutionalCode:
+    """Strip leading identity frames from every generator, keeping trailing
+    ones; an all-identity generator raises ``DegenerateCodeError``."""
+    gens = []
+    for gen in code.generators:
+        if gen.is_identity:
+            raise DegenerateCodeError("generator is the all-identity stream")
+        count = next(j for j, block in enumerate(gen.blocks) if not block.is_identity)
+        gens.append(delay_generator(gen, -count))
+    return ConvolutionalCode(code.n, code.k, tuple(gens))
+
+
+def multiply_generators_by_blocks(
+    a: GeneratorPolynomial, b: GeneratorPolynomial
+) -> GeneratorPolynomial:
+    """Reference for ``multiply_generators``: the Pauli product of each frame,
+    aligned at frame 1, trailing identity frames trimmed (one kept)."""
+    if a.width != b.width:
+        raise WidthMismatchError(f"generator widths {a.width} and {b.width} differ")
+    degree = max(a.degree, b.degree)
+    return _trim_trailing([a.block(j) * b.block(j) for j in range(1, degree + 1)])
 
 
 def exists_gram_realization(

@@ -415,3 +415,16 @@ STATE_DIAGRAM_DIGEST = "ba226e921f8644c60371a32cbf83fff3e721600093ce2e6bb8ff2b13
 # from the synthesis that combined S1 rows and checked row consistency on
 # Pauli objects.
 INFLATED_SYNTHESIS_DIGEST = "1ba73ed4600661e79251afcfa2e7c02abb5172c33353b302b22ecb26256d5ae8"
+
+# sha256 over the shortening of the rewritten corpus codes in
+# tests/test_shorten.py:shorten_cases; see shorten_digest for the line
+# format.  Recorded from the passes that multiplied generators block by
+# block.
+SHORTEN_DIGEST = "caf793e3584f280df732fa469a6a391904bcb94c01dbdd3b2767d8de9a6df95a"
+
+# sha256 over the S1 rows and added rows of the self-delay inflations in
+# tests/test_tableau.py:RANDOM_COMPLETION_CASES, seeds 0-7, all of which
+# reach the seeded random completion draws; see random_completion_digest
+# for the line format.  Recorded from the draws that listed the whole
+# centralizer span.
+RANDOM_COMPLETION_DIGEST = "256efb6dd4e0464101b0354f54cec0cdb6ce685f3e4a0c7631a76018f37bd446"

@@ -1,10 +1,11 @@
 """Parser, serializer, validity, and generator-arithmetic tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import load_code
+from oracles import multiply_generators_by_blocks
 from qconvenc.pauli import Pauli
 from qconvenc.code import (
     ConvolutionalCode,
@@ -135,6 +136,30 @@ def test_multiply_generators_trims_trailing_identity():
     cancel = multiply_generators(a, a)
     assert cancel.is_identity
     assert cancel.degree == 1
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two generators of one width, 1-5 blocks each, often with identity blocks."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    mask = (1 << n) - 1
+    block = st.one_of(
+        st.just(Pauli.identity(n)),
+        st.builds(Pauli, st.just(n), st.integers(0, mask), st.integers(0, mask)),
+    )
+    blocks = st.lists(block, min_size=1, max_size=5).map(tuple)
+    return GeneratorPolynomial(draw(blocks)), GeneratorPolynomial(draw(blocks))
+
+
+XX_ZZ = GeneratorPolynomial.from_strings(["XX", "ZZ"])
+
+
+@given(generator_pairs())
+@example((XX_ZZ, XX_ZZ))  # an all-identity product is one identity block
+@example((GeneratorPolynomial.from_strings(["II", "II"]), GeneratorPolynomial.from_strings(["II"])))
+def test_multiply_generators_matches_blockwise_product(pair):
+    a, b = pair
+    assert multiply_generators(a, b) == multiply_generators_by_blocks(a, b)
 
 
 @st.composite

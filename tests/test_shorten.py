@@ -1,16 +1,23 @@
 """Degree-reduction (shortening) and group-equivalence tests."""
 
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_code
-from oracles import group_equivalent_on_strip_paulis
+from oracles import group_equivalent_on_strip_paulis, normalize_leading_delay
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from qconvenc.code import delay_generator, multiply_generators
-from qconvenc.errors import DegenerateCodeError, WidthMismatchError, WindowError
-from qconvenc.shorten import group_equivalent, normalize_leading_delay, shorten
-from reference_data import CORPUS
+from qconvenc.errors import DegenerateCodeError, QconvError, WidthMismatchError, WindowError
+from qconvenc.shorten import group_equivalent, shorten
+from reference_data import CORPUS, SHORTEN_DIGEST
 
 
 def test_normalize_strips_leading_identity_frames():
@@ -21,6 +28,7 @@ def test_normalize_strips_leading_identity_frames():
     )
     normalized = normalize_leading_delay(code)
     assert str(normalized.generators[0]) == "XX|ZZ"
+    assert shorten(code).output_code == normalized
 
 
 def test_normalize_rejects_identity_generator():
@@ -29,6 +37,8 @@ def test_normalize_rejects_identity_generator():
     )
     with pytest.raises(DegenerateCodeError):
         normalize_leading_delay(code)
+    with pytest.raises(DegenerateCodeError, match="all-identity"):
+        shorten(code)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -164,3 +174,76 @@ def test_group_equivalent_matches_strip_pauli_oracle(data):
     need = max(a.max_degree, b.max_degree) + 2
     window = need + data.draw(st.integers(0, 3))
     assert group_equivalent(a, b, window) == group_equivalent_on_strip_paulis(a, b, window)
+
+
+def _rewritten(rng, code, rewrites):
+    """``code`` after ``rewrites`` seeded rewrites, d <= 4: mostly
+    g_i <- g_i * D^d g_j, often g_i <- D^d g_i, and rarely g_i <- D^d g_j,
+    which makes the code degenerate."""
+    gens = list(code.generators)
+    for _ in range(rewrites):
+        i = rng.randrange(len(gens))
+        j = rng.choice([x for x in range(len(gens)) if x != i])
+        d = rng.randint(0, 4)
+        roll = rng.random()
+        if roll < 0.05:
+            gens[i] = delay_generator(gens[j], d)
+        elif roll < 0.35:
+            gens[i] = delay_generator(gens[i], d)
+        else:
+            gens[i] = multiply_generators(gens[i], delay_generator(gens[j], d))
+    return ConvolutionalCode(code.n, code.k, tuple(gens))
+
+
+def shorten_cases():
+    """60 rewritten copies of each corpus code (``random.Random(5)``, 0-4
+    rewrites each), then the trailing-identity code above."""
+    rng = random.Random(5)
+    cases = []
+    for name in CORPUS:
+        base = load_code(name)
+        cases += [_rewritten(rng, base, rng.randint(0, 4)) for _ in range(60)]
+    cases.append(
+        ConvolutionalCode(
+            3,
+            1,
+            (
+                GeneratorPolynomial.from_strings(["ZZI", "III"]),
+                GeneratorPolynomial.from_strings(["IZZ"]),
+            ),
+        )
+    )
+    return cases
+
+
+def shorten_digest() -> str:
+    """sha256 of one line per ``shorten_cases`` code: its generators, then
+    the steps and output generators, or "<type>: <message>" of the error."""
+    digest = hashlib.sha256()
+    for code in shorten_cases():
+        line = [[str(g) for g in code.generators]]
+        try:
+            report = shorten(code)
+        except QconvError as exc:
+            line.append(f"{type(exc).__name__}: {exc}")
+        else:
+            line.append([list(step) for step in report.steps])
+            line.append([str(g) for g in report.output_code.generators])
+        digest.update((json.dumps(line) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_shorten_matches_pinned_digest():
+    assert shorten_digest() == SHORTEN_DIGEST
+
+
+def test_shorten_matches_pinned_digest_under_optimized_mode():
+    # shorten ends in an assert, which -O strips.
+    script = (
+        f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
+        "from test_shorten import shorten_digest; print(shorten_digest())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == SHORTEN_DIGEST

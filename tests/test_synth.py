@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import load_code
 from oracles import (
     backward_matrix_by_blocks,
+    centralizer_vectors,
     enumerate_centralizer,
     forward_matrix_by_blocks,
     labelled_cycle_by_enumeration,
@@ -331,7 +332,7 @@ def test_centralizer_enumeration_size(running2):
                 acc = acc * op
         expected.append(acc)
     assert elements == expected
-    assert cent.vectors() == [pauli_to_vec(e) for e in expected]
+    assert centralizer_vectors(cent) == [pauli_to_vec(e) for e in expected]
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -355,6 +356,26 @@ def test_find_s1_refuses_a_combination_that_breaks_its_conditions(monkeypatch):
     monkeypatch.setattr(synth_module, "_annihilator", lambda rows, bits: [1])  # row 1 alone
     with pytest.raises(SynthesisFailureError, match="physical output"):
         find_s1(encoder, cent)
+
+
+def test_find_s1_refuses_inconsistent_rows_whose_output_memory_leaves_the_centralizer():
+    # Only consistent rows carry a centralizer input memory into a centralizer
+    # output memory.  An identity-input row with a memory output that
+    # anticommutes with a memory operator is inconsistent, and alone it is an
+    # S1 combination by the input constraints.
+    code = load_code("running2")
+    table = assign_memory_operators(build_commutativity_matrix(code))
+    encoder = assemble_partial_encoder(code, table)
+    cent = compute_centralizer(table)
+    ops = table.as_list()
+    outside = next(g for g in ops if any(symplectic_product(g, h) for h in ops))
+    m, n, k = encoder.m, encoder.n, encoder.k
+    stray = EncoderRow(
+        Pauli.identity(m), Pauli.identity(n - k), Pauli.identity(k), Pauli.identity(n), outside
+    )
+    inconsistent = PartialEncoder(m, n, k, encoder.rows + [stray], memory_ops=table)
+    with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
+        find_s1(inconsistent, cent)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -440,10 +461,10 @@ def test_catastrophic_combination_matches_enumeration(rows):
 
 
 def test_greedy_rows_accepted_without_drawing(monkeypatch, running1):
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("random candidates drawn")
 
-    monkeypatch.setattr(synth_module.CentralizerBasis, "vectors", refuse)
+    monkeypatch.setattr(synth_module.random.Random, "sample", refuse)
     result = synthesize(running1)
     assert [row.as_strings() for row in result.encoder.added_rows] == ADDED_ROWS_DERIVED[
         "running1"

@@ -62,6 +62,7 @@ from reference_data import (
     CORPUS,
     FORNEY8_D5_PARTIAL_CYCLE_WITNESS,
     INFLATED_SYNTHESIS_DIGEST,
+    RANDOM_COMPLETION_DIGEST,
     RUNNING2_PARTIAL_CYCLE_WITNESSES,
     STATE_DIAGRAM_DIGEST,
 )
@@ -644,6 +645,29 @@ def inflated_synthesis_digest() -> str:
 
 def test_inflated_synthesis_matches_pinned_digest():
     assert inflated_synthesis_digest() == INFLATED_SYNTHESIS_DIGEST
+
+
+# Self-delay inflations whose greedy completion is catastrophic at every
+# seed 0-7, so add_noncatastrophic_rows reaches its seeded random draws.
+RANDOM_COMPLETION_CASES = [("gr07-third", 1), ("gr07-third", 3), ("running2", 1)]
+
+
+def random_completion_digest() -> str:
+    """sha256 of the S1 rows and added rows of every
+    ``RANDOM_COMPLETION_CASES`` code synthesized with seeds 0-7."""
+    digest = hashlib.sha256()
+    for name, d in RANDOM_COMPLETION_CASES:
+        code = inflated_code(name, d)
+        for seed in range(8):
+            result = synthesize(code, seed=seed)
+            s1 = [row.as_strings() for row in result.context.s1_rows]
+            added = [row.as_strings() for row in result.encoder.added_rows]
+            digest.update((json.dumps([name, d, seed, s1, added]) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_random_completions_match_pinned_digest():
+    assert random_completion_digest() == RANDOM_COMPLETION_DIGEST
 
 
 def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
