@@ -165,7 +165,7 @@ def parse_code(text: str) -> ConvolutionalCode:
                 )
             try:
                 blocks.append(Pauli.from_string(part))
-            except ValueError as exc:
+            except ParseError as exc:
                 raise ParseError(str(exc), lineno) from exc
         generators.append(_trim_trailing(blocks))
 

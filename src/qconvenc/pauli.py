@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidMatrixError, WidthMismatchError
+from .errors import InvalidMatrixError, ParseError, WidthMismatchError
 
 __all__ = [
     "Pauli",
@@ -47,9 +47,7 @@ __all__ = [
     "gf2_span",
     "gf2_basis",
     "gf2_rank",
-    "gf2_in_rowspan",
     "gf2_solve_combination",
-    "gf2_solve_dot_system",
     "gf2_invert",
     "symplectic_gram_schmidt",
     "operators_from_commutativity",
@@ -87,7 +85,7 @@ class Pauli(namedtuple("Pauli", "width x z")):
         x = z = 0
         for q, ch in enumerate(text):
             if ch not in _CHAR_TO_BITS:
-                raise ValueError(f"invalid Pauli character {ch!r} at position {q}")
+                raise ParseError(f"invalid Pauli character {ch!r} at position {q}")
             xb, zb = _CHAR_TO_BITS[ch]
             x |= xb << q
             z |= zb << q
@@ -358,10 +356,6 @@ def gf2_rank(rows: Iterable[int]) -> int:
     return len(_Echelon(rows).rows)
 
 
-def gf2_in_rowspan(vec: int, rows: Iterable[int]) -> bool:
-    return _Echelon(rows).reduce(vec)[0] == 0
-
-
 def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
     """Lexicographically least coefficient mask c with XOR-combination = target.
 
@@ -376,20 +370,6 @@ def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
         basis.add(rows[i], 1 << i)
     rest, combo = basis.reduce(target)
     return combo if rest == 0 else None
-
-
-def gf2_solve_dot_system(
-    rows: Sequence[int], ncols: int, rhs: Sequence[int]
-) -> Optional[Tuple[int, List[int]]]:
-    """Solve <rows[i], v> = rhs[i] (dot-product parity) for v.
-
-    Returns (particular solution with free variables zero, nullspace basis),
-    or None when inconsistent.
-    """
-    if len(rows) != len(rhs):
-        raise InvalidMatrixError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
-    return _Echelon(rows).solve_dot(rhs_mask, ncols)
 
 
 def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:

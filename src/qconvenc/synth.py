@@ -6,16 +6,17 @@ lay out the frame-by-frame encoder rows, and append extra information-qubit
 rows that provably rule out catastrophic behavior.
 
 Encoder rows describe how one application of the (not yet completed) encoder
-unitary must transform Paulis: inputs are (memory, ancilla, information)
-parts, outputs are (physical, memory) parts.  ``EncoderRow`` holds them
-as ``Pauli``s; the checks and searches read each row as one input and one
-output word on all m + n qubits (``_row_words``), laid out as ``pauli_to_vec``.
+unitary must transform Paulis.  ``EncoderRow`` holds each row as its input
+and output word, in the layout its docstring states; rows are built, checked,
+combined and completed on those words, and ``Pauli`` parts are read only for
+text, JSON and tests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, _stream_words, validate_code
 from .errors import (
@@ -35,7 +36,6 @@ from .pauli import (
     _products,
     cycle_core,
     gf2_combination,
-    gf2_in_rowspan,
     gf2_rank,
     operators_from_commutativity,
     pauli_to_vec,
@@ -206,20 +206,57 @@ def assign_memory_operators(omega: MemoryCommutativityMatrix) -> MemoryOperatorT
     return MemoryOperatorTable(m, table, list(omega.index_map))
 
 
-class EncoderRow(NamedTuple):
-    """One input-output Pauli constraint on the encoder unitary."""
+def _restrict(word: int, w: int, start: int, stop: int) -> int:
+    """The packed restriction of a packed ``w``-qubit word to qubits [start, stop)."""
+    mask = (1 << stop - start) - 1
+    return word >> start & mask | (word >> w + start & mask) << stop - start
 
-    mem_in: Pauli
-    anc_in: Pauli
-    info_in: Pauli
-    phys_out: Pauli
-    mem_out: Pauli
 
-    def input_pauli(self) -> Pauli:
-        return self.mem_in.concat(self.anc_in).concat(self.info_in)
+def _place(op: Pauli, w: int, at: int) -> int:
+    """``op`` on qubits [at, at + op.width) of a packed ``w``-qubit word."""
+    return (op.x | op.z << w) << at
 
-    def output_pauli(self) -> Pauli:
-        return self.phys_out.concat(self.mem_out)
+
+class EncoderRow(namedtuple("EncoderRow", "m n k inputs outputs")):
+    """One input-output Pauli constraint on an (m, n, k) encoder unitary.
+
+    ``inputs`` and ``outputs`` are packed Paulis on the w = m + n qubits,
+    laid out as ``pauli_to_vec``.  Input qubits are memory [0, m), ancilla
+    [m, w - k) and information [w - k, w); output qubits are physical
+    [0, n) and memory [n, w).  The five parts are restrictions of the words.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, k: int, inputs: int, outputs: int) -> "EncoderRow":
+        if m < 0 or not 0 <= k <= n:
+            raise WidthMismatchError(f"no encoder row has m={m}, n={n}, k={k}")
+        if inputs < 0 or outputs < 0 or (inputs | outputs) >> 2 * (m + n):
+            raise WidthMismatchError(f"words {inputs:#x}, {outputs:#x} do not fit {m + n} qubits")
+        return tuple.__new__(cls, (m, n, k, inputs, outputs))
+
+    def _part(self, word: int, start: int, stop: int) -> Pauli:
+        return vec_to_pauli(_restrict(word, self.m + self.n, start, stop), stop - start)
+
+    @property
+    def mem_in(self) -> Pauli:
+        return self._part(self.inputs, 0, self.m)
+
+    @property
+    def anc_in(self) -> Pauli:
+        return self._part(self.inputs, self.m, self.m + self.n - self.k)
+
+    @property
+    def info_in(self) -> Pauli:
+        return self._part(self.inputs, self.m + self.n - self.k, self.m + self.n)
+
+    @property
+    def phys_out(self) -> Pauli:
+        return self._part(self.outputs, 0, self.n)
+
+    @property
+    def mem_out(self) -> Pauli:
+        return self._part(self.outputs, self.n, self.m + self.n)
 
     def as_strings(self) -> Dict[str, str]:
         return {
@@ -261,51 +298,23 @@ class PartialEncoder:
         return self.m + self.n
 
 
-def _row_words(row: EncoderRow) -> Tuple[int, int, int, int]:
-    """``pauli_to_vec`` of the row's input and output Paulis, and their
-    widths, by shifts of the five parts' words: no Pauli is built."""
-    ((mem_w, mem_x, mem_z), (anc_w, anc_x, anc_z), (info_w, info_x, info_z),
-     (phys_w, phys_x, phys_z), (next_w, next_x, next_z)) = row
-    info_at = mem_w + anc_w
-    in_w = info_at + info_w
-    out_w = phys_w + next_w
-    in_x = mem_x | anc_x << mem_w | info_x << info_at
-    in_z = mem_z | anc_z << mem_w | info_z << info_at
-    out_x, out_z = phys_x | next_x << phys_w, phys_z | next_z << phys_w
-    return in_x | in_z << in_w, out_x | out_z << out_w, in_w, out_w
-
-
 def _encoder_words(rows: Sequence[EncoderRow], w: int) -> Tuple[List[int], List[int]]:
     """Input and output words of rows of a ``w``-qubit encoder; a row of
     another width raises ``WidthMismatchError``."""
-    words = [_row_words(row) for row in rows]
-    for _, _, in_w, out_w in words:
-        if in_w != w or out_w != w:
-            raise WidthMismatchError(f"a row maps {in_w} to {out_w} qubits in a {w}-qubit encoder")
-    return [word[0] for word in words], [word[1] for word in words]
-
-
-def _restrict(word: int, w: int, start: int, stop: int) -> int:
-    """The packed restriction of a packed ``w``-qubit word to qubits [start, stop)."""
-    mask = (1 << stop - start) - 1
-    return word >> start & mask | (word >> w + start & mask) << stop - start
-
-
-def _row_from_words(in_word: int, out_word: int, m: int, n: int, k: int) -> EncoderRow:
-    """The row of an (m, n, k) encoder that ``_row_words`` packs into these words."""
-    w = m + n
-    cuts = [(in_word, 0, m), (in_word, m, w - k), (in_word, w - k, w)]
-    cuts += [(out_word, 0, n), (out_word, n, w)]
-    return EncoderRow(*(vec_to_pauli(_restrict(word, w, a, b), b - a) for word, a, b in cuts))
+    for row in rows:
+        if row.m + row.n != w:
+            raise WidthMismatchError(
+                f"a row maps {row.m + row.n} to {row.m + row.n} qubits in a {w}-qubit encoder"
+            )
+    return [row.inputs for row in rows], [row.outputs for row in rows]
 
 
 def _check_row_consistency(rows: Sequence[EncoderRow]) -> None:
-    words = [_row_words(row) for row in rows]
-    w = words[0][2] if words else 0
-    if any(in_w != w or out_w != w for _, _, in_w, out_w in words):
+    w = rows[0].m + rows[0].n if rows else 0
+    if any(row.m + row.n != w for row in rows):
         raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
-    in_vecs = [word[0] for word in words]
-    pair = _product_mismatch(in_vecs, [word[1] for word in words], w)
+    in_vecs = [row.inputs for row in rows]
+    pair = _product_mismatch(in_vecs, [row.outputs for row in rows], w)
     if pair is not None:
         a, b = pair
         lhs = symplectic_product_vec(in_vecs[a], in_vecs[b], w)
@@ -324,22 +333,18 @@ def assemble_partial_encoder(
     Z_i is consumed instead), emits block h_{i,j} on the physical qubits and
     hands g_{i,j} (identity at j=l_i) to the next frame.
     """
-    n, k = code.n, code.k
-    s = n - k
-    m = table.m
-    no_mem, no_anc, no_info = Pauli.identity(m), Pauli.identity(s), Pauli.identity(k)
+    n, k, m = code.n, code.k, table.m
+    w = m + n
+    if any(op.width != m for op in table.ops.values()):
+        raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
+
     rows: List[EncoderRow] = []
     for i, gen in enumerate(code.generators, start=1):
         for j in range(1, gen.degree + 1):
-            rows.append(
-                EncoderRow(
-                    mem_in=table.op(i, j - 1) if j > 1 else no_mem,
-                    anc_in=Pauli(s, 0, 1 << (i - 1)) if j == 1 else no_anc,
-                    info_in=no_info,
-                    phys_out=gen.block(j),
-                    mem_out=table.op(i, j) if j < gen.degree else no_mem,
-                )
-            )
+            # Ancilla Z_i is input qubit m + i - 1.
+            consumed = _place(table.op(i, j - 1), w, 0) if j > 1 else 1 << w + m + i - 1
+            handed = _place(table.op(i, j), w, n) if j < gen.degree else 0
+            rows.append(EncoderRow(m, n, k, consumed, _place(gen.block(j), w, 0) | handed))
     _check_row_consistency(rows)
     return PartialEncoder(m=m, n=n, k=k, rows=rows, memory_ops=table)
 
@@ -355,9 +360,6 @@ class CentralizerBasis:
 
     def __len__(self) -> int:
         return 1 << len(self.basis)
-
-    def contains(self, op: Pauli) -> bool:
-        return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in self.basis])
 
 
 def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
@@ -385,7 +387,7 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     each memory operator g placed as g.x | g.z << w, swap_halves(g), so the
     input memory commutes with every g.  An S1 row is one combination of
     the words, checked against the conditions again (both memory parts by
-    one echelon over the centralizer basis), then made a row of Paulis.
+    one echelon over the centralizer basis), and kept as a row.
 
     The output memory needs no constraint of its own.  Consistent rows keep
     products: <in(c), in(r)> = <out(c), out(r)> for a combination c and
@@ -403,8 +405,8 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     words = [x | y << 2 * w for x, y in zip(ins, outs)]
     ops = encoder.memory_ops.as_list() if encoder.memory_ops else []
     probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
-    probes += [swap_halves(g.x | g.z << w, w) for g in ops]
-    span = _Echelon(b.x | b.z << w for b in centralizer.basis)
+    probes += [swap_halves(_place(g, w, 0), w) for g in ops]
+    span = _Echelon(_place(b, w, 0) for b in centralizer.basis)
     physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
@@ -414,7 +416,7 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
             raise SynthesisFailureError("an S1 combination has physical output")
         if span.reduce(combo & memory)[0] or span.reduce(combo >> n + 2 * w & memory)[0]:
             raise SynthesisFailureError("an S1 combination leaves the centralizer")
-        combos.append(_row_from_words(combo & (1 << 2 * w) - 1, combo >> 2 * w, m, n, k))
+        combos.append(EncoderRow(m, n, k, combo & (1 << 2 * w) - 1, combo >> 2 * w))
     return combos
 
 
@@ -474,26 +476,19 @@ def add_noncatastrophic_rows(
         raise AssemblyError("the encoder has no memory operator table")
     centralizer = compute_centralizer(encoder.memory_ops)
     s1 = find_s1(encoder, centralizer)
-    m, n, k, s = encoder.m, encoder.n, encoder.k, encoder.n - encoder.k
+    m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
 
-    s1_out_vecs = [pauli_to_vec(row.mem_out) for row in s1]
+    s1_out_vecs = [_restrict(row.outputs, w, n, w) for row in s1]
 
     def completion_ok(vecs: List[int]) -> bool:
         return gf2_rank(s1_out_vecs + vecs) == len(centralizer.basis)
 
     def build_rows(cands: List[Pauli]) -> List[EncoderRow]:
-        out = []
-        for idx, target in enumerate(cands):
-            out.append(
-                EncoderRow(
-                    mem_in=Pauli.identity(m),
-                    anc_in=Pauli.identity(s),
-                    info_in=Pauli(k, 1 << idx, 0),
-                    phys_out=Pauli.identity(n),
-                    mem_out=target,
-                )
-            )
-        return out
+        # X on information qubit idx -> identity physical, the target on memory.
+        return [
+            EncoderRow(m, n, k, 1 << w - k + idx, _place(t, w, n))
+            for idx, t in enumerate(cands)
+        ]
 
     span = _Echelon(s1_out_vecs)  # the greedy attempt grows it
     needed = len(centralizer.basis) - len(span.rows)

@@ -84,7 +84,7 @@ class CliffordTableau:
 
     def __init__(self, width: int, images: Sequence[int]):
         if len(images) != 2 * width:
-            raise ValueError(
+            raise WidthMismatchError(
                 f"tableau of width {width} needs {2 * width} images, got {len(images)}"
             )
         self.width = width
@@ -171,9 +171,9 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     given rows map exactly as specified.  Seed 0 extends along the standard
     basis; other seeds randomize both the direction and the image choice.
 
-    Rows are read as packed words (``synth._encoder_words``).  Two echelons
-    grow by one row per pair: the inputs and the swapped outputs (an image
-    is outside span(outputs) iff its swap_halves is outside theirs).  They
+    Each row is read as its input and output word.  Two echelons grow by
+    one row per pair: the inputs and the swapped outputs (an image is
+    outside span(outputs) iff its swap_halves is outside theirs).  They
     answer every membership probe, solve each new image's commutation
     constraints, report dependent given rows, and, once the inputs span
     everything, the input tags give the inverse of the input basis.  The

@@ -12,9 +12,7 @@ from qconvenc.pauli import (
     Pauli,
     _Echelon,
     gf2_combination,
-    gf2_in_rowspan,
     gf2_rank,
-    gf2_solve_dot_system,
     gf2_span,
     pauli_to_vec,
     shortest_path,
@@ -23,7 +21,7 @@ from qconvenc.pauli import (
     symplectic_product_vec,
     vec_to_pauli,
 )
-from qconvenc.synth import _memory_indices
+from qconvenc.synth import EncoderRow, _memory_indices
 from qconvenc.tableau import (
     DEFAULT_MEMORY_BOUND,
     CliffordTableau,
@@ -47,6 +45,57 @@ def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
     independent rows equal to it.
     """
     return _Echelon(rows).dependencies
+
+
+def gf2_in_rowspan(vec: int, rows: Sequence[int]) -> bool:
+    return _Echelon(rows).reduce(vec)[0] == 0
+
+
+def gf2_solve_dot_system(
+    rows: Sequence[int], ncols: int, rhs: Sequence[int]
+) -> Optional[Tuple[int, List[int]]]:
+    """Solve <rows[i], v> = rhs[i] (dot-product parity) for v on a fresh echelon.
+
+    Returns (particular solution with free variables zero, nullspace basis),
+    or None when inconsistent: the reference for a grown echelon's answers.
+    """
+    if len(rows) != len(rhs):
+        raise InvalidMatrixError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
+    return _Echelon(rows).solve_dot(rhs_mask, ncols)
+
+
+def row_from_parts(
+    mem_in: Pauli, anc_in: Pauli, info_in: Pauli, phys_out: Pauli, mem_out: Pauli
+) -> EncoderRow:
+    """The encoder row of five Pauli parts, packed by shifts of their words.
+
+    m, k and n are the widths of ``mem_in``, ``info_in`` and ``anc_in`` plus
+    ``info_in``.  The output parts may split the m + n output qubits
+    otherwise; the row's own parts then differ from them.  Input and output
+    widths that differ raise ``WidthMismatchError``.
+    """
+    parts = mem_in, anc_in, info_in, phys_out, mem_out
+    ((mem_w, mem_x, mem_z), (anc_w, anc_x, anc_z), (info_w, info_x, info_z),
+     (phys_w, phys_x, phys_z), (next_w, next_x, next_z)) = parts
+    info_at = mem_w + anc_w
+    w = info_at + info_w
+    if phys_w + next_w != w:
+        raise WidthMismatchError(f"a row maps {w} to {phys_w + next_w} qubits")
+    in_x = mem_x | anc_x << mem_w | info_x << info_at
+    in_z = mem_z | anc_z << mem_w | info_z << info_at
+    out_x, out_z = phys_x | next_x << phys_w, phys_z | next_z << phys_w
+    return EncoderRow(mem_w, anc_w + info_w, info_w, in_x | in_z << w, out_x | out_z << w)
+
+
+def row_paulis(row: EncoderRow) -> Tuple[Pauli, Pauli]:
+    """A row's input and output as Paulis, concatenated from its five parts."""
+    return row.mem_in.concat(row.anc_in).concat(row.info_in), row.phys_out.concat(row.mem_out)
+
+
+def centralizer_contains(centralizer, op: Pauli) -> bool:
+    """Whether a memory Pauli lies in the span of a ``CentralizerBasis``."""
+    return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in centralizer.basis])
 
 
 def centralizer_vectors(centralizer) -> List[int]:

@@ -1,5 +1,6 @@
 """Unit and property tests for the bit-packed Pauli/GF(2) layer."""
 
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,9 @@ from oracles import (
     check_commutativity_matrix_by_lists,
     component_index,
     exists_gram_realization,
+    gf2_in_rowspan,
     gf2_row_dependencies,
+    gf2_solve_dot_system,
     gram_search,
     labelled_cycle_by_enumeration,
     logical_cycle,
@@ -23,7 +26,7 @@ from oracles import (
     symplectic_gram_schmidt_by_lists,
 )
 import qconvenc.pauli as pauli_module
-from qconvenc.errors import InvalidMatrixError, QconvError, WidthMismatchError
+from qconvenc.errors import InvalidMatrixError, ParseError, QconvError, WidthMismatchError
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
@@ -34,11 +37,9 @@ from qconvenc.pauli import (
     cycle_core,
     gf2_basis,
     gf2_combination,
-    gf2_in_rowspan,
     gf2_invert,
     gf2_rank,
     gf2_solve_combination,
-    gf2_solve_dot_system,
     gf2_span,
     gram_matrix,
     operators_from_commutativity,
@@ -47,6 +48,8 @@ from qconvenc.pauli import (
     symplectic_gram_schmidt,
     symplectic_product,
 )
+from qconvenc.synth import EncoderRow
+from qconvenc.tableau import CliffordTableau
 
 
 @st.composite
@@ -448,8 +451,18 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
             ),
             InvalidMatrixError,
         ),
+        (lambda: EncoderRow(-1, 1, 0, 0, 0), WidthMismatchError),
+        (lambda: EncoderRow(1, 1, 2, 0, 0), WidthMismatchError),
+        (lambda: EncoderRow(1, 1, 0, 1 << 4, 0), WidthMismatchError),
+        (lambda: EncoderRow(1, 1, 0, 0, -1), WidthMismatchError),
+        (lambda: CliffordTableau(2, [1, 2, 3]), WidthMismatchError),
+        (lambda: Pauli.from_string("XW"), ParseError),
     ],
-    ids=["cut-past-width", "cut-reversed", "short-row", "rhs-length", "order-not-permutation"],
+    ids=[
+        "cut-past-width", "cut-reversed", "short-row", "rhs-length", "order-not-permutation",
+        "row-negative-memory", "row-k-above-n", "row-word-too-wide", "row-negative-word",
+        "tableau-image-count", "pauli-character",
+    ],
 )
 def test_caller_input_raises_typed_errors(call, error):
     with pytest.raises(error) as info:
@@ -459,15 +472,18 @@ def test_caller_input_raises_typed_errors(call, error):
 
 def test_pauli_width_check_survives_optimized_mode():
     # An assert would vanish under -O; the typed errors must not.
+    # gf2_solve_dot_system is a test oracle: the script imports it from tests/.
     script = (
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
         "import qconvenc.tableau as tableau_module\n"
         "from qconvenc.code import ConvolutionalCode, GeneratorPolynomial\n"
-        "from qconvenc.pauli import BinaryMatrix, Pauli, gf2_solve_dot_system, "
-        "operators_from_commutativity\n"
+        "from oracles import gf2_solve_dot_system\n"
+        "from qconvenc.pauli import BinaryMatrix, Pauli, operators_from_commutativity\n"
         "from qconvenc.synth import EncoderRow, PartialEncoder, add_noncatastrophic_rows\n"
         "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
         "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
-        "wide_row = EncoderRow(*(Pauli.identity(q) for q in (2, 1, 0, 1, 1)))\n"
+        "wide_row = EncoderRow(2, 1, 0, 0, 0)\n"
         "swapped = tableau_module.replay_gates(1, [Gate('h', (0,))])\n"
         "# A replay that misses the tableau must be refused, not passed through.\n"
         "tableau_module.replay_gates = lambda w, gates: CliffordTableau.identity(w)\n"
@@ -490,6 +506,12 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: add_noncatastrophic_rows(PartialEncoder(1, 1, 0, [])),\n"
         "    lambda: synthesize_circuit(swapped),\n"
         "    lambda: complete_to_clifford(PartialEncoder(0, 1, 0, [])),\n"
+        "    lambda: EncoderRow(-1, 1, 0, 0, 0),\n"
+        "    lambda: EncoderRow(1, 1, 2, 0, 0),\n"
+        "    lambda: EncoderRow(1, 1, 0, 1 << 4, 0),\n"
+        "    lambda: EncoderRow(1, 1, 0, 0, -1),\n"
+        "    lambda: CliffordTableau(2, [1, 2, 3]),\n"
+        "    lambda: Pauli.from_string('XW'),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -513,6 +535,12 @@ def test_pauli_width_check_survives_optimized_mode():
         "AssemblyError",
         "SynthesisFailureError",
         "CompletionError",
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "WidthMismatchError",
+        "ParseError",
     ]
 
 

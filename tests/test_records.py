@@ -31,9 +31,9 @@ RECORDS = [
     ),
     (
         EncoderRow,
-        ("mem_in", "anc_in", "info_in", "phys_out", "mem_out"),
-        FIVE,
-        EncoderRow(*FIVE[:4], Pauli(1, 1, 1)),
+        ("m", "n", "k", "inputs", "outputs"),
+        (1, 2, 1, 0b100001, 0b110),
+        EncoderRow(1, 2, 1, 0b100001, 0b111),
     ),
     (Gate, ("kind", "qubits"), ("cnot", (0, 1)), Gate("cnot", (1, 0))),
     (

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from conftest import load_code
 from oracles import (
     backward_matrix_by_blocks,
+    centralizer_contains,
     centralizer_vectors,
     enumerate_centralizer,
     forward_matrix_by_blocks,
     labelled_cycle_by_enumeration,
+    row_from_parts,
+    row_paulis,
     violations_by_blocks,
 )
 from qconvenc.code import (
@@ -82,13 +85,7 @@ def table_from_strings(strings):
 
 
 def row_from_strings(parts):
-    return EncoderRow(
-        mem_in=Pauli.from_string(parts["mem_in"]),
-        anc_in=Pauli.from_string(parts["anc_in"]),
-        info_in=Pauli.from_string(parts["info_in"]),
-        phys_out=Pauli.from_string(parts["phys_out"]),
-        mem_out=Pauli.from_string(parts["mem_out"]),
-    )
+    return row_from_parts(**{name: Pauli.from_string(text) for name, text in parts.items()})
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -197,6 +194,15 @@ def test_assemble_rejects_mismatched_table(running1):
         assemble_partial_encoder(running1, bogus)
 
 
+def test_assembly_refuses_memory_operators_of_another_width(running1):
+    # Rows are packed on m + n qubits, so a wider operator would spill into
+    # the ancilla and z bits instead of widening its row.
+    table = assign_memory_operators(build_commutativity_matrix(running1))
+    wide = {key: op.concat(Pauli.identity(1)) for key, op in table.ops.items()}
+    with pytest.raises(WidthMismatchError, match="^encoder rows are not all 7 qubits wide$"):
+        assemble_partial_encoder(running1, MemoryOperatorTable(table.m, wide, table.index_map))
+
+
 def test_row_consistency_reports_the_first_offending_pair():
     # Rows 1-3 and 2-3 both disagree; pairs are checked in combinations
     # order, so (1, 3) is reported.
@@ -215,9 +221,10 @@ def test_row_consistency_reports_the_first_offending_pair():
 
 def first_disagreeing_pair(rows):
     """The pairwise Pauli-product check the packed one must reproduce."""
+    paulis = [row_paulis(row) for row in rows]
     for a, b in itertools.combinations(range(len(rows)), 2):
-        lhs = symplectic_product(rows[a].input_pauli(), rows[b].input_pauli())
-        rhs = symplectic_product(rows[a].output_pauli(), rows[b].output_pauli())
+        lhs = symplectic_product(paulis[a][0], paulis[b][0])
+        rhs = symplectic_product(paulis[a][1], paulis[b][1])
         if lhs != rhs:
             return a, b, lhs
     return None
@@ -228,7 +235,7 @@ def test_row_consistency_matches_pairwise_products(words):
     # Width-2 rows: one ancilla and one information qubit in, two physical
     # qubits out, no memory.
     def row(anc, info, phys_x, phys_z):
-        return EncoderRow(
+        return row_from_parts(
             Pauli.identity(0),
             Pauli(1, anc & 1, anc >> 1),
             Pauli(1, info & 1, info >> 1),
@@ -256,40 +263,43 @@ def pauli_on(draw, width):
 
 
 @st.composite
-def encoder_rows(draw):
-    # Half the rows fit an (m, n, k) encoder; the others take each part's
-    # width at random, so input and output widths often differ.
+def row_parts(draw):
+    # Half the part lists fit an (m, n, k) encoder; the others take each
+    # part's width at random, so input and output widths often differ.
     m, s, k = (draw(st.integers(0, 3)) for _ in range(3))
     widths = [m, s, k, s + k, m]
     if draw(st.booleans()):
         widths = [draw(st.integers(0, 3)) for _ in widths]
-    return EncoderRow(*(draw(pauli_on(width)) for width in widths))
+    return [draw(pauli_on(width)) for width in widths]
 
 
-@given(encoder_rows())
-@example(row_from_strings(dict(mem_in="Z", anc_in="Y", info_in="X", phys_out="XZ", mem_out="Y")))
-@example(row_from_strings(dict(mem_in="Z", anc_in="I", info_in="X", phys_out="XZ", mem_out="YY")))
+@given(row_parts())
+@example([Pauli.from_string(text) for text in ("Z", "Y", "X", "XZ", "Y")])
+@example([Pauli.from_string(text) for text in ("Z", "I", "X", "XZ", "YY")])
 @settings(max_examples=150)
-def test_row_words_match_the_concatenated_paulis(row):
-    # The packed words are the Pauli-object reference without building it.
-    want_in, want_out = row.input_pauli(), row.output_pauli()
-    in_word, out_word, in_w, out_w = synth_module._row_words(row)
-    assert (in_word, in_w) == (pauli_to_vec(want_in), want_in.width)
-    assert (out_word, out_w) == (pauli_to_vec(want_out), want_out.width)
-    m, k = row.mem_in.width, row.info_in.width
-    n = row.anc_in.width + k
-    if [p.width for p in row] == [m, n - k, k, n, m]:
-        assert synth_module._row_from_words(in_word, out_word, m, n, k) == row
-    if in_w == out_w == m + n:
-        assert synth_module._encoder_words([row], m + n) == ([in_word], [out_word])
-    else:
+def test_row_words_match_the_concatenated_paulis(parts):
+    # The words are the concatenated Paulis, and the properties read the
+    # parts back whenever they fit the row's (m, n, k) layout.
+    mem_in, anc_in, info_in, phys_out, mem_out = parts
+    want_in, want_out = mem_in.concat(anc_in).concat(info_in), phys_out.concat(mem_out)
+    if want_in.width != want_out.width:
         with pytest.raises(WidthMismatchError):
-            synth_module._encoder_words([row], m + n)
-    if in_w == out_w:
-        synth_module._check_row_consistency([row])
-    else:
-        with pytest.raises(WidthMismatchError, match=f"^encoder rows are not all {in_w} qubits wide$"):
-            synth_module._check_row_consistency([row])
+            row_from_parts(*parts)
+        return
+    row = row_from_parts(*parts)
+    assert (row.inputs, row.outputs) == (pauli_to_vec(want_in), pauli_to_vec(want_out))
+    m, k = mem_in.width, info_in.width
+    n = anc_in.width + k
+    assert row[:3] == (m, n, k)
+    if phys_out.width == n:
+        assert [row.mem_in, row.anc_in, row.info_in, row.phys_out, row.mem_out] == parts
+    assert synth_module._encoder_words([row], m + n) == ([row.inputs], [row.outputs])
+    with pytest.raises(WidthMismatchError, match=f"^a row maps {m + n} to {m + n} qubits in a"):
+        synth_module._encoder_words([row], m + n + 1)
+    synth_module._check_row_consistency([row])
+    wider = EncoderRow(m + 1, n, k, 0, 0)
+    with pytest.raises(WidthMismatchError, match=f"^encoder rows are not all {m + n} qubits wide$"):
+        synth_module._check_row_consistency([row, wider])
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -299,7 +309,7 @@ def test_centralizer_of_published_tables(name):
     expected = CENTRALIZER_PUBLISHED[name]
     assert len(cent.basis) == len(expected)
     for text in expected:
-        assert cent.contains(Pauli.from_string(text))
+        assert centralizer_contains(cent, Pauli.from_string(text))
     for op in cent.basis:
         for g in table.as_list():
             assert (op.x & g.z).bit_count() % 2 == (op.z & g.x).bit_count() % 2
@@ -312,7 +322,7 @@ def test_centralizer_of_assigned_tables(name):
     expected = CENTRALIZER_DERIVED[name]
     assert len(cent.basis) == len(expected)
     for text in expected:
-        assert cent.contains(Pauli.from_string(text))
+        assert centralizer_contains(cent, Pauli.from_string(text))
 
 
 def test_centralizer_enumeration_size(running2):
@@ -370,7 +380,7 @@ def test_find_s1_refuses_inconsistent_rows_whose_output_memory_leaves_the_centra
     ops = table.as_list()
     outside = next(g for g in ops if any(symplectic_product(g, h) for h in ops))
     m, n, k = encoder.m, encoder.n, encoder.k
-    stray = EncoderRow(
+    stray = row_from_parts(
         Pauli.identity(m), Pauli.identity(n - k), Pauli.identity(k), Pauli.identity(n), outside
     )
     inconsistent = PartialEncoder(m, n, k, encoder.rows + [stray], memory_ops=table)
@@ -410,7 +420,7 @@ def test_added_rows_span_centralizer(running2):
 def test_catastrophic_combination_detects_logical_self_loop(running2):
     table = assign_memory_operators(build_commutativity_matrix(running2))
     encoder = assemble_partial_encoder(running2, table)
-    bad = EncoderRow(
+    bad = row_from_parts(
         mem_in=Pauli.from_string("ZIIIII"),
         anc_in=Pauli.identity(2),
         info_in=Pauli.from_string("XI"),
@@ -425,7 +435,7 @@ def test_catastrophic_combination_refuses_a_row_with_physical_output(running2):
     # A typed error, not an assert, so the check also holds under python -O.
     table = assign_memory_operators(build_commutativity_matrix(running2))
     encoder = assemble_partial_encoder(running2, table)
-    leaky = EncoderRow(
+    leaky = row_from_parts(
         mem_in=Pauli.from_string("ZIIIII"),
         anc_in=Pauli.identity(2),
         info_in=Pauli.from_string("XI"),
@@ -443,7 +453,7 @@ def zero_physical_rows(draw):
     mem = st.integers(0, 7).map(lambda vec: vec_to_pauli(vec, 6))
     info = st.integers(0, 15).map(lambda vec: vec_to_pauli(vec, 2))
     return [
-        EncoderRow(draw(mem), Pauli.identity(2), draw(info), Pauli.identity(4), draw(mem))
+        row_from_parts(draw(mem), Pauli.identity(2), draw(info), Pauli.identity(4), draw(mem))
         for _ in range(draw(st.integers(0, 6)))
     ]
 
