@@ -6,11 +6,13 @@ Pauli blocks h_{i,1} | ... | h_{i,l_i}; block j acts on frame j.  The code is
 valid when every generator commutes with every generator shifted by any whole
 number of frames.
 
-Each generator also has one packed stream word: frame j (1-based) fills bits
-2n(j-1)..2nj-1 with ``pauli_to_vec`` of block j.  A delay by t frames is a
-shift left by 2nt, and the symplectic product of two aligned streams, summed
-over frames, is parity(word_a & swapped_b), where ``swapped_b`` has the x and
-z halves of every frame exchanged.  ``_stream_words`` returns both words.
+A generator is its packed stream word: frame j (1-based) fills bits
+2n(j-1)..2nj-1 with ``pauli_to_vec`` of block j.  Its degree is the number
+of frames up to the last non-identity one, so a generator never carries a
+trailing identity frame.  A delay by t frames is a shift left by 2nt, and
+the symplectic product of two aligned streams, summed over frames, is
+parity(word_a & b.swapped), where ``swapped`` has the x and z halves of
+every frame exchanged.
 
 Text format (one code per file):
 
@@ -20,8 +22,9 @@ Text format (one code per file):
     h <BLOCK>|<BLOCK>|...      (exactly n - k of these)
 
 where each BLOCK is exactly n characters over I, X, Y, Z.  Trailing
-all-identity blocks are trimmed on parsing, keeping at least one block, so
-``h ZI|IZ|II`` is read as ``h ZI|IZ``; leading identity blocks are kept.
+all-identity blocks are not part of the stream word, so ``h ZI|IZ|II`` is
+read as ``h ZI|IZ`` and an all-identity generator as one identity block;
+leading identity blocks are kept.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     ParseError,
     WidthMismatchError,
 )
-from .pauli import Pauli, _parity, pauli_to_vec, swap_halves, vec_to_pauli
+from .pauli import Pauli, _parity, pauli_to_vec, vec_to_pauli
 
 __all__ = [
     "GeneratorPolynomial",
@@ -50,40 +53,59 @@ __all__ = [
 ]
 
 
-class GeneratorPolynomial(namedtuple("GeneratorPolynomial", "blocks")):
-    """One generator as a tuple of equal-width Pauli blocks, frame 1 first."""
+class GeneratorPolynomial(namedtuple("GeneratorPolynomial", "width word")):
+    """One generator as its stream word on frames of ``width`` qubits."""
 
     __slots__ = ()
 
-    def __new__(cls, blocks: Tuple[Pauli, ...]) -> "GeneratorPolynomial":
+    def __new__(cls, width: int, word: int) -> "GeneratorPolynomial":
+        if width < 1 or word < 0:
+            raise WidthMismatchError(f"stream word {word:#x} on frames of {width} qubits")
+        return tuple.__new__(cls, (width, word))
+
+    @classmethod
+    def from_blocks(cls, blocks: Tuple[Pauli, ...]) -> "GeneratorPolynomial":
+        """The generator of equal-width Pauli blocks, frame 1 first."""
         if not blocks:
             raise DegenerateCodeError("a generator needs at least one block")
         widths = {b.width for b in blocks}
         if len(widths) != 1:
             raise WidthMismatchError(f"generator blocks have widths {sorted(widths)}")
-        return tuple.__new__(cls, (blocks,))
+        frame = 2 * blocks[0].width
+        word = 0
+        for j, block in enumerate(blocks):
+            word |= pauli_to_vec(block) << frame * j
+        return cls(blocks[0].width, word)
 
     @classmethod
     def from_strings(cls, parts: List[str]) -> "GeneratorPolynomial":
-        return cls(tuple(Pauli.from_string(p) for p in parts))
+        return cls.from_blocks(tuple(Pauli.from_string(p) for p in parts))
 
     @property
     def degree(self) -> int:
-        return len(self.blocks)
+        """Frames up to the last non-identity one; 1 for the identity."""
+        return max(1, -(-self.word.bit_length() // (2 * self.width)))
 
     @property
-    def width(self) -> int:
-        return self.blocks[0].width
+    def swapped(self) -> int:
+        """The word with the x and z halves of every frame exchanged."""
+        n = self.width
+        low = ((1 << n) - 1) * (((1 << 2 * n * self.degree) - 1) // ((1 << 2 * n) - 1))
+        return (self.word & low) << n | (self.word >> n) & low
 
     @property
     def is_identity(self) -> bool:
-        return all(b.is_identity for b in self.blocks)
+        return not self.word
+
+    @property
+    def blocks(self) -> Tuple[Pauli, ...]:
+        return tuple(self.block(j) for j in range(1, self.degree + 1))
 
     def block(self, j: int) -> Pauli:
         """Block at frame j (1-based); identity outside the stream."""
-        if 1 <= j <= self.degree:
-            return self.blocks[j - 1]
-        return Pauli.identity(self.width)
+        if j < 1:
+            return Pauli.identity(self.width)
+        return vec_to_pauli(self.word >> 2 * self.width * (j - 1), self.width)
 
     def __str__(self) -> str:
         return "|".join(str(b) for b in self.blocks)
@@ -117,13 +139,6 @@ class ConvolutionalCode(namedtuple("ConvolutionalCode", "n k generators")):
         return ConvolutionalCode(self.n, self.k, tuple(gens))
 
 
-def _trim_trailing(blocks: List[Pauli]) -> GeneratorPolynomial:
-    """Generator from the blocks, trailing identity blocks dropped (one kept)."""
-    while len(blocks) > 1 and blocks[-1].is_identity:
-        blocks.pop()
-    return GeneratorPolynomial(tuple(blocks))
-
-
 def _meaningful_lines(text: str) -> Iterator[Tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -136,7 +151,7 @@ def _parse_header(line: str, lineno: int, key: str) -> int:
     if not line.startswith(key + "="):
         raise ParseError(f"expected {key}=<int>, got {line!r}", lineno)
     value = line[len(key) + 1 :]
-    if not value.isdigit():
+    if not (value.isascii() and value.isdigit()):
         raise ParseError(f"{key} must be a positive integer, got {value!r}", lineno)
     return int(value)
 
@@ -167,7 +182,7 @@ def parse_code(text: str) -> ConvolutionalCode:
                 blocks.append(Pauli.from_string(part))
             except ParseError as exc:
                 raise ParseError(str(exc), lineno) from exc
-        generators.append(_trim_trailing(blocks))
+        generators.append(GeneratorPolynomial.from_blocks(tuple(blocks)))
 
     if len(generators) != n - k:
         raise ParseError(
@@ -191,17 +206,6 @@ class ValidationResult:
         self.violations = violations
 
 
-def _stream_words(gen: GeneratorPolynomial) -> Tuple[int, int]:
-    """The generator's stream word, and the same word with x and z swapped per frame."""
-    frame = 2 * gen.width
-    word = swapped = 0
-    for j, block in enumerate(gen.blocks):
-        vec = pauli_to_vec(block)
-        word |= vec << frame * j
-        swapped |= swap_halves(vec, gen.width) << frame * j
-    return word, swapped
-
-
 def validate_code(code: ConvolutionalCode) -> ValidationResult:
     """Check all generator pairs against all frame shifts.
 
@@ -211,15 +215,15 @@ def validate_code(code: ConvolutionalCode) -> ValidationResult:
     """
     violations: List[Tuple[int, int, int]] = []
     gens = code.generators
-    words = [_stream_words(g) for g in gens]
+    swapped = [g.swapped for g in gens]
     frame = 2 * code.n
-    for i, (a, (word, _)) in enumerate(zip(gens, words), start=1):
-        for i2, (b, (_, swapped)) in enumerate(zip(gens, words), start=1):
+    for i, a in enumerate(gens, start=1):
+        for i2, b in enumerate(gens, start=1):
             for t in range(max(a.degree, b.degree)):
                 if t == 0 and i2 <= i:
                     # Symmetric at zero shift; report each unordered pair once.
                     continue
-                if _parity((word << frame * t) & swapped):
+                if _parity((a.word << frame * t) & swapped[i2 - 1]):
                     violations.append((i, i2, t))
     violations.sort()
     return ValidationResult(not violations, violations)
@@ -227,35 +231,21 @@ def validate_code(code: ConvolutionalCode) -> ValidationResult:
 
 def delay_generator(gen: GeneratorPolynomial, j: int) -> GeneratorPolynomial:
     """Shift the stream j frames later; j < 0 strips leading identity frames."""
+    frame = 2 * gen.width
     if j >= 0:
-        pad = tuple(Pauli.identity(gen.width) for _ in range(j))
-        return GeneratorPolynomial(pad + gen.blocks)
+        return GeneratorPolynomial(gen.width, gen.word << frame * j)
     strip = -j
-    if strip >= gen.degree or any(not b.is_identity for b in gen.blocks[:strip]):
+    if strip >= gen.degree or gen.word & (1 << frame * strip) - 1:
         raise InvalidDelayError(
             f"cannot advance by {strip}: leading blocks are not all identity"
         )
-    return GeneratorPolynomial(gen.blocks[strip:])
-
-
-def _generator_from_word(word: int, n: int) -> GeneratorPolynomial:
-    """The generator whose stream word is ``word``, trailing identity frames
-    trimmed; the zero word is a single identity block."""
-    frame = 2 * n
-    frames = max(1, -(-word.bit_length() // frame))
-    return GeneratorPolynomial(
-        tuple(vec_to_pauli(word >> frame * j, n) for j in range(frames))
-    )
+    return GeneratorPolynomial(gen.width, gen.word >> frame * strip)
 
 
 def multiply_generators(
     a: GeneratorPolynomial, b: GeneratorPolynomial
 ) -> GeneratorPolynomial:
-    """Frame-wise product aligned at frame 1, trailing identity frames trimmed.
-
-    The product's stream word is the XOR of the two words; an all-identity
-    product is collapsed to a single identity block.
-    """
+    """Frame-wise product aligned at frame 1: the XOR of the two words."""
     if a.width != b.width:
         raise WidthMismatchError(f"generator widths {a.width} and {b.width} differ")
-    return _generator_from_word(_stream_words(a)[0] ^ _stream_words(b)[0], a.width)
+    return GeneratorPolynomial(a.width, a.word ^ b.word)

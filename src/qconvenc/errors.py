@@ -93,4 +93,4 @@ class MemoryBoundError(QconvError, RuntimeError):
     def __init__(self, m: int, bound: int):
         self.m = m
         self.bound = bound
-        super().__init__(f"state diagram has 4^{m} vertices, above the m={bound} bound")
+        super().__init__(f"m={m} memory qubits exceed the --max-memory bound of {bound}")

@@ -6,31 +6,18 @@ shifted generators produce, so the shortened code stabilizes the same states
 while needing less memory.  They are row operations over GF(2)[D] (Forney,
 "Convolutional codes I", 1970; Grassl-Roetteler, quant-ph/0602129).
 
-A rewrite works on the generators' stream words (``code._stream_words``):
+A rewrite works on the generators' stream words (``GeneratorPolynomial.word``):
 placing a generator d frames later is a left shift by 2nd, a product is one
-XOR, and the rewritten generator is rebuilt from its word once.
+XOR, and leading identity frames go by one right shift by whole frames.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .code import (
-    ConvolutionalCode,
-    _generator_from_word,
-    _stream_words,
-    delay_generator,
-    validate_code,
-)
+from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from .errors import DegenerateCodeError, WidthMismatchError, WindowError
-from .pauli import (
-    _annihilator,
-    _products,
-    gf2_combination,
-    gf2_rank,
-    gf2_solve_combination,
-    pauli_to_vec,
-)
+from .pauli import _annihilator, _products, gf2_combination, gf2_rank, gf2_solve_combination
 
 __all__ = [
     "ShortenStep",
@@ -63,6 +50,13 @@ class ShorteningReport:
         self.steps = [] if steps is None else steps
 
 
+def _without_leading(word: int, n: int) -> GeneratorPolynomial:
+    """The generator of a nonzero ``word`` shifted right by its leading
+    identity frames."""
+    frame = 2 * n
+    return GeneratorPolynomial(n, word >> ((word & -word).bit_length() - 1) // frame * frame)
+
+
 def _rewrite(
     code: ConvolutionalCode, steps: List[ShortenStep], action: str
 ) -> Optional[ConvolutionalCode]:
@@ -73,31 +67,30 @@ def _rewrite(
     end blocks of the other generators of degree at most deg_i.  On the
     stream words, a front partner j is placed at frame 1 and a back partner
     end-aligned, shifted left by 2n(deg_i - deg_j), and the product is the
-    XOR of the placed words.  Its end frame is then clear.  Its leading
-    identity frames go by one right shift by whole frames, and its trailing
-    ones as the generator is rebuilt from the word.  A back combination of 0
-    means the last block is already the identity (only a generator built
-    with trailing identity frames has one), so the degree cannot drop.
+    XOR of the placed words.  Its end frame is then clear, and its leading
+    identity frames go by one right shift by whole frames.
     """
     gens = code.generators
     frame = 2 * code.n
     front = action == "front"
-    end = 0 if front else -1
+
+    def end_frame(gen: GeneratorPolynomial) -> int:
+        return gen.word >> frame * (0 if front else gen.degree - 1) & (1 << frame) - 1
+
     for i, gen in enumerate(gens):
         cands = [
             j for j, other in enumerate(gens) if j != i and other.degree <= gen.degree
         ]
         if not cands:
             continue
-        target = pauli_to_vec(gen.blocks[end])
-        combo = gf2_solve_combination([pauli_to_vec(gens[j].blocks[end]) for j in cands], target)
+        combo = gf2_solve_combination([end_frame(gens[j]) for j in cands], end_frame(gen))
         if combo is None:
             continue
         partners = [cands[b] for b in range(len(cands)) if (combo >> b) & 1]
-        word = _stream_words(gen)[0]
+        word = gen.word
         for j in partners:
             shift = 0 if front else gen.degree - gens[j].degree
-            word ^= _stream_words(gens[j])[0] << frame * shift
+            word ^= gens[j].word << frame * shift
         if not word:
             raise DegenerateCodeError(
                 "generator is the all-identity stream"
@@ -109,13 +102,7 @@ def _rewrite(
                 f"{action} rewrite of generator {i + 1} failed to clear the "
                 f"{'first' if front else 'last'} block"
             )
-        if not front and not combo:
-            raise DegenerateCodeError(
-                f"back rewrite of generator {i + 1} did not lower its degree "
-                f"{gen.degree}; its last block is the identity"
-            )
-        leading = ((word & -word).bit_length() - 1) // frame
-        new_gen = _generator_from_word(word >> frame * leading, code.n)
+        new_gen = _without_leading(word, code.n)
         steps.append(
             ShortenStep(action, i + 1, tuple(j + 1 for j in partners), new_gen.degree)
         )
@@ -135,11 +122,8 @@ def shorten(code: ConvolutionalCode) -> ShorteningReport:
     for i, gen in enumerate(current.generators):
         if gen.is_identity:
             raise DegenerateCodeError("generator is the all-identity stream")
-        count = 0
-        while gen.blocks[count].is_identity:
-            count += 1
-        if count:
-            stripped = delay_generator(gen, -count)
+        stripped = _without_leading(gen.word, code.n)
+        if stripped != gen:
             current = current.with_generator(i, stripped)
             steps.append(ShortenStep("normalize", i + 1, (), stripped.degree))
     while nxt := _rewrite(current, steps, "front") or _rewrite(current, steps, "back"):
@@ -156,8 +140,7 @@ def _strip_rows(code: ConvolutionalCode, window: int) -> List[int]:
     frame = 2 * code.n
     rows = []
     for gen in code.generators:
-        word, _swapped = _stream_words(gen)
-        rows += [word << frame * t for t in range(window - gen.degree + 1)]
+        rows += [gen.word << frame * t for t in range(window - gen.degree + 1)]
     return rows
 
 

@@ -18,7 +18,7 @@ import random
 from collections import namedtuple
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .code import ConvolutionalCode, _stream_words, validate_code
+from .code import ConvolutionalCode, validate_code
 from .errors import (
     AssemblyError,
     ConsistencyError,
@@ -114,10 +114,11 @@ def _forward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
     the shifts drop the first j and j2 frames.
     """
     index_map = _memory_indices(code)
-    words = [_stream_words(g) for g in code.generators]
+    gens = code.generators
+    swapped = [g.swapped for g in gens]
     frame = 2 * code.n
-    later = [words[i - 1][0] >> frame * j for i, j in index_map]
-    later_swapped = [words[i - 1][1] >> frame * j for i, j in index_map]
+    later = [gens[i - 1].word >> frame * j for i, j in index_map]
+    later_swapped = [swapped[i - 1] >> frame * j for i, j in index_map]
     return BinaryMatrix(_products(later, later_swapped), len(index_map))
 
 
@@ -130,15 +131,16 @@ def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
     so that frame j meets frame j2 (here both on frame ``max_degree``).
     """
     index_map = _memory_indices(code)
-    words = [_stream_words(g) for g in code.generators]
+    gens = code.generators
+    swapped = [g.swapped for g in gens]
     frame = 2 * code.n
     top = code.max_degree
 
     def head(word: int, j: int) -> int:
         return (word & ((1 << frame * j) - 1)) << frame * (top - j)
 
-    earlier = [head(words[i - 1][0], j) for i, j in index_map]
-    earlier_swapped = [head(words[i - 1][1], j) for i, j in index_map]
+    earlier = [head(gens[i - 1].word, j) for i, j in index_map]
+    earlier_swapped = [head(swapped[i - 1], j) for i, j in index_map]
     return BinaryMatrix(_products(earlier, earlier_swapped), len(index_map))
 
 
@@ -339,12 +341,15 @@ def assemble_partial_encoder(
         raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
 
     rows: List[EncoderRow] = []
+    low = (1 << n) - 1
     for i, gen in enumerate(code.generators, start=1):
         for j in range(1, gen.degree + 1):
             # Ancilla Z_i is input qubit m + i - 1.
             consumed = _place(table.op(i, j - 1), w, 0) if j > 1 else 1 << w + m + i - 1
             handed = _place(table.op(i, j), w, n) if j < gen.degree else 0
-            rows.append(EncoderRow(m, n, k, consumed, _place(gen.block(j), w, 0) | handed))
+            block = gen.word >> 2 * n * (j - 1)
+            emitted = block & low | (block >> n & low) << w
+            rows.append(EncoderRow(m, n, k, consumed, emitted | handed))
     _check_row_consistency(rows)
     return PartialEncoder(m=m, n=n, k=k, rows=rows, memory_ops=table)
 

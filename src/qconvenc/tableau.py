@@ -593,18 +593,19 @@ def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
     """Stream each generator through the encoder frame by frame.
 
     Ancilla i carries Z in the first frame and identity afterwards; the
-    emitted physical blocks must reproduce the generator's blocks and the
-    memory must return to identity.
+    physical part emitted in frame j must be frame j of the generator's
+    stream word, and the memory must return to identity.
     """
     n, k = code.n, code.k
     m = tableau.width - n
     realisation = _Realisation(tableau, n, k, m)
+    frame = 2 * n
     for i, gen in enumerate(code.generators):
         mem = 0
-        for j, block in enumerate(gen.blocks):
+        for j in range(gen.degree):
             anc_mask = (1 << i) if j == 0 else 0
             out = realisation.out(mem | anc_mask << 2 * m)
-            if out & realisation.physical != pauli_to_vec(block):
+            if out & realisation.physical != gen.word >> frame * j & (1 << frame) - 1:
                 return 0
             mem = out >> 2 * n
         if mem:

@@ -4,8 +4,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, _trim_trailing, delay_generator
-from qconvenc.errors import DegenerateCodeError, InvalidMatrixError, WidthMismatchError
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, delay_generator
+from qconvenc.errors import (
+    DegenerateCodeError,
+    InvalidDelayError,
+    InvalidMatrixError,
+    WidthMismatchError,
+)
 from qconvenc.pauli import (
     BinaryMatrix,
     GramSchmidtResult,
@@ -134,7 +139,33 @@ def multiply_generators_by_blocks(
     if a.width != b.width:
         raise WidthMismatchError(f"generator widths {a.width} and {b.width} differ")
     degree = max(a.degree, b.degree)
-    return _trim_trailing([a.block(j) * b.block(j) for j in range(1, degree + 1)])
+    return GeneratorPolynomial.from_blocks(
+        tuple(a.block(j) * b.block(j) for j in range(1, degree + 1))
+    )
+
+
+def stream_words(blocks: Sequence[Pauli]) -> Tuple[int, int]:
+    """Reference for ``GeneratorPolynomial.word`` and ``.swapped``: block j
+    (0-based) packed by ``pauli_to_vec`` at bits 2nj..2nj+2n-1, and the same
+    with each block's x and z words exchanged."""
+    n = blocks[0].width
+    word = swapped = 0
+    for j, block in enumerate(blocks):
+        word |= pauli_to_vec(block) << 2 * n * j
+        swapped |= pauli_to_vec(Pauli(n, block.z, block.x)) << 2 * n * j
+    return word, swapped
+
+
+def delay_by_blocks(gen: GeneratorPolynomial, j: int) -> GeneratorPolynomial:
+    """Reference for ``delay_generator``: j identity blocks put in front, or
+    for j < 0 the first -j blocks taken off, which must be identity and leave
+    at least one block."""
+    blocks = gen.blocks
+    if j >= 0:
+        return GeneratorPolynomial.from_blocks((Pauli.identity(gen.width),) * j + blocks)
+    if -j >= len(blocks) or not all(b.is_identity for b in blocks[:-j]):
+        raise InvalidDelayError(f"cannot advance by {-j}")
+    return GeneratorPolynomial.from_blocks(blocks[-j:])
 
 
 def exists_gram_realization(

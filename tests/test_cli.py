@@ -82,6 +82,20 @@ def test_validate_malformed(capsys, malformed_file):
     assert "error:" in out.err
 
 
+@pytest.mark.parametrize(
+    "header", ["n=\u00b2", "n=\u0663"], ids=["superscript-two", "arabic-indic-three"]
+)
+def test_non_ascii_digit_header_is_a_parse_error(capsys, tmp_path, header):
+    # Both pass str.isdigit; int() raises on the first and reads the second as 3.
+    path = tmp_path / "digits.qcc"
+    path.write_text(header + "\nk=1\nh ZZI\nh IZZ\n", encoding="utf-8")
+    rc = main(["validate", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.err.startswith("error: line 1: n must be a positive integer")
+    assert "Traceback" not in out.err
+
+
 def test_validate_missing_file(capsys, tmp_path):
     rc = main(["validate", str(tmp_path / "absent.qcc")])
     out = capsys.readouterr()
@@ -203,7 +217,9 @@ def test_analyze_memory_bound(capsys):
     rc = main(["analyze", "--max-memory", "4", corpus_path("gr07-third")])
     out = capsys.readouterr()
     assert rc == 4
-    assert "analysis refused" in out.err
+    assert out.err == (
+        "analysis refused: m=6 memory qubits exceed the --max-memory bound of 4\n"
+    )
 
 
 def test_analyze_gr07_with_default_bound(capsys):

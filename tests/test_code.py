@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import load_code
-from oracles import multiply_generators_by_blocks
+from oracles import delay_by_blocks, multiply_generators_by_blocks, stream_words
 from qconvenc.pauli import Pauli
 from qconvenc.code import (
     ConvolutionalCode,
@@ -140,7 +140,8 @@ def test_multiply_generators_trims_trailing_identity():
 
 @st.composite
 def generator_pairs(draw):
-    """Two generators of one width, 1-5 blocks each, often with identity blocks."""
+    """Block tuples of two generators of one width, 1-5 blocks each, often
+    with identity blocks."""
     n = draw(st.integers(min_value=1, max_value=4))
     mask = (1 << n) - 1
     block = st.one_of(
@@ -148,18 +149,56 @@ def generator_pairs(draw):
         st.builds(Pauli, st.just(n), st.integers(0, mask), st.integers(0, mask)),
     )
     blocks = st.lists(block, min_size=1, max_size=5).map(tuple)
-    return GeneratorPolynomial(draw(blocks)), GeneratorPolynomial(draw(blocks))
+    return draw(blocks), draw(blocks)
 
 
-XX_ZZ = GeneratorPolynomial.from_strings(["XX", "ZZ"])
+XX_ZZ = (Pauli.from_string("XX"), Pauli.from_string("ZZ"))
+II = Pauli.identity(2)
 
 
 @given(generator_pairs())
 @example((XX_ZZ, XX_ZZ))  # an all-identity product is one identity block
-@example((GeneratorPolynomial.from_strings(["II", "II"]), GeneratorPolynomial.from_strings(["II"])))
+@example(((II, II), (II,)))
 def test_multiply_generators_matches_blockwise_product(pair):
-    a, b = pair
+    a, b = (GeneratorPolynomial.from_blocks(blocks) for blocks in pair)
     assert multiply_generators(a, b) == multiply_generators_by_blocks(a, b)
+
+
+@given(generator_pairs())
+@example(((II, II), (II, XX_ZZ[0], II)))
+def test_generator_word_matches_packed_blocks(pair):
+    for blocks in pair:
+        gen = GeneratorPolynomial.from_blocks(blocks)
+        assert (gen.word, gen.swapped) == stream_words(blocks)
+        kept = list(blocks)
+        while len(kept) > 1 and kept[-1].is_identity:
+            kept.pop()
+        assert gen.blocks == tuple(kept)
+        assert gen.degree == len(kept)
+        assert gen.is_identity == all(b.is_identity for b in blocks)
+        outside = [Pauli.identity(gen.width)] * 2
+        assert [gen.block(j) for j in range(-1, len(kept) + 3)] == outside + kept + outside
+
+
+@given(generator_pairs(), st.integers(-6, 6))
+@example(((II, XX_ZZ[0], II), (XX_ZZ[1],)), -1)  # strips to XX
+@example(((II, II), (II,)), -1)  # the identity has no frame to strip
+def test_delay_generator_matches_block_padding(pair, j):
+    for blocks in pair:
+        gen = GeneratorPolynomial.from_blocks(blocks)
+        try:
+            expected = delay_by_blocks(gen, j)
+        except InvalidDelayError:
+            with pytest.raises(InvalidDelayError):
+                delay_generator(gen, j)
+        else:
+            assert delay_generator(gen, j) == expected
+
+
+@pytest.mark.parametrize("width,word", [(0, 0), (0, 1), (-1, 0), (2, -1)])
+def test_generator_needs_a_frame_and_a_nonnegative_word(width, word):
+    with pytest.raises(WidthMismatchError):
+        GeneratorPolynomial(width, word)
 
 
 @st.composite
@@ -174,37 +213,25 @@ def random_codes(draw):
             Pauli(n, draw(st.integers(0, mask)), draw(st.integers(0, mask)))
             for _ in range(blocks)
         )
-        gens.append(GeneratorPolynomial(parts))
+        gens.append(GeneratorPolynomial.from_blocks(parts))
     return ConvolutionalCode(n, k, tuple(gens))
-
-
-def without_trailing_identity(code):
-    gens = []
-    for gen in code.generators:
-        blocks = list(gen.blocks)
-        while len(blocks) > 1 and blocks[-1].is_identity:
-            blocks.pop()
-        gens.append(GeneratorPolynomial(tuple(blocks)))
-    return ConvolutionalCode(code.n, code.k, tuple(gens))
 
 
 @given(random_codes())
 def test_serializer_roundtrip_random(code):
-    # Parsing trims trailing identity frames, so the round trip returns the
-    # code in that form, and a code already in it comes back unchanged.
-    canonical = without_trailing_identity(code)
-    assert parse_code(serialize_code(code)) == canonical
-    assert parse_code(serialize_code(canonical)) == canonical
+    # A generator holds no trailing identity frame, built or parsed, so the
+    # text form of any code parses back to the same code.
+    assert parse_code(serialize_code(code)) == code
 
 
 def test_generator_without_blocks_is_degenerate():
     with pytest.raises(DegenerateCodeError):
-        GeneratorPolynomial(())
+        GeneratorPolynomial.from_blocks(())
 
 
 def test_generator_blocks_of_different_widths():
     with pytest.raises(WidthMismatchError):
-        GeneratorPolynomial((Pauli.from_string("XX"), Pauli.from_string("ZZZ")))
+        GeneratorPolynomial.from_blocks((Pauli.from_string("XX"), Pauli.from_string("ZZZ")))
 
 
 ZZ = GeneratorPolynomial.from_strings(["ZZ"])

@@ -489,11 +489,13 @@ def test_pauli_width_check_survives_optimized_mode():
         "tableau_module.replay_gates = lambda w, gates: CliffordTableau.identity(w)\n"
         "# So must a completion that fails its symplectic post-condition.\n"
         "CliffordTableau.is_symplectic = lambda self: False\n"
-        "gen = GeneratorPolynomial((Pauli.from_string('XZ'),))\n"
+        "gen = GeneratorPolynomial.from_strings(['XZ'])\n"
         "calls = [\n"
         "    lambda: Pauli(1, 2, 0),\n"
         "    lambda: Pauli(width=-1),\n"
-        "    lambda: GeneratorPolynomial((Pauli(1), Pauli(2))),\n"
+        "    lambda: GeneratorPolynomial.from_blocks((Pauli(1), Pauli(2))),\n"
+        "    lambda: GeneratorPolynomial(0, 0),\n"
+        "    lambda: GeneratorPolynomial(1, -1),\n"
         "    lambda: ConvolutionalCode(n=2, k=1, generators=(gen, gen)),\n"
         "    lambda: Pauli(2, 1, 0).cut(1, 5),\n"
         "    lambda: BinaryMatrix.from_lists([[1, 0], [1]], 2),\n"
@@ -521,6 +523,8 @@ def test_pauli_width_check_survives_optimized_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == [
+        "WidthMismatchError",
+        "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",

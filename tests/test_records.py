@@ -10,18 +10,24 @@ from qconvenc.tableau import Gate, StateDiagramEdge
 
 XZ = Pauli.from_string("XZ")
 ZX = Pauli.from_string("ZX")
-GEN = GeneratorPolynomial((XZ, ZX))
+GEN = GeneratorPolynomial.from_blocks((XZ, ZX))
 FIVE = (Pauli(1, 1, 0), Pauli(1), Pauli(0), Pauli(2, 0, 3), Pauli(1, 0, 1))
 
 # (type, field names, field values, a record differing in the last field)
 RECORDS = [
     (Pauli, ("width", "x", "z"), (2, 1, 2), Pauli(2, 1, 3)),
-    (GeneratorPolynomial, ("blocks",), ((XZ, ZX),), GeneratorPolynomial((ZX, XZ))),
+    # XZ packs to 0b1001 and ZX to 0b0110, four bits a frame.
+    (
+        GeneratorPolynomial,
+        ("width", "word"),
+        (2, 0b0110_1001),
+        GeneratorPolynomial(2, 0b1001_0110),
+    ),
     (
         ConvolutionalCode,
         ("n", "k", "generators"),
         (2, 1, (GEN,)),
-        ConvolutionalCode(2, 1, (GeneratorPolynomial((XZ,)),)),
+        ConvolutionalCode(2, 1, (GeneratorPolynomial.from_blocks((XZ,)),)),
     ),
     (
         ShortenStep,
@@ -76,6 +82,7 @@ def test_constructor_defaults_and_keywords():
     assert ConvolutionalCode(n=2, k=1, generators=(GEN,)) == ConvolutionalCode(2, 1, (GEN,))
     assert repr(Pauli.from_string("XYZI")) == "Pauli('XYZI')"
     assert str(GEN) == "XZ|ZX"
+    assert GEN == GeneratorPolynomial(2, 0b0110_1001)
 
 
 def test_result_list_defaults_are_fresh():

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import load_code
 from oracles import group_equivalent_on_strip_paulis, normalize_leading_delay
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, validate_code
-from qconvenc.code import delay_generator, multiply_generators
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, parse_code, serialize_code
+from qconvenc.code import delay_generator, multiply_generators, validate_code
 from qconvenc.errors import DegenerateCodeError, QconvError, WidthMismatchError, WindowError
 from qconvenc.shorten import group_equivalent, shorten
+from qconvenc.synth import synthesize
+from qconvenc.tableau import complete_to_clifford, detect_catastrophic, roundtrip_verify
 from reference_data import CORPUS, SHORTEN_DIGEST
 
 
@@ -129,9 +131,10 @@ def test_group_equivalent_sees_through_delay(running1):
     assert group_equivalent(running1, delayed) == 1
 
 
-def test_back_pass_rejects_trailing_identity_frame():
-    # Parsing trims such frames; a code built directly can still carry one,
-    # and the back pass cannot lower its degree.
+def test_trailing_identity_frame_is_not_part_of_a_generator():
+    # ZZI|III ends in an identity frame, which its stream word cannot hold:
+    # the library builds the code its text form parses to, which needs no
+    # memory.
     code = ConvolutionalCode(
         3,
         1,
@@ -140,8 +143,15 @@ def test_back_pass_rejects_trailing_identity_frame():
             GeneratorPolynomial.from_strings(["IZZ"]),
         ),
     )
-    with pytest.raises(DegenerateCodeError, match="did not lower"):
-        shorten(code)
+    assert code == parse_code(serialize_code(code))
+    report = shorten(code)
+    assert report.steps == []
+    assert report.output_code == code
+    result = synthesize(code)
+    assert result.m == 0
+    tableau = complete_to_clifford(result.encoder)
+    assert detect_catastrophic(tableau, code.n, code.k, result.m) == (False, None)
+    assert roundtrip_verify(tableau, code) == 1
 
 
 @st.composite
@@ -197,7 +207,7 @@ def _rewritten(rng, code, rewrites):
 
 def shorten_cases():
     """60 rewritten copies of each corpus code (``random.Random(5)``, 0-4
-    rewrites each), then the trailing-identity code above."""
+    rewrites each), then the code built from ZZI|III and IZZ above."""
     rng = random.Random(5)
     cases = []
     for name in CORPUS:

@@ -537,7 +537,7 @@ def streamed_codes(draw):
         k = draw(st.integers(1, n - 1))
         word = st.integers(0, (1 << n) - 1)
         gens = [
-            GeneratorPolynomial(
+            GeneratorPolynomial.from_blocks(
                 tuple(Pauli(n, draw(word), draw(word)) for _ in range(draw(st.integers(1, 5))))
             )
             for _ in range(n - k)
@@ -553,7 +553,7 @@ def streamed_codes(draw):
         z = sum(((p.z >> q) & 1) << perm[q] for q in range(n))
         return Pauli(n, x ^ ((x ^ z) & flip), z ^ ((x ^ z) & flip))
 
-    gens = [GeneratorPolynomial(tuple(move(b) for b in g.blocks)) for g in code.generators]
+    gens = [GeneratorPolynomial.from_blocks(tuple(move(b) for b in g.blocks)) for g in code.generators]
     g1 = multiply_generators(gens[0], delay_generator(gens[1], draw(st.integers(0, 1))))
     if g1.degree <= 5 and not g1.is_identity:
         gens[0] = g1
