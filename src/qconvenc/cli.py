@@ -337,6 +337,14 @@ def cmd_circuit(args) -> int:
     return EXIT_OK
 
 
+def u64(text: str) -> int:
+    """An integer in 0..2**64-1; ``random.Random`` would read a seed -s as s."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {text} is not in 0..2**64-1")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qconvenc",
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("file", help="code file in the h-line grammar")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
-        "--seed", type=int, default=0, help="seed for completion choices (u64)"
+        "--seed", type=u64, default=0, help="seed for completion choices (0..2**64-1)"
     )
     common.add_argument(
         "--max-memory",

@@ -17,6 +17,7 @@ __all__ = [
     "SynthesisFailureError",
     "ConsistencyError",
     "MemoryBoundError",
+    "GateError",
 ]
 
 
@@ -94,3 +95,7 @@ class MemoryBoundError(QconvError, RuntimeError):
         self.m = m
         self.bound = bound
         super().__init__(f"m={m} memory qubits exceed the --max-memory bound of {bound}")
+
+
+class GateError(QconvError, ValueError):
+    """A gate of unknown kind, or on qubits its tableau cannot apply it to."""

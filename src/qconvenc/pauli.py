@@ -51,7 +51,6 @@ __all__ = [
     "gf2_invert",
     "symplectic_gram_schmidt",
     "operators_from_commutativity",
-    "gram_matrix",
     "successor_lists",
     "shortest_path",
     "cycle_core",
@@ -471,24 +470,17 @@ def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
     )
 
 
-def gram_matrix(ops: Sequence[Pauli]) -> BinaryMatrix:
-    """Pairwise symplectic products of the given operators."""
-    width = ops[0].width if ops else 0
-    if any(p.width != width for p in ops):
-        raise WidthMismatchError(f"operators of widths {sorted({p.width for p in ops})}")
-    vecs = [pauli_to_vec(p) for p in ops]
-    return BinaryMatrix(_products(vecs, [swap_halves(v, width) for v in vecs]), len(ops))
-
-
 def operators_from_commutativity(
     mat: BinaryMatrix, order: Optional[Sequence[int]] = None
-) -> List[Pauli]:
-    """Construct dim(mat) Paulis on c + d qubits whose products reproduce mat.
+) -> List[int]:
+    """Construct dim(mat) packed words on m = c + d qubits whose products reproduce mat.
 
-    ``order`` lists row indices in the sequence fresh memory qubits should be
-    claimed (default: ascending).  Each hyperbolic pair takes one qubit at the
-    first touch of either member (scan anchor gets X, partner Z); each
-    isotropic row takes one qubit for a Z.
+    The words use the ``pauli_to_vec`` layout on m qubits.  ``order`` lists
+    row indices in the sequence fresh memory qubits should be claimed
+    (default: ascending).  Each hyperbolic pair takes one qubit at the first
+    touch of either member (scan anchor gets X, partner Z); each isotropic
+    row takes one qubit for a Z.  The words are those standard operators
+    combined by the inverse of the Gram-Schmidt transform.
     """
     n = mat.nrows
     if n == 0:
@@ -501,38 +493,23 @@ def operators_from_commutativity(
     if sorted(order) != list(range(n)):
         raise InvalidMatrixError(f"order {list(order)} is not a permutation of the {n} rows")
 
-    pair_of = {}
-    for i, j in gs.pairs:
-        pair_of[i] = (i, j)
-        pair_of[j] = (i, j)
-    qubit_of_pair = {}
-    qubit_of_iso = {}
-    next_q = 0
+    anchor = {j: i for i, j in gs.pairs}  # a pair is claimed under its anchor i
+    qubit: Dict[int, int] = {}  # pair anchor or isotropic row -> memory qubit
     for idx in order:
-        if idx in pair_of:
-            key = pair_of[idx]
-            if key not in qubit_of_pair:
-                qubit_of_pair[key] = next_q
-                next_q += 1
-        else:
-            if idx not in qubit_of_iso:
-                qubit_of_iso[idx] = next_q
-                next_q += 1
-    assert next_q == m
+        qubit.setdefault(anchor.get(idx, idx), len(qubit))
+    assert len(qubit) == m
 
-    standard: List[Pauli] = [Pauli.identity(m)] * n
+    standard = [0] * n
     for i, j in gs.pairs:
-        q = qubit_of_pair[(i, j)]
-        standard[i] = Pauli(m, 1 << q, 0)
-        standard[j] = Pauli(m, 0, 1 << q)
+        standard[i] = 1 << qubit[i]
+        standard[j] = 1 << m + qubit[i]
     for i in gs.isotropics:
-        standard[i] = Pauli(m, 0, 1 << qubit_of_iso[i])
+        standard[i] = 1 << m + qubit[i]
 
     ginv = gf2_invert(gs.transform.rows, n)
     assert ginv is not None
-    standard_vecs = [pauli_to_vec(p) for p in standard]
-    ops = [vec_to_pauli(gf2_combination(standard_vecs, combo), m) for combo in ginv]
-    assert gram_matrix(ops).rows == mat.rows
+    ops = [gf2_combination(standard, combo) for combo in ginv]
+    assert _products(ops, [swap_halves(op, m) for op in ops]) == mat.rows
     return ops
 
 

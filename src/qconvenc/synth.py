@@ -8,8 +8,11 @@ rows that provably rule out catastrophic behavior.
 Encoder rows describe how one application of the (not yet completed) encoder
 unitary must transform Paulis.  ``EncoderRow`` holds each row as its input
 and output word, in the layout its docstring states; rows are built, checked,
-combined and completed on those words, and ``Pauli`` parts are read only for
-text, JSON and tests.
+combined and completed on those words.  Memory operators and centralizer
+elements are packed words on the m memory qubits, in the ``pauli_to_vec``
+layout, from Gram-Schmidt to the added rows; ``_place`` widens one into a
+row.  ``Pauli`` objects are built only in the read-only views
+(``EncoderRow`` parts, ``MemoryOperatorTable.op``) for text, JSON and tests.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .pauli import (
     gf2_combination,
     gf2_rank,
     operators_from_commutativity,
-    pauli_to_vec,
     swap_halves,
     symplectic_product_vec,
     vec_to_pauli,
@@ -174,21 +176,29 @@ def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
 
 
 class MemoryOperatorTable:
-    """Concrete memory operators g_{i,j} on m qubits, keyed by (i, j)."""
+    """Concrete memory operators g_{i,j} on m qubits, keyed by (i, j).
+
+    ``ops`` maps (i, j) to a packed word in the ``pauli_to_vec`` layout on
+    m qubits; a negative word, or one that does not fit 2m bits, raises
+    ``WidthMismatchError``.  ``op`` reads one as a ``Pauli``, for text.
+    """
 
     __slots__ = ("m", "ops", "index_map")
 
     def __init__(
-        self, m: int, ops: Dict[Tuple[int, int], Pauli], index_map: List[Tuple[int, int]]
+        self, m: int, ops: Dict[Tuple[int, int], int], index_map: List[Tuple[int, int]]
     ):
+        for word in ops.values():
+            if m < 0 or word < 0 or word >> 2 * m:
+                raise WidthMismatchError(f"word {word:#x} does not fit {m} memory qubits")
         self.m = m
         self.ops = ops
         self.index_map = index_map
 
     def op(self, i: int, j: int) -> Pauli:
-        return self.ops[(i, j)]
+        return vec_to_pauli(self.ops[(i, j)], self.m)
 
-    def as_list(self) -> List[Pauli]:
+    def as_list(self) -> List[int]:
         return [self.ops[key] for key in self.index_map]
 
 
@@ -203,9 +213,7 @@ def assign_memory_operators(omega: MemoryCommutativityMatrix) -> MemoryOperatorT
     order = sorted(range(n), key=lambda r: (omega.index_map[r][1], omega.index_map[r][0]))
     ops = operators_from_commutativity(omega.matrix, order=order)
     table = {omega.index_map[r]: ops[r] for r in range(n)}
-    m = minimal_memory(omega)
-    assert all(op.width == m for op in ops) or n == 0
-    return MemoryOperatorTable(m, table, list(omega.index_map))
+    return MemoryOperatorTable(minimal_memory(omega), table, list(omega.index_map))
 
 
 def _restrict(word: int, w: int, start: int, stop: int) -> int:
@@ -214,9 +222,9 @@ def _restrict(word: int, w: int, start: int, stop: int) -> int:
     return word >> start & mask | (word >> w + start & mask) << stop - start
 
 
-def _place(op: Pauli, w: int, at: int) -> int:
-    """``op`` on qubits [at, at + op.width) of a packed ``w``-qubit word."""
-    return (op.x | op.z << w) << at
+def _place(word: int, m: int, w: int, at: int) -> int:
+    """The packed ``m``-qubit ``word`` on qubits [at, at + m) of a packed ``w``-qubit word."""
+    return (word & (1 << m) - 1 | word >> m << w) << at
 
 
 class EncoderRow(namedtuple("EncoderRow", "m n k inputs outputs")):
@@ -337,16 +345,13 @@ def assemble_partial_encoder(
     """
     n, k, m = code.n, code.k, table.m
     w = m + n
-    if any(op.width != m for op in table.ops.values()):
-        raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
-
     rows: List[EncoderRow] = []
     low = (1 << n) - 1
     for i, gen in enumerate(code.generators, start=1):
         for j in range(1, gen.degree + 1):
             # Ancilla Z_i is input qubit m + i - 1.
-            consumed = _place(table.op(i, j - 1), w, 0) if j > 1 else 1 << w + m + i - 1
-            handed = _place(table.op(i, j), w, n) if j < gen.degree else 0
+            consumed = _place(table.ops[i, j - 1], m, w, 0) if j > 1 else 1 << w + m + i - 1
+            handed = _place(table.ops[i, j], m, w, n) if j < gen.degree else 0
             block = gen.word >> 2 * n * (j - 1)
             emitted = block & low | (block >> n & low) << w
             rows.append(EncoderRow(m, n, k, consumed, emitted | handed))
@@ -355,11 +360,14 @@ def assemble_partial_encoder(
 
 
 class CentralizerBasis:
-    """Span of memory Paulis commuting with every memory operator."""
+    """Span of memory Paulis commuting with every memory operator.
+
+    ``basis`` holds packed words on m qubits, in the ``pauli_to_vec`` layout.
+    """
 
     __slots__ = ("m", "basis")
 
-    def __init__(self, m: int, basis: List[Pauli]):
+    def __init__(self, m: int, basis: List[int]):
         self.m = m
         self.basis = basis
 
@@ -374,11 +382,9 @@ def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
     g in the table; the span has size 2^(2m - rank of the operator set).
     """
     m = table.m
-    ops = table.as_list()
-    # <w, g> depends linearly on w through the swapped vector (g.z | g.x).
-    constraint_rows = [swap_halves(pauli_to_vec(g), m) for g in ops]
-    basis = [vec_to_pauli(vec, m) for vec in sorted(_annihilator(constraint_rows, 2 * m))]
-    return CentralizerBasis(m, basis)
+    # <w, g> depends linearly on w through the swapped word of g.
+    constraint_rows = [swap_halves(g, m) for g in table.as_list()]
+    return CentralizerBasis(m, sorted(_annihilator(constraint_rows, 2 * m)))
 
 
 def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[EncoderRow]:
@@ -389,10 +395,11 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     Row r is the word in | out << 2w of its two words (w = m + n), with one
     unknown GF(2) coefficient.  The constraints are ``_products(probes,
     words)``: bits 2w + b and 3w + b for each physical qubit b, then, with
-    each memory operator g placed as g.x | g.z << w, swap_halves(g), so the
-    input memory commutes with every g.  An S1 row is one combination of
-    the words, checked against the conditions again (both memory parts by
-    one echelon over the centralizer basis), and kept as a row.
+    each memory operator word g placed on the input memory qubits,
+    swap_halves(g), so the input memory commutes with every g.  An S1 row
+    is one combination of the words, checked against the conditions again
+    (both memory parts by one echelon over the centralizer basis), and kept
+    as a row.
 
     The output memory needs no constraint of its own.  Consistent rows keep
     products: <in(c), in(r)> = <out(c), out(r)> for a combination c and
@@ -408,10 +415,11 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
     ins, outs = _encoder_words(encoder.rows, w)
     words = [x | y << 2 * w for x, y in zip(ins, outs)]
-    ops = encoder.memory_ops.as_list() if encoder.memory_ops else []
+    table = encoder.memory_ops
+    ops = [_place(g, table.m, w, 0) for g in table.as_list()] if table else []
     probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
-    probes += [swap_halves(_place(g, w, 0), w) for g in ops]
-    span = _Echelon(_place(b, w, 0) for b in centralizer.basis)
+    probes += [swap_halves(g, w) for g in ops]
+    span = _Echelon(_place(b, centralizer.m, w, 0) for b in centralizer.basis)
     physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
@@ -452,19 +460,17 @@ def has_catastrophic_combination(
 class CatastrophicityContext:
     """Everything needed to audit the added-row choice afterwards."""
 
-    __slots__ = ("centralizer", "s1_rows", "s2_rows", "basis_m")
+    __slots__ = ("centralizer", "s1_rows", "s2_rows")
 
     def __init__(
         self,
         centralizer: CentralizerBasis,
         s1_rows: List[EncoderRow],
         s2_rows: List[EncoderRow],
-        basis_m: List[Pauli],
     ):
         self.centralizer = centralizer
         self.s1_rows = s1_rows
         self.s2_rows = s2_rows
-        self.basis_m = basis_m
 
 
 def add_noncatastrophic_rows(
@@ -488,10 +494,10 @@ def add_noncatastrophic_rows(
     def completion_ok(vecs: List[int]) -> bool:
         return gf2_rank(s1_out_vecs + vecs) == len(centralizer.basis)
 
-    def build_rows(cands: List[Pauli]) -> List[EncoderRow]:
+    def build_rows(cands: List[int]) -> List[EncoderRow]:
         # X on information qubit idx -> identity physical, the target on memory.
         return [
-            EncoderRow(m, n, k, 1 << w - k + idx, _place(t, w, n))
+            EncoderRow(m, n, k, 1 << w - k + idx, _place(t, m, w, n))
             for idx, t in enumerate(cands)
         ]
 
@@ -502,14 +508,14 @@ def add_noncatastrophic_rows(
             f"{needed} centralizer directions to cover but only {k} information qubits"
         )
 
-    def attempts() -> Iterator[List[Pauli]]:
+    def attempts() -> Iterator[List[int]]:
         # Greedy canonical completion from the centralizer basis.
         # b raises the rank iff it leaves a nonzero remainder.
-        candidates: List[Pauli] = []
+        candidates: List[int] = []
         for b in centralizer.basis:
             if len(candidates) == needed:
                 break
-            if span.add(pauli_to_vec(b), 0)[0]:
+            if span.add(b, 0)[0]:
                 candidates.append(b)
         if len(candidates) == needed:  # each raised the rank: completion_ok holds
             yield candidates
@@ -518,7 +524,7 @@ def add_noncatastrophic_rows(
         # combination c of the reversed basis (last basis element fastest).
         # Sampling reads only the population's length and entries, so
         # sampling the indices c draws what sampling the listed elements would.
-        vecs = [pauli_to_vec(b) for b in reversed(centralizer.basis)]
+        vecs = centralizer.basis[::-1]
         elements = range(1, len(centralizer))
         if not elements or needed == 0:
             return
@@ -527,7 +533,7 @@ def add_noncatastrophic_rows(
             picked = rng.sample(elements, min(needed, len(elements)))
             pick = [gf2_combination(vecs, c) for c in picked]
             if len(pick) == needed and completion_ok(pick):
-                yield [vec_to_pauli(vec, m) for vec in pick]
+                yield pick
 
     tried = 0
     for cands in attempts():
@@ -537,20 +543,8 @@ def add_noncatastrophic_rows(
             continue
         new_rows = list(encoder.added_rows) + s2
         _check_row_consistency(encoder.rows + new_rows)
-        extended = PartialEncoder(
-            m=m,
-            n=n,
-            k=k,
-            rows=list(encoder.rows),
-            added_rows=new_rows,
-            memory_ops=encoder.memory_ops,
-        )
-        context = CatastrophicityContext(
-            centralizer=centralizer,
-            s1_rows=s1,
-            s2_rows=s2,
-            basis_m=cands,
-        )
+        extended = PartialEncoder(m, n, k, list(encoder.rows), new_rows, encoder.memory_ops)
+        context = CatastrophicityContext(centralizer=centralizer, s1_rows=s1, s2_rows=s2)
         return extended, context
     raise SynthesisFailureError(
         f"no non-catastrophic completion found after {tried} candidate sets"
@@ -585,10 +579,9 @@ def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
         raise ConsistencyError(
             "forward and backward accumulation of the memory obligations disagree"
         )
-    m = minimal_memory(omega)
     table = assign_memory_operators(omega)
     encoder = assemble_partial_encoder(code, table)
     extended, context = add_noncatastrophic_rows(encoder, seed=seed)
     return SynthesisResult(
-        code=code, omega=omega, m=m, table=table, encoder=extended, context=context
+        code=code, omega=omega, m=table.m, table=table, encoder=extended, context=context
     )

@@ -22,7 +22,13 @@ import random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode
-from .errors import CompletionError, MemoryBoundError, SynthesisFailureError, WidthMismatchError
+from .errors import (
+    CompletionError,
+    GateError,
+    MemoryBoundError,
+    SynthesisFailureError,
+    WidthMismatchError,
+)
 from .pauli import (
     Pauli,
     _Echelon,
@@ -119,25 +125,32 @@ def _apply_gate(xs: List[int], zs: List[int], gate: Gate) -> None:
 
     ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
     bit t for image t.  Each primitive is an involution on vectors, which
-    circuit extraction relies on.
+    circuit extraction relies on.  An unknown kind, a wrong qubit count, a
+    qubit outside [0, w) or a two-qubit gate on one qubit raises
+    ``GateError``.
     """
     kind, qubits = gate
-    if kind == "h":
-        (q,) = qubits
-        xs[q], zs[q] = zs[q], xs[q]
-    elif kind == "s":
-        (q,) = qubits
-        zs[q] ^= xs[q]
-    elif kind == "cnot":
-        c, t = qubits
-        xs[t] ^= xs[c]
-        zs[c] ^= zs[t]
-    elif kind == "cz":
-        a, b = qubits
-        zs[b] ^= xs[a]
-        zs[a] ^= xs[b]
+    w = len(xs)
+    if kind == "h" or kind == "s":
+        q = qubits[0] if len(qubits) == 1 else -1
+        if not 0 <= q < w:
+            raise GateError(f"{kind} needs one qubit in [0, {w}), got {qubits}")
+        if kind == "h":
+            xs[q], zs[q] = zs[q], xs[q]
+        else:
+            zs[q] ^= xs[q]
+    elif kind == "cnot" or kind == "cz":
+        a, b = qubits if len(qubits) == 2 else (-1, -1)
+        if not (0 <= a < w and 0 <= b < w and a != b):
+            raise GateError(f"{kind} needs two distinct qubits in [0, {w}), got {qubits}")
+        if kind == "cnot":
+            xs[b] ^= xs[a]
+            zs[a] ^= zs[b]
+        else:
+            zs[b] ^= xs[a]
+            zs[a] ^= xs[b]
     else:
-        raise ValueError(f"unknown gate kind {kind!r}")
+        raise GateError(f"unknown gate kind {kind!r}")
 
 
 def _not_in_span_solution(

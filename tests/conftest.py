@@ -1,8 +1,10 @@
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from qconvenc import parse_code
+from qconvenc.pauli import BinaryMatrix
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -24,3 +26,15 @@ def running1():
 @pytest.fixture
 def running2():
     return load_code("running2")
+
+
+@st.composite
+def symmetric_zero_diag(draw, max_dim=6):
+    """A symmetric GF(2) matrix with zero diagonal: a commutativity matrix."""
+    dim = draw(st.integers(min_value=0, max_value=max_dim))
+    entries = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            bit = draw(st.integers(0, 1))
+            entries[i][j] = entries[j][i] = bit
+    return BinaryMatrix.from_lists(entries, ncols=dim)

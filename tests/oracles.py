@@ -98,9 +98,18 @@ def row_paulis(row: EncoderRow) -> Tuple[Pauli, Pauli]:
     return row.mem_in.concat(row.anc_in).concat(row.info_in), row.phys_out.concat(row.mem_out)
 
 
+def gram_matrix(words: Sequence[int], width: int) -> BinaryMatrix:
+    """Pairwise symplectic products of packed ``width``-qubit words, one
+    ``symplectic_product_vec`` per entry: the reference for the memory
+    operator words."""
+    return BinaryMatrix.from_lists(
+        [[symplectic_product_vec(a, b, width) for b in words] for a in words], len(words)
+    )
+
+
 def centralizer_contains(centralizer, op: Pauli) -> bool:
     """Whether a memory Pauli lies in the span of a ``CentralizerBasis``."""
-    return gf2_in_rowspan(pauli_to_vec(op), [pauli_to_vec(b) for b in centralizer.basis])
+    return gf2_in_rowspan(pauli_to_vec(op), centralizer.basis)
 
 
 def centralizer_vectors(centralizer) -> List[int]:
@@ -110,7 +119,7 @@ def centralizer_vectors(centralizer) -> List[int]:
     last basis element toggles fastest: add_noncatastrophic_rows draws entry
     c without listing the others.
     """
-    return gf2_span([pauli_to_vec(b) for b in reversed(centralizer.basis)])
+    return gf2_span(centralizer.basis[::-1])
 
 
 def enumerate_centralizer(centralizer) -> List[Pauli]:

@@ -85,7 +85,7 @@ def seeded_completions_running2():
 
 def table_from_strings(strings):
     index_map = sorted(strings)
-    ops = {key: Pauli.from_string(val) for key, val in strings.items()}
+    ops = {key: pauli_to_vec(Pauli.from_string(val)) for key, val in strings.items()}
     m = len(next(iter(strings.values())))
     return MemoryOperatorTable(m, ops, index_map)
 

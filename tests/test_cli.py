@@ -204,6 +204,25 @@ def test_json_deterministic_for_fixed_seed(capsys):
     assert json.dumps(a, indent=2) == json.dumps(b, indent=2)
 
 
+@pytest.mark.parametrize("seed", ["-3", str(2**64), "3.5"], ids=["negative", "2**64", "fraction"])
+def test_seed_outside_u64_is_a_usage_error(capsys, seed):
+    # random.Random reads a seed -s as s, so a negative seed would alias a
+    # positive one instead of being refused.
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--json", "--seed", seed, corpus_path("forney8")])
+    out = capsys.readouterr()
+    assert info.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: qconvenc analyze")
+    assert "argument --seed:" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_largest_u64_seed_is_accepted(capsys):
+    assert main(["synthesize", "--seed", str(2**64 - 1), corpus_path("running1")]) == 0
+    assert capsys.readouterr().out.startswith("n=4 k=2 m=3\n")
+
+
 def test_analyze_text_output(capsys):
     rc = main(["analyze", corpus_path("forney6")])
     out = capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import symmetric_zero_diag
 from oracles import (
     check_commutativity_matrix_by_lists,
     component_index,
@@ -16,6 +17,7 @@ from oracles import (
     gf2_in_rowspan,
     gf2_row_dependencies,
     gf2_solve_dot_system,
+    gram_matrix,
     gram_search,
     labelled_cycle_by_enumeration,
     logical_cycle,
@@ -26,7 +28,13 @@ from oracles import (
     symplectic_gram_schmidt_by_lists,
 )
 import qconvenc.pauli as pauli_module
-from qconvenc.errors import InvalidMatrixError, ParseError, QconvError, WidthMismatchError
+from qconvenc.errors import (
+    GateError,
+    InvalidMatrixError,
+    ParseError,
+    QconvError,
+    WidthMismatchError,
+)
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
@@ -41,15 +49,14 @@ from qconvenc.pauli import (
     gf2_rank,
     gf2_solve_combination,
     gf2_span,
-    gram_matrix,
     operators_from_commutativity,
     shortest_path,
     successor_lists,
     symplectic_gram_schmidt,
     symplectic_product,
 )
-from qconvenc.synth import EncoderRow
-from qconvenc.tableau import CliffordTableau
+from qconvenc.synth import EncoderRow, MemoryOperatorTable
+from qconvenc.tableau import CliffordTableau, Gate, replay_gates
 
 
 @st.composite
@@ -64,17 +71,6 @@ def paulis(draw, width=None):
 def pauli_triples(draw):
     width = draw(st.integers(min_value=1, max_value=8))
     return tuple(draw(paulis(width=width)) for _ in range(3))
-
-
-@st.composite
-def symmetric_zero_diag(draw, max_dim=6):
-    dim = draw(st.integers(min_value=0, max_value=max_dim))
-    entries = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            bit = draw(st.integers(0, 1))
-            entries[i][j] = entries[j][i] = bit
-    return BinaryMatrix.from_lists(entries, ncols=dim)
 
 
 @st.composite
@@ -309,14 +305,17 @@ def test_gram_schmidt_rejects_asymmetric():
         symplectic_gram_schmidt(BinaryMatrix.from_lists([[1]]))
 
 
-@given(symmetric_zero_diag())
+@given(symmetric_zero_diag(), st.data())
 @settings(max_examples=60)
-def test_operators_reproduce_any_commutativity_matrix(mat):
-    ops = operators_from_commutativity(mat)
-    assert gram_matrix(ops).to_lists() == mat.to_lists()
-    if ops:
-        expected_qubits = mat.nrows - mat.rank() // 2
-        assert ops[0].width == expected_qubits
+def test_operators_reproduce_any_commutativity_matrix(mat, data):
+    # The words fit m = dim - rank/2 qubits and reproduce the matrix pairwise,
+    # whatever order the memory qubits are claimed in.
+    m = mat.nrows - mat.rank() // 2
+    order = data.draw(st.permutations(range(mat.nrows)))
+    for ops in (operators_from_commutativity(mat), operators_from_commutativity(mat, order)):
+        assert len(ops) == mat.nrows
+        assert all(0 <= op < 1 << 2 * m for op in ops)
+        assert gram_matrix(ops, m) == mat
 
 
 def test_exists_gram_realization_small():
@@ -457,11 +456,23 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
         (lambda: EncoderRow(1, 1, 0, 0, -1), WidthMismatchError),
         (lambda: CliffordTableau(2, [1, 2, 3]), WidthMismatchError),
         (lambda: Pauli.from_string("XW"), ParseError),
+        (lambda: MemoryOperatorTable(1, {(1, 1): 1 << 2}, [(1, 1)]), WidthMismatchError),
+        (lambda: MemoryOperatorTable(1, {(1, 1): -1}, [(1, 1)]), WidthMismatchError),
+        (lambda: replay_gates(2, [Gate("h", (-1,))]), GateError),
+        (lambda: replay_gates(2, [Gate("s", (2,))]), GateError),
+        (lambda: replay_gates(2, [Gate("cnot", (0, 0))]), GateError),
+        (lambda: replay_gates(2, [Gate("cz", (0, 2))]), GateError),
+        (lambda: replay_gates(2, [Gate("cnot", (0,))]), GateError),
+        (lambda: replay_gates(2, [Gate("h", (0, 1))]), GateError),
+        (lambda: replay_gates(2, [Gate("t", (0,))]), GateError),
     ],
     ids=[
         "cut-past-width", "cut-reversed", "short-row", "rhs-length", "order-not-permutation",
         "row-negative-memory", "row-k-above-n", "row-word-too-wide", "row-negative-word",
-        "tableau-image-count", "pauli-character",
+        "tableau-image-count", "pauli-character", "table-word-too-wide", "table-negative-word",
+        "gate-negative-qubit", "gate-qubit-past-width", "gate-repeated-qubit",
+        "gate-two-qubit-past-width", "gate-too-few-qubits", "gate-too-many-qubits",
+        "gate-unknown-kind",
     ],
 )
 def test_caller_input_raises_typed_errors(call, error):
@@ -480,11 +491,13 @@ def test_pauli_width_check_survives_optimized_mode():
         "from qconvenc.code import ConvolutionalCode, GeneratorPolynomial\n"
         "from oracles import gf2_solve_dot_system\n"
         "from qconvenc.pauli import BinaryMatrix, Pauli, operators_from_commutativity\n"
-        "from qconvenc.synth import EncoderRow, PartialEncoder, add_noncatastrophic_rows\n"
+        "from qconvenc.synth import (\n"
+        "    EncoderRow, MemoryOperatorTable, PartialEncoder, add_noncatastrophic_rows)\n"
         "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
         "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
         "wide_row = EncoderRow(2, 1, 0, 0, 0)\n"
-        "swapped = tableau_module.replay_gates(1, [Gate('h', (0,))])\n"
+        "replay = tableau_module.replay_gates\n"
+        "swapped = replay(1, [Gate('h', (0,))])\n"
         "# A replay that misses the tableau must be refused, not passed through.\n"
         "tableau_module.replay_gates = lambda w, gates: CliffordTableau.identity(w)\n"
         "# So must a completion that fails its symplectic post-condition.\n"
@@ -514,6 +527,12 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: EncoderRow(1, 1, 0, 0, -1),\n"
         "    lambda: CliffordTableau(2, [1, 2, 3]),\n"
         "    lambda: Pauli.from_string('XW'),\n"
+        "    lambda: MemoryOperatorTable(1, {(1, 1): 1 << 2}, [(1, 1)]),\n"
+        "    lambda: replay(2, [Gate('h', (-1,))]),\n"
+        "    lambda: replay(2, [Gate('s', (2,))]),\n"
+        "    lambda: replay(2, [Gate('cnot', (0, 0))]),\n"
+        "    lambda: replay(2, [Gate('cnot', (0,))]),\n"
+        "    lambda: replay(2, [Gate('t', (0,))]),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -545,6 +564,12 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "WidthMismatchError",
         "ParseError",
+        "WidthMismatchError",
+        "GateError",
+        "GateError",
+        "GateError",
+        "GateError",
+        "GateError",
     ]
 
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_code
+from conftest import load_code, symmetric_zero_diag
 from oracles import (
     backward_matrix_by_blocks,
     centralizer_contains,
     centralizer_vectors,
     enumerate_centralizer,
     forward_matrix_by_blocks,
+    gram_matrix,
     labelled_cycle_by_enumeration,
     row_from_parts,
     row_paulis,
@@ -39,9 +40,10 @@ from qconvenc.errors import (
 from qconvenc.pauli import (
     BinaryMatrix,
     Pauli,
-    gram_matrix,
+    gf2_rank,
     pauli_to_vec,
     symplectic_product,
+    symplectic_product_vec,
     vec_to_pauli,
 )
 from qconvenc.synth import (
@@ -79,7 +81,7 @@ INVALID_TEXT = "n=3\nk=1\nh XII\nh ZII\n"
 
 def table_from_strings(strings):
     index_map = sorted(strings)
-    ops = {key: Pauli.from_string(val) for key, val in strings.items()}
+    ops = {key: pauli_to_vec(Pauli.from_string(val)) for key, val in strings.items()}
     m = len(next(iter(strings.values())))
     return MemoryOperatorTable(m, ops, index_map)
 
@@ -128,14 +130,14 @@ def test_minimal_memory_rejects_odd_rank():
 @pytest.mark.parametrize("name", CORPUS)
 def test_assigned_operators_match_reference(name):
     table = assign_memory_operators(build_commutativity_matrix(load_code(name)))
-    assert {key: str(op) for key, op in table.ops.items()} == MEMORY_OPS_DERIVED[name]
+    assert {key: str(table.op(*key)) for key in table.ops} == MEMORY_OPS_DERIVED[name]
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_assigned_operators_reproduce_matrix(name):
     omega = build_commutativity_matrix(load_code(name))
     table = assign_memory_operators(omega)
-    assert gram_matrix(table.as_list()).rows == omega.matrix.rows
+    assert gram_matrix(table.as_list(), table.m) == omega.matrix
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -143,7 +145,7 @@ def test_published_operator_tables_reproduce_matrix(name):
     # The externally chosen tables are a second, independent realization.
     omega = build_commutativity_matrix(load_code(name))
     table = table_from_strings(MEMORY_OPS_PUBLISHED[name])
-    assert gram_matrix(table.as_list()).rows == omega.matrix.rows
+    assert gram_matrix(table.as_list(), table.m) == omega.matrix
 
 
 def test_assign_empty_matrix():
@@ -187,20 +189,22 @@ def test_assemble_rejects_mismatched_table(running1):
     # Identity operators cannot carry running1's anticommutation obligations.
     bogus = MemoryOperatorTable(
         3,
-        {(i, j): Pauli.identity(3) for i in (1, 2) for j in (1, 2, 3)},
+        {(i, j): 0 for i in (1, 2) for j in (1, 2, 3)},
         [(i, j) for i in (1, 2) for j in (1, 2, 3)],
     )
     with pytest.raises(AssemblyError):
         assemble_partial_encoder(running1, bogus)
 
 
-def test_assembly_refuses_memory_operators_of_another_width(running1):
-    # Rows are packed on m + n qubits, so a wider operator would spill into
-    # the ancilla and z bits instead of widening its row.
+@pytest.mark.parametrize("word", [-1, 1 << 6, 1 << 9], ids=["negative", "bit-2m", "wider"])
+def test_table_refuses_words_that_do_not_fit_its_memory(running1, word):
+    # Rows are packed on m + n qubits, so a wider word would spill into the
+    # ancilla and z bits of its row; the table refuses it before assembly.
     table = assign_memory_operators(build_commutativity_matrix(running1))
-    wide = {key: op.concat(Pauli.identity(1)) for key, op in table.ops.items()}
-    with pytest.raises(WidthMismatchError, match="^encoder rows are not all 7 qubits wide$"):
-        assemble_partial_encoder(running1, MemoryOperatorTable(table.m, wide, table.index_map))
+    ops = dict(table.ops)
+    ops[1, 1] = word
+    with pytest.raises(WidthMismatchError, match=f"^word {word:#x} does not fit 3 memory qubits$"):
+        MemoryOperatorTable(table.m, ops, table.index_map)
 
 
 def test_row_consistency_reports_the_first_offending_pair():
@@ -310,9 +314,9 @@ def test_centralizer_of_published_tables(name):
     assert len(cent.basis) == len(expected)
     for text in expected:
         assert centralizer_contains(cent, Pauli.from_string(text))
-    for op in cent.basis:
+    for b in cent.basis:
         for g in table.as_list():
-            assert (op.x & g.z).bit_count() % 2 == (op.z & g.x).bit_count() % 2
+            assert symplectic_product_vec(b, g, table.m) == 0
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -323,6 +327,23 @@ def test_centralizer_of_assigned_tables(name):
     assert len(cent.basis) == len(expected)
     for text in expected:
         assert centralizer_contains(cent, Pauli.from_string(text))
+
+
+@given(symmetric_zero_diag(max_dim=7))
+@settings(max_examples=60)
+def test_centralizer_words_commute_with_every_operator_word(mat):
+    # The basis is independent, every word commutes with every operator
+    # word, and it has 2m - rank(operators) elements: the whole centralizer.
+    index_map = [(1, j) for j in range(1, mat.nrows + 1)]
+    table = assign_memory_operators(MemoryCommutativityMatrix(mat, index_map))
+    ops = table.as_list()
+    cent = compute_centralizer(table)
+    m = table.m
+    assert cent.m == m
+    assert cent.basis == sorted(cent.basis)
+    assert all(0 < b < 1 << 2 * m for b in cent.basis)
+    assert gf2_rank(cent.basis) == len(cent.basis) == 2 * m - gf2_rank(ops)
+    assert all(symplectic_product_vec(b, g, m) == 0 for b in cent.basis for g in ops)
 
 
 def test_centralizer_enumeration_size(running2):
@@ -337,9 +358,9 @@ def test_centralizer_enumeration_size(running2):
     expected = []
     for picks in itertools.product((0, 1), repeat=len(cent.basis)):
         acc = Pauli.identity(cent.m)
-        for bit, op in zip(picks, cent.basis):
+        for bit, b in zip(picks, cent.basis):
             if bit:
-                acc = acc * op
+                acc = acc * vec_to_pauli(b, cent.m)
         expected.append(acc)
     assert elements == expected
     assert centralizer_vectors(cent) == [pauli_to_vec(e) for e in expected]
@@ -378,10 +399,14 @@ def test_find_s1_refuses_inconsistent_rows_whose_output_memory_leaves_the_centra
     encoder = assemble_partial_encoder(code, table)
     cent = compute_centralizer(table)
     ops = table.as_list()
-    outside = next(g for g in ops if any(symplectic_product(g, h) for h in ops))
     m, n, k = encoder.m, encoder.n, encoder.k
+    outside = next(g for g in ops if any(symplectic_product_vec(g, h, m) for h in ops))
     stray = row_from_parts(
-        Pauli.identity(m), Pauli.identity(n - k), Pauli.identity(k), Pauli.identity(n), outside
+        Pauli.identity(m),
+        Pauli.identity(n - k),
+        Pauli.identity(k),
+        Pauli.identity(n),
+        vec_to_pauli(outside, m),
     )
     inconsistent = PartialEncoder(m, n, k, encoder.rows + [stray], memory_ops=table)
     with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
@@ -397,9 +422,12 @@ def test_added_rows_match_reference(name):
     assert [row.as_strings() for row in extended.added_rows] == ADDED_ROWS_DERIVED[name]
     assert extended.rows == encoder.rows
     assert [row.as_strings() for row in context.s1_rows] == S1_ROWS[name]
-    assert [str(p) for p in context.basis_m] == [
-        parts["mem_out"] for parts in ADDED_ROWS_DERIVED[name]
-    ]
+    assert context.s2_rows == extended.added_rows
+    # Each added row maps X on a fresh information qubit to a centralizer
+    # element on the output memory, with no physical output.
+    for row in context.s2_rows:
+        assert row.phys_out.is_identity
+        assert centralizer_contains(context.centralizer, row.mem_out)
 
 
 def test_added_rows_span_centralizer(running2):
@@ -412,8 +440,6 @@ def test_added_rows_span_centralizer(running2):
         row.mem_out.x | (row.mem_out.z << m)
         for row in context.s1_rows + context.s2_rows
     ]
-    from qconvenc.pauli import gf2_rank
-
     assert gf2_rank(vecs) == len(cent.basis)
 
 

@@ -30,6 +30,7 @@ from oracles import (
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
 from qconvenc.errors import (
     CompletionError,
+    GateError,
     MemoryBoundError,
     SynthesisFailureError,
     WidthMismatchError,
@@ -171,7 +172,7 @@ def test_gates_are_involutions(kind, qubits):
 
 
 def test_unknown_gate_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(GateError):
         replay_gates(1, [Gate("t", (0,))])
     with pytest.raises(ValueError):
         apply_gate(CliffordTableau.identity(1), Gate("t", (0,)))
