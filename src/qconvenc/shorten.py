@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
-from .errors import DegenerateCodeError, WidthMismatchError, WindowError
+from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError, WindowError
 from .pauli import _annihilator, _products, gf2_combination, gf2_rank, gf2_solve_combination
 
 __all__ = [
@@ -115,8 +115,13 @@ def shorten(code: ConvolutionalCode) -> ShorteningReport:
 
     Leading identity frames are stripped first ("normalize" steps).  Then
     each round applies the front rewrite to the first generator that admits
-    one, or else the back rewrite.
+    one, or else the back rewrite.  An invalid code raises
+    ``InvalidCodeError`` with its violations; the rewrites are invertible
+    row operations, so a valid code stays valid.
     """
+    result = validate_code(code)
+    if not result.valid:
+        raise InvalidCodeError(result.violations)
     steps: List[ShortenStep] = []
     current = code
     for i, gen in enumerate(current.generators):
@@ -128,7 +133,6 @@ def shorten(code: ConvolutionalCode) -> ShorteningReport:
             steps.append(ShortenStep("normalize", i + 1, (), stripped.degree))
     while nxt := _rewrite(current, steps, "front") or _rewrite(current, steps, "back"):
         current = nxt
-    assert validate_code(current).valid
     return ShorteningReport(input_code=code, output_code=current, steps=steps)
 
 

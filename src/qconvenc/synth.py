@@ -18,6 +18,7 @@ row.  ``Pauli`` objects are built only in the read-only views
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -74,21 +75,19 @@ class MemoryCommutativityMatrix:
     r stands for; rows are ordered lexicographically by that pair.  Entry
     (r, s) is 1 exactly when the corresponding memory operators must
     anticommute for the streamed generators to commute across frames.
+    ``rank`` is eliminated once, when the matrix is built.
     """
 
-    __slots__ = ("matrix", "index_map")
+    __slots__ = ("matrix", "index_map", "rank")
 
     def __init__(self, matrix: BinaryMatrix, index_map: List[Tuple[int, int]]):
         self.matrix = matrix
         self.index_map = index_map
+        self.rank = matrix.rank()
 
     @property
     def dim(self) -> int:
         return self.matrix.nrows
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.rank()
 
 
 def _memory_indices(code: ConvolutionalCode) -> List[Tuple[int, int]]:
@@ -525,12 +524,22 @@ def add_noncatastrophic_rows(
         # Sampling reads only the population's length and entries, so
         # sampling the indices c draws what sampling the listed elements would.
         vecs = centralizer.basis[::-1]
-        elements = range(1, len(centralizer))
-        if not elements or needed == 0:
+        size = (1 << len(vecs)) - 1
+        if not size or needed == 0:
             return
+        count = min(needed, size)
         rng = random.Random(seed)
         for _ in range(500):
-            picked = rng.sample(elements, min(needed, len(elements)))
+            if size < sys.maxsize:
+                picked = rng.sample(range(1, size + 1), count)
+            else:
+                # random.sample cannot take len() of this span; these are the
+                # distinct randrange draws it makes for so few of so many.
+                picked = []
+                while len(picked) < count:
+                    c = 1 + rng.randrange(size)
+                    if c not in picked:
+                        picked.append(c)
             pick = [gf2_combination(vecs, c) for c in picked]
             if len(pick) == needed and completion_ok(pick):
                 yield pick

@@ -403,6 +403,14 @@ COMPLETION_CIRCUIT_DIGEST = "eb96d988181a0ef328aaeea50daf213b47e2f2c397609b169b3
 # the pipeline that built the shifted products block by block.
 CLI_REPORT_DIGEST = "f9084621033480e42de93c342848115ad5877a2d3939c11a722ee758073e5b84"
 
+# sha256 over the 1,056 CLI outcomes of the corpus files and the invalid,
+# malformed and non-UTF-8 inputs x subcommand x seed 0 or 7 x --json or
+# text x with or without --skip-shorten x default or --max-memory 4: exit
+# code, stdout and stderr; see tests/test_cli.py:cli_outcome_digest for the
+# line format.  Recorded from the CLI that rebuilt a stateful pipeline
+# object in each of six subcommand functions.
+CLI_OUTCOME_DIGEST = "b684290ed7ed7e463417c43ce22ca24a48888a444e1f11a097dfa5816c92d4b2"
+
 # sha256 over both state-diagram verdicts and both full witnesses of the
 # partial-encoder completions in tests/test_tableau.py:STATE_DIAGRAM_CASES,
 # seeds 0-15; see state_diagram_digest for the line format.  Recorded from

@@ -2,10 +2,12 @@
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -14,10 +16,12 @@ import qconvenc.tableau as tableau_module
 from conftest import corpus_path, load_code
 from qconvenc.cli import main
 from qconvenc.code import delay_generator, multiply_generators, serialize_code
+from qconvenc.pauli import BinaryMatrix
 from qconvenc.synth import synthesize
 from qconvenc.tableau import Gate, complete_to_clifford, replay_gates
 from reference_data import (
     ADDED_ROWS_DERIVED,
+    CLI_OUTCOME_DIGEST,
     CLI_REPORT_DIGEST,
     CORPUS,
     MEMORY_OPS_DERIVED,
@@ -26,6 +30,7 @@ from reference_data import (
 
 INVALID_TEXT = "n=3\nk=1\nh XII\nh ZII\n"
 MALFORMED_TEXT = "n=4\nk=2\nh XXXX\n"
+NON_UTF8_BYTES = b"\xffn=2\nk=1\nh ZZ\n"
 
 
 @pytest.fixture
@@ -108,7 +113,7 @@ def test_validate_missing_file(capsys, tmp_path):
 )
 def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, command):
     path = tmp_path / "binary.qcc"
-    path.write_bytes(b"\xffn=2\nk=1\nh ZZ\n")
+    path.write_bytes(NON_UTF8_BYTES)
     rc = main([command, str(path)])
     out = capsys.readouterr()
     assert rc == 2
@@ -241,6 +246,29 @@ def test_analyze_memory_bound(capsys):
     )
 
 
+def test_synthesis_past_sys_maxsize_centralizer_span_ends_in_an_exit_code(capsys, tmp_path):
+    # m = 67 and 65 centralizer words: the random completion once raised
+    # OverflowError; now synthesis succeeds and the analysis bound refuses.
+    code = load_code("gr07-third")
+    g1, g2 = code.generators
+    code = type(code)(
+        code.n,
+        code.k,
+        (
+            multiply_generators(g1, delay_generator(g1, 1)),
+            multiply_generators(g2, delay_generator(g2, 60)),
+        ),
+    )
+    path = tmp_path / "wide.qcc"
+    path.write_text(serialize_code(code), encoding="utf-8")
+    rc = main(["synthesize", str(path)])
+    out = capsys.readouterr()
+    assert rc == 4
+    assert out.err == (
+        "analysis refused: m=67 memory qubits exceed the --max-memory bound of 8\n"
+    )
+
+
 def test_analyze_gr07_with_default_bound(capsys):
     rc = main(["analyze", corpus_path("gr07-third")])
     out = capsys.readouterr()
@@ -327,6 +355,22 @@ def test_analysis_builds_one_state_diagram(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["omega", "synthesize"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_run_eliminates_omega_for_its_rank_once(monkeypatch, command, json_flag):
+    calls = []
+    rank = BinaryMatrix.rank
+
+    def counted(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(BinaryMatrix, "rank", counted)
+    with redirect_stdout(io.StringIO()):
+        assert main([command, *json_flag, corpus_path("forney8")]) == 0
+    assert len(calls) == 1
+
+
 SUBCOMMANDS = ["validate", "shorten", "omega", "synthesize", "analyze", "circuit"]
 
 
@@ -364,3 +408,53 @@ def test_cli_reports_match_pinned_digest_under_optimized_mode():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == CLI_REPORT_DIGEST
+
+
+BAD_INPUTS = {
+    "invalid": INVALID_TEXT.encode(),
+    "malformed": MALFORMED_TEXT.encode(),
+    "non-utf8": NON_UTF8_BYTES,
+}
+
+
+def cli_outcome_digest() -> str:
+    """sha256 of every input x subcommand x option set run through main.
+
+    The inputs are the corpus files and BAD_INPUTS; the options are seed 0
+    or 7, --json or text, with or without --skip-shorten, and the default
+    or a --max-memory of 4.  Each run adds the line "<input> <cmd>
+    <options> <exit code> <stdout> <stderr>", where the file's path reads
+    as its input name and a JSON report is compacted without its timing.
+    """
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: corpus_path(name) for name in CORPUS}
+        for name, data in BAD_INPUTS.items():
+            paths[name] = os.path.join(tmp, name + ".qcc")
+            with open(paths[name], "wb") as handle:
+                handle.write(data)
+        option_sets = itertools.product(
+            (["--seed", "0"], ["--seed", "7"]),
+            (["--json"], []),
+            ([], ["--skip-shorten"]),
+            ([], ["--max-memory", "4"]),
+        )
+        option_sets = [sum(parts, []) for parts in option_sets]
+        for (name, path), cmd, options in itertools.product(
+            paths.items(), SUBCOMMANDS, option_sets
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main([cmd, *options, path])
+            stdout = out.getvalue()
+            if "--json" in options and stdout:
+                report = json.loads(stdout)
+                del report["timing"]
+                stdout = json.dumps(report)
+            line = " ".join([name, cmd, *options, str(rc), stdout, err.getvalue()])
+            digest.update((line.replace(path, name) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_cli_outcomes_match_pinned_digest():
+    assert cli_outcome_digest() == CLI_OUTCOME_DIGEST

@@ -15,7 +15,13 @@ from conftest import load_code
 from oracles import group_equivalent_on_strip_paulis, normalize_leading_delay
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, parse_code, serialize_code
 from qconvenc.code import delay_generator, multiply_generators, validate_code
-from qconvenc.errors import DegenerateCodeError, QconvError, WidthMismatchError, WindowError
+from qconvenc.errors import (
+    DegenerateCodeError,
+    InvalidCodeError,
+    QconvError,
+    WidthMismatchError,
+    WindowError,
+)
 from qconvenc.shorten import group_equivalent, shorten
 from qconvenc.synth import synthesize
 from qconvenc.tableau import complete_to_clifford, detect_catastrophic, roundtrip_verify
@@ -243,12 +249,38 @@ def shorten_digest() -> str:
     return digest.hexdigest()
 
 
+INVALID_TEXT = "n=3\nk=1\nh XII\nh ZII\n"
+
+
+def test_shorten_refuses_an_invalid_code():
+    with pytest.raises(InvalidCodeError) as info:
+        shorten(parse_code(INVALID_TEXT))
+    assert info.value.violations == [(1, 2, 0)]
+
+
+def test_shorten_refuses_an_invalid_code_under_optimized_mode():
+    # The refusal is a raised check, not an assert that -O strips.
+    script = (
+        "from qconvenc.code import parse_code\n"
+        "from qconvenc.errors import InvalidCodeError\n"
+        "from qconvenc.shorten import shorten\n"
+        "try:\n"
+        f"    shorten(parse_code({INVALID_TEXT!r}))\n"
+        "except InvalidCodeError as exc:\n"
+        "    print(exc.violations)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[(1, 2, 0)]\n"
+
+
 def test_shorten_matches_pinned_digest():
     assert shorten_digest() == SHORTEN_DIGEST
 
 
 def test_shorten_matches_pinned_digest_under_optimized_mode():
-    # shorten ends in an assert, which -O strips.
+    # No outcome may rest on an assert, which -O strips.
     script = (
         f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r}); "
         "from test_shorten import shorten_digest; print(shorten_digest())"

@@ -4,12 +4,14 @@ import hashlib
 import json
 import random
 from functools import lru_cache
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qconvenc.synth as synth_module
 import qconvenc.tableau as tableau_module
 from conftest import load_code
 from oracles import (
@@ -42,6 +44,7 @@ from qconvenc.synth import (
     assemble_partial_encoder,
     assign_memory_operators,
     build_commutativity_matrix,
+    has_catastrophic_combination,
     synthesize,
 )
 from qconvenc.tableau import (
@@ -672,6 +675,28 @@ def random_completion_digest() -> str:
 
 def test_random_completions_match_pinned_digest():
     assert random_completion_digest() == RANDOM_COMPLETION_DIGEST
+
+
+def test_random_completion_draws_match_random_sample_on_any_span(monkeypatch):
+    # With every span treated as too large for random.sample, the distinct
+    # randrange draws made instead must be the ones random.sample makes.
+    monkeypatch.setattr(synth_module, "sys", SimpleNamespace(maxsize=0))
+    assert random_completion_digest() == RANDOM_COMPLETION_DIGEST
+
+
+def test_random_completion_over_a_span_past_sys_maxsize():
+    # g1 <- g1 * D g1 and g2 <- g2 * D^60 g2 give 65 centralizer words; the
+    # draws once took len() of their 2^65 - 1 combinations and overflowed.
+    code = inflated_code("gr07-third", 1)
+    g2 = code.generators[1]
+    code = code.with_generator(1, multiply_generators(g2, delay_generator(g2, 60)))
+    assert shorten(code).steps == []
+    result = synthesize(code)
+    assert (result.m, len(result.context.centralizer.basis)) == (67, 65)
+    assert len(result.encoder.added_rows) == 2
+    assert not has_catastrophic_combination(
+        result.context.s1_rows + result.encoder.added_rows, result.encoder
+    )
 
 
 def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
