@@ -12,12 +12,13 @@ integer (``pauli_to_vec``) the x word fills bits 0..w-1 and the z word bits
 w..2w-1; every packed Pauli in the package uses this layout.
 
 GF(2) matrices are lists of packed row words plus an explicit column count.
-A row set multiplied by many words is transposed once (``_transpose``), and
-then each word's products with all rows are one XOR per set bit of the word
-(``_products``).  All elimination goes through one fully reduced echelon
-basis, ``_Echelon``.
-The ``gf2_*`` functions build one per call; an incremental caller, such as
-the Clifford completion, grows its own a row at a time and queries it in
+The products of words with a row set are one masked parity per pair
+(``_products``).  Elimination does only what its reader uses.  A nullspace
+is the dependencies among the columns of its constraint rows, found by
+forward elimination alone (``_dependencies``, ``_annihilator``).  Everything
+else goes through one fully reduced echelon basis, ``_Echelon``.  The
+``gf2_*`` functions build one per call; an incremental caller, such as the
+Clifford completion, grows its own a row at a time and queries it in
 between (membership, dependencies, dot-product systems, inverse tags).
 
 State diagrams are directed graphs on packed-Pauli int vertices.  The
@@ -162,13 +163,14 @@ def _product_mismatch(
 ) -> Optional[Tuple[int, int]]:
     """First pair i < j, in ``itertools.combinations`` order, with
     <a[i], a[j]> != <b[i], b[j]>, found as an odd product of the words
-    a[i] | b[i] << 2 * width; None when every pair agrees."""
+    a[i] | b[i] << 2 * width; None when every pair agrees.  Only the pairs
+    i < j are scanned, and the scan stops at the first odd one."""
     words = [x | y << 2 * width for x, y in zip(a, b)]
     swapped = [swap_halves(x, width) | swap_halves(y, width) << 2 * width for x, y in zip(a, b)]
-    for i, row in enumerate(_products(words, swapped)):
-        later = row >> (i + 1)
-        if later:
-            return i, i + (later & -later).bit_length()
+    for i, word in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if (word & swapped[j]).bit_count() & 1:  # _parity, inline on this hot path
+                return i, j
     return None
 
 
@@ -285,8 +287,10 @@ class _Echelon:
         return vec, tag
 
     def particular(self, rhs_mask: int) -> Optional[int]:
-        """The solution of ``solve_dot``'s system with free variables zero,
-        read off the tags, or None when some dependency has odd right-hand side."""
+        """A solution v of parity(row_i & v) = bit i of ``rhs_mask``, row i
+        being the one added with tag 1 << i: the one with free variables
+        zero, read off the tags.  None when some dependency has odd
+        right-hand side."""
         if any(_parity(dep & rhs_mask) for dep in self.dependencies):
             return None
         solution = 0
@@ -295,29 +299,10 @@ class _Echelon:
                 solution |= 1 << p
         return solution
 
-    def solve_dot(self, rhs_mask: int, ncols: int) -> Optional[Tuple[int, List[int]]]:
-        """Solve parity(row_i & v) = bit i of ``rhs_mask`` over the added rows.
-
-        Row i is the one added with tag 1 << i.  Returns (particular
-        solution with free variables zero, nullspace basis over ``ncols``
-        columns), or None when some dependency has odd right-hand side.
-        """
-        # A homogeneous system always has the zero solution.
-        particular = self.particular(rhs_mask) if rhs_mask else 0
-        if particular is None:
-            return None
-        # Free column f's basis vector is f plus the pivots of the basis rows
-        # with bit f set.  A reduced row holds no pivot but its own, so the
-        # transpose walks the set free bits of each row, placed by pivot.
-        by_pivot = [self.rows.get(p, 0) for p in range(self.pivots.bit_length())]
-        columns = _transpose(by_pivot, ncols)
-        free = [f for f in range(ncols) if not (self.pivots >> f) & 1]
-        return particular, [columns[f] | 1 << f for f in free]
-
 
 def _add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag: int) -> None:
-    """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis
-    ``basis.solve_dot(_, ncols)`` lists, as free column f -> vector N_f.
+    """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis of
+    the added rows that ``_annihilator`` lists, as free column f -> vector N_f.
 
     ``nullspace`` starts as {f: 1 << f for f < ncols}, and rows fit in ncols
     bits.  N_f is the one nullspace vector whose only free bit is f.  A
@@ -325,7 +310,7 @@ def _add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag
     remainder holds no older pivot, so it meets N_p only in p.  Each N_f
     with odd product takes N_p on, which evens the product and adds no free
     bit.  A zero remainder changes nothing.  Keys stay ascending, the order
-    ``solve_dot`` lists.
+    ``_annihilator`` lists.
     """
     rest, _ = basis.add(vec, tag)
     if rest:
@@ -548,16 +533,56 @@ def shortest_path(
     return path[::-1]
 
 
+def _dependencies(vectors: Iterable[int]) -> List[int]:
+    """Tags of the vectors that reduce to zero, in input order.
+
+    Vector i carries tag 1 << i.  Elimination runs forward only: a vector
+    is reduced until its lowest set bit is a new pivot, where it is kept
+    with its tag, and no kept vector is reduced again.  A vector that
+    reduces to zero leaves its tag, a combination of vectors that XORs to
+    zero.  Vector i reduces to zero iff it lies in the span of the vectors
+    before it.
+
+    Given the ``bits`` columns of a row set (``_transpose``), a combination
+    of columns that XORs to zero is a word c with parity(c & row) = 0 for
+    every row, and the tags are the nullspace basis N_f of the reduced
+    echelon of the rows, in ascending free column f.  Proof: column f is a
+    pivot column of that echelon iff it is not in the span of the columns
+    before it, so the free columns are the ones that reduce to zero.  A
+    kept vector's tag is its own bit plus tags of kept vectors, so by
+    induction it involves only pivot columns.  The tag of free column f is
+    then f plus a combination of pivot columns, a nullspace vector whose
+    only free bit is f.  That vector is unique, and it is N_f: f plus the
+    pivots of the reduced rows with bit f set.
+    """
+    kept: Dict[int, Tuple[int, int]] = {}  # lowest bit -> (vector, tag)
+    dependencies = []
+    for i, vec in enumerate(vectors):
+        tag = 1 << i
+        while vec:
+            low = vec & -vec
+            pivot = kept.get(low)
+            if pivot is None:
+                kept[low] = vec, tag
+                break
+            vec ^= pivot[0]
+            tag ^= pivot[1]
+        else:
+            dependencies.append(tag)
+    return dependencies
+
+
 def _annihilator(rows: Sequence[int], bits: int) -> List[int]:
-    """Basis of the ``bits``-bit words c with parity(c & row) = 0 for every row."""
-    return _Echelon(rows).solve_dot(0, bits)[1]
+    """Basis of the ``bits``-bit words c with parity(c & row) = 0 for every
+    row: the dependencies among the columns of the rows."""
+    return _dependencies(_transpose(rows, bits))
 
 
 def _transpose(rows: Sequence[int], bits: int) -> List[int]:
     """The ``bits`` columns of a row set: bit i of column b is bit b of rows[i].
 
-    Row bits at ``bits`` and above are dropped.  Transposed once, a row set
-    answers each product in one XOR per set bit of the multiplying word.
+    Row bits at ``bits`` and above are dropped.  It gives ``_annihilator``
+    its columns, and circuit extraction and replay their qubit columns.
     """
     columns = [0] * bits
     mask = (1 << bits) - 1
@@ -571,13 +596,15 @@ def _transpose(rows: Sequence[int], bits: int) -> List[int]:
 
 
 def _products(words: Sequence[int], rows: Sequence[int]) -> List[int]:
-    """Bit i of entry r is parity(words[r] & rows[i]).
-
-    The rows are transposed once, to the width of the widest word: a row bit
-    beyond it meets only zeros and drops out.
-    """
-    columns = _transpose(rows, max(words, default=0).bit_length())
-    return [gf2_combination(columns, word) for word in words]
+    """Bit i of entry r is parity(words[r] & rows[i]), one masked parity per pair."""
+    products = []
+    for word in words:
+        acc = 0
+        for i, row in enumerate(rows):
+            if (word & row).bit_count() & 1:  # _parity, inline on this hot path
+                acc |= 1 << i
+        products.append(acc)
+    return products
 
 
 def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
@@ -593,10 +620,11 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
 
     N_{i+1} is the part of N_i whose sources lie in dst N_i and whose
     targets lie in src N_i, so each round is two annihilators and one
-    nullspace over the current basis.  N_{i+1} differs from N_i only when
-    S_{i+1} is smaller than S_i, so the fixed point N* arrives within
-    ``bits`` + 1 rounds; its basis is returned.  A round whose constraint
-    words are all zero keeps every edge, so it returns without the nullspace.
+    nullspace over the current basis: the dependencies among one constraint
+    column per edge.  N_{i+1} differs from N_i only when S_{i+1} is smaller
+    than S_i, so the fixed point N* arrives within ``bits`` + 1 rounds; its
+    basis is returned.  A round whose constraint columns are all zero keeps
+    every edge, so it returns without the nullspace.
 
     Theorem: an edge of E lies on a cycle iff both of its endpoints lie in
     the core S* = src N* & dst N*, that is, iff it lies in N*.
@@ -623,7 +651,11 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
     while True:
         src = [e & mask for e in edges]
         dst = [(e >> bits) & mask for e in edges]
-        words = _products(_annihilator(dst, bits), src) + _products(_annihilator(src, bits), dst)
-        if not any(words):  # every edge kept: the fixed point, no nullspace to take
+        dst_perp, src_perp = _annihilator(dst, bits), _annihilator(src, bits)
+        shift = len(dst_perp)
+        columns = [
+            a | b << shift for a, b in zip(_products(src, dst_perp), _products(dst, src_perp))
+        ]
+        if not any(columns):  # every edge kept: the fixed point, no nullspace to take
             return edges
-        edges = [gf2_combination(edges, combo) for combo in _annihilator(words, len(edges))]
+        edges = [gf2_combination(edges, combo) for combo in _dependencies(columns)]

@@ -36,6 +36,7 @@ from .pauli import (
     Pauli,
     _Echelon,
     _annihilator,
+    _dependencies,
     _product_mismatch,
     _products,
     cycle_core,
@@ -392,13 +393,14 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     Selected combinations of the generator rows must emit identity on all
     physical qubits and have both memory parts inside the centralizer span.
     Row r is the word in | out << 2w of its two words (w = m + n), with one
-    unknown GF(2) coefficient.  The constraints are ``_products(probes,
-    words)``: bits 2w + b and 3w + b for each physical qubit b, then, with
-    each memory operator word g placed on the input memory qubits,
-    swap_halves(g), so the input memory commutes with every g.  An S1 row
-    is one combination of the words, checked against the conditions again
-    (both memory parts by one echelon over the centralizer basis), and kept
-    as a row.
+    unknown GF(2) coefficient.  The probes are bits 2w + b and 3w + b for
+    each physical qubit b, then, with each memory operator word g placed on
+    the input memory qubits, swap_halves(g), so the input memory commutes
+    with every g.  Row r's constraint column is ``_products(words,
+    probes)[r]``, and the S1 combinations are the dependencies among the
+    columns (``_dependencies``).  An S1 row is one combination of the
+    words, checked against the conditions again (both memory parts by one
+    echelon over the centralizer basis), and kept as a row.
 
     The output memory needs no constraint of its own.  Consistent rows keep
     products: <in(c), in(r)> = <out(c), out(r)> for a combination c and
@@ -408,8 +410,8 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     mem_in(c) commutes with every g.  The rows' mem_out range over every
     g_{i,j}, so mem_out(c) then commutes with every g too.  Constraints on
     the output memory would leave the solution space, and with it the
-    reduced echelon and the annihilator basis, unchanged.  Inconsistent
-    hand-built rows fail the output check instead.
+    dependencies among the columns, unchanged.  Inconsistent hand-built
+    rows fail the output check instead.
     """
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
     ins, outs = _encoder_words(encoder.rows, w)
@@ -422,7 +424,7 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
-    for mask in sorted(_annihilator(_products(probes, words), len(words))):
+    for mask in sorted(_dependencies(_products(words, probes))):
         combo = gf2_combination(words, mask)
         if combo >> 2 * w & physical:
             raise SynthesisFailureError("an S1 combination has physical output")

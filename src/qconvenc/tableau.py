@@ -34,8 +34,8 @@ from .pauli import (
     _Echelon,
     _add_to_dot_system,
     _annihilator,
+    _dependencies,
     _product_mismatch,
-    _products,
     _transpose,
     cycle_core,
     gf2_basis,
@@ -110,47 +110,56 @@ class CliffordTableau:
         return self.images == [1 << t for t in range(2 * self.width)]
 
     def is_symplectic(self) -> bool:
-        """Whether every image pair keeps the product of its inputs: each
-        whole Gram row, from one transpose, must be the identity's."""
+        """Whether every pair of images has the product of its inputs, the
+        unit vectors.  Products are symmetric with a zero diagonal, so the
+        pairs i < j decide; image bits past 2 * width meet nothing."""
         w = self.width
-        gram = _products(self.images, [swap_halves(vec, w) for vec in self.images])
-        return gram == [swap_halves(1 << a, w) for a in range(2 * w)]
+        return _product_mismatch([1 << t for t in range(2 * w)], self.images, w) is None
 
     def image_of_vector(self, vec: int) -> int:
         return gf2_combination(self.images, vec)
 
 
 def _apply_gate(xs: List[int], zs: List[int], gate: Gate) -> None:
-    """Conjugate every image by ``gate``, on the qubit columns of a tableau.
-
-    ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
-    bit t for image t.  Each primitive is an involution on vectors, which
-    circuit extraction relies on.  An unknown kind, a wrong qubit count, a
-    qubit outside [0, w) or a two-qubit gate on one qubit raises
-    ``GateError``.
-    """
+    """``_conjugate`` by a gate checked first: an unknown kind, a wrong
+    qubit count, a qubit outside [0, w) or a two-qubit gate on one qubit
+    raises ``GateError``."""
     kind, qubits = gate
     w = len(xs)
     if kind == "h" or kind == "s":
         q = qubits[0] if len(qubits) == 1 else -1
         if not 0 <= q < w:
             raise GateError(f"{kind} needs one qubit in [0, {w}), got {qubits}")
-        if kind == "h":
-            xs[q], zs[q] = zs[q], xs[q]
-        else:
-            zs[q] ^= xs[q]
     elif kind == "cnot" or kind == "cz":
         a, b = qubits if len(qubits) == 2 else (-1, -1)
         if not (0 <= a < w and 0 <= b < w and a != b):
             raise GateError(f"{kind} needs two distinct qubits in [0, {w}), got {qubits}")
-        if kind == "cnot":
-            xs[b] ^= xs[a]
-            zs[a] ^= zs[b]
-        else:
-            zs[b] ^= xs[a]
-            zs[a] ^= xs[b]
     else:
         raise GateError(f"unknown gate kind {kind!r}")
+    _conjugate(xs, zs, kind, qubits)
+
+
+def _conjugate(xs: List[int], zs: List[int], kind: str, qubits: Tuple[int, ...]) -> None:
+    """Conjugate every image by a valid gate, on the qubit columns of a tableau.
+
+    ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
+    bit t for image t.  Each primitive is an involution on vectors, which
+    circuit extraction relies on.  Nothing is checked here; ``_apply_gate``
+    checks a gate first.
+    """
+    if kind == "cnot":
+        a, b = qubits
+        xs[b] ^= xs[a]
+        zs[a] ^= zs[b]
+    elif kind == "cz":
+        a, b = qubits
+        zs[b] ^= xs[a]
+        zs[a] ^= xs[b]
+    elif kind == "h":
+        q = qubits[0]
+        xs[q], zs[q] = zs[q], xs[q]
+    else:
+        zs[qubits[0]] ^= xs[qubits[0]]
 
 
 def _not_in_span_solution(
@@ -282,7 +291,9 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     tableau to the identity; the reversed gate sequence (every primitive is
     its own inverse) is the circuit.  Gate count stays below
     GATE_COUNT_FACTOR * width**2.  The work runs on qubit columns, so a gate
-    costs one or two integer updates however wide the tableau is.
+    costs one or two integer updates however wide the tableau is.  The
+    gates made here are conjugated unchecked (``_conjugate``); the replay
+    onto the identity checks every gate and compares the whole tableau.
     """
     w = tableau.width
     columns = _transpose(tableau.images, 2 * w)
@@ -290,15 +301,14 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     applied: List[Gate] = []
 
     def emit(kind: str, *qubits: int) -> None:
-        gate = Gate(kind, qubits)
-        _apply_gate(xs, zs, gate)
-        applied.append(gate)
+        _conjugate(xs, zs, kind, qubits)
+        applied.append(Gate(kind, qubits))
 
     def is_unit(t: int, u: int) -> bool:
         # Whether image t is the unit vector 1 << u: column u alone has bit t.
         bit = 1 << t
         columns = xs + zs
-        return bool(columns[u] & bit) and [c & bit for c in columns].count(0) == 2 * w - 1
+        return [c for c in columns if c & bit] == [columns[u]]
 
     def sweep(q: int, t: int) -> None:
         # Clear image t, which has an x component on qubit q, down to X_q:
@@ -463,7 +473,7 @@ class _Realisation:
         bits = len(self.columns)
         basis = [
             gf2_combination(directions, combo) | gf2_combination(images, combo) << bits
-            for combo in _annihilator(_transpose(images, 2 * n), len(order))
+            for combo in _dependencies([image & self.physical for image in images])
         ]
         low_m, logical = (1 << 2 * m) - 1, (1 << 2 * k) - 1
         packed = [
@@ -509,22 +519,30 @@ class _Realisation:
     def non_recursive(self, core: Sequence[int]) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
         """``verify_non_recursive``'s verdict and escape path."""
         n, k, m = self.n, self.k, self.m
-        starts = gf2_span(gf2_basis(edge & ((1 << 2 * m) - 1) for edge in core))  # ascending
-        loop_vertices = set(starts)
+        basis = gf2_basis(edge & ((1 << 2 * m) - 1) for edge in core)
+        perp = _annihilator(basis, 2 * m)
+
+        def on_loop(vertex: int) -> bool:
+            for word in perp:
+                if (vertex & word).bit_count() & 1:
+                    return False
+            return True
+
         stranded = set()  # vertices whose identity-input walk misses every loop
-        for start in starts:
+        for c in range(1 << len(basis)):  # the loop vertices, ascending, one at a time
+            start = gf2_combination(basis, c)
             for logical in _weight_one_labels(k):
                 for anc_mask in range(1 << (n - k)):
                     words = [start | (anc_mask | logical << n - k) << 2 * m]
                     out = self.out(words[0])
                     vertex = out >> 2 * n
-                    if not out & self.physical and vertex in loop_vertices:
+                    if not out & self.physical and on_loop(vertex):
                         continue  # first edge lies on a zero-physical cycle
-                    while vertex not in loop_vertices and vertex not in stranded:
+                    while vertex not in stranded and not on_loop(vertex):
                         stranded.add(vertex)
                         words.append(vertex)  # identity input: the word is the state
                         vertex = self.out(vertex) >> 2 * n
-                    if vertex in loop_vertices:
+                    if vertex not in stranded:  # the walk met a loop vertex
                         return True, [self.edge(x) for x in words]
         return False, None
 
@@ -595,6 +613,13 @@ def verify_non_recursive(
     that ends in a cycle off the loops marks each vertex it passed, and
     later walks stop at a marked vertex.  Success exhibits finite-impulse
     behavior: the encoder is not recursive.
+
+    The loop vertices are never listed.  The starts are walked in ascending
+    order, combination c of the core's ``gf2_basis`` at step c, and a
+    vertex is a loop vertex iff its product with every word of that
+    basis's annihilator is even.  So a verdict that escapes early costs no
+    more than its walk; only a recursive encoder, which is catastrophic,
+    visits every start.
 
     The core is the tableau's one solve, shared with ``detect_catastrophic``.
     """

@@ -61,13 +61,24 @@ def gf2_solve_dot_system(
 ) -> Optional[Tuple[int, List[int]]]:
     """Solve <rows[i], v> = rhs[i] (dot-product parity) for v on a fresh echelon.
 
-    Returns (particular solution with free variables zero, nullspace basis),
-    or None when inconsistent: the reference for a grown echelon's answers.
+    Returns (particular solution with free variables zero, nullspace basis
+    over ``ncols`` columns), or None when inconsistent: the reference for a
+    grown echelon's answers and for the package's column dependencies.  The
+    nullspace is read off the fully reduced rows, one vector per free column
+    f in ascending order: f plus the pivots of the rows with bit f set.
     """
     if len(rows) != len(rhs):
         raise InvalidMatrixError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
-    return _Echelon(rows).solve_dot(rhs_mask, ncols)
+    echelon = _Echelon(rows)
+    # A homogeneous system always has the zero solution.
+    particular = echelon.particular(rhs_mask) if rhs_mask else 0
+    if particular is None:
+        return None
+    free = [f for f in range(ncols) if not (echelon.pivots >> f) & 1]
+    return particular, [
+        1 << f | sum(((row >> f) & 1) << p for p, row in echelon.rows.items()) for f in free
+    ]
 
 
 def row_from_parts(

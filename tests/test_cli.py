@@ -15,7 +15,7 @@ import pytest
 import qconvenc.tableau as tableau_module
 from conftest import corpus_path, load_code
 from qconvenc.cli import main
-from qconvenc.code import delay_generator, multiply_generators, serialize_code
+from qconvenc.code import delay_generator, multiply_generators, parse_code, serialize_code
 from qconvenc.pauli import BinaryMatrix
 from qconvenc.synth import synthesize
 from qconvenc.tableau import Gate, complete_to_clifford, replay_gates
@@ -267,6 +267,23 @@ def test_synthesis_past_sys_maxsize_centralizer_span_ends_in_an_exit_code(capsys
     assert out.err == (
         "analysis refused: m=67 memory qubits exceed the --max-memory bound of 8\n"
     )
+
+
+def test_analyze_m67_code_under_a_raised_bound_ends_in_exit_0(capsys):
+    # The code above, checked in.  Its loop-vertex space has 2^dim elements,
+    # so the non-recursion verdict must walk it lazily, not list it.
+    path = os.path.join(os.path.dirname(__file__), "data", "gr07-third-m67.qcc")
+    g1, g2 = load_code("gr07-third").generators
+    with open(path, encoding="utf-8") as handle:
+        code = parse_code(handle.read())
+    assert code.generators == (
+        multiply_generators(g1, delay_generator(g1, 1)),
+        multiply_generators(g2, delay_generator(g2, 60)),
+    )
+    rc = main(["analyze", "--max-memory", "67", path])
+    out = capsys.readouterr()
+    assert (rc, out.err) == (0, "")
+    assert "catastrophic=false\nrecursive=false\n" in out.out
 
 
 def test_analyze_gr07_with_default_bound(capsys):

@@ -1,5 +1,6 @@
 """Unit and property tests for the bit-packed Pauli/GF(2) layer."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -40,6 +41,9 @@ from qconvenc.pauli import (
     Pauli,
     _Echelon,
     _add_to_dot_system,
+    _annihilator,
+    _dependencies,
+    _product_mismatch,
     _products,
     _transpose,
     cycle_core,
@@ -54,6 +58,7 @@ from qconvenc.pauli import (
     successor_lists,
     symplectic_gram_schmidt,
     symplectic_product,
+    symplectic_product_vec,
 )
 from qconvenc.synth import EncoderRow, MemoryOperatorTable
 from qconvenc.tableau import CliffordTableau, Gate, replay_gates
@@ -590,8 +595,9 @@ def test_grown_echelon_matches_fresh_solves(system):
         rhs.append(bit)
         rhs_mask = sum(b << i for i, b in enumerate(rhs))
         assert echelon.dependencies == gf2_row_dependencies(rows)
-        solved = echelon.solve_dot(rhs_mask, 5)
-        assert solved == gf2_solve_dot_system(rows, 5, rhs)
+        solved = gf2_solve_dot_system(rows, 5, rhs)
+        particular = echelon.particular(rhs_mask)
+        assert particular == (None if solved is None else solved[0])
         # Independent check: None exactly when no 5-bit word solves the system.
         solvable = any(
             all(bin(r & v).count("1") & 1 == b for r, b in zip(rows, rhs)) for v in range(32)
@@ -648,3 +654,52 @@ def test_transposed_products_match_parities(rows, words, extra):
         ]
         assert gf2_combination(columns, word) == parities(word, rows)
     assert _products(words, rows) == [parities(word, rows) for word in words]
+
+
+@given(st.lists(st.integers(0, 2**8 - 1), max_size=8), st.integers(0, 6))
+@example([], 4)  # no rows: every unit word
+@example([0, 0b101, 0b101, 0b011], 3)  # a zero row and a repeated row
+@example([0b1101, 0b100000, 0b1000], 3)  # rows wider than bits: their high bits drop
+def test_annihilator_matches_fresh_solve(rows, bits):
+    # The column dependencies are the fully reduced echelon's nullspace
+    # basis, vector for vector and in the same order.
+    assert _annihilator(rows, bits) == gf2_solve_dot_system(rows, bits, [0] * len(rows))[1]
+
+
+@given(st.lists(st.integers(0, 2**6 - 1), max_size=10))
+@example([0b11, 0b11, 0, 0b110, 0b101])  # repeated, zero and dependent vectors
+def test_forward_dependencies_match_reduced_echelon(vectors):
+    # Forward elimination alone names the same combinations as the fully
+    # reduced echelon: each dependent vector with the unique combination of
+    # earlier independent ones.
+    assert _dependencies(vectors) == gf2_row_dependencies(vectors)
+
+
+@st.composite
+def row_pairs(draw):
+    """Width, input words and output words, the outputs often the inputs
+    with one entry redrawn, so that a mismatch may come late or never."""
+    width = draw(st.integers(1, 3))
+    word = st.integers(0, 4**width - 1)
+    a = draw(st.lists(word, max_size=7))
+    b = list(a)
+    if b and draw(st.booleans()):
+        b[draw(st.integers(0, len(b) - 1))] = draw(word)
+    elif draw(st.booleans()):
+        b = draw(st.lists(word, min_size=len(a), max_size=len(a)))
+    return width, a, b
+
+
+@given(row_pairs())
+@example((2, [0b0001, 0b0100, 0b0010, 0b1000], [0b0001, 0b0100, 0b0010, 0b0001]))
+def test_product_mismatch_matches_pairwise_scan(case):
+    width, a, b = case
+    expected = next(
+        (
+            (i, j)
+            for i, j in itertools.combinations(range(len(a)), 2)
+            if symplectic_product_vec(a[i], a[j], width) != symplectic_product_vec(b[i], b[j], width)
+        ),
+        None,
+    )
+    assert _product_mismatch(a, b, width) == expected

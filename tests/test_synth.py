@@ -384,7 +384,7 @@ def test_find_s1_refuses_a_combination_that_breaks_its_conditions(monkeypatch):
     cent = compute_centralizer(table)
     with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
         find_s1(encoder, CentralizerBasis(cent.m, []))
-    monkeypatch.setattr(synth_module, "_annihilator", lambda rows, bits: [1])  # row 1 alone
+    monkeypatch.setattr(synth_module, "_dependencies", lambda columns: [1])  # row 1 alone
     with pytest.raises(SynthesisFailureError, match="physical output"):
         find_s1(encoder, cent)
 
