@@ -79,7 +79,8 @@ def _code_json(code: ConvolutionalCode) -> Dict[str, object]:
 
 
 def _omega_json(omega: MemoryCommutativityMatrix, m: int) -> Dict[str, object]:
-    return {"omega": omega.matrix.to_lists(), "dim": omega.dim, "rank": omega.rank, "m": m}
+    entries = [[(row >> s) & 1 for s in range(omega.dim)] for row in omega.rows]
+    return {"omega": entries, "dim": omega.dim, "rank": omega.rank, "m": m}
 
 
 def _omega(code: ConvolutionalCode) -> Tuple[MemoryCommutativityMatrix, int]:

@@ -11,7 +11,8 @@ is 0 when the operators commute and 1 when they anticommute.  As a single
 integer (``pauli_to_vec``) the x word fills bits 0..w-1 and the z word bits
 w..2w-1; every packed Pauli in the package uses this layout.
 
-GF(2) matrices are lists of packed row words plus an explicit column count.
+GF(2) matrices are lists of packed row words, bit c of row r being entry
+(r, c); a square one, such as a commutativity matrix, has n = len(rows).
 The products of words with a row set are one masked parity per pair
 (``_products``).  Elimination does only what its reader uses.  A nullspace
 is the dependencies among the columns of its constraint rows, found by
@@ -38,7 +39,6 @@ from .errors import InvalidMatrixError, ParseError, WidthMismatchError
 
 __all__ = [
     "Pauli",
-    "BinaryMatrix",
     "GramSchmidtResult",
     "pauli_to_vec",
     "vec_to_pauli",
@@ -49,7 +49,6 @@ __all__ = [
     "gf2_basis",
     "gf2_rank",
     "gf2_solve_combination",
-    "gf2_invert",
     "symplectic_gram_schmidt",
     "operators_from_commutativity",
     "successor_lists",
@@ -172,49 +171,6 @@ def _product_mismatch(
             if (word & swapped[j]).bit_count() & 1:  # _parity, inline on this hot path
                 return i, j
     return None
-
-
-class BinaryMatrix:
-    """GF(2) matrix as packed row words."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows: List[int], ncols: int):
-        self.rows = rows
-        self.ncols = ncols
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.ncols == other.ncols
-
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "BinaryMatrix":
-        if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        rows = []
-        for row in entries:
-            if len(row) != ncols:
-                raise InvalidMatrixError(f"row of length {len(row)} in a {ncols}-column matrix")
-            word = 0
-            for c, bit in enumerate(row):
-                if bit & 1:
-                    word |= 1 << c
-            rows.append(word)
-        return cls(rows, ncols)
-
-    def to_lists(self) -> List[List[int]]:
-        return [[(row >> c) & 1 for c in range(self.ncols)] for row in self.rows]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def rank(self) -> int:
-        return gf2_rank(self.rows)
-
-    def get(self, r: int, c: int) -> int:
-        return (self.rows[r] >> c) & 1
 
 
 def gf2_combination(rows: Sequence[int], mask: int) -> int:
@@ -356,26 +312,21 @@ def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
     return combo if rest == 0 else None
 
 
-def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
-    """Inverse of an n x n matrix given as packed rows, or None if singular."""
-    basis = _Echelon(rows)
-    if basis.pivots != (1 << n) - 1:
-        return None
-    # Full rank: the reduced basis is the identity, so row p's tag is the
-    # combination of input rows equal to the unit vector p.
-    return [basis.tags[p] for p in range(n)]
-
-
 class GramSchmidtResult:
     """Outcome of the symplectic Gram-Schmidt decomposition.
 
-    ``pairs`` and ``isotropics`` use original row indices.  Row r of
-    ``transform`` is the coefficient combination of original rows that row r
-    became; conjugating the input by the transform rows of the pairs, then
-    of the isotropics, gives c blocks [[0,1],[1,0]] and a d x d zero block.
+    ``pairs`` and ``isotropics`` use original row indices.  Read the rows
+    as the Gram matrix of operators v_r.  The scan adds reduced operators of
+    pairs to each remaining v_r, leaving a reduced v'_r; the v'_r have Gram
+    matrix c blocks [[0,1],[1,0]] on the pairs and zeros elsewhere.  Row r
+    of ``inverse`` gives v_r as the XOR of v'_s over its set bits s, so that
+    standard form, combined by ``inverse`` on both sides, is the input.
+    Proof: v'_i and v'_j never change once paired, so each step v'_r <-
+    v'_r + v'_j (or + v'_i) adds a final reduced operator, and v_r is the
+    final v'_r plus one added operator per step.
     """
 
-    __slots__ = ("c", "d", "pairs", "isotropics", "transform")
+    __slots__ = ("c", "d", "pairs", "isotropics", "inverse")
 
     def __init__(
         self,
@@ -383,22 +334,25 @@ class GramSchmidtResult:
         d: int,
         pairs: Optional[List[Tuple[int, int]]] = None,
         isotropics: Optional[List[int]] = None,
-        transform: Optional[BinaryMatrix] = None,
+        inverse: Optional[List[int]] = None,
     ):
         self.c = c
         self.d = d
         self.pairs = [] if pairs is None else pairs
         self.isotropics = [] if isotropics is None else isotropics
-        self.transform = transform
+        self.inverse = inverse
 
 
-def _check_commutativity_matrix(mat: BinaryMatrix) -> None:
-    """Refuse a non-square, asymmetric or nonzero-diagonal matrix at its first bad entry."""
-    n = mat.nrows
-    if n != mat.ncols:
-        raise InvalidMatrixError(f"matrix is {n} x {mat.ncols}, not square")
-    columns = _transpose(mat.rows, n)
-    for r, row in enumerate(mat.rows):
+def _check_commutativity_matrix(rows: Sequence[int]) -> None:
+    """Refuse n row words that are not a commutativity matrix at the first bad
+    entry: any row that does not fit n columns (negative, or an entry at
+    column n or past it), then row by row a nonzero diagonal or asymmetric entry."""
+    n = len(rows)
+    for r, row in enumerate(rows):
+        if row >> n:  # also nonzero for a negative row
+            raise InvalidMatrixError(f"row {r} does not fit {n} columns")
+    columns = _transpose(rows, n)
+    for r, row in enumerate(rows):
         if (row >> r) & 1:
             raise InvalidMatrixError(f"nonzero diagonal entry at {r}")
         later = (row ^ columns[r]) & (1 << n) - (2 << r)  # entries (r, s > r)
@@ -406,21 +360,23 @@ def _check_commutativity_matrix(mat: BinaryMatrix) -> None:
             raise InvalidMatrixError(f"asymmetry at ({r}, {(later & -later).bit_length() - 1})")
 
 
-def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
+def symplectic_gram_schmidt(rows: Sequence[int]) -> GramSchmidtResult:
     """Decompose a commutativity matrix into hyperbolic pairs and isotropics.
 
-    Scans rows in ascending order; an unprocessed row is paired with the
-    lowest-index unprocessed row it anticommutes with, and the pair is
-    eliminated from all remaining rows by congruence row operations.
+    ``rows`` is a square matrix of n row words on n columns.  Scans rows in
+    ascending order; an unprocessed row is paired with the lowest-index
+    unprocessed row it anticommutes with, and the pair is eliminated from
+    all remaining rows by congruence row operations, each recorded in
+    ``inverse`` as the reduced row it adds.
 
     On packed rows: pairing i with j turns each remaining entry (r, s) into
     W[r][s] + W[r][i] W[j][s] + W[r][j] W[i][s], symmetric with a zero
     diagonal, and only remaining columns are read again.
     """
-    _check_commutativity_matrix(mat)
-    n = mat.nrows
-    w = list(mat.rows)
-    g = [1 << i for i in range(n)]
+    _check_commutativity_matrix(rows)
+    n = len(rows)
+    w = list(rows)
+    inv = [1 << i for i in range(n)]
     remaining = (1 << n) - 1  # rows neither paired nor isotropic
     pairs: List[Tuple[int, int]] = []
     isotropics: List[int] = []
@@ -441,38 +397,36 @@ def symplectic_gram_schmidt(mat: BinaryMatrix) -> GramSchmidtResult:
             r = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             if (w[r] >> i) & 1:
-                g[r] ^= g[j]
+                inv[r] ^= 1 << j
                 w[r] ^= row_j
             if (w[r] >> j) & 1:
-                g[r] ^= g[i]
+                inv[r] ^= 1 << i
                 w[r] ^= row_i
     return GramSchmidtResult(
         c=len(pairs),
         d=len(isotropics),
         pairs=pairs,
         isotropics=isotropics,
-        transform=BinaryMatrix(g, n),
+        inverse=inv,
     )
 
 
 def operators_from_commutativity(
-    mat: BinaryMatrix, order: Optional[Sequence[int]] = None
+    rows: Sequence[int], order: Optional[Sequence[int]] = None
 ) -> List[int]:
-    """Construct dim(mat) packed words on m = c + d qubits whose products reproduce mat.
+    """Construct n packed words on m = c + d qubits whose products reproduce
+    the n x n commutativity matrix ``rows``.
 
     The words use the ``pauli_to_vec`` layout on m qubits.  ``order`` lists
     row indices in the sequence fresh memory qubits should be claimed
     (default: ascending).  Each hyperbolic pair takes one qubit at the first
     touch of either member (scan anchor gets X, partner Z); each isotropic
-    row takes one qubit for a Z.  The words are those standard operators
-    combined by the inverse of the Gram-Schmidt transform.
+    row takes one qubit for a Z.  Those standard operators are the reduced
+    rows' operators, so word r combines them by row r of the Gram-Schmidt
+    ``inverse``.
     """
-    n = mat.nrows
-    if n == 0:
-        _check_commutativity_matrix(mat)
-        return []
-    gs = symplectic_gram_schmidt(mat)
-    m = gs.c + gs.d
+    gs = symplectic_gram_schmidt(rows)
+    n, m = len(rows), gs.c + gs.d
     if order is None:
         order = range(n)
     if sorted(order) != list(range(n)):
@@ -491,10 +445,8 @@ def operators_from_commutativity(
     for i in gs.isotropics:
         standard[i] = 1 << m + qubit[i]
 
-    ginv = gf2_invert(gs.transform.rows, n)
-    assert ginv is not None
-    ops = [gf2_combination(standard, combo) for combo in ginv]
-    assert _products(ops, [swap_halves(op, m) for op in ops]) == mat.rows
+    ops = [gf2_combination(standard, combo) for combo in gs.inverse]
+    assert _products(ops, [swap_halves(op, m) for op in ops]) == list(rows)
     return ops
 
 

@@ -32,7 +32,6 @@ from .errors import (
     WidthMismatchError,
 )
 from .pauli import (
-    BinaryMatrix,
     Pauli,
     _Echelon,
     _annihilator,
@@ -76,19 +75,20 @@ class MemoryCommutativityMatrix:
     r stands for; rows are ordered lexicographically by that pair.  Entry
     (r, s) is 1 exactly when the corresponding memory operators must
     anticommute for the streamed generators to commute across frames.
-    ``rank`` is eliminated once, when the matrix is built.
+    ``rows`` holds the matrix as row words, bit s of rows[r] being entry
+    (r, s).  ``rank`` is eliminated once, when the matrix is built.
     """
 
-    __slots__ = ("matrix", "index_map", "rank")
+    __slots__ = ("rows", "index_map", "rank")
 
-    def __init__(self, matrix: BinaryMatrix, index_map: List[Tuple[int, int]]):
-        self.matrix = matrix
+    def __init__(self, rows: List[int], index_map: List[Tuple[int, int]]):
+        self.rows = rows
         self.index_map = index_map
-        self.rank = matrix.rank()
+        self.rank = gf2_rank(rows)
 
     @property
     def dim(self) -> int:
-        return self.matrix.nrows
+        return len(self.rows)
 
 
 def _memory_indices(code: ConvolutionalCode) -> List[Tuple[int, int]]:
@@ -107,8 +107,8 @@ def build_commutativity_matrix(code: ConvolutionalCode) -> MemoryCommutativityMa
     return MemoryCommutativityMatrix(_forward_matrix(code), _memory_indices(code))
 
 
-def _forward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
-    """The commutativity matrix of a code already known to be valid.
+def _forward_matrix(code: ConvolutionalCode) -> List[int]:
+    """The commutativity matrix, as row words, of a code already known to be valid.
 
     Entry ((i,j),(i2,j2)) is the parity of products between later blocks,
     sum over t >= 1 of <h_{i,j+t}, h_{i2,j2+t}>, that is
@@ -121,10 +121,10 @@ def _forward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
     frame = 2 * code.n
     later = [gens[i - 1].word >> frame * j for i, j in index_map]
     later_swapped = [swapped[i - 1] >> frame * j for i, j in index_map]
-    return BinaryMatrix(_products(later, later_swapped), len(index_map))
+    return _products(later, later_swapped)
 
 
-def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
+def _backward_matrix(code: ConvolutionalCode) -> List[int]:
     """Same obligations accumulated from earlier blocks instead of later ones.
 
     Entry ((i,j),(i2,j2)) is sum over 0 <= t < min(j, j2) of
@@ -143,7 +143,7 @@ def _backward_matrix(code: ConvolutionalCode) -> BinaryMatrix:
 
     earlier = [head(gens[i - 1].word, j) for i, j in index_map]
     earlier_swapped = [head(swapped[i - 1], j) for i, j in index_map]
-    return BinaryMatrix(_products(earlier, earlier_swapped), len(index_map))
+    return _products(earlier, earlier_swapped)
 
 
 def verify_consistency(code: ConvolutionalCode) -> int:
@@ -154,7 +154,7 @@ def verify_consistency(code: ConvolutionalCode) -> int:
     """
     if not validate_code(code).valid:
         return 0
-    return int(_forward_matrix(code).rows == _backward_matrix(code).rows)
+    return int(_forward_matrix(code) == _backward_matrix(code))
 
 
 def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
@@ -211,7 +211,7 @@ def assign_memory_operators(omega: MemoryCommutativityMatrix) -> MemoryOperatorT
     """
     n = omega.dim
     order = sorted(range(n), key=lambda r: (omega.index_map[r][1], omega.index_map[r][0]))
-    ops = operators_from_commutativity(omega.matrix, order=order)
+    ops = operators_from_commutativity(omega.rows, order=order)
     table = {omega.index_map[r]: ops[r] for r in range(n)}
     return MemoryOperatorTable(minimal_memory(omega), table, list(omega.index_map))
 
@@ -586,7 +586,7 @@ def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
     """Full synthesis chain for an already-shortened valid code."""
     omega = build_commutativity_matrix(code)
     # verify_consistency's cross-check, on the matrix and validation above.
-    if omega.matrix.rows != _backward_matrix(code).rows:
+    if omega.rows != _backward_matrix(code):
         raise ConsistencyError(
             "forward and backward accumulation of the memory obligations disagree"
         )

@@ -289,8 +289,9 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
 
     One qubit at a time, conjugation by primitive gates reduces the working
     tableau to the identity; the reversed gate sequence (every primitive is
-    its own inverse) is the circuit.  Gate count stays below
-    GATE_COUNT_FACTOR * width**2.  The work runs on qubit columns, so a gate
+    its own inverse) is the circuit.  Gate count stays within
+    GATE_COUNT_FACTOR * width**2, and a longer list raises
+    ``SynthesisFailureError``.  The work runs on qubit columns, so a gate
     costs one or two integer updates however wide the tableau is.  The
     gates made here are conjugated unchecked (``_conjugate``); the replay
     onto the identity checks every gate and compares the whole tableau.
@@ -345,7 +346,8 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
         assert is_unit(q, q) and is_unit(w + q, w + q)
     assert xs + zs == [1 << t for t in range(2 * w)]
     gates = list(reversed(applied))
-    assert len(gates) <= GATE_COUNT_FACTOR * w * w
+    if len(gates) > GATE_COUNT_FACTOR * w * w:
+        raise SynthesisFailureError(f"{len(gates)} gates exceed {GATE_COUNT_FACTOR} * width**2")
     if replay_gates(w, gates) != tableau:
         raise SynthesisFailureError("the extracted circuit does not replay to the tableau")
     return gates

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import strategies as st
 
 from qconvenc import parse_code
-from qconvenc.pauli import BinaryMatrix
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -30,11 +29,13 @@ def running2():
 
 @st.composite
 def symmetric_zero_diag(draw, max_dim=6):
-    """A symmetric GF(2) matrix with zero diagonal: a commutativity matrix."""
+    """A symmetric GF(2) matrix with zero diagonal, a commutativity matrix, as
+    row words: bit j of row i is entry (i, j)."""
     dim = draw(st.integers(min_value=0, max_value=max_dim))
-    entries = [[0] * dim for _ in range(dim)]
+    rows = [0] * dim
     for i in range(dim):
         for j in range(i + 1, dim):
-            bit = draw(st.integers(0, 1))
-            entries[i][j] = entries[j][i] = bit
-    return BinaryMatrix.from_lists(entries, ncols=dim)
+            if draw(st.integers(0, 1)):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows

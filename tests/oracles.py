@@ -12,7 +12,6 @@ from qconvenc.errors import (
     WidthMismatchError,
 )
 from qconvenc.pauli import (
-    BinaryMatrix,
     GramSchmidtResult,
     Pauli,
     _Echelon,
@@ -54,6 +53,27 @@ def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
 
 def gf2_in_rowspan(vec: int, rows: Sequence[int]) -> bool:
     return _Echelon(rows).reduce(vec)[0] == 0
+
+
+def gf2_invert(rows: Sequence[int], n: int) -> Optional[List[int]]:
+    """Inverse of an n x n matrix given as packed rows, or None if singular."""
+    basis = _Echelon(rows)
+    if basis.pivots != (1 << n) - 1:
+        return None
+    # Full rank: the reduced basis is the identity, so row p's tag is the
+    # combination of input rows equal to the unit vector p.
+    return [basis.tags[p] for p in range(n)]
+
+
+def matrix_entries(rows: Sequence[int]) -> List[List[int]]:
+    """The 0/1 entries of a square matrix of row words: entry (r, c) is bit c
+    of rows[r], for c < len(rows)."""
+    return [[(row >> c) & 1 for c in range(len(rows))] for row in rows]
+
+
+def matrix_rows(entries: Sequence[Sequence[int]]) -> List[int]:
+    """Row words of a 0/1 matrix: bit c of row r is entry (r, c)."""
+    return [sum((bit & 1) << c for c, bit in enumerate(row)) for row in entries]
 
 
 def gf2_solve_dot_system(
@@ -109,13 +129,11 @@ def row_paulis(row: EncoderRow) -> Tuple[Pauli, Pauli]:
     return row.mem_in.concat(row.anc_in).concat(row.info_in), row.phys_out.concat(row.mem_out)
 
 
-def gram_matrix(words: Sequence[int], width: int) -> BinaryMatrix:
-    """Pairwise symplectic products of packed ``width``-qubit words, one
-    ``symplectic_product_vec`` per entry: the reference for the memory
-    operator words."""
-    return BinaryMatrix.from_lists(
-        [[symplectic_product_vec(a, b, width) for b in words] for a in words], len(words)
-    )
+def gram_matrix(words: Sequence[int], width: int) -> List[int]:
+    """Pairwise symplectic products of packed ``width``-qubit words as row
+    words, one ``symplectic_product_vec`` per entry: the reference for the
+    memory operator words."""
+    return matrix_rows([[symplectic_product_vec(a, b, width) for b in words] for a in words])
 
 
 def centralizer_contains(centralizer, op: Pauli) -> bool:
@@ -189,9 +207,10 @@ def delay_by_blocks(gen: GeneratorPolynomial, j: int) -> GeneratorPolynomial:
 
 
 def exists_gram_realization(
-    mat: BinaryMatrix, qubits: int, require_independent: bool = True
+    rows: Sequence[int], qubits: int, require_independent: bool = True
 ) -> bool:
-    """Whether some tuple of Paulis on ``qubits`` qubits has Gram matrix ``mat``.
+    """Whether some tuple of Paulis on ``qubits`` qubits has Gram matrix
+    ``rows``, a square matrix of row words.
 
     With ``require_independent`` the tuple must be linearly independent as
     GF(2) vectors, matching the role memory operators play in an encoder.
@@ -213,17 +232,17 @@ def exists_gram_realization(
     first = [] if require_independent else [0]
     if qubits:
         first.append(1 << qubits)  # Z on qubit 0
-    return gram_search(mat, qubits, require_independent, first)
+    return gram_search(rows, qubits, require_independent, first)
 
 
 def gram_search(
-    mat: BinaryMatrix, qubits: int, require_independent: bool, first: Sequence[int]
+    rows: Sequence[int], qubits: int, require_independent: bool, first: Sequence[int]
 ) -> bool:
-    """Exhaustive backtracking for a realisation of ``mat`` whose first
+    """Exhaustive backtracking for a realisation of ``rows`` whose first
     Pauli is one of ``first``; every later level tries all 4^qubits Paulis."""
-    n = mat.nrows
+    n = len(rows)
     width = 2 * qubits
-    target = mat.to_lists()
+    target = matrix_entries(rows)
 
     def sym(u: int, v: int) -> int:
         ux, uz = u & ((1 << qubits) - 1), u >> qubits
@@ -451,8 +470,8 @@ def violations_by_blocks(code: ConvolutionalCode) -> List[Tuple[int, int, int]]:
     return violations
 
 
-def forward_matrix_by_blocks(code: ConvolutionalCode) -> BinaryMatrix:
-    """The commutativity matrix of a code already known to be valid.
+def forward_matrix_by_blocks(code: ConvolutionalCode) -> List[int]:
+    """The commutativity matrix, as row words, of a code already known to be valid.
 
     Entry ((i,j),(i2,j2)) is the parity of products between later blocks:
     sum over t >= 1 of <h_{i,j+t}, h_{i2,j2+t}>.
@@ -469,10 +488,10 @@ def forward_matrix_by_blocks(code: ConvolutionalCode) -> BinaryMatrix:
                 acc ^= symplectic_product(a.block(j + t), b.block(j2 + t))
             row.append(acc)
         entries.append(row)
-    return BinaryMatrix.from_lists(entries, len(index_map))
+    return matrix_rows(entries)
 
 
-def backward_matrix_by_blocks(code: ConvolutionalCode) -> BinaryMatrix:
+def backward_matrix_by_blocks(code: ConvolutionalCode) -> List[int]:
     # Same obligations accumulated from earlier blocks instead of later ones.
     index_map = _memory_indices(code)
     entries = []
@@ -486,7 +505,7 @@ def backward_matrix_by_blocks(code: ConvolutionalCode) -> BinaryMatrix:
                 acc ^= symplectic_product(a.block(j - t), b.block(j2 - t))
             row.append(acc)
         entries.append(row)
-    return BinaryMatrix.from_lists(entries, len(index_map))
+    return matrix_rows(entries)
 
 
 def group_equivalent_on_strip_paulis(
@@ -598,26 +617,32 @@ def is_symplectic_pairwise(tableau: CliffordTableau) -> bool:
     return True
 
 
-def check_commutativity_matrix_by_lists(mat: BinaryMatrix) -> None:
-    """Entry-by-entry reference for ``pauli._check_commutativity_matrix``."""
-    n = mat.nrows
-    if n != mat.ncols:
-        raise InvalidMatrixError(f"matrix is {n} x {mat.ncols}, not square")
+def check_commutativity_matrix_by_lists(rows: Sequence[int]) -> None:
+    """Entry-by-entry reference for ``pauli._check_commutativity_matrix``: a
+    row outside the n columns first, then row by row the diagonal entry and
+    the entries past it."""
+    n = len(rows)
+    for r, row in enumerate(rows):
+        if not 0 <= row < 1 << n:
+            raise InvalidMatrixError(f"row {r} does not fit {n} columns")
+    entries = matrix_entries(rows)
     for r in range(n):
-        if mat.get(r, r):
+        if entries[r][r]:
             raise InvalidMatrixError(f"nonzero diagonal entry at {r}")
         for s in range(r + 1, n):
-            if mat.get(r, s) != mat.get(s, r):
+            if entries[r][s] != entries[s][r]:
                 raise InvalidMatrixError(f"asymmetry at ({r}, {s})")
 
 
-def symplectic_gram_schmidt_by_lists(mat: BinaryMatrix) -> GramSchmidtResult:
+def symplectic_gram_schmidt_by_lists(rows: Sequence[int]) -> GramSchmidtResult:
     """List-of-lists reference for ``pauli.symplectic_gram_schmidt``: the
     same scan, with every row operation applied to a full 0/1 matrix and
-    each updated row copied into its column."""
-    check_commutativity_matrix_by_lists(mat)
-    n = mat.nrows
-    w = [list(row_bits) for row_bits in mat.to_lists()]
+    each updated row copied into its column.  It records the transform g,
+    row r the combination of original rows that row r became, and its
+    ``inverse`` is ``gf2_invert`` of that transform."""
+    check_commutativity_matrix_by_lists(rows)
+    n = len(rows)
+    w = matrix_entries(rows)
     g = [1 << i for i in range(n)]
     done = [False] * n
     pairs: List[Tuple[int, int]] = []
@@ -661,5 +686,5 @@ def symplectic_gram_schmidt_by_lists(mat: BinaryMatrix) -> GramSchmidtResult:
         d=len(isotropics),
         pairs=pairs,
         isotropics=isotropics,
-        transform=BinaryMatrix(list(g), n),
+        inverse=gf2_invert(g, n),
     )

@@ -15,8 +15,14 @@ import networkx as nx
 
 from conftest import load_code
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators
-from oracles import apply_gate, centralizer_contains, exists_gram_realization, image_of_pauli
-from qconvenc.pauli import BinaryMatrix, Pauli, gf2_rank
+from oracles import (
+    apply_gate,
+    centralizer_contains,
+    exists_gram_realization,
+    image_of_pauli,
+    matrix_entries,
+)
+from qconvenc.pauli import Pauli, gf2_rank
 from qconvenc.synth import (
     MemoryOperatorTable,
     assemble_partial_encoder,
@@ -119,7 +125,7 @@ def test_criterion_01_commutativity_matrices():
         start = time.perf_counter()
         for name in CORPUS:
             omega = build_commutativity_matrix(load_code(name))
-            assert omega.matrix.to_lists() == OMEGA[name], name
+            assert matrix_entries(omega.rows) == OMEGA[name], name
         assert time.perf_counter() - start < 1.0
 
 
@@ -358,7 +364,7 @@ def test_criterion_12_memory_count_is_minimal():
                 continue
             checked += 1
             assert not exists_gram_realization(
-                omega.matrix, m - 1, require_independent=False
+                omega.rows, m - 1, require_independent=False
             ), name
         assert checked >= 1
 
@@ -389,7 +395,7 @@ def test_criterion_12_memory_count_is_minimal():
         complement = minimal_memory(omega) - 1 - omega.rank // 2
         assert (radical, complement) == (4, 3)
         assert not exists_gram_realization(
-            BinaryMatrix.from_lists([[0] * radical] * radical, radical),
+            [0] * radical,
             complement,
             require_independent=True,
         )

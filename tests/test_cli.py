@@ -12,11 +12,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import qconvenc.synth as synth_module
 import qconvenc.tableau as tableau_module
 from conftest import corpus_path, load_code
 from qconvenc.cli import main
 from qconvenc.code import delay_generator, multiply_generators, parse_code, serialize_code
-from qconvenc.pauli import BinaryMatrix
 from qconvenc.synth import synthesize
 from qconvenc.tableau import Gate, complete_to_clifford, replay_gates
 from reference_data import (
@@ -376,13 +376,13 @@ def test_analysis_builds_one_state_diagram(monkeypatch):
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_run_eliminates_omega_for_its_rank_once(monkeypatch, command, json_flag):
     calls = []
-    rank = BinaryMatrix.rank
+    rank = synth_module.gf2_rank
 
-    def counted(matrix):
-        calls.append(matrix)
-        return rank(matrix)
+    def counted(rows):
+        calls.append(rows)
+        return rank(rows)
 
-    monkeypatch.setattr(BinaryMatrix, "rank", counted)
+    monkeypatch.setattr(synth_module, "gf2_rank", counted)
     with redirect_stdout(io.StringIO()):
         assert main([command, *json_flag, corpus_path("forney8")]) == 0
     assert len(calls) == 1

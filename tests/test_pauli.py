@@ -16,6 +16,7 @@ from oracles import (
     component_index,
     exists_gram_realization,
     gf2_in_rowspan,
+    gf2_invert,
     gf2_row_dependencies,
     gf2_solve_dot_system,
     gram_matrix,
@@ -37,7 +38,6 @@ from qconvenc.errors import (
     WidthMismatchError,
 )
 from qconvenc.pauli import (
-    BinaryMatrix,
     Pauli,
     _Echelon,
     _add_to_dot_system,
@@ -49,7 +49,6 @@ from qconvenc.pauli import (
     cycle_core,
     gf2_basis,
     gf2_combination,
-    gf2_invert,
     gf2_rank,
     gf2_solve_combination,
     gf2_span,
@@ -244,56 +243,67 @@ def test_in_rowspan():
 
 
 @given(symmetric_zero_diag())
+@example([])
 @settings(max_examples=60)
 def test_gram_schmidt_structure(mat):
     result = symplectic_gram_schmidt(mat)
-    assert 2 * result.c == mat.rank()
-    assert result.c + len(result.isotropics) + result.c == mat.nrows
-    # Conjugating by the transform rows of the pairs, then of the isotropics,
-    # must give c blocks [[0,1],[1,0]] followed by a zero block.
-    dim = mat.nrows
+    assert 2 * result.c == gf2_rank(mat)
+    assert result.c + len(result.isotropics) + result.c == len(mat)
+    # The pairs and isotropics split the rows; the reduced rows have the
+    # standard form, a 1 at (i, j) and (j, i) for each pair, and combining
+    # it by the inverse rows on both sides must give back the matrix.
+    dim = len(mat)
     order = [idx for pair in result.pairs for idx in pair] + result.isotropics
     assert sorted(order) == list(range(dim))
-    change = [result.transform.rows[idx] for idx in order]
+    standard = [[0] * dim for _ in range(dim)]
+    for i, j in result.pairs:
+        standard[i][j] = standard[j][i] = 1
+    inverse = result.inverse
     for a in range(dim):
         for b in range(dim):
             acc = 0
             for i in range(dim):
-                if not (change[a] >> i) & 1:
+                if not (inverse[a] >> i) & 1:
                     continue
                 for j in range(dim):
-                    if (change[b] >> j) & 1 and mat.get(i, j):
+                    if (inverse[b] >> j) & 1 and standard[i][j]:
                         acc ^= 1
-            hyperbolic = a < 2 * result.c and b == a ^ 1
-            assert acc == int(hyperbolic)
+            assert acc == (mat[a] >> b) & 1
+    assert gf2_rank(inverse) == dim
 
 
 @given(symmetric_zero_diag(max_dim=12))
-@example(BinaryMatrix([0] * 7, 7))
-@example(BinaryMatrix([0b10, 0b01, 0b1000, 0b0100, 0b100000, 0b010000], 6))
-@example(BinaryMatrix([((1 << 8) - 1) ^ (1 << r) for r in range(8)], 8))
+@example([])
+@example([0] * 7)
+@example([0b10, 0b01, 0b1000, 0b0100, 0b100000, 0b010000])
+@example([((1 << 8) - 1) ^ (1 << r) for r in range(8)])
 @settings(max_examples=80)
 def test_gram_schmidt_matches_list_reference(mat):
-    # The packed rows must make every choice the row-by-row reference makes.
+    # The packed rows must make every choice the row-by-row reference makes,
+    # and record the inverse of the reference's transform (gf2_invert).
     got, want = symplectic_gram_schmidt(mat), symplectic_gram_schmidt_by_lists(mat)
     assert (got.c, got.d, got.pairs, got.isotropics) == (want.c, want.d, want.pairs, want.isotropics)
-    assert got.transform == want.transform
+    assert got.inverse == want.inverse
 
 
 @given(st.integers(0, 5).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n))
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, 2**n - 1) | st.integers(-2, 2 ** (n + 1)), min_size=n, max_size=n
+    ))
 ))
 @example((2, [0b10, 0b00]))
 @example((3, [0b110, 0b101, 0b011]))
+@example((2, [0b100010, 0b01]))
+@example((2, [0b01, -1]))
 def test_commutativity_matrix_check_matches_list_reference(shape):
-    # Square matrices, most of them neither symmetric nor zero on the
-    # diagonal: the same refusal, naming the same first entry.
+    # n row words, most of them neither symmetric nor zero on the diagonal,
+    # some negative or with an entry past the last column: the same
+    # refusal, naming the same first entry.
     n, rows = shape
-    mat = BinaryMatrix(rows, n)
 
     def outcome(check):
         try:
-            check(mat)
+            check(rows)
         except InvalidMatrixError as exc:
             return str(exc)
         return None
@@ -305,9 +315,9 @@ def test_commutativity_matrix_check_matches_list_reference(shape):
 
 def test_gram_schmidt_rejects_asymmetric():
     with pytest.raises(InvalidMatrixError):
-        symplectic_gram_schmidt(BinaryMatrix.from_lists([[0, 1], [0, 0]]))
+        symplectic_gram_schmidt([0b10, 0b00])
     with pytest.raises(InvalidMatrixError):
-        symplectic_gram_schmidt(BinaryMatrix.from_lists([[1]]))
+        symplectic_gram_schmidt([0b1])
 
 
 @given(symmetric_zero_diag(), st.data())
@@ -315,17 +325,17 @@ def test_gram_schmidt_rejects_asymmetric():
 def test_operators_reproduce_any_commutativity_matrix(mat, data):
     # The words fit m = dim - rank/2 qubits and reproduce the matrix pairwise,
     # whatever order the memory qubits are claimed in.
-    m = mat.nrows - mat.rank() // 2
-    order = data.draw(st.permutations(range(mat.nrows)))
+    m = len(mat) - gf2_rank(mat) // 2
+    order = data.draw(st.permutations(range(len(mat))))
     for ops in (operators_from_commutativity(mat), operators_from_commutativity(mat, order)):
-        assert len(ops) == mat.nrows
+        assert len(ops) == len(mat)
         assert all(0 <= op < 1 << 2 * m for op in ops)
         assert gram_matrix(ops, m) == mat
 
 
 def test_exists_gram_realization_small():
     # A single hyperbolic pair fits on one qubit but not on zero.
-    pair = BinaryMatrix.from_lists([[0, 1], [1, 0]])
+    pair = [0b10, 0b01]
     assert exists_gram_realization(pair, 1)
     assert not exists_gram_realization(pair, 0)
 
@@ -447,12 +457,10 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
     [
         (lambda: Pauli(2, 1, 0).cut(1, 5), WidthMismatchError),
         (lambda: Pauli(2, 1, 0).cut(2, 1), WidthMismatchError),
-        (lambda: BinaryMatrix.from_lists([[1, 0], [1]], 2), InvalidMatrixError),
+        (lambda: operators_from_commutativity([0b100010, 0b01]), InvalidMatrixError),
         (lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]), InvalidMatrixError),
         (
-            lambda: operators_from_commutativity(
-                BinaryMatrix.from_lists([[0, 1], [1, 0]]), order=[0, 0]
-            ),
+            lambda: operators_from_commutativity([0b10, 0b01], order=[0, 0]),
             InvalidMatrixError,
         ),
         (lambda: EncoderRow(-1, 1, 0, 0, 0), WidthMismatchError),
@@ -472,7 +480,8 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
         (lambda: replay_gates(2, [Gate("t", (0,))]), GateError),
     ],
     ids=[
-        "cut-past-width", "cut-reversed", "short-row", "rhs-length", "order-not-permutation",
+        "cut-past-width", "cut-reversed", "row-past-last-column", "rhs-length",
+        "order-not-permutation",
         "row-negative-memory", "row-k-above-n", "row-word-too-wide", "row-negative-word",
         "tableau-image-count", "pauli-character", "table-word-too-wide", "table-negative-word",
         "gate-negative-qubit", "gate-qubit-past-width", "gate-repeated-qubit",
@@ -495,7 +504,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "import qconvenc.tableau as tableau_module\n"
         "from qconvenc.code import ConvolutionalCode, GeneratorPolynomial\n"
         "from oracles import gf2_solve_dot_system\n"
-        "from qconvenc.pauli import BinaryMatrix, Pauli, operators_from_commutativity\n"
+        "from qconvenc.pauli import Pauli, operators_from_commutativity\n"
         "from qconvenc.synth import (\n"
         "    EncoderRow, MemoryOperatorTable, PartialEncoder, add_noncatastrophic_rows)\n"
         "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
@@ -516,10 +525,9 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: GeneratorPolynomial(1, -1),\n"
         "    lambda: ConvolutionalCode(n=2, k=1, generators=(gen, gen)),\n"
         "    lambda: Pauli(2, 1, 0).cut(1, 5),\n"
-        "    lambda: BinaryMatrix.from_lists([[1, 0], [1]], 2),\n"
+        "    lambda: operators_from_commutativity([0b100010, 0b01]),\n"
         "    lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]),\n"
-        "    lambda: operators_from_commutativity(\n"
-        "        BinaryMatrix.from_lists([[0, 1], [1, 0]]), order=[0, 0]),\n"
+        "    lambda: operators_from_commutativity([0b10, 0b01], order=[0, 0]),\n"
         "    lambda: verify_non_recursive(CliffordTableau.identity(4), 2, 1, 1),\n"
         "    lambda: detect_catastrophic(CliffordTableau.identity(4), 2, 1, 1),\n"
         "    lambda: complete_to_clifford(PartialEncoder(1, 1, 0, [wide_row])),\n"

@@ -91,7 +91,7 @@ def test_result_list_defaults_are_fresh():
     assert first.steps == [] and first.steps is not second.steps
     first, second = GramSchmidtResult(0, 0), GramSchmidtResult(0, 0)
     assert first.pairs == first.isotropics == [] and first.pairs is not second.pairs
-    assert first.transform is None
+    assert first.inverse is None
     first, second = PartialEncoder(1, 2, 1, []), PartialEncoder(m=1, n=2, k=1, rows=[])
     assert first.added_rows == [] and first.added_rows is not second.added_rows
     assert first.memory_ops is None

@@ -15,6 +15,7 @@ from oracles import (
     forward_matrix_by_blocks,
     gram_matrix,
     labelled_cycle_by_enumeration,
+    matrix_entries,
     row_from_parts,
     row_paulis,
     violations_by_blocks,
@@ -38,7 +39,6 @@ from qconvenc.errors import (
     WidthMismatchError,
 )
 from qconvenc.pauli import (
-    BinaryMatrix,
     Pauli,
     gf2_rank,
     pauli_to_vec,
@@ -93,7 +93,7 @@ def row_from_strings(parts):
 @pytest.mark.parametrize("name", CORPUS)
 def test_commutativity_matrix_matches_reference(name):
     omega = build_commutativity_matrix(load_code(name))
-    assert omega.matrix.to_lists() == OMEGA[name]
+    assert matrix_entries(omega.rows) == OMEGA[name]
 
 
 def test_commutativity_index_map_order(running1):
@@ -122,7 +122,7 @@ def test_minimal_memory(name):
 
 
 def test_minimal_memory_rejects_odd_rank():
-    fake = MemoryCommutativityMatrix(BinaryMatrix.from_lists([[1]], 1), [(1, 1)])
+    fake = MemoryCommutativityMatrix([0b1], [(1, 1)])
     with pytest.raises(InvalidMatrixError):
         minimal_memory(fake)
 
@@ -137,7 +137,7 @@ def test_assigned_operators_match_reference(name):
 def test_assigned_operators_reproduce_matrix(name):
     omega = build_commutativity_matrix(load_code(name))
     table = assign_memory_operators(omega)
-    assert gram_matrix(table.as_list(), table.m) == omega.matrix
+    assert gram_matrix(table.as_list(), table.m) == omega.rows
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -145,7 +145,7 @@ def test_published_operator_tables_reproduce_matrix(name):
     # The externally chosen tables are a second, independent realization.
     omega = build_commutativity_matrix(load_code(name))
     table = table_from_strings(MEMORY_OPS_PUBLISHED[name])
-    assert gram_matrix(table.as_list(), table.m) == omega.matrix
+    assert gram_matrix(table.as_list(), table.m) == omega.rows
 
 
 def test_assign_empty_matrix():
@@ -334,7 +334,7 @@ def test_centralizer_of_assigned_tables(name):
 def test_centralizer_words_commute_with_every_operator_word(mat):
     # The basis is independent, every word commutes with every operator
     # word, and it has 2m - rank(operators) elements: the whole centralizer.
-    index_map = [(1, j) for j in range(1, mat.nrows + 1)]
+    index_map = [(1, j) for j in range(1, len(mat) + 1)]
     table = assign_memory_operators(MemoryCommutativityMatrix(mat, index_map))
     ops = table.as_list()
     cent = compute_centralizer(table)
@@ -511,7 +511,7 @@ def test_greedy_rows_accepted_without_drawing(monkeypatch, running1):
 def test_synthesize_end_to_end(name):
     result = synthesize(load_code(name))
     assert result.m == M_STATED[name]
-    assert result.omega.matrix.to_lists() == OMEGA[name]
+    assert matrix_entries(result.omega.rows) == OMEGA[name]
     assert [row.as_strings() for row in result.encoder.added_rows] == ADDED_ROWS_DERIVED[
         name
     ]
@@ -537,12 +537,8 @@ def test_synthesize_rejects_invalid_code():
 def test_synthesize_raises_typed_error_when_cross_check_fails(monkeypatch, running1):
     # Corrupt the backward accumulation so the cross-check disagrees with the
     # forward matrix on a valid code.
-    forward = build_commutativity_matrix(running1).matrix
-    monkeypatch.setattr(
-        synth_module,
-        "_backward_matrix",
-        lambda code: BinaryMatrix([0] * forward.nrows, forward.ncols),
-    )
+    forward = build_commutativity_matrix(running1).rows
+    monkeypatch.setattr(synth_module, "_backward_matrix", lambda code: [0] * len(forward))
     assert verify_consistency(running1) == 0
     with pytest.raises(ConsistencyError) as info:
         synthesize(running1)

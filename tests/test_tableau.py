@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -291,6 +293,28 @@ def test_circuit_for_single_hadamard():
 def test_circuit_for_single_phase():
     t = replay_gates(1, [Gate("s", (0,))])
     assert synthesize_circuit(t) == [Gate("s", (0,))]
+
+
+def test_circuit_past_the_gate_count_bound_is_refused(monkeypatch):
+    # A bound with no room for the one gate a Hadamard needs: the
+    # polynomial size bound is a typed refusal, under -O too.
+    monkeypatch.setattr(tableau_module, "GATE_COUNT_FACTOR", 0)
+    with pytest.raises(SynthesisFailureError, match="gates exceed 0 \\* width"):
+        synthesize_circuit(replay_gates(1, [Gate("h", (0,))]))
+    script = (
+        "import qconvenc.tableau as tableau_module\n"
+        "from qconvenc.tableau import Gate, replay_gates, synthesize_circuit\n"
+        "tableau_module.GATE_COUNT_FACTOR = 0\n"
+        "try:\n"
+        "    synthesize_circuit(replay_gates(1, [Gate('h', (0,))]))\n"
+        "    print('accepted')\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["SynthesisFailureError"]
 
 
 @pytest.mark.parametrize("name", CORPUS)
