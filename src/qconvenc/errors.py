@@ -81,7 +81,7 @@ class CompletionError(QconvError, ValueError):
 
 
 class SynthesisFailureError(QconvError, RuntimeError):
-    """No non-catastrophic row completion was found."""
+    """No non-catastrophic row completion was found, or a result failed its own check."""
 
 
 class ConsistencyError(SynthesisFailureError):

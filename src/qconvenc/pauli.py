@@ -1,4 +1,4 @@
-"""Projective Pauli operators, GF(2) symplectic linear algebra, int digraphs.
+"""Projective Pauli operators and GF(2) symplectic linear algebra.
 
 A projective Pauli on w qubits (phases ignored) is stored as two packed
 GF(2) words: bit q of ``x`` marks an X factor on qubit q, bit q of ``z`` a
@@ -22,12 +22,10 @@ else goes through one fully reduced echelon basis, ``_Echelon``.  The
 Clifford completion, grows its own a row at a time and queries it in
 between (membership, dependencies, dot-product systems, inverse tags).
 
-State diagrams are directed graphs on packed-Pauli int vertices.  The
-zero-physical transitions of an encoder form a GF(2) space of edges, so
-``cycle_core`` finds the edges that lie on cycles by linear algebra on a
-basis of that space, without listing it; the state-diagram verdicts rest on
-it.  A catastrophic witness lists only those core edges, and
-``successor_lists`` and ``shortest_path`` find the way around its cycle.
+The zero-physical transitions of an encoder's state diagram form a GF(2)
+space of edges, so ``cycle_core`` finds the edges that lie on cycles by
+linear algebra on a basis of that space, without listing it; the
+state-diagram verdicts rest on it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidMatrixError, ParseError, WidthMismatchError
+from .errors import InvalidMatrixError, ParseError, SynthesisFailureError, WidthMismatchError
 
 __all__ = [
     "Pauli",
@@ -51,8 +49,6 @@ __all__ = [
     "gf2_solve_combination",
     "symplectic_gram_schmidt",
     "operators_from_commutativity",
-    "successor_lists",
-    "shortest_path",
     "cycle_core",
 ]
 
@@ -423,7 +419,8 @@ def operators_from_commutativity(
     touch of either member (scan anchor gets X, partner Z); each isotropic
     row takes one qubit for a Z.  Those standard operators are the reduced
     rows' operators, so word r combines them by row r of the Gram-Schmidt
-    ``inverse``.
+    ``inverse``.  Words whose products are not ``rows`` raise
+    ``SynthesisFailureError``.
     """
     gs = symplectic_gram_schmidt(rows)
     n, m = len(rows), gs.c + gs.d
@@ -446,43 +443,9 @@ def operators_from_commutativity(
         standard[i] = 1 << m + qubit[i]
 
     ops = [gf2_combination(standard, combo) for combo in gs.inverse]
-    assert _products(ops, [swap_halves(op, m) for op in ops]) == list(rows)
+    if _products(ops, [swap_halves(op, m) for op in ops]) != list(rows):
+        raise SynthesisFailureError("the memory operators do not reproduce the matrix")
     return ops
-
-
-def successor_lists(edges: Iterable[Tuple[int, int]]) -> Dict[int, List[int]]:
-    """Successor lists of the directed multigraph with the given (u, v) edges.
-
-    Every endpoint is a key, in order of first appearance; a parallel edge
-    repeats its successor.
-    """
-    succ: Dict[int, List[int]] = {}
-    for u, v in edges:
-        succ.setdefault(u, []).append(v)
-        succ.setdefault(v, [])
-    return succ
-
-
-def shortest_path(
-    succ: Dict[int, List[int]], source: int, target: int
-) -> Optional[List[int]]:
-    """Vertices of a fewest-edge walk from source to target, or None."""
-    parent = {source: source}
-    frontier = [source]
-    while frontier and target not in parent:
-        reached = []
-        for u in frontier:
-            for w in succ[u]:
-                if w not in parent:
-                    parent[w] = u
-                    reached.append(w)
-        frontier = reached
-    if target not in parent:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    return path[::-1]
 
 
 def _dependencies(vectors: Iterable[int]) -> List[int]:

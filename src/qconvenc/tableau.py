@@ -42,8 +42,6 @@ from .pauli import (
     gf2_combination,
     gf2_span,
     pauli_to_vec,
-    shortest_path,
-    successor_lists,
     swap_halves,
     vec_to_pauli,
 )
@@ -486,36 +484,52 @@ class _Realisation:
         ]
         return basis, cycle_core(packed, 2 * m)
 
-    def listed(self, basis: Sequence[int]) -> List[Tuple[int, int, int]]:
-        """(word, packed mem_from, packed mem_to) of every edge in the span of
-        ``zero_physical`` basis entries, in the mask order of the basis."""
-        bits = len(self.columns)
-        full, low_m = (1 << bits) - 1, (1 << 2 * self.m) - 1
-        edges = []
-        for entry in gf2_span(basis):
-            word, out = entry & full, entry >> bits
-            if out & self.physical:
-                raise SynthesisFailureError("a listed zero-physical edge has physical output")
-            edges.append((word, word & low_m, out >> 2 * self.n))
-        return edges
-
     def catastrophic(
         self, basis: Sequence[int], core: Sequence[int]
     ) -> Tuple[bool, Optional[CycleWitness]]:
-        """``detect_catastrophic``'s verdict and witness."""
-        n, k, m = self.n, self.k, self.m
-        if not any((edge >> 4 * m) & ((1 << 2 * k) - 1) for edge in core):
+        """``detect_catastrophic``'s verdict and witness.
+
+        A core edge's top field is its tag, the mask of the basis entries
+        summing to it, so ``gf2_span(gf2_basis(core))`` ascends in tag order,
+        the mask order of the basis.  The search from v keeps the edge that
+        discovered each vertex, the first listed from its parent; a search
+        that misses u raises ``SynthesisFailureError``.
+        """
+        k, m = self.k, self.m
+        low_m, labels = (1 << 2 * m) - 1, (1 << 2 * k) - 1
+        if not any((edge >> 4 * m) & labels for edge in core):
             return False, None
-        masks = gf2_basis(edge >> 4 * m + 2 * k for edge in core)
-        edges = self.listed([gf2_combination(basis, c) for c in masks])
-        logical = ((1 << 2 * k) - 1) << 2 * m + n - k
-        word, u, v = next(edge for edge in edges if edge[0] & logical)
-        path = shortest_path(successor_lists((a, b) for _, a, b in edges), v, u)
-        first = {(a, b): x for x, a, b in reversed(edges)}  # first listed per pair
-        words = [word] + [first[pair] for pair in zip(path, path[1:])]
+        edges = gf2_span(gf2_basis(core))
+        first = next(edge for edge in edges if (edge >> 4 * m) & labels)
+        u, v = first & low_m, (first >> 2 * m) & low_m
+        leaving: Dict[int, List[int]] = {}
+        for edge in edges:
+            leaving.setdefault(edge & low_m, []).append(edge)
+        discovered: Dict[int, int] = {v: first}  # vertex -> the edge that reached it
+        frontier = [v]
+        while u not in discovered:
+            if not frontier:
+                raise SynthesisFailureError("the labelled core edge lies on no core cycle")
+            reached = []
+            for x in frontier:
+                for edge in leaving.get(x, ()):
+                    y = (edge >> 2 * m) & low_m
+                    if y not in discovered:
+                        discovered[y] = edge
+                        reached.append(y)
+            frontier = reached
+        walk = []  # the way back, from u's discovering edge to v
+        while u != v:
+            walk.append(discovered[u])
+            u = walk[-1] & low_m
+        full = (1 << len(self.columns)) - 1
+        witness = [first] + walk[::-1]
         return True, CycleWitness(
-            vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
-            edges=[self.edge(x) for x in words],
+            vertices=[vec_to_pauli(edge & low_m, m) for edge in witness],
+            edges=[
+                self.edge(gf2_combination(basis, edge >> 4 * m + 2 * k) & full)
+                for edge in witness
+            ],
         )
 
     def non_recursive(self, core: Sequence[int]) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
@@ -571,9 +585,16 @@ def zero_physical_edges(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
 ) -> List[StateDiagramEdge]:
     """Every state-diagram edge whose physical output is the identity,
-    listed from the zero-physical solve the verdicts share."""
+    listed from the zero-physical solve the verdicts share, in the mask
+    order of its basis."""
     realisation, basis, _ = _state_diagram(tableau, n, k, m, max_memory)
-    return [realisation.edge(word) for word, _, _ in realisation.listed(basis)]
+    bits = len(realisation.columns)
+    edges = []
+    for entry in gf2_span(basis):
+        if (entry >> bits) & realisation.physical:
+            raise SynthesisFailureError("a listed zero-physical edge has physical output")
+        edges.append(realisation.edge(entry & (1 << bits) - 1))
+    return edges
 
 
 def detect_catastrophic(
@@ -584,15 +605,16 @@ def detect_catastrophic(
     The encoder is catastrophic iff some zero-physical edge with a
     non-identity logical label lies on a cycle, iff some edge of the
     ``cycle_core`` basis carries a logical label; no edge is listed to
-    decide.  The witness is the first labelled edge on a cycle, in the mask
-    order of the zero-physical basis, and a fewest-edge walk back, taking
-    the first edge between each pair of vertices.  Only the core edges are
-    listed for it, in that order (their masks span a subspace, listed
-    ascending over its ``gf2_basis``).  That loses nothing: u -> v lies on
-    a cycle iff v reaches u, iff u and v share a strongly connected
-    component.  So every edge inside v's component is a core edge, and a
-    breadth-first search from v over the core edges keeps the levels,
-    frontier order and parents of one over all edges, up to u.
+    decide.  The witness is the first labelled edge u -> v on a cycle, in
+    the mask order of the zero-physical basis, and a fewest-edge walk back,
+    taking the first edge between each pair of vertices.  Only the core
+    edges are listed for it, as the span of their own ``gf2_basis``: a
+    core edge's top field is its mask, so that span ascends in mask order.
+    That loses nothing: u -> v lies on a cycle iff v reaches u, iff u and v
+    share a strongly connected component.  So every edge inside v's
+    component is a core edge, and a breadth-first search from v over the
+    core edges, keeping the edge that discovered each vertex, keeps the
+    levels, frontier order and parents of one over all edges, up to u.
 
     The basis and core are the tableau's one solve (``_state_diagram``),
     which ``verify_non_recursive`` and ``zero_physical_edges`` also read.

@@ -1,6 +1,6 @@
 """Exhaustive search oracles that only the tests use."""
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -19,8 +19,6 @@ from qconvenc.pauli import (
     gf2_rank,
     gf2_span,
     pauli_to_vec,
-    shortest_path,
-    successor_lists,
     symplectic_product,
     symplectic_product_vec,
     vec_to_pauli,
@@ -271,6 +269,41 @@ def gram_search(
         return False
 
     return backtrack(0)
+
+
+def successor_lists(edges: Iterable[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Successor lists of the directed multigraph with the given (u, v) edges.
+
+    Every endpoint is a key, in order of first appearance; a parallel edge
+    repeats its successor.
+    """
+    succ: Dict[int, List[int]] = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+        succ.setdefault(v, [])
+    return succ
+
+
+def shortest_path(
+    succ: Dict[int, List[int]], source: int, target: int
+) -> Optional[List[int]]:
+    """Vertices of a fewest-edge walk from source to target, or None."""
+    parent = {source: source}
+    frontier = [source]
+    while frontier and target not in parent:
+        reached = []
+        for u in frontier:
+            for w in succ[u]:
+                if w not in parent:
+                    parent[w] = u
+                    reached.append(w)
+        frontier = reached
+    if target not in parent:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def strong_components(succ: Dict[int, List[int]]) -> Dict[int, int]:

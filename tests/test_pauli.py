@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_zero_diag
+from conftest import corpus_path, symmetric_zero_diag
 from oracles import (
     check_commutativity_matrix_by_lists,
     component_index,
@@ -25,16 +25,20 @@ from oracles import (
     logical_cycle,
     loop_vertices,
     parities,
+    shortest_path,
     span_edges,
     strong_components,
+    successor_lists,
     symplectic_gram_schmidt_by_lists,
 )
 import qconvenc.pauli as pauli_module
+from qconvenc.cli import main
 from qconvenc.errors import (
     GateError,
     InvalidMatrixError,
     ParseError,
     QconvError,
+    SynthesisFailureError,
     WidthMismatchError,
 )
 from qconvenc.pauli import (
@@ -53,8 +57,6 @@ from qconvenc.pauli import (
     gf2_solve_combination,
     gf2_span,
     operators_from_commutativity,
-    shortest_path,
-    successor_lists,
     symplectic_gram_schmidt,
     symplectic_product,
     symplectic_product_vec,
@@ -333,6 +335,42 @@ def test_operators_reproduce_any_commutativity_matrix(mat, data):
         assert gram_matrix(ops, m) == mat
 
 
+def test_operators_that_miss_the_matrix_are_refused(monkeypatch, capsys):
+    # A corrupted Gram-Schmidt inverse drops operator 0's own standard
+    # operator, so the words no longer reproduce the matrix: a typed
+    # refusal, exit 3 from the CLI, and the same under -O.
+    gram_schmidt = pauli_module.symplectic_gram_schmidt
+
+    def corrupted(rows):
+        result = gram_schmidt(rows)
+        result.inverse[0] ^= 1
+        return result
+
+    monkeypatch.setattr(pauli_module, "symplectic_gram_schmidt", corrupted)
+    with pytest.raises(SynthesisFailureError, match="do not reproduce the matrix"):
+        operators_from_commutativity([0b10, 0b01])
+    assert main(["synthesize", corpus_path("running1")]) == 3
+    assert "do not reproduce the matrix" in capsys.readouterr().err
+    script = (
+        "import qconvenc.pauli as pauli_module\n"
+        "gram_schmidt = pauli_module.symplectic_gram_schmidt\n"
+        "def corrupted(rows):\n"
+        "    result = gram_schmidt(rows)\n"
+        "    result.inverse[0] ^= 1\n"
+        "    return result\n"
+        "pauli_module.symplectic_gram_schmidt = corrupted\n"
+        "try:\n"
+        "    pauli_module.operators_from_commutativity([0b10, 0b01])\n"
+        "    print('accepted')\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["SynthesisFailureError"]
+
+
 def test_exists_gram_realization_small():
     # A single hyperbolic pair fits on one qubit but not on zero.
     pair = [0b10, 0b01]
@@ -402,6 +440,22 @@ def test_logical_cycle_matches_networkx_has_path(labelled):
     assert path[0] == v and path[-1] == u
     assert len(path) - 1 == nx.shortest_path_length(graph, v, u)
     assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+
+@given(packed_relations(), st.lists(st.integers(0, 2**7 - 1), max_size=7))
+def test_tagged_edges_span_in_ascending_tag_order(relation, combos):
+    # Edges u | v << bits | (label | 1 << 2 + t) << 2 * bits, tag bit t on
+    # basis entry t, as the state-diagram core packs them: a subspace of
+    # their span, drawn or their cycle_core, lists ascending in tag order,
+    # which is the mask order of its tags.
+    basis, bits = relation
+    top = 2 * bits + 2
+    tagged = [e | 1 << top + t for t, e in enumerate(basis)]
+    drawn = [gf2_combination(tagged, c & (1 << len(tagged)) - 1) for c in combos]
+    for edges in (drawn, cycle_core(tagged, bits)):
+        tags = [e >> top for e in gf2_span(gf2_basis(edges))]
+        assert all(a < b for a, b in zip(tags, tags[1:]))
+        assert tags == gf2_span(gf2_basis(e >> top for e in edges))
 
 
 @given(st.lists(st.integers(0, 2**10), max_size=7))

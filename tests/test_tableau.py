@@ -39,7 +39,7 @@ from qconvenc.errors import (
     SynthesisFailureError,
     WidthMismatchError,
 )
-from qconvenc.pauli import Pauli, symplectic_product_vec
+from qconvenc.pauli import Pauli, gf2_basis, gf2_span, symplectic_product_vec
 from qconvenc.shorten import shorten
 from qconvenc.synth import (
     PartialEncoder,
@@ -468,10 +468,13 @@ def test_state_diagram_entry_points_refuse_a_bad_shape(entry, args):
         entry(CliffordTableau.identity(width), *shape)
 
 
-def test_listing_refuses_an_edge_with_physical_output():
-    realisation = tableau_module._Realisation(CliffordTableau.identity(2), 1, 1, 1)
+def test_listing_refuses_an_edge_with_physical_output(monkeypatch):
+    def solve(self, max_memory):
+        return [1 << len(self.columns)], []  # one entry, output X on qubit 0
+
+    monkeypatch.setattr(tableau_module._Realisation, "zero_physical", solve)
     with pytest.raises(SynthesisFailureError, match="physical output"):
-        realisation.listed([1 << len(realisation.columns)])  # output X on qubit 0
+        zero_physical_edges(CliffordTableau.identity(2), 1, 1, 1)
 
 
 @st.composite
@@ -729,17 +732,49 @@ def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
     n, k, m = encoder.n, encoder.k, encoder.m
     basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical(m)
     listed = []
-    enumerate_edges = tableau_module._Realisation.listed
+    span = tableau_module.gf2_span
 
-    def record(self, words):
-        listed.append(len(words))
-        return enumerate_edges(self, words)
+    def record(rows):
+        listed.append(len(rows))
+        return span(rows)
 
-    monkeypatch.setattr(tableau_module._Realisation, "listed", record)
+    monkeypatch.setattr(tableau_module, "gf2_span", record)
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag is True and witness is not None
     assert listed == [len(core)]
     assert len(core) < len(basis)
+
+
+def test_a_witness_search_that_misses_the_cycle_is_refused(monkeypatch):
+    # A core of one labelled edge u -> v, u != v, holds no way back from v
+    # to u; the search ends in a typed refusal, not a failed walk.
+    encoder = partial_encoder("forney8")
+    tableau = complete_to_clifford(encoder, seed=0)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    low_m, labels = (1 << 2 * m) - 1, (1 << 2 * k) - 1
+
+    def one_edge(edges, bits):
+        return [
+            next(e for e in edges if (e >> 4 * m) & labels and e & low_m != (e >> 2 * m) & low_m)
+        ]
+
+    monkeypatch.setattr(tableau_module, "cycle_core", one_edge)
+    with pytest.raises(SynthesisFailureError, match="no core cycle"):
+        detect_catastrophic(tableau, n, k, m)
+
+
+def test_core_span_lists_edges_in_ascending_tag_order():
+    # The witness lists the core span ascending as words; on every
+    # STATE_DIAGRAM_CASES core that is the mask order of the tags.
+    for name, d in STATE_DIAGRAM_CASES:
+        encoder = partial_encoder(name, d)
+        n, k, m = encoder.n, encoder.k, encoder.m
+        for seed in range(16):
+            tableau = complete_to_clifford(encoder, seed=seed)
+            _, core = tableau_module._Realisation(tableau, n, k, m).zero_physical(m)
+            tags = [e >> 4 * m + 2 * k for e in gf2_span(gf2_basis(core))]
+            assert tags == gf2_span(gf2_basis(e >> 4 * m + 2 * k for e in core))
+            assert all(a < b for a, b in zip(tags, tags[1:]))
 
 
 def test_forney8_d5_partial_cycle_witness_is_pinned():
@@ -762,7 +797,7 @@ def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
     def refuse(*args):
         raise AssertionError("a verdict listed the zero-physical edges")
 
-    monkeypatch.setattr(tableau_module._Realisation, "listed", refuse)
+    monkeypatch.setattr(tableau_module, "gf2_span", refuse)
     assert detect_catastrophic(tableau, n, k, m) == (False, None)
     ok, path = verify_non_recursive(tableau, n, k, m)
     assert ok is True and path
