@@ -81,7 +81,8 @@ class CompletionError(QconvError, ValueError):
 
 
 class SynthesisFailureError(QconvError, RuntimeError):
-    """No non-catastrophic row completion was found, or a result failed its own check."""
+    """No non-catastrophic row completion was found, a tableau given for circuit
+    extraction is not symplectic, or a result failed its own check."""
 
 
 class ConsistencyError(SynthesisFailureError):

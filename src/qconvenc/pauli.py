@@ -433,7 +433,6 @@ def operators_from_commutativity(
     qubit: Dict[int, int] = {}  # pair anchor or isotropic row -> memory qubit
     for idx in order:
         qubit.setdefault(anchor.get(idx, idx), len(qubit))
-    assert len(qubit) == m
 
     standard = [0] * n
     for i, j in gs.pairs:

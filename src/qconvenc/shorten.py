@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError, WindowError
-from .pauli import _annihilator, _products, gf2_combination, gf2_rank, gf2_solve_combination
+from .pauli import _dependencies, gf2_combination, gf2_rank, gf2_solve_combination
 
 __all__ = [
     "ShortenStep",
@@ -81,8 +81,6 @@ def _rewrite(
         cands = [
             j for j, other in enumerate(gens) if j != i and other.degree <= gen.degree
         ]
-        if not cands:
-            continue
         combo = gf2_solve_combination([end_frame(gens[j]) for j in cands], end_frame(gen))
         if combo is None:
             continue
@@ -150,11 +148,10 @@ def _strip_rows(code: ConvolutionalCode, window: int) -> List[int]:
 
 def _interior_basis(rows: Sequence[int], window: int, n: int) -> List[int]:
     """Basis of combinations vanishing on the first and last frame."""
-    frame = 2 * n
-    edge_bits = [*range(frame), *range(frame * (window - 1), frame * window)]
-    # Solve for coefficient masks killing every edge coordinate.
-    constraint_words = _products([1 << b for b in edge_bits], rows)
-    return [gf2_combination(rows, mask) for mask in _annihilator(constraint_words, len(rows))]
+    frame = (1 << 2 * n) - 1
+    edges = frame | frame << 2 * n * (window - 1)
+    # The coefficient masks whose rows XOR to zero on every edge coordinate.
+    return [gf2_combination(rows, mask) for mask in _dependencies([row & edges for row in rows])]
 
 
 def group_equivalent(

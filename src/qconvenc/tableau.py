@@ -171,7 +171,7 @@ def _not_in_span_solution(
 
     if rng is not None:
         for _ in range(64):
-            mask = rng.getrandbits(len(null_basis)) if null_basis else 0
+            mask = rng.getrandbits(len(null_basis))
             cand = particular ^ gf2_combination(null_basis, mask)
             if outside(cand):
                 return cand
@@ -240,20 +240,14 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     rng = random.Random(seed) if seed != 0 else None
     t = 0  # seed 0: every unit vector below t is in the input span
     while len(basis_in) < 2 * w:
-        v = None
         if rng is not None:
-            while True:
-                cand = rng.getrandbits(2 * w)
-                if cand and inputs.reduce(cand)[0]:
-                    v = cand
-                    break
+            v = rng.getrandbits(2 * w)
+            while not inputs.reduce(v)[0]:
+                v = rng.getrandbits(2 * w)
         else:
-            while t < 2 * w:
-                if inputs.reduce(1 << t)[0]:
-                    v = 1 << t
-                    break
+            while not inputs.reduce(1 << t)[0]:
                 t += 1
-        assert v is not None
+            v = 1 << t
         swapped_v = swap_halves(v, w)
         rhs_mask = gf2_combination(in_columns, swapped_v)
         particular = swapped_outputs.particular(rhs_mask)
@@ -268,9 +262,9 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
                 "not jointly symplectic"
             )
         append(v, image)
-    # Full rank: the reduced input basis is the identity, so unit vector t's
-    # tag is the combination of input rows equal to it.
-    assert inputs.pivots == (1 << 2 * w) - 1
+    # Every appended v raised the rank, so the 2w inputs have full rank: the
+    # reduced input basis is the identity, and unit vector t's tag is the
+    # combination of input rows equal to it.
     tableau = CliffordTableau(
         w, [gf2_combination(basis_out, inputs.tags[t]) for t in range(2 * w)]
     )
@@ -293,6 +287,10 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     costs one or two integer updates however wide the tableau is.  The
     gates made here are conjugated unchecked (``_conjugate``); the replay
     onto the identity checks every gate and compares the whole tableau.
+    The reduction reached the identity iff that replay gives the tableau
+    back, so no step is checked on the way.  A tableau that is not
+    symplectic is refused with ``SynthesisFailureError``: some X_q image
+    finds no pivot, or the replay differs.
     """
     w = tableau.width
     columns = _transpose(tableau.images, 2 * w)
@@ -302,12 +300,6 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     def emit(kind: str, *qubits: int) -> None:
         _conjugate(xs, zs, kind, qubits)
         applied.append(Gate(kind, qubits))
-
-    def is_unit(t: int, u: int) -> bool:
-        # Whether image t is the unit vector 1 << u: column u alone has bit t.
-        bit = 1 << t
-        columns = xs + zs
-        return [c for c in columns if c & bit] == [columns[u]]
 
     def sweep(q: int, t: int) -> None:
         # Clear image t, which has an x component on qubit q, down to X_q:
@@ -322,7 +314,6 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
         for r in range(q + 1, w):
             if (zs[r] >> t) & 1:
                 emit("cz", q, r)
-        assert is_unit(t, q)
 
     for q in range(w):
         # Give the X_q image an x component on qubit q itself.
@@ -330,19 +321,17 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
             pivot = next((r for r in range(q, w) if (xs[r] >> q) & 1), None)
             if pivot is None:
                 pivot = next((r for r in range(q, w) if (zs[r] >> q) & 1), None)
-                assert pivot is not None
+                if pivot is None:  # no bit on qubits q..w-1: never when symplectic
+                    raise SynthesisFailureError("the tableau is not symplectic")
                 emit("h", pivot)
             if pivot != q:
                 emit("cnot", pivot, q)
         sweep(q, q)
         # Fix the Z_q image, conjugating through h so the same sweep applies.
-        if not is_unit(w + q, w + q):
+        if [c for c in xs + zs if c >> w + q & 1] != [zs[q]]:  # image w + q is not Z_q
             emit("h", q)
-            assert (xs[q] >> (w + q)) & 1
             sweep(q, w + q)
             emit("h", q)
-        assert is_unit(q, q) and is_unit(w + q, w + q)
-    assert xs + zs == [1 << t for t in range(2 * w)]
     gates = list(reversed(applied))
     if len(gates) > GATE_COUNT_FACTOR * w * w:
         raise SynthesisFailureError(f"{len(gates)} gates exceed {GATE_COUNT_FACTOR} * width**2")
@@ -451,7 +440,7 @@ class _Realisation:
             mem_to=vec_to_pauli(out >> 2 * n, m),
         )
 
-    def zero_physical(self, max_memory: int) -> Tuple[List[int], List[int]]:
+    def zero_physical(self) -> Tuple[List[int], List[int]]:
         """Basis of the zero-physical edges, and the ``cycle_core`` of its span.
 
         The zero-physical condition C mem + D u = 0 is linear, so its
@@ -463,8 +452,6 @@ class _Realisation:
         bit t marks basis entry t.
         """
         n, k, m = self.n, self.k, self.m
-        if m > max_memory:
-            raise MemoryBoundError(m, max_memory)
         order = [b for q in range(m) for b in (q, m + q)]
         order += range(2 * m, 2 * m + n - k)
         order += [b for q in range(k) for b in (2 * m + n - k + q, 2 * m + n + q)]
@@ -568,16 +555,17 @@ def _state_diagram(
 ) -> Tuple[_Realisation, List[int], List[int]]:
     """The tableau's realisation, zero-physical basis and core, solved once
     per ``(images, n, k, m)`` and kept on the tableau; a mutated image or
-    another shape is solved again.  The memory bound is checked every call.
+    another shape is solved again.  The memory bound is checked first, on
+    every call.
     """
+    if m > max_memory:
+        raise MemoryBoundError(m, max_memory)
     key = (tuple(tableau.images), n, k, m)
     solved = tableau._solved
     if solved is None or solved[0] != key:
         realisation = _Realisation(tableau, n, k, m)
-        solved = (key, realisation, *realisation.zero_physical(max_memory))
+        solved = (key, realisation, *realisation.zero_physical())
         tableau._solved = solved
-    elif m > max_memory:
-        raise MemoryBoundError(m, max_memory)
     return solved[1:]
 
 

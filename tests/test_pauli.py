@@ -587,6 +587,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: complete_to_clifford(PartialEncoder(1, 1, 0, [wide_row])),\n"
         "    lambda: add_noncatastrophic_rows(PartialEncoder(1, 1, 0, [])),\n"
         "    lambda: synthesize_circuit(swapped),\n"
+        "    lambda: synthesize_circuit(CliffordTableau(2, [1, 1, 4, 8])),\n"
         "    lambda: complete_to_clifford(PartialEncoder(0, 1, 0, [])),\n"
         "    lambda: EncoderRow(-1, 1, 0, 0, 0),\n"
         "    lambda: EncoderRow(1, 1, 2, 0, 0),\n"
@@ -623,6 +624,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "WidthMismatchError",
         "AssemblyError",
+        "SynthesisFailureError",
         "SynthesisFailureError",
         "CompletionError",
         "WidthMismatchError",

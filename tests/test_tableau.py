@@ -317,6 +317,18 @@ def test_circuit_past_the_gate_count_bound_is_refused(monkeypatch):
     assert out.stdout.split() == ["SynthesisFailureError"]
 
 
+@pytest.mark.parametrize(
+    "images", [[1, 1, 4, 8], [0, 2, 4, 8], [1, 2, 4, 4], [2, 1, 4, 8], [1, 2, 8, 4]]
+)
+def test_a_non_symplectic_tableau_is_refused(images):
+    # The first two find no pivot for an X_q image, the rest reduce to
+    # something other than the identity and fail the replay.
+    tableau = CliffordTableau(2, images)
+    assert not tableau.is_symplectic()
+    with pytest.raises(SynthesisFailureError):
+        synthesize_circuit(tableau)
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_circuit_replays_to_pipeline_tableau(name):
     _result, tableau = pipeline(name)
@@ -469,7 +481,7 @@ def test_state_diagram_entry_points_refuse_a_bad_shape(entry, args):
 
 
 def test_listing_refuses_an_edge_with_physical_output(monkeypatch):
-    def solve(self, max_memory):
+    def solve(self):
         return [1 << len(self.columns)], []  # one entry, output X on qubit 0
 
     monkeypatch.setattr(tableau_module._Realisation, "zero_physical", solve)
@@ -730,7 +742,7 @@ def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
-    basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical(m)
+    basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical()
     listed = []
     span = tableau_module.gf2_span
 
@@ -763,6 +775,26 @@ def test_a_witness_search_that_misses_the_cycle_is_refused(monkeypatch):
         detect_catastrophic(tableau, n, k, m)
 
 
+def test_the_witness_search_keeps_the_first_listed_parent(monkeypatch):
+    # A hand-built core: u = 1 -> v = 2 (labelled, tag 0), v -> a = 4,
+    # a -> u, 0 -> c = 8 and c -> 0 (tags 1-4).  From v, the walks back
+    # through a and through b = a + c reach u in the same number of steps;
+    # v -> a is listed before v -> b, so the walk goes through a.
+    encoder = partial_encoder("forney8")
+    tableau = complete_to_clifford(encoder, seed=0)
+    n, k, m = encoder.n, encoder.k, encoder.m
+    assert (m, k) == (6, 6)
+    arcs = [(1, 2, 1), (2, 4, 0), (4, 1, 0), (0, 8, 0), (8, 0, 0)]  # (from, to, label)
+    core = [
+        u | v << 2 * m | (label | 1 << 2 * k + t) << 4 * m
+        for t, (u, v, label) in enumerate(arcs)
+    ]
+    monkeypatch.setattr(tableau_module, "cycle_core", lambda edges, bits: core)
+    flag, witness = detect_catastrophic(tableau, n, k, m)
+    assert flag is True
+    assert [str(v) for v in witness.vertices] == ["XIIIII", "IXIIII", "IIXIII"]
+
+
 def test_core_span_lists_edges_in_ascending_tag_order():
     # The witness lists the core span ascending as words; on every
     # STATE_DIAGRAM_CASES core that is the mask order of the tags.
@@ -771,7 +803,7 @@ def test_core_span_lists_edges_in_ascending_tag_order():
         n, k, m = encoder.n, encoder.k, encoder.m
         for seed in range(16):
             tableau = complete_to_clifford(encoder, seed=seed)
-            _, core = tableau_module._Realisation(tableau, n, k, m).zero_physical(m)
+            _, core = tableau_module._Realisation(tableau, n, k, m).zero_physical()
             tags = [e >> 4 * m + 2 * k for e in gf2_span(gf2_basis(core))]
             assert tags == gf2_span(gf2_basis(e >> 4 * m + 2 * k for e in core))
             assert all(a < b for a, b in zip(tags, tags[1:]))
