@@ -28,14 +28,13 @@ from .errors import (
     WidthMismatchError,
     WindowError,
 )
-from .pauli import Pauli, symplectic_product
-from .shorten import group_equivalent, shorten
+from .pauli import Pauli
+from .shorten import shorten
 from .synth import (
     build_commutativity_matrix,
     compute_centralizer,
     minimal_memory,
     synthesize,
-    verify_consistency,
 )
 from .tableau import (
     CliffordTableau,
@@ -44,7 +43,6 @@ from .tableau import (
     roundtrip_verify,
     synthesize_circuit,
     verify_non_recursive,
-    zero_physical_edges,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Pauli",
-    "symplectic_product",
     "ConvolutionalCode",
     "GeneratorPolynomial",
     "parse_code",
@@ -61,16 +58,13 @@ __all__ = [
     "delay_generator",
     "multiply_generators",
     "shorten",
-    "group_equivalent",
     "build_commutativity_matrix",
-    "verify_consistency",
     "minimal_memory",
     "compute_centralizer",
     "synthesize",
     "CliffordTableau",
     "complete_to_clifford",
     "synthesize_circuit",
-    "zero_physical_edges",
     "detect_catastrophic",
     "verify_non_recursive",
     "roundtrip_verify",

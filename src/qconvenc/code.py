@@ -77,10 +77,6 @@ class GeneratorPolynomial(namedtuple("GeneratorPolynomial", "width word")):
             word |= pauli_to_vec(block) << frame * j
         return cls(blocks[0].width, word)
 
-    @classmethod
-    def from_strings(cls, parts: List[str]) -> "GeneratorPolynomial":
-        return cls.from_blocks(tuple(Pauli.from_string(p) for p in parts))
-
     @property
     def degree(self) -> int:
         """Frames up to the last non-identity one; 1 for the identity."""

@@ -40,7 +40,6 @@ __all__ = [
     "GramSchmidtResult",
     "pauli_to_vec",
     "vec_to_pauli",
-    "symplectic_product",
     "symplectic_product_vec",
     "gf2_combination",
     "gf2_span",
@@ -99,30 +98,6 @@ class Pauli(namedtuple("Pauli", "width x z")):
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def __mul__(self, other: "Pauli") -> "Pauli":
-        if self.width != other.width:
-            raise WidthMismatchError(
-                f"cannot multiply widths {self.width} and {other.width}"
-            )
-        return Pauli(self.width, self.x ^ other.x, self.z ^ other.z)
-
-    def concat(self, other: "Pauli") -> "Pauli":
-        """Tensor this operator with ``other`` acting on fresh qubits."""
-        return Pauli(
-            self.width + other.width,
-            self.x | (other.x << self.width),
-            self.z | (other.z << self.width),
-        )
-
-    def cut(self, start: int, stop: int) -> "Pauli":
-        """Restriction to the qubit range [start, stop)."""
-        if not 0 <= start <= stop <= self.width:
-            raise WidthMismatchError(
-                f"qubit range [{start}, {stop}) is not inside width {self.width}"
-            )
-        mask = (1 << (stop - start)) - 1
-        return Pauli(stop - start, (self.x >> start) & mask, (self.z >> start) & mask)
-
 
 def pauli_to_vec(p: Pauli) -> int:
     return p.x | (p.z << p.width)
@@ -142,15 +117,6 @@ def swap_halves(vec: int, width: int) -> int:
 def symplectic_product_vec(a: int, b: int, width: int) -> int:
     """Symplectic product of two packed ``width``-qubit vectors."""
     return _parity(a & swap_halves(b, width))
-
-
-def symplectic_product(a: Pauli, b: Pauli) -> int:
-    """0 if the operators commute, 1 if they anticommute."""
-    if a.width != b.width:
-        raise WidthMismatchError(
-            f"symplectic product of widths {a.width} and {b.width}"
-        )
-    return symplectic_product_vec(pauli_to_vec(a), pauli_to_vec(b), a.width)
 
 
 def _product_mismatch(

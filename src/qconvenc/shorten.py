@@ -163,6 +163,7 @@ def group_equivalent(
     frame are projected out so boundary effects cannot fake a difference.
     ``window`` must be at least the larger generator degree plus the
     generator count; the default adds two more frames of margin.
+    Not in ``qconvenc.__all__``: it is not exact (see the README); perfbench tests it.
     """
     if a.n != b.n:
         raise WidthMismatchError(f"codes act on different frame sizes {a.n} and {b.n}")

@@ -151,6 +151,7 @@ def verify_consistency(code: ConvolutionalCode) -> int:
 
     Agreement for every pair is equivalent to the code's validity, so this is
     an independent route to the same verdict as validate_code.
+    Not in ``qconvenc.__all__``: ``synthesize`` compares inline; perfbench times this.
     """
     if not validate_code(code).valid:
         return 0
@@ -370,9 +371,6 @@ class CentralizerBasis:
     def __init__(self, m: int, basis: List[int]):
         self.m = m
         self.basis = basis
-
-    def __len__(self) -> int:
-        return 1 << len(self.basis)
 
 
 def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:

@@ -19,7 +19,6 @@ from qconvenc.pauli import (
     gf2_rank,
     gf2_span,
     pauli_to_vec,
-    symplectic_product,
     symplectic_product_vec,
     vec_to_pauli,
 )
@@ -37,6 +36,32 @@ from qconvenc.tableau import (
 
 def _parity(word: int) -> int:
     return word.bit_count() & 1
+
+
+def symplectic_product(a: Pauli, b: Pauli) -> int:
+    """0 if two equal-width Paulis commute, 1 if they anticommute."""
+    return symplectic_product_vec(pauli_to_vec(a), pauli_to_vec(b), a.width)
+
+
+def pauli_product(a: Pauli, b: Pauli) -> Pauli:
+    """The projective product of two equal-width Paulis."""
+    return Pauli(a.width, a.x ^ b.x, a.z ^ b.z)
+
+
+def pauli_concat(a: Pauli, b: Pauli) -> Pauli:
+    """``a`` tensored with ``b``, which acts on fresh qubits after a's."""
+    return Pauli(a.width + b.width, a.x | b.x << a.width, a.z | b.z << a.width)
+
+
+def pauli_cut(p: Pauli, start: int, stop: int) -> Pauli:
+    """Restriction of ``p`` to the qubit range [start, stop)."""
+    mask = (1 << (stop - start)) - 1
+    return Pauli(stop - start, p.x >> start & mask, p.z >> start & mask)
+
+
+def generator_from_strings(parts: Sequence[str]) -> GeneratorPolynomial:
+    """The generator whose blocks, frame 1 first, are the given Pauli strings."""
+    return GeneratorPolynomial.from_blocks(tuple(Pauli.from_string(p) for p in parts))
 
 
 def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
@@ -124,7 +149,8 @@ def row_from_parts(
 
 def row_paulis(row: EncoderRow) -> Tuple[Pauli, Pauli]:
     """A row's input and output as Paulis, concatenated from its five parts."""
-    return row.mem_in.concat(row.anc_in).concat(row.info_in), row.phys_out.concat(row.mem_out)
+    inputs = pauli_concat(pauli_concat(row.mem_in, row.anc_in), row.info_in)
+    return inputs, pauli_concat(row.phys_out, row.mem_out)
 
 
 def gram_matrix(words: Sequence[int], width: int) -> List[int]:
@@ -176,7 +202,7 @@ def multiply_generators_by_blocks(
         raise WidthMismatchError(f"generator widths {a.width} and {b.width} differ")
     degree = max(a.degree, b.degree)
     return GeneratorPolynomial.from_blocks(
-        tuple(a.block(j) * b.block(j) for j in range(1, degree + 1))
+        tuple(pauli_product(a.block(j), b.block(j)) for j in range(1, degree + 1))
     )
 
 
@@ -444,11 +470,11 @@ def _edge(tableau, n: int, k: int, m: int, vin: int) -> StateDiagramEdge:
     inp = vec_to_pauli(vin, w)
     out = vec_to_pauli(tableau.image_of_vector(vin), w)
     return StateDiagramEdge(
-        mem_from=inp.cut(0, m),
-        anc=inp.cut(m, w - k),
-        logical=inp.cut(w - k, w),
-        physical=out.cut(0, n),
-        mem_to=out.cut(n, w),
+        mem_from=pauli_cut(inp, 0, m),
+        anc=pauli_cut(inp, m, w - k),
+        logical=pauli_cut(inp, w - k, w),
+        physical=pauli_cut(out, 0, n),
+        mem_to=pauli_cut(out, n, w),
     )
 
 
@@ -557,8 +583,8 @@ def group_equivalent_on_strip_paulis(
             for t in range(window - gen.degree + 1):
                 strip = Pauli.identity(n * t)
                 for block in gen.blocks:
-                    strip = strip.concat(block)
-                strip = strip.concat(Pauli.identity(n * (window - t - gen.degree)))
+                    strip = pauli_concat(strip, block)
+                strip = pauli_concat(strip, Pauli.identity(n * (window - t - gen.degree)))
                 rows.append(pauli_to_vec(strip))
         edges = [f + q for f in (0, n * (window - 1)) for q in range(n)]
         edges += [e + n * window for e in edges]

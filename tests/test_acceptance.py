@@ -21,8 +21,9 @@ from oracles import (
     exists_gram_realization,
     image_of_pauli,
     matrix_entries,
+    pauli_concat,
 )
-from qconvenc.pauli import Pauli, gf2_rank
+from qconvenc.pauli import Pauli, gf2_rank, pauli_to_vec
 from qconvenc.synth import (
     MemoryOperatorTable,
     assemble_partial_encoder,
@@ -40,7 +41,6 @@ from qconvenc.tableau import (
     Gate,
     complete_to_clifford,
     detect_catastrophic,
-    pauli_to_vec,
     replay_gates,
     roundtrip_verify,
     synthesize_circuit,
@@ -261,9 +261,9 @@ def test_criterion_08_catastrophic_positive_control():
         assert edge.physical.is_identity
         assert edge.logical_weight >= 1
         # The witness edge is reproduced by the tableau itself.
-        inp = edge.mem_from.concat(edge.logical)
+        inp = pauli_concat(edge.mem_from, edge.logical)
         out = image_of_pauli(tableau, inp)
-        assert out == edge.physical.concat(edge.mem_to)
+        assert out == pauli_concat(edge.physical, edge.mem_to)
 
         # Exhaustive search over all four memory states and all inputs.
         zero_edges = []
@@ -271,7 +271,7 @@ def test_criterion_08_catastrophic_positive_control():
             mem = Pauli(1, mem_vec & 1, mem_vec >> 1)
             for log_vec in range(4):
                 logical = Pauli(1, log_vec & 1, log_vec >> 1)
-                image = image_of_pauli(tableau, mem.concat(logical))
+                image = image_of_pauli(tableau, pauli_concat(mem, logical))
                 phys = Pauli(1, image.x & 1, image.z & 1)
                 mem_to = Pauli(1, image.x >> 1, image.z >> 1)
                 if phys.is_identity:

@@ -101,6 +101,24 @@ def test_non_ascii_digit_header_is_a_parse_error(capsys, tmp_path, header):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize(
+    "text,err",
+    [
+        ("n=3\nk=0\nh ZZI\n", "error: line 2: need 1 <= k < n, got n=3 k=0\n"),
+        ("n=2\nk=2\n", "error: line 2: need 1 <= k < n, got n=2 k=2\n"),
+        ("# header\n\nn=2\nk=2\n", "error: line 4: need 1 <= k < n, got n=2 k=2\n"),
+    ],
+    ids=["k-zero", "k-equals-n", "k-line-after-comment"],
+)
+def test_k_outside_its_range_is_reported_at_the_k_line(capsys, tmp_path, text, err):
+    # The line number is the k= header's line in the file, not n='s.
+    path = tmp_path / "rate.qcc"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["validate", str(path)])
+    out = capsys.readouterr()
+    assert (rc, out.out, out.err) == (2, "", err)
+
+
 def test_validate_missing_file(capsys, tmp_path):
     rc = main(["validate", str(tmp_path / "absent.qcc")])
     out = capsys.readouterr()

@@ -5,7 +5,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import load_code
-from oracles import delay_by_blocks, multiply_generators_by_blocks, stream_words
+from oracles import (
+    delay_by_blocks,
+    generator_from_strings,
+    multiply_generators_by_blocks,
+    stream_words,
+)
 from qconvenc.pauli import Pauli
 from qconvenc.code import (
     ConvolutionalCode,
@@ -111,7 +116,7 @@ def test_validate_flags_shifted_anticommutation():
 
 
 def test_delay_generator():
-    gen = GeneratorPolynomial.from_strings(["XX", "ZZ"])
+    gen = generator_from_strings(["XX", "ZZ"])
     delayed = delay_generator(gen, 2)
     assert str(delayed) == "II|II|XX|ZZ"
     assert delay_generator(delayed, -2) == gen
@@ -120,17 +125,17 @@ def test_delay_generator():
 
 
 def test_multiply_generators_aligns_first_frames():
-    a = GeneratorPolynomial.from_strings(["XX", "XI"])
-    b = GeneratorPolynomial.from_strings(["ZZ"])
+    a = generator_from_strings(["XX", "XI"])
+    b = generator_from_strings(["ZZ"])
     prod = multiply_generators(a, b)
     assert str(prod) == "YY|XI"
     with pytest.raises(WidthMismatchError):
-        multiply_generators(a, GeneratorPolynomial.from_strings(["ZZZ"]))
+        multiply_generators(a, generator_from_strings(["ZZZ"]))
 
 
 def test_multiply_generators_trims_trailing_identity():
-    a = GeneratorPolynomial.from_strings(["XX", "ZZ"])
-    b = GeneratorPolynomial.from_strings(["II", "ZZ"])
+    a = generator_from_strings(["XX", "ZZ"])
+    b = generator_from_strings(["II", "ZZ"])
     prod = multiply_generators(a, b)
     assert str(prod) == "XX"
     cancel = multiply_generators(a, a)
@@ -234,7 +239,7 @@ def test_generator_blocks_of_different_widths():
         GeneratorPolynomial.from_blocks((Pauli.from_string("XX"), Pauli.from_string("ZZZ")))
 
 
-ZZ = GeneratorPolynomial.from_strings(["ZZ"])
+ZZ = generator_from_strings(["ZZ"])
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import load_code
-from oracles import group_equivalent_on_strip_paulis, normalize_leading_delay
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, parse_code, serialize_code
+from oracles import (
+    generator_from_strings,
+    group_equivalent_on_strip_paulis,
+    normalize_leading_delay,
+)
+from qconvenc.code import ConvolutionalCode, parse_code, serialize_code
 from qconvenc.code import delay_generator, multiply_generators, validate_code
 from qconvenc.errors import (
     DegenerateCodeError,
@@ -32,7 +36,7 @@ def test_normalize_strips_leading_identity_frames():
     code = ConvolutionalCode(
         2,
         1,
-        (GeneratorPolynomial.from_strings(["II", "II", "XX", "ZZ"]),),
+        (generator_from_strings(["II", "II", "XX", "ZZ"]),),
     )
     normalized = normalize_leading_delay(code)
     assert str(normalized.generators[0]) == "XX|ZZ"
@@ -41,7 +45,7 @@ def test_normalize_strips_leading_identity_frames():
 
 def test_normalize_rejects_identity_generator():
     code = ConvolutionalCode(
-        2, 1, (GeneratorPolynomial.from_strings(["II", "II"]),)
+        2, 1, (generator_from_strings(["II", "II"]),)
     )
     with pytest.raises(DegenerateCodeError):
         normalize_leading_delay(code)
@@ -80,6 +84,28 @@ def test_back_pass_recovers_generator(running1):
     report = shorten(inflated)
     assert [s.action for s in report.steps] == ["back"]
     assert report.output_code == running1
+
+
+def test_back_rewrite_multiplies_in_only_the_partners_it_solved_for():
+    # The [[5,1,3]] code as a degree-1 code (n - k = 4), with g1 <- g1·D g2
+    # and g3 <- g3·D^2 g4: each back rewrite has two or three candidate
+    # partners and must take exactly the one that clears the last block.
+    base = parse_code("n=5\nk=1\nh XZZXI\nh IXZZX\nh XIXZZ\nh ZXIXZ\n")
+    g1, g2, g3, g4 = base.generators
+    rewritten = ConvolutionalCode(
+        5,
+        1,
+        (
+            multiply_generators(g1, delay_generator(g2, 1)),
+            g2,
+            multiply_generators(g3, delay_generator(g4, 2)),
+            g4,
+        ),
+    )
+    report = shorten(rewritten)
+    assert report.steps == [("back", 1, (2,), 1), ("back", 3, (4,), 1)]
+    assert report.output_code == base
+    assert synthesize(report.output_code).m == 0
 
 
 def test_normalize_step_recorded(running1):
@@ -123,6 +149,13 @@ def test_group_equivalent_window_contract(running1):
         group_equivalent(running1, running1, window=5)
     # The minimum window is the larger degree plus the generator count.
     assert group_equivalent(running1, running1, window=6) == 1
+    # Whichever code needs the larger window sets the bound: g1 <- g1·D^3 g2
+    # needs 9 frames, running1 only 6, so 8 is refused in both orders.
+    h1, h2 = running1.generators
+    wider = ConvolutionalCode(4, 2, (multiply_generators(h1, delay_generator(h2, 3)), h2))
+    for a, b in ((running1, wider), (wider, running1)):
+        with pytest.raises(WindowError):
+            group_equivalent(a, b, window=8)
 
 
 def test_group_equivalent_width_mismatch(running1):
@@ -145,8 +178,8 @@ def test_trailing_identity_frame_is_not_part_of_a_generator():
         3,
         1,
         (
-            GeneratorPolynomial.from_strings(["ZZI", "III"]),
-            GeneratorPolynomial.from_strings(["IZZ"]),
+            generator_from_strings(["ZZI", "III"]),
+            generator_from_strings(["IZZ"]),
         ),
     )
     assert code == parse_code(serialize_code(code))
@@ -224,8 +257,8 @@ def shorten_cases():
             3,
             1,
             (
-                GeneratorPolynomial.from_strings(["ZZI", "III"]),
-                GeneratorPolynomial.from_strings(["IZZ"]),
+                generator_from_strings(["ZZI", "III"]),
+                generator_from_strings(["IZZ"]),
             ),
         )
     )

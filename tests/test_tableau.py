@@ -26,6 +26,8 @@ from oracles import (
     image_of_pauli,
     is_symplectic_pairwise,
     loop_vertices,
+    pauli_concat,
+    pauli_product,
     replay_rows,
     row_from_parts,
     row_paulis,
@@ -39,7 +41,14 @@ from qconvenc.errors import (
     SynthesisFailureError,
     WidthMismatchError,
 )
-from qconvenc.pauli import Pauli, gf2_basis, gf2_span, symplectic_product_vec
+from qconvenc.pauli import (
+    Pauli,
+    gf2_basis,
+    gf2_span,
+    pauli_to_vec,
+    symplectic_product_vec,
+    vec_to_pauli,
+)
 from qconvenc.shorten import shorten
 from qconvenc.synth import (
     PartialEncoder,
@@ -55,11 +64,9 @@ from qconvenc.tableau import (
     Gate,
     complete_to_clifford,
     detect_catastrophic,
-    pauli_to_vec,
     replay_gates,
     roundtrip_verify,
     synthesize_circuit,
-    vec_to_pauli,
     verify_non_recursive,
     zero_physical_edges,
 )
@@ -89,7 +96,7 @@ def control_tableau():
     # all X images first.
     slots = [0, width + 0, 1, width + 1]
     for slot, (phys, mem) in zip(slots, CATASTROPHIC_CONTROL["images"]):
-        out = Pauli.from_string(phys).concat(Pauli.from_string(mem))
+        out = pauli_concat(Pauli.from_string(phys), Pauli.from_string(mem))
         images[slot] = pauli_to_vec(out)
     tableau = CliffordTableau(width, images)
     assert tableau.is_symplectic()
@@ -121,7 +128,7 @@ def test_vec_roundtrip():
 
 def test_identity_tableau():
     t = CliffordTableau.identity(3)
-    assert t.is_identity()
+    assert t.images == [1 << q for q in range(6)]
     assert t.is_symplectic()
     p = Pauli.from_string("XYZ")
     assert image_of_pauli(t, p) == p
@@ -192,12 +199,13 @@ def test_image_respects_products():
     t = random_tableau(4, rng)
     a = Pauli.from_string("XYIZ")
     b = Pauli.from_string("IZZX")
-    assert image_of_pauli(t, a * b) == image_of_pauli(t, a) * image_of_pauli(t, b)
+    image = image_of_pauli(t, pauli_product(a, b))
+    assert image == pauli_product(image_of_pauli(t, a), image_of_pauli(t, b))
 
 
 def test_complete_empty_encoder_is_identity():
     empty = PartialEncoder(m=1, n=0, k=0, rows=[])
-    assert complete_to_clifford(empty, seed=0).is_identity()
+    assert complete_to_clifford(empty, seed=0) == CliffordTableau.identity(1)
 
 
 @pytest.mark.parametrize("name", CORPUS)
