@@ -26,7 +26,6 @@ from .errors import (
     QconvError,
     SynthesisFailureError,
     WidthMismatchError,
-    WindowError,
 )
 from .pauli import Pauli
 from .shorten import shorten
@@ -76,7 +75,6 @@ __all__ = [
     "DegenerateCodeError",
     "InvalidCodeError",
     "CodeShapeError",
-    "WindowError",
     "CompletionError",
     "SynthesisFailureError",
     "MemoryBoundError",

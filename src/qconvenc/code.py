@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     WidthMismatchError,
 )
-from .pauli import Pauli, _parity, pauli_to_vec, vec_to_pauli
+from .pauli import Pauli, _Value, _parity, pauli_to_vec, vec_to_pauli
 
 __all__ = [
     "GeneratorPolynomial",
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-class GeneratorPolynomial(namedtuple("GeneratorPolynomial", "width word")):
+class GeneratorPolynomial(_Value, namedtuple("GeneratorPolynomial", "width word")):
     """One generator as its stream word on frames of ``width`` qubits."""
 
     __slots__ = ()
@@ -107,7 +107,7 @@ class GeneratorPolynomial(namedtuple("GeneratorPolynomial", "width word")):
         return "|".join(str(b) for b in self.blocks)
 
 
-class ConvolutionalCode(namedtuple("ConvolutionalCode", "n k generators")):
+class ConvolutionalCode(_Value, namedtuple("ConvolutionalCode", "n k generators")):
     """A rate k/n code given by its n - k generator streams."""
 
     __slots__ = ()
@@ -195,11 +195,14 @@ def serialize_code(code: ConvolutionalCode) -> str:
 
 
 class ValidationResult:
-    __slots__ = ("valid", "violations")
+    __slots__ = ("violations",)
 
-    def __init__(self, valid: bool, violations: List[Tuple[int, int, int]]):
-        self.valid = valid
+    def __init__(self, violations: List[Tuple[int, int, int]]):
         self.violations = violations
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def validate_code(code: ConvolutionalCode) -> ValidationResult:
@@ -222,20 +225,14 @@ def validate_code(code: ConvolutionalCode) -> ValidationResult:
                 if _parity((a.word << frame * t) & swapped[i2 - 1]):
                     violations.append((i, i2, t))
     violations.sort()
-    return ValidationResult(not violations, violations)
+    return ValidationResult(violations)
 
 
 def delay_generator(gen: GeneratorPolynomial, j: int) -> GeneratorPolynomial:
-    """Shift the stream j frames later; j < 0 strips leading identity frames."""
-    frame = 2 * gen.width
-    if j >= 0:
-        return GeneratorPolynomial(gen.width, gen.word << frame * j)
-    strip = -j
-    if strip >= gen.degree or gen.word & (1 << frame * strip) - 1:
-        raise InvalidDelayError(
-            f"cannot advance by {strip}: leading blocks are not all identity"
-        )
-    return GeneratorPolynomial(gen.width, gen.word >> frame * strip)
+    """Shift the stream j >= 0 frames later; j < 0 raises ``InvalidDelayError``."""
+    if j < 0:
+        raise InvalidDelayError(f"cannot delay by {j} frames")
+    return GeneratorPolynomial(gen.width, gen.word << 2 * gen.width * j)
 
 
 def multiply_generators(

@@ -11,7 +11,6 @@ __all__ = [
     "DegenerateCodeError",
     "InvalidCodeError",
     "CodeShapeError",
-    "WindowError",
     "AssemblyError",
     "CompletionError",
     "SynthesisFailureError",
@@ -66,10 +65,6 @@ class InvalidCodeError(QconvError, ValueError):
 
 class CodeShapeError(QconvError, ValueError):
     """Rate out of range (k not in 1..n-1) or not n - k generators."""
-
-
-class WindowError(QconvError, ValueError):
-    """Comparison window too small for the codes under test."""
 
 
 class AssemblyError(QconvError, ValueError):

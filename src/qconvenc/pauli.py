@@ -59,7 +59,28 @@ def _parity(word: int) -> int:
     return word.bit_count() & 1
 
 
-class Pauli(namedtuple("Pauli", "width x z")):
+class _Value(tuple):
+    """Base of the validated immutable records, listed before their namedtuple.
+
+    ``_make``, which ``_replace`` calls, goes through the record's own
+    ``__new__``, so a copy with a field changed is checked like a new record.
+    The sequence operators ``+`` and ``*`` are refused: a record is a value,
+    not a sequence to concatenate or repeat.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "_Value":
+        return cls(*iterable)
+
+    def _not_a_sequence(self, other: object) -> object:
+        return NotImplemented
+
+    __add__ = __mul__ = __rmul__ = _not_a_sequence
+
+
+class Pauli(_Value, namedtuple("Pauli", "width x z")):
     """Immutable projective Pauli operator on ``width`` qubits."""
 
     __slots__ = ()
@@ -288,21 +309,24 @@ class GramSchmidtResult:
     final v'_r plus one added operator per step.
     """
 
-    __slots__ = ("c", "d", "pairs", "isotropics", "inverse")
+    __slots__ = ("pairs", "isotropics", "inverse")
 
     def __init__(
-        self,
-        c: int,
-        d: int,
-        pairs: Optional[List[Tuple[int, int]]] = None,
-        isotropics: Optional[List[int]] = None,
-        inverse: Optional[List[int]] = None,
+        self, pairs: List[Tuple[int, int]], isotropics: List[int], inverse: List[int]
     ):
-        self.c = c
-        self.d = d
-        self.pairs = [] if pairs is None else pairs
-        self.isotropics = [] if isotropics is None else isotropics
+        self.pairs = pairs
+        self.isotropics = isotropics
         self.inverse = inverse
+
+    @property
+    def c(self) -> int:
+        """The number of hyperbolic pairs."""
+        return len(self.pairs)
+
+    @property
+    def d(self) -> int:
+        """The number of isotropic rows."""
+        return len(self.isotropics)
 
 
 def _check_commutativity_matrix(rows: Sequence[int]) -> None:
@@ -364,34 +388,23 @@ def symplectic_gram_schmidt(rows: Sequence[int]) -> GramSchmidtResult:
             if (w[r] >> j) & 1:
                 inv[r] ^= 1 << i
                 w[r] ^= row_i
-    return GramSchmidtResult(
-        c=len(pairs),
-        d=len(isotropics),
-        pairs=pairs,
-        isotropics=isotropics,
-        inverse=inv,
-    )
+    return GramSchmidtResult(pairs=pairs, isotropics=isotropics, inverse=inv)
 
 
-def operators_from_commutativity(
-    rows: Sequence[int], order: Optional[Sequence[int]] = None
-) -> List[int]:
+def operators_from_commutativity(rows: Sequence[int], order: Sequence[int]) -> List[int]:
     """Construct n packed words on m = c + d qubits whose products reproduce
     the n x n commutativity matrix ``rows``.
 
     The words use the ``pauli_to_vec`` layout on m qubits.  ``order`` lists
-    row indices in the sequence fresh memory qubits should be claimed
-    (default: ascending).  Each hyperbolic pair takes one qubit at the first
-    touch of either member (scan anchor gets X, partner Z); each isotropic
-    row takes one qubit for a Z.  Those standard operators are the reduced
-    rows' operators, so word r combines them by row r of the Gram-Schmidt
-    ``inverse``.  Words whose products are not ``rows`` raise
-    ``SynthesisFailureError``.
+    row indices in the sequence fresh memory qubits should be claimed.  Each
+    hyperbolic pair takes one qubit at the first touch of either member
+    (scan anchor gets X, partner Z); each isotropic row takes one qubit for
+    a Z.  Those standard operators are the reduced rows' operators, so word
+    r combines them by row r of the Gram-Schmidt ``inverse``.  Words whose
+    products are not ``rows`` raise ``SynthesisFailureError``.
     """
     gs = symplectic_gram_schmidt(rows)
     n, m = len(rows), gs.c + gs.d
-    if order is None:
-        order = range(n)
     if sorted(order) != list(range(n)):
         raise InvalidMatrixError(f"order {list(order)} is not a permutation of the {n} rows")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
-from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError, WindowError
+from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError
 from .pauli import _dependencies, gf2_combination, gf2_rank, gf2_solve_combination
 
 __all__ = [
@@ -43,11 +43,11 @@ class ShorteningReport:
         self,
         input_code: ConvolutionalCode,
         output_code: ConvolutionalCode,
-        steps: Optional[List[ShortenStep]] = None,
+        steps: List[ShortenStep],
     ):
         self.input_code = input_code
         self.output_code = output_code
-        self.steps = [] if steps is None else steps
+        self.steps = steps
 
 
 def _without_leading(word: int, n: int) -> GeneratorPolynomial:
@@ -154,30 +154,18 @@ def _interior_basis(rows: Sequence[int], window: int, n: int) -> List[int]:
     return [gf2_combination(rows, mask) for mask in _dependencies([row & edges for row in rows])]
 
 
-def group_equivalent(
-    a: ConvolutionalCode, b: ConvolutionalCode, window: Optional[int] = None
-) -> int:
+def group_equivalent(a: ConvolutionalCode, b: ConvolutionalCode) -> int:
     """1 when both codes generate the same group on a finite strip interior.
 
-    The strip holds ``window`` frames; placements touching the first or last
-    frame are projected out so boundary effects cannot fake a difference.
-    ``window`` must be at least the larger generator degree plus the
-    generator count; the default adds two more frames of margin.
+    The strip holds the larger generator degree plus the larger generator
+    count plus two frames; placements touching the first or last frame are
+    projected out so boundary effects cannot fake a difference.
     Not in ``qconvenc.__all__``: it is not exact (see the README); perfbench tests it.
     """
     if a.n != b.n:
         raise WidthMismatchError(f"codes act on different frame sizes {a.n} and {b.n}")
     n = a.n
-    need = max(
-        a.max_degree + len(a.generators),
-        b.max_degree + len(b.generators),
-    )
-    if window is None:
-        window = max(a.max_degree, b.max_degree) + max(
-            len(a.generators), len(b.generators)
-        ) + 2
-    if window < need:
-        raise WindowError(f"window {window} below required minimum {need}")
+    window = max(a.max_degree, b.max_degree) + max(len(a.generators), len(b.generators)) + 2
     basis_a = _interior_basis(_strip_rows(a, window), window, n)
     basis_b = _interior_basis(_strip_rows(b, window), window, n)
     rank_a = gf2_rank(basis_a)

@@ -34,6 +34,7 @@ from .errors import (
 from .pauli import (
     Pauli,
     _Echelon,
+    _Value,
     _annihilator,
     _dependencies,
     _product_mismatch,
@@ -228,7 +229,7 @@ def _place(word: int, m: int, w: int, at: int) -> int:
     return (word & (1 << m) - 1 | word >> m << w) << at
 
 
-class EncoderRow(namedtuple("EncoderRow", "m n k inputs outputs")):
+class EncoderRow(_Value, namedtuple("EncoderRow", "m n k inputs outputs")):
     """One input-output Pauli constraint on an (m, n, k) encoder unitary.
 
     ``inputs`` and ``outputs`` are packed Paulis on the w = m + n qubits,
@@ -481,6 +482,13 @@ def add_noncatastrophic_rows(
     and a centralizer element M_i, chosen so S1 and the new rows together
     span the centralizer without admitting a catastrophic cycle.  A greedy
     canonical choice is tried first, then seeded random completions.
+
+    Why the attempts need no checks of their size:
+    - the greedy set always has ``needed`` members: S1's memory outputs lie
+      in the centralizer (``find_s1`` checks it), so its basis completes the rank;
+    - a draw can take ``needed`` distinct elements: needed <= dim <= 2^dim - 1;
+    - an empty centralizer stops the draws too: dim = 0 forces needed = 0;
+    - a draw has ``needed`` entries: one per picked index.
     """
     if encoder.memory_ops is None:
         raise AssemblyError("the encoder has no memory operator table")
@@ -516,8 +524,7 @@ def add_noncatastrophic_rows(
                 break
             if span.add(b, 0)[0]:
                 candidates.append(b)
-        if len(candidates) == needed:  # each raised the rank: completion_ok holds
-            yield candidates
+        yield candidates
         # Seeded random draws, made only once the sets before them failed,
         # from the nonidentity centralizer elements.  Element c is the
         # combination c of the reversed basis (last basis element fastest).
@@ -525,23 +532,22 @@ def add_noncatastrophic_rows(
         # sampling the indices c draws what sampling the listed elements would.
         vecs = centralizer.basis[::-1]
         size = (1 << len(vecs)) - 1
-        if not size or needed == 0:
+        if needed == 0:
             return
-        count = min(needed, size)
         rng = random.Random(seed)
         for _ in range(500):
             if size < sys.maxsize:
-                picked = rng.sample(range(1, size + 1), count)
+                picked = rng.sample(range(1, size + 1), needed)
             else:
                 # random.sample cannot take len() of this span; these are the
                 # distinct randrange draws it makes for so few of so many.
                 picked = []
-                while len(picked) < count:
+                while len(picked) < needed:
                     c = 1 + rng.randrange(size)
                     if c not in picked:
                         picked.append(c)
             pick = [gf2_combination(vecs, c) for c in picked]
-            if len(pick) == needed and completion_ok(pick):
+            if completion_ok(pick):
                 yield pick
 
     tried = 0
@@ -561,23 +567,26 @@ def add_noncatastrophic_rows(
 
 
 class SynthesisResult:
-    __slots__ = ("code", "omega", "m", "table", "encoder", "context")
+    __slots__ = ("code", "omega", "table", "encoder", "context")
 
     def __init__(
         self,
         code: ConvolutionalCode,
         omega: MemoryCommutativityMatrix,
-        m: int,
         table: MemoryOperatorTable,
         encoder: PartialEncoder,
         context: CatastrophicityContext,
     ):
         self.code = code
         self.omega = omega
-        self.m = m
         self.table = table
         self.encoder = encoder
         self.context = context
+
+    @property
+    def m(self) -> int:
+        """The memory-qubit count of the operator table."""
+        return self.table.m
 
 
 def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
@@ -592,5 +601,5 @@ def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
     encoder = assemble_partial_encoder(code, table)
     extended, context = add_noncatastrophic_rows(encoder, seed=seed)
     return SynthesisResult(
-        code=code, omega=omega, m=table.m, table=table, encoder=extended, context=context
+        code=code, omega=omega, table=table, encoder=extended, context=context
     )

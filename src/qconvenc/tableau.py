@@ -36,6 +36,7 @@ from .pauli import (
     _annihilator,
     _dependencies,
     _product_mismatch,
+    _products,
     _transpose,
     cycle_core,
     gf2_basis,
@@ -209,17 +210,11 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
     basis_in: List[int] = []
     basis_out: List[int] = []
-    in_columns = [0] * (2 * w)  # bit i of column b: bit b of basis_in[i]
 
     def append(v: int, image: int) -> None:
         tag = 1 << len(basis_in)
         basis_in.append(v)
         basis_out.append(image)
-        rest = v
-        while rest:
-            low = rest & -rest
-            in_columns[low.bit_length() - 1] |= tag
-            rest ^= low
         inputs.add(v, tag)
         _add_to_dot_system(swapped_outputs, nullspace, swap_halves(image, w), tag)
 
@@ -243,7 +238,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
                 t += 1
             v = 1 << t
         swapped_v = swap_halves(v, w)
-        rhs_mask = gf2_combination(in_columns, swapped_v)
+        rhs_mask = _products([swapped_v], basis_in)[0]
         particular = swapped_outputs.particular(rhs_mask)
         image = None
         if particular is not None:
@@ -369,16 +364,20 @@ class StateDiagramEdge(NamedTuple):
 class CycleWitness:
     """Zero-physical cycle carrying at least one non-identity logical label."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ("edges",)
 
-    def __init__(self, vertices: List[Pauli], edges: List[StateDiagramEdge]):
-        self.vertices = vertices
+    def __init__(self, edges: List[StateDiagramEdge]):
         self.edges = edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycleWitness):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.edges == other.edges
+
+    @property
+    def vertices(self) -> List[Pauli]:
+        """The cycle's states: vertex i is where edge i leaves from."""
+        return [edge.mem_from for edge in self.edges]
 
     @property
     def logical_weight(self) -> int:
@@ -506,11 +505,7 @@ class _Realisation:
         full = (1 << len(self.columns)) - 1
         witness = [first] + walk[::-1]
         return True, CycleWitness(
-            vertices=[vec_to_pauli(edge & low_m, m) for edge in witness],
-            edges=[
-                self.edge(gf2_combination(basis, edge >> 4 * m + 2 * k) & full)
-                for edge in witness
-            ],
+            [self.edge(gf2_combination(basis, edge >> 4 * m + 2 * k) & full) for edge in witness]
         )
 
     def non_recursive(self, core: Sequence[int]) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:

@@ -4,10 +4,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, delay_generator
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
 from qconvenc.errors import (
     DegenerateCodeError,
-    InvalidDelayError,
     InvalidMatrixError,
     WidthMismatchError,
 )
@@ -189,7 +188,7 @@ def normalize_leading_delay(code: ConvolutionalCode) -> ConvolutionalCode:
         if gen.is_identity:
             raise DegenerateCodeError("generator is the all-identity stream")
         count = next(j for j, block in enumerate(gen.blocks) if not block.is_identity)
-        gens.append(delay_generator(gen, -count))
+        gens.append(GeneratorPolynomial.from_blocks(gen.blocks[count:]))
     return ConvolutionalCode(code.n, code.k, tuple(gens))
 
 
@@ -219,15 +218,8 @@ def stream_words(blocks: Sequence[Pauli]) -> Tuple[int, int]:
 
 
 def delay_by_blocks(gen: GeneratorPolynomial, j: int) -> GeneratorPolynomial:
-    """Reference for ``delay_generator``: j identity blocks put in front, or
-    for j < 0 the first -j blocks taken off, which must be identity and leave
-    at least one block."""
-    blocks = gen.blocks
-    if j >= 0:
-        return GeneratorPolynomial.from_blocks((Pauli.identity(gen.width),) * j + blocks)
-    if -j >= len(blocks) or not all(b.is_identity for b in blocks[:-j]):
-        raise InvalidDelayError(f"cannot advance by {-j}")
-    return GeneratorPolynomial.from_blocks(blocks[-j:])
+    """Reference for ``delay_generator``: j >= 0 identity blocks put in front."""
+    return GeneratorPolynomial.from_blocks((Pauli.identity(gen.width),) * j + gen.blocks)
 
 
 def exists_gram_realization(
@@ -408,10 +400,7 @@ def cycle_witness_by_enumeration(
     first: Dict[Tuple[int, int], StateDiagramEdge] = {}
     for u, v, e in edges:
         first.setdefault((u, v), e)
-    return CycleWitness(
-        vertices=[vec_to_pauli(u, m) for u in path[-1:] + path[:-1]],
-        edges=[edges[i][2]] + [first[pair] for pair in zip(path, path[1:])],
-    )
+    return CycleWitness([edges[i][2]] + [first[pair] for pair in zip(path, path[1:])])
 
 
 def span_edges(basis: Sequence[int], bits: int) -> List[Tuple[int, int, int]]:
@@ -740,10 +729,4 @@ def symplectic_gram_schmidt_by_lists(rows: Sequence[int]) -> GramSchmidtResult:
         assert w[i][j] == 1 and w[j][i] == 1
     for r in isotropics:
         assert all(bit == 0 for bit in w[r])
-    return GramSchmidtResult(
-        c=len(pairs),
-        d=len(isotropics),
-        pairs=pairs,
-        isotropics=isotropics,
-        inverse=gf2_invert(g, n),
-    )
+    return GramSchmidtResult(pairs=pairs, isotropics=isotropics, inverse=gf2_invert(g, n))

@@ -337,7 +337,8 @@ def test_operators_reproduce_any_commutativity_matrix(mat, data):
     # whatever order the memory qubits are claimed in.
     m = len(mat) - gf2_rank(mat) // 2
     order = data.draw(st.permutations(range(len(mat))))
-    for ops in (operators_from_commutativity(mat), operators_from_commutativity(mat, order)):
+    for claim in (range(len(mat)), order):
+        ops = operators_from_commutativity(mat, claim)
         assert len(ops) == len(mat)
         assert all(0 <= op < 1 << 2 * m for op in ops)
         assert gram_matrix(ops, m) == mat
@@ -356,7 +357,7 @@ def test_operators_that_miss_the_matrix_are_refused(monkeypatch, capsys):
 
     monkeypatch.setattr(pauli_module, "symplectic_gram_schmidt", corrupted)
     with pytest.raises(SynthesisFailureError, match="do not reproduce the matrix"):
-        operators_from_commutativity([0b10, 0b01])
+        operators_from_commutativity([0b10, 0b01], order=range(2))
     assert main(["synthesize", corpus_path("running1")]) == 3
     assert "do not reproduce the matrix" in capsys.readouterr().err
     script = (
@@ -368,7 +369,7 @@ def test_operators_that_miss_the_matrix_are_refused(monkeypatch, capsys):
         "    return result\n"
         "pauli_module.symplectic_gram_schmidt = corrupted\n"
         "try:\n"
-        "    pauli_module.operators_from_commutativity([0b10, 0b01])\n"
+        "    pauli_module.operators_from_commutativity([0b10, 0b01], order=range(2))\n"
         "    print('accepted')\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__)\n"
@@ -517,7 +518,10 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
 @pytest.mark.parametrize(
     "call,error",
     [
-        (lambda: operators_from_commutativity([0b100010, 0b01]), InvalidMatrixError),
+        (
+            lambda: operators_from_commutativity([0b100010, 0b01], order=range(2)),
+            InvalidMatrixError,
+        ),
         (lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]), InvalidMatrixError),
         (
             lambda: operators_from_commutativity([0b10, 0b01], order=[0, 0]),
@@ -583,7 +587,7 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: GeneratorPolynomial(0, 0),\n"
         "    lambda: GeneratorPolynomial(1, -1),\n"
         "    lambda: ConvolutionalCode(n=2, k=1, generators=(gen, gen)),\n"
-        "    lambda: operators_from_commutativity([0b100010, 0b01]),\n"
+        "    lambda: operators_from_commutativity([0b100010, 0b01], order=range(2)),\n"
         "    lambda: gf2_solve_dot_system([0b1, 0b10], 2, [0]),\n"
         "    lambda: operators_from_commutativity([0b10, 0b01], order=[0, 0]),\n"
         "    lambda: verify_non_recursive(CliffordTableau.identity(4), 2, 1, 1),\n"

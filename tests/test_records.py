@@ -1,12 +1,24 @@
-"""Value semantics of the immutable records and defaults of the result types."""
+"""Value semantics of the immutable records, and the fields result types derive."""
+
+import copy
+import pickle
 
 import pytest
 
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
-from qconvenc.pauli import GramSchmidtResult, Pauli
-from qconvenc.shorten import ShorteningReport, ShortenStep
-from qconvenc.synth import EncoderRow, PartialEncoder
-from qconvenc.tableau import Gate, StateDiagramEdge
+from conftest import load_code
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, validate_code
+from qconvenc.errors import CodeShapeError, WidthMismatchError
+from qconvenc.pauli import Pauli, symplectic_gram_schmidt
+from qconvenc.shorten import ShortenStep
+from qconvenc.synth import (
+    EncoderRow,
+    PartialEncoder,
+    assemble_partial_encoder,
+    minimal_memory,
+    synthesize,
+)
+from qconvenc.tableau import Gate, StateDiagramEdge, complete_to_clifford, detect_catastrophic
+from reference_data import CORPUS
 
 XZ = Pauli.from_string("XZ")
 ZX = Pauli.from_string("ZX")
@@ -61,6 +73,8 @@ def test_record_compares_and_hashes_by_fields(cls, names, values, other):
     assert record != other
     assert hash(record) == hash(tuple(values))
     assert len({record, cls(*values), other}) == 2
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
 
 
 @pytest.mark.parametrize(
@@ -85,13 +99,59 @@ def test_constructor_defaults_and_keywords():
     assert GEN == GeneratorPolynomial(2, 0b0110_1001)
 
 
-def test_result_list_defaults_are_fresh():
-    code = ConvolutionalCode(2, 1, (GEN,))
-    first, second = ShorteningReport(code, code), ShorteningReport(code, code)
-    assert first.steps == [] and first.steps is not second.steps
-    first, second = GramSchmidtResult(0, 0), GramSchmidtResult(0, 0)
-    assert first.pairs == first.isotropics == [] and first.pairs is not second.pairs
-    assert first.inverse is None
+def test_partial_encoder_defaults_are_fresh():
     first, second = PartialEncoder(1, 2, 1, []), PartialEncoder(m=1, n=2, k=1, rows=[])
     assert first.added_rows == [] and first.added_rows is not second.added_rows
     assert first.memory_ops is None
+
+
+RUNNING1 = load_code("running1")
+P = Pauli(1, 1, 0)
+ROW = EncoderRow(1, 2, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: P._replace(x=8), WidthMismatchError, None),
+        (lambda: Pauli._make((1, 8, 0)), WidthMismatchError, None),
+        (lambda: GeneratorPolynomial(2, 5)._replace(width=0), WidthMismatchError, None),
+        (lambda: RUNNING1._replace(k=5), CodeShapeError, None),
+        (lambda: ROW._replace(k=9), WidthMismatchError, None),
+        (lambda: P * 2, TypeError, "'Pauli' and 'int'"),
+        (lambda: 2 * P, TypeError, "'int' and 'Pauli'"),
+        (lambda: P + P, TypeError, "'Pauli' and 'Pauli'"),
+        (lambda: GEN + GEN, TypeError, "'GeneratorPolynomial'"),
+        (lambda: RUNNING1 * 2, TypeError, "'ConvolutionalCode'"),
+        (lambda: 3 * ROW, TypeError, "'EncoderRow'"),
+    ],
+    ids=[
+        "pauli-replace", "pauli-make", "generator-replace", "code-replace", "row-replace",
+        "pauli-times-int", "int-times-pauli", "pauli-plus-pauli", "generator-plus",
+        "code-times-int", "int-times-row",
+    ],
+)
+def test_validated_records_cannot_be_built_around_their_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_derived_fields_equal_their_sources(name):
+    code = load_code(name)
+    assert validate_code(code).valid and validate_code(code).violations == []
+    bad = validate_code(ConvolutionalCode(2, 1, (GeneratorPolynomial(2, 0b0100_0001),)))
+    assert not bad.valid and bad.violations == [(1, 1, 1)]
+    result = synthesize(code)
+    gs = symplectic_gram_schmidt(result.omega.rows)
+    assert (gs.c, gs.d) == (len(gs.pairs), len(gs.isotropics))
+    assert gs.c + gs.d == result.m == result.table.m == minimal_memory(result.omega)
+    # The partial encoder, before its added rows, can be catastrophic: vertex
+    # i of a witness is the state edge i leaves and edge i - 1 enters.
+    partial = assemble_partial_encoder(code, result.table)
+    for seed in range(4):
+        tableau = complete_to_clifford(partial, seed=seed)
+        _, witness = detect_catastrophic(tableau, code.n, code.k, result.m)
+        if witness is not None:
+            assert witness.vertices == [e.mem_from for e in witness.edges]
+            assert witness.vertices == [e.mem_to for e in witness.edges[-1:] + witness.edges[:-1]]

@@ -24,7 +24,6 @@ from qconvenc.errors import (
     InvalidCodeError,
     QconvError,
     WidthMismatchError,
-    WindowError,
 )
 from qconvenc.shorten import group_equivalent, shorten
 from qconvenc.synth import synthesize
@@ -144,20 +143,6 @@ def test_group_equivalent_reflexive_and_discriminating(running1):
     assert group_equivalent(running1, other) == 0
 
 
-def test_group_equivalent_window_contract(running1):
-    with pytest.raises(WindowError):
-        group_equivalent(running1, running1, window=5)
-    # The minimum window is the larger degree plus the generator count.
-    assert group_equivalent(running1, running1, window=6) == 1
-    # Whichever code needs the larger window sets the bound: g1 <- g1·D^3 g2
-    # needs 9 frames, running1 only 6, so 8 is refused in both orders.
-    h1, h2 = running1.generators
-    wider = ConvolutionalCode(4, 2, (multiply_generators(h1, delay_generator(h2, 3)), h2))
-    for a, b in ((running1, wider), (wider, running1)):
-        with pytest.raises(WindowError):
-            group_equivalent(a, b, window=8)
-
-
 def test_group_equivalent_width_mismatch(running1):
     other = load_code("forney4")
     with pytest.raises(WidthMismatchError):
@@ -220,9 +205,9 @@ def test_group_equivalent_matches_strip_pauli_oracle(data):
         b = shorten(a).output_code
     else:
         b = data.draw(rewritten_codes(data.draw(st.sampled_from(SAME_WIDTH))))
-    need = max(a.max_degree, b.max_degree) + 2
-    window = need + data.draw(st.integers(0, 3))
-    assert group_equivalent(a, b, window) == group_equivalent_on_strip_paulis(a, b, window)
+    # group_equivalent's strip: the larger degree plus the larger generator count plus 2.
+    window = max(a.max_degree, b.max_degree) + max(len(a.generators), len(b.generators)) + 2
+    assert group_equivalent(a, b) == group_equivalent_on_strip_paulis(a, b, window)
 
 
 def _rewritten(rng, code, rewrites):

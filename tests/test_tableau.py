@@ -787,7 +787,9 @@ def test_the_witness_search_keeps_the_first_listed_parent(monkeypatch):
     # A hand-built core: u = 1 -> v = 2 (labelled, tag 0), v -> a = 4,
     # a -> u, 0 -> c = 8 and c -> 0 (tags 1-4).  From v, the walks back
     # through a and through b = a + c reach u in the same number of steps;
-    # v -> a is listed before v -> b, so the walk goes through a.
+    # v -> a is listed before v -> b, so the walk goes through a.  The
+    # witness edges are the transitions of the tags walked: basis entries 0,
+    # 1 and 2, where the walk through b would take 0, 1 + 3 and 2 + 4.
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
@@ -800,7 +802,10 @@ def test_the_witness_search_keeps_the_first_listed_parent(monkeypatch):
     monkeypatch.setattr(tableau_module, "cycle_core", lambda edges, bits: core)
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag is True
-    assert [str(v) for v in witness.vertices] == ["XIIIII", "IXIIII", "IIXIII"]
+    realisation = tableau_module._Realisation(tableau, n, k, m)
+    basis, _ = realisation.zero_physical()
+    full = (1 << len(realisation.columns)) - 1
+    assert witness.edges == [realisation.edge(basis[t] & full) for t in range(3)]
 
 
 def test_core_span_lists_edges_in_ascending_tag_order():
