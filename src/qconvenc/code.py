@@ -194,11 +194,10 @@ def serialize_code(code: ConvolutionalCode) -> str:
     return "\n".join(out) + "\n"
 
 
-class ValidationResult:
-    __slots__ = ("violations",)
+class ValidationResult(_Value, namedtuple("ValidationResult", "violations")):
+    """The (i, i2, t) triples ``validate_code`` finds; none for a valid code."""
 
-    def __init__(self, violations: List[Tuple[int, int, int]]):
-        self.violations = violations
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:

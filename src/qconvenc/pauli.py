@@ -60,12 +60,20 @@ def _parity(word: int) -> int:
 
 
 class _Value(tuple):
-    """Base of the validated immutable records, listed before their namedtuple.
+    """Base of the immutable records, listed before their namedtuple.
 
-    ``_make``, which ``_replace`` calls, goes through the record's own
-    ``__new__``, so a copy with a field changed is checked like a new record.
-    The sequence operators ``+`` and ``*`` are refused: a record is a value,
-    not a sequence to concatenate or repeat.
+    A record that one stage builds for another, or that checks its fields,
+    derives from it.  It is checked where it is built, in its ``__new__``,
+    and cannot change after that.  ``_make``, which ``_replace`` calls,
+    goes through that ``__new__``, so a copy with a field changed is
+    checked like a new record.  The sequence operators ``+`` and ``*`` are
+    refused: a record is a value, not a sequence to concatenate or repeat.
+    A list or dict field stays a list or dict, so such a record does not hash.
+
+    Two records stay classes on purpose.  ``MemoryCommutativityMatrix``
+    eliminates its ``rank`` once, when it is built, rather than taking it
+    as an argument or eliminating on every read.  ``CliffordTableau`` keeps
+    the state-diagram solve its verdicts share, which a tuple cannot hold.
     """
 
     __slots__ = ()
@@ -295,7 +303,7 @@ def gf2_solve_combination(rows: Sequence[int], target: int) -> Optional[int]:
     return combo if rest == 0 else None
 
 
-class GramSchmidtResult:
+class GramSchmidtResult(_Value, namedtuple("GramSchmidtResult", "pairs isotropics inverse")):
     """Outcome of the symplectic Gram-Schmidt decomposition.
 
     ``pairs`` and ``isotropics`` use original row indices.  Read the rows
@@ -309,14 +317,7 @@ class GramSchmidtResult:
     final v'_r plus one added operator per step.
     """
 
-    __slots__ = ("pairs", "isotropics", "inverse")
-
-    def __init__(
-        self, pairs: List[Tuple[int, int]], isotropics: List[int], inverse: List[int]
-    ):
-        self.pairs = pairs
-        self.isotropics = isotropics
-        self.inverse = inverse
+    __slots__ = ()
 
     @property
     def c(self) -> int:

@@ -13,11 +13,12 @@ XOR, and leading identity frames go by one right shift by whole frames.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError
-from .pauli import _dependencies, gf2_combination, gf2_rank, gf2_solve_combination
+from .pauli import _Value, _dependencies, gf2_combination, gf2_rank, gf2_solve_combination
 
 __all__ = [
     "ShortenStep",
@@ -36,18 +37,10 @@ class ShortenStep(NamedTuple):
     degree_after: int
 
 
-class ShorteningReport:
-    __slots__ = ("input_code", "output_code", "steps")
+class ShorteningReport(_Value, namedtuple("ShorteningReport", "input_code output_code steps")):
+    """The code before and after ``shorten``, and the steps between them."""
 
-    def __init__(
-        self,
-        input_code: ConvolutionalCode,
-        output_code: ConvolutionalCode,
-        steps: List[ShortenStep],
-    ):
-        self.input_code = input_code
-        self.output_code = output_code
-        self.steps = steps
+    __slots__ = ()
 
 
 def _without_leading(word: int, n: int) -> GeneratorPolynomial:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import namedtuple
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, validate_code
 from .errors import (
@@ -177,7 +177,7 @@ def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
     return omega.dim - rank // 2
 
 
-class MemoryOperatorTable:
+class MemoryOperatorTable(_Value, namedtuple("MemoryOperatorTable", "m ops index_map")):
     """Concrete memory operators g_{i,j} on m qubits, keyed by (i, j).
 
     ``ops`` maps (i, j) to a packed word in the ``pauli_to_vec`` layout on
@@ -185,17 +185,15 @@ class MemoryOperatorTable:
     ``WidthMismatchError``.  ``op`` reads one as a ``Pauli``, for text.
     """
 
-    __slots__ = ("m", "ops", "index_map")
+    __slots__ = ()
 
-    def __init__(
-        self, m: int, ops: Dict[Tuple[int, int], int], index_map: List[Tuple[int, int]]
-    ):
+    def __new__(
+        cls, m: int, ops: Dict[Tuple[int, int], int], index_map: List[Tuple[int, int]]
+    ) -> "MemoryOperatorTable":
         for word in ops.values():
             if m < 0 or word < 0 or word >> 2 * m:
                 raise WidthMismatchError(f"word {word:#x} does not fit {m} memory qubits")
-        self.m = m
-        self.ops = ops
-        self.index_map = index_map
+        return tuple.__new__(cls, (m, ops, index_map))
 
     def op(self, i: int, j: int) -> Pauli:
         return vec_to_pauli(self.ops[(i, j)], self.m)
@@ -280,29 +278,42 @@ class EncoderRow(_Value, namedtuple("EncoderRow", "m n k inputs outputs")):
         }
 
 
-class PartialEncoder:
-    """Generator rows plus any added rows, with the operator table used."""
+class PartialEncoder(_Value, namedtuple("PartialEncoder", "m n k rows added_rows memory_ops")):
+    """Generator rows plus any added rows, with the operator table used.
 
-    __slots__ = ("m", "n", "k", "rows", "added_rows", "memory_ops")
+    ``rows`` and ``added_rows`` are stored as tuples, and checked once,
+    here: a row that is not m + n qubits wide raises ``WidthMismatchError``,
+    and the first pair of ``all_rows``, in ``itertools.combinations`` order,
+    whose inputs and outputs have different products raises
+    ``AssemblyError``.  The stages that read an encoder trust its rows.
+    """
 
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         m: int,
         n: int,
         k: int,
-        rows: List[EncoderRow],
-        added_rows: Optional[List[EncoderRow]] = None,
+        rows: Iterable[EncoderRow],
+        added_rows: Iterable[EncoderRow] = (),
         memory_ops: Optional[MemoryOperatorTable] = None,
-    ):
-        self.m = m
-        self.n = n
-        self.k = k
-        self.rows = rows
-        self.added_rows = [] if added_rows is None else added_rows
-        self.memory_ops = memory_ops
+    ) -> "PartialEncoder":
+        rows, added_rows = tuple(rows), tuple(added_rows)
+        w = m + n
+        ins, outs = _encoder_words(rows + added_rows, w)
+        pair = _product_mismatch(ins, outs, w)
+        if pair is not None:
+            a, b = pair
+            lhs = symplectic_product_vec(ins[a], ins[b], w)
+            raise AssemblyError(
+                f"rows {a + 1} and {b + 1} disagree: inputs "
+                f"{'anticommute' if lhs else 'commute'} but outputs do not match"
+            )
+        return tuple.__new__(cls, (m, n, k, rows, added_rows, memory_ops))
 
     @property
-    def all_rows(self) -> List[EncoderRow]:
+    def all_rows(self) -> Tuple[EncoderRow, ...]:
         return self.rows + self.added_rows
 
     @property
@@ -319,21 +330,6 @@ def _encoder_words(rows: Sequence[EncoderRow], w: int) -> Tuple[List[int], List[
                 f"a row maps {row.m + row.n} to {row.m + row.n} qubits in a {w}-qubit encoder"
             )
     return [row.inputs for row in rows], [row.outputs for row in rows]
-
-
-def _check_row_consistency(rows: Sequence[EncoderRow]) -> None:
-    w = rows[0].m + rows[0].n if rows else 0
-    if any(row.m + row.n != w for row in rows):
-        raise WidthMismatchError(f"encoder rows are not all {w} qubits wide")
-    in_vecs = [row.inputs for row in rows]
-    pair = _product_mismatch(in_vecs, [row.outputs for row in rows], w)
-    if pair is not None:
-        a, b = pair
-        lhs = symplectic_product_vec(in_vecs[a], in_vecs[b], w)
-        raise AssemblyError(
-            f"rows {a + 1} and {b + 1} disagree: inputs "
-            f"{'anticommute' if lhs else 'commute'} but outputs do not match"
-        )
 
 
 def assemble_partial_encoder(
@@ -357,21 +353,16 @@ def assemble_partial_encoder(
             block = gen.word >> 2 * n * (j - 1)
             emitted = block & low | (block >> n & low) << w
             rows.append(EncoderRow(m, n, k, consumed, emitted | handed))
-    _check_row_consistency(rows)
-    return PartialEncoder(m=m, n=n, k=k, rows=rows, memory_ops=table)
+    return PartialEncoder(m, n, k, rows, memory_ops=table)
 
 
-class CentralizerBasis:
+class CentralizerBasis(_Value, namedtuple("CentralizerBasis", "m basis")):
     """Span of memory Paulis commuting with every memory operator.
 
     ``basis`` holds packed words on m qubits, in the ``pauli_to_vec`` layout.
     """
 
-    __slots__ = ("m", "basis")
-
-    def __init__(self, m: int, basis: List[int]):
-        self.m = m
-        self.basis = basis
+    __slots__ = ()
 
 
 def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
@@ -409,12 +400,12 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     mem_in(c) commutes with every g.  The rows' mem_out range over every
     g_{i,j}, so mem_out(c) then commutes with every g too.  Constraints on
     the output memory would leave the solution space, and with it the
-    dependencies among the columns, unchanged.  Inconsistent hand-built
-    rows fail the output check instead.
+    dependencies among the columns, unchanged.  ``PartialEncoder`` refuses
+    inconsistent rows, so only a centralizer basis that is not the table's
+    can fail the output check.
     """
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
-    ins, outs = _encoder_words(encoder.rows, w)
-    words = [x | y << 2 * w for x, y in zip(ins, outs)]
+    words = [row.inputs | row.outputs << 2 * w for row in encoder.rows]
     table = encoder.memory_ops
     ops = [_place(g, table.m, w, 0) for g in table.as_list()] if table else []
     probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
@@ -457,20 +448,12 @@ def has_catastrophic_combination(
     return any(edge >> 2 * bits for edge in cycle_core(edges, bits))
 
 
-class CatastrophicityContext:
+class CatastrophicityContext(
+    _Value, namedtuple("CatastrophicityContext", "centralizer s1_rows s2_rows")
+):
     """Everything needed to audit the added-row choice afterwards."""
 
-    __slots__ = ("centralizer", "s1_rows", "s2_rows")
-
-    def __init__(
-        self,
-        centralizer: CentralizerBasis,
-        s1_rows: List[EncoderRow],
-        s2_rows: List[EncoderRow],
-    ):
-        self.centralizer = centralizer
-        self.s1_rows = s1_rows
-        self.s2_rows = s2_rows
+    __slots__ = ()
 
 
 def add_noncatastrophic_rows(
@@ -556,9 +539,7 @@ def add_noncatastrophic_rows(
         s2 = build_rows(cands)
         if has_catastrophic_combination(s1 + s2, encoder):
             continue
-        new_rows = list(encoder.added_rows) + s2
-        _check_row_consistency(encoder.rows + new_rows)
-        extended = PartialEncoder(m, n, k, list(encoder.rows), new_rows, encoder.memory_ops)
+        extended = encoder._replace(added_rows=encoder.added_rows + tuple(s2))
         context = CatastrophicityContext(centralizer=centralizer, s1_rows=s1, s2_rows=s2)
         return extended, context
     raise SynthesisFailureError(
@@ -566,22 +547,10 @@ def add_noncatastrophic_rows(
     )
 
 
-class SynthesisResult:
-    __slots__ = ("code", "omega", "table", "encoder", "context")
+class SynthesisResult(_Value, namedtuple("SynthesisResult", "code omega table encoder context")):
+    """Every stage's product, from the code to the extended encoder."""
 
-    def __init__(
-        self,
-        code: ConvolutionalCode,
-        omega: MemoryCommutativityMatrix,
-        table: MemoryOperatorTable,
-        encoder: PartialEncoder,
-        context: CatastrophicityContext,
-    ):
-        self.code = code
-        self.omega = omega
-        self.table = table
-        self.encoder = encoder
-        self.context = context
+    __slots__ = ()
 
     @property
     def m(self) -> int:

@@ -19,6 +19,7 @@ the round trip reads a realisation of its own.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode
@@ -32,6 +33,7 @@ from .errors import (
 from .pauli import (
     Pauli,
     _Echelon,
+    _Value,
     _add_to_dot_system,
     _annihilator,
     _dependencies,
@@ -45,7 +47,7 @@ from .pauli import (
     swap_halves,
     vec_to_pauli,
 )
-from .synth import PartialEncoder, _encoder_words
+from .synth import PartialEncoder
 
 __all__ = [
     "Gate",
@@ -79,6 +81,8 @@ class Gate(NamedTuple):
 class CliffordTableau:
     """Symplectic map given by the images of every input X_q and Z_q.
 
+    Each image is a packed Pauli on ``width`` qubits; a negative image, or
+    one that does not fit 2 * width bits, raises ``WidthMismatchError``.
     ``_solved`` keeps the last state-diagram solve (``_state_diagram``).
     """
 
@@ -89,6 +93,9 @@ class CliffordTableau:
             raise WidthMismatchError(
                 f"tableau of width {width} needs {2 * width} images, got {len(images)}"
             )
+        for t, image in enumerate(images):
+            if image >> 2 * width:  # also nonzero for a negative image
+                raise WidthMismatchError(f"image {t} = {image:#x} does not fit {width} qubits")
         self.width = width
         self.images = list(images)
         self._solved: Optional[tuple] = None
@@ -105,7 +112,7 @@ class CliffordTableau:
     def is_symplectic(self) -> bool:
         """Whether every pair of images has the product of its inputs, the
         unit vectors.  Products are symmetric with a zero diagonal, so the
-        pairs i < j decide; image bits past 2 * width meet nothing."""
+        pairs i < j decide."""
         w = self.width
         return _product_mismatch([1 << t for t in range(2 * w)], self.images, w) is None
 
@@ -186,7 +193,8 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     given rows map exactly as specified.  Seed 0 extends along the standard
     basis; other seeds randomize both the direction and the image choice.
 
-    Each row is read as its input and output word.  Two echelons grow by
+    Each row is read as its input and output word; ``PartialEncoder``
+    checked their products when it was built.  Two echelons grow by
     one row per pair: the inputs and the swapped outputs (an image is
     outside span(outputs) iff its swap_halves is outside theirs).  They
     answer every membership probe, solve each new image's commutation
@@ -200,12 +208,8 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     stopped: a vector in the span stays there.
     """
     w = encoder.width
-    in_vecs, out_vecs = _encoder_words(encoder.all_rows, w)
-    pair = _product_mismatch(in_vecs, out_vecs, w)
-    if pair is not None:
-        raise CompletionError(
-            f"rows {pair[0] + 1} and {pair[1] + 1} do not transform consistently"
-        )
+    in_vecs = [row.inputs for row in encoder.all_rows]
+    out_vecs = [row.outputs for row in encoder.all_rows]
     inputs, swapped_outputs = _Echelon(), _Echelon()
     nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
     basis_in: List[int] = []
@@ -361,18 +365,10 @@ class StateDiagramEdge(NamedTuple):
         }
 
 
-class CycleWitness:
+class CycleWitness(_Value, namedtuple("CycleWitness", "edges")):
     """Zero-physical cycle carrying at least one non-identity logical label."""
 
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: List[StateDiagramEdge]):
-        self.edges = edges
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycleWitness):
-            return NotImplemented
-        return self.edges == other.edges
+    __slots__ = ()
 
     @property
     def vertices(self) -> List[Pauli]:

@@ -602,6 +602,8 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: EncoderRow(1, 1, 0, 1 << 4, 0),\n"
         "    lambda: EncoderRow(1, 1, 0, 0, -1),\n"
         "    lambda: CliffordTableau(2, [1, 2, 3]),\n"
+        "    lambda: CliffordTableau(1, [5, 2]),\n"
+        "    lambda: CliffordTableau(1, [-1, 2]),\n"
         "    lambda: Pauli.from_string('XW'),\n"
         "    lambda: MemoryOperatorTable(1, {(1, 1): 1 << 2}, [(1, 1)]),\n"
         "    lambda: replay(2, [Gate('h', (-1,))]),\n"
@@ -634,6 +636,8 @@ def test_pauli_width_check_survives_optimized_mode():
         "SynthesisFailureError",
         "SynthesisFailureError",
         "CompletionError",
+        "WidthMismatchError",
+        "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",

@@ -6,26 +6,45 @@ import pickle
 import pytest
 
 from conftest import load_code
-from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, validate_code
-from qconvenc.errors import CodeShapeError, WidthMismatchError
-from qconvenc.pauli import Pauli, symplectic_gram_schmidt
-from qconvenc.shorten import ShortenStep
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, ValidationResult, validate_code
+from qconvenc.errors import AssemblyError, CodeShapeError, WidthMismatchError
+from qconvenc.pauli import GramSchmidtResult, Pauli, symplectic_gram_schmidt
+from qconvenc.shorten import ShortenStep, ShorteningReport
 from qconvenc.synth import (
+    CatastrophicityContext,
+    CentralizerBasis,
     EncoderRow,
+    MemoryOperatorTable,
     PartialEncoder,
+    SynthesisResult,
     assemble_partial_encoder,
     minimal_memory,
     synthesize,
 )
-from qconvenc.tableau import Gate, StateDiagramEdge, complete_to_clifford, detect_catastrophic
+from qconvenc.tableau import (
+    CycleWitness,
+    Gate,
+    StateDiagramEdge,
+    complete_to_clifford,
+    detect_catastrophic,
+)
 from reference_data import CORPUS
 
 XZ = Pauli.from_string("XZ")
 ZX = Pauli.from_string("ZX")
 GEN = GeneratorPolynomial.from_blocks((XZ, ZX))
 FIVE = (Pauli(1, 1, 0), Pauli(1), Pauli(0), Pauli(2, 0, 3), Pauli(1, 0, 1))
+CODE = ConvolutionalCode(2, 1, (GEN,))
+# Two rows of a (1, 2, 1) encoder; the identity row is consistent with any.
+ROW = EncoderRow(1, 2, 1, 0b100001, 0b110)
+IDENTITY_ROW = EncoderRow(1, 2, 1, 0, 0)
+TABLE = MemoryOperatorTable(1, {(1, 1): 0b01, (1, 2): 0b10}, [(1, 1), (1, 2)])
+CENTRALIZER = CentralizerBasis(1, [0b01, 0b10])
+ENCODER = PartialEncoder(1, 2, 1, (ROW,), (), None)
+CONTEXT = CatastrophicityContext(CENTRALIZER, [ROW], [])
+EDGE = StateDiagramEdge(*FIVE)
 
-# (type, field names, field values, a record differing in the last field)
+# (type, field names, field values, a record differing in one field)
 RECORDS = [
     (Pauli, ("width", "x", "z"), (2, 1, 2), Pauli(2, 1, 3)),
     # XZ packs to 0b1001 and ZX to 0b0110, four bits a frame.
@@ -60,6 +79,47 @@ RECORDS = [
         FIVE,
         StateDiagramEdge(*FIVE[:4], Pauli(1)),
     ),
+    (
+        GramSchmidtResult,
+        ("pairs", "isotropics", "inverse"),
+        ([(0, 1)], [2], [0b001, 0b010, 0b100]),
+        GramSchmidtResult([(0, 1)], [2], [0b001, 0b010, 0b101]),
+    ),
+    (ValidationResult, ("violations",), ([(1, 1, 1)],), ValidationResult([])),
+    (
+        ShorteningReport,
+        ("input_code", "output_code", "steps"),
+        (CODE, CODE, []),
+        ShorteningReport(CODE, CODE, [ShortenStep("normalize", 1, (), 1)]),
+    ),
+    (
+        MemoryOperatorTable,
+        ("m", "ops", "index_map"),
+        tuple(TABLE),
+        MemoryOperatorTable(1, TABLE.ops, [(1, 2), (1, 1)]),
+    ),
+    (
+        PartialEncoder,
+        ("m", "n", "k", "rows", "added_rows", "memory_ops"),
+        tuple(ENCODER),
+        PartialEncoder(1, 2, 1, (ROW,), (IDENTITY_ROW,), None),
+    ),
+    (CentralizerBasis, ("m", "basis"), tuple(CENTRALIZER), CentralizerBasis(1, [0b01])),
+    (
+        CatastrophicityContext,
+        ("centralizer", "s1_rows", "s2_rows"),
+        tuple(CONTEXT),
+        CatastrophicityContext(CENTRALIZER, [ROW], [IDENTITY_ROW]),
+    ),
+    # omega stands in as None: MemoryCommutativityMatrix stays a class that
+    # compares by identity, so no pickled or deep copy of one equals it.
+    (
+        SynthesisResult,
+        ("code", "omega", "table", "encoder", "context"),
+        (CODE, None, TABLE, ENCODER, CONTEXT),
+        SynthesisResult(CODE, None, TABLE, ENCODER, CatastrophicityContext(CENTRALIZER, [], [])),
+    ),
+    (CycleWitness, ("edges",), ([EDGE],), CycleWitness([EDGE, EDGE])),
 ]
 
 
@@ -71,8 +131,14 @@ def test_record_compares_and_hashes_by_fields(cls, names, values, other):
     assert record == cls(**dict(zip(names, values)))
     assert [getattr(record, name) for name in names] == list(values)
     assert record != other
-    assert hash(record) == hash(tuple(values))
-    assert len({record, cls(*values), other}) == 2
+    try:
+        hash(tuple(values))
+    except TypeError:  # a list or dict field: the record compares but does not hash
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(tuple(values))
+        assert len({record, cls(*values), other}) == 2
     for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(twin) is cls and twin == record
 
@@ -99,15 +165,20 @@ def test_constructor_defaults_and_keywords():
     assert GEN == GeneratorPolynomial(2, 0b0110_1001)
 
 
-def test_partial_encoder_defaults_are_fresh():
-    first, second = PartialEncoder(1, 2, 1, []), PartialEncoder(m=1, n=2, k=1, rows=[])
-    assert first.added_rows == [] and first.added_rows is not second.added_rows
-    assert first.memory_ops is None
+def test_partial_encoder_stores_its_rows_as_tuples():
+    encoder = PartialEncoder(1, 2, 1, [ROW])
+    assert type(encoder.rows) is tuple and type(encoder.added_rows) is tuple
+    assert encoder.rows == (ROW,) and encoder.added_rows == () and encoder.memory_ops is None
+    extended = PartialEncoder(m=1, n=2, k=1, rows=iter([ROW]), added_rows=[IDENTITY_ROW])
+    assert extended.added_rows == (IDENTITY_ROW,)
+    assert extended.all_rows == (ROW, IDENTITY_ROW)
 
 
 RUNNING1 = load_code("running1")
 P = Pauli(1, 1, 0)
-ROW = EncoderRow(1, 2, 1, 0, 0)
+# X on the memory input, Z on the memory output: it commutes with ROW's
+# inputs but anticommutes with its outputs.
+CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +188,14 @@ ROW = EncoderRow(1, 2, 1, 0, 0)
         (lambda: Pauli._make((1, 8, 0)), WidthMismatchError, None),
         (lambda: GeneratorPolynomial(2, 5)._replace(width=0), WidthMismatchError, None),
         (lambda: RUNNING1._replace(k=5), CodeShapeError, None),
-        (lambda: ROW._replace(k=9), WidthMismatchError, None),
+        (lambda: IDENTITY_ROW._replace(k=9), WidthMismatchError, None),
+        (lambda: TABLE._replace(m=0), WidthMismatchError, None),
+        (
+            lambda: ENCODER._replace(added_rows=(CLASHING_ROW,)),
+            AssemblyError,
+            "^rows 1 and 2 disagree: inputs commute but outputs do not match$",
+        ),
+        (lambda: ENCODER._replace(n=3), WidthMismatchError, "in a 4-qubit encoder"),
         (lambda: P * 2, TypeError, "'Pauli' and 'int'"),
         (lambda: 2 * P, TypeError, "'int' and 'Pauli'"),
         (lambda: P + P, TypeError, "'Pauli' and 'Pauli'"),
@@ -127,6 +205,7 @@ ROW = EncoderRow(1, 2, 1, 0, 0)
     ],
     ids=[
         "pauli-replace", "pauli-make", "generator-replace", "code-replace", "row-replace",
+        "table-replace", "encoder-replace-rows", "encoder-replace-width",
         "pauli-times-int", "int-times-pauli", "pauli-plus-pauli", "generator-plus",
         "code-times-int", "int-times-row",
     ],

@@ -164,8 +164,8 @@ def test_assemble_rows_match_published_tables(running1, running2):
         table = table_from_strings(MEMORY_OPS_PUBLISHED[name])
         encoder = assemble_partial_encoder(code, table)
         expected = [row_from_strings(parts) for parts in ENCODER_PUBLISHED[name]]
-        assert encoder.rows == expected
-        assert encoder.added_rows == []
+        assert encoder.rows == tuple(expected)
+        assert encoder.added_rows == ()
 
 
 def test_assemble_row_shape(running1):
@@ -210,8 +210,8 @@ def test_table_refuses_words_that_do_not_fit_its_memory(running1, word):
 
 
 def test_row_consistency_reports_the_first_offending_pair():
-    # Rows 1-3 and 2-3 both disagree; pairs are checked in combinations
-    # order, so (1, 3) is reported.
+    # Rows 1-3 and 2-3 both disagree; pairs of all_rows are checked in
+    # combinations order, so (1, 3) is reported wherever the rows are kept.
     rows = [
         row_from_strings(dict(mem_in="", anc_in="Z", info_in="I", phys_out="ZI", mem_out="")),
         row_from_strings(dict(mem_in="", anc_in="I", info_in="X", phys_out="IZ", mem_out="")),
@@ -221,8 +221,10 @@ def test_row_consistency_reports_the_first_offending_pair():
         AssemblyError,
         match=r"^rows 1 and 3 disagree: inputs commute but outputs do not match$",
     ):
-        synth_module._check_row_consistency(rows)
-    synth_module._check_row_consistency(rows[:2])
+        PartialEncoder(0, 2, 1, rows)
+    with pytest.raises(AssemblyError, match=r"^rows 1 and 3 disagree"):
+        PartialEncoder(0, 2, 1, rows[:1], rows[1:])
+    assert PartialEncoder(0, 2, 1, rows[:2]).rows == tuple(rows[:2])
 
 
 def first_disagreeing_pair(rows):
@@ -252,11 +254,11 @@ def test_row_consistency_matches_pairwise_products(words):
     rows = [row(*w) for w in words]
     want = first_disagreeing_pair(rows)
     if want is None:
-        synth_module._check_row_consistency(rows)
+        PartialEncoder(0, 2, 1, rows)
         return
     a, b, lhs = want
     with pytest.raises(AssemblyError) as info:
-        synth_module._check_row_consistency(rows)
+        PartialEncoder(0, 2, 1, rows)
     assert str(info.value) == (
         f"rows {a + 1} and {b + 1} disagree: inputs "
         f"{'anticommute' if lhs else 'commute'} but outputs do not match"
@@ -303,10 +305,13 @@ def test_row_words_match_the_concatenated_paulis(parts):
     assert synth_module._encoder_words([row], m + n) == ([row.inputs], [row.outputs])
     with pytest.raises(WidthMismatchError, match=f"^a row maps {m + n} to {m + n} qubits in a"):
         synth_module._encoder_words([row], m + n + 1)
-    synth_module._check_row_consistency([row])
+    assert PartialEncoder(m, n, k, [row]).rows == (row,)
     wider = EncoderRow(m + 1, n, k, 0, 0)
-    with pytest.raises(WidthMismatchError, match=f"^encoder rows are not all {m + n} qubits wide$"):
-        synth_module._check_row_consistency([row, wider])
+    refused = f"^a row maps {m + n + 1} to {m + n + 1} qubits in a {m + n}-qubit encoder$"
+    with pytest.raises(WidthMismatchError, match=refused):
+        PartialEncoder(m, n, k, [row, wider])
+    with pytest.raises(WidthMismatchError, match=refused):
+        PartialEncoder(m, n, k, [row], [wider])
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -392,28 +397,21 @@ def test_find_s1_refuses_a_combination_that_breaks_its_conditions(monkeypatch):
         find_s1(encoder, cent)
 
 
-def test_find_s1_refuses_inconsistent_rows_whose_output_memory_leaves_the_centralizer():
-    # Only consistent rows carry a centralizer input memory into a centralizer
-    # output memory.  An identity-input row with a memory output that
-    # anticommutes with a memory operator is inconsistent, and alone it is an
-    # S1 combination by the input constraints.
+def test_find_s1_refuses_an_output_memory_outside_the_given_centralizer():
+    # The encoder's rows are consistent, so with the table's centralizer an
+    # S1 output memory lies in it whenever the input memory does.  A basis
+    # spanning only the S1 input memories passes every input check; on
+    # running2 no S1 output memory lies in that span, so the output check
+    # refuses the first combination.
     code = load_code("running2")
     table = assign_memory_operators(build_commutativity_matrix(code))
     encoder = assemble_partial_encoder(code, table)
-    cent = compute_centralizer(table)
-    ops = table.as_list()
-    m, n, k = encoder.m, encoder.n, encoder.k
-    outside = next(g for g in ops if any(symplectic_product_vec(g, h, m) for h in ops))
-    stray = row_from_parts(
-        Pauli.identity(m),
-        Pauli.identity(n - k),
-        Pauli.identity(k),
-        Pauli.identity(n),
-        vec_to_pauli(outside, m),
-    )
-    inconsistent = PartialEncoder(m, n, k, encoder.rows + [stray], memory_ops=table)
+    s1 = find_s1(encoder, compute_centralizer(table))
+    inputs = [pauli_to_vec(row.mem_in) for row in s1]
+    for row in s1:
+        assert gf2_rank(inputs + [pauli_to_vec(row.mem_out)]) > gf2_rank(inputs)
     with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
-        find_s1(inconsistent, cent)
+        find_s1(encoder, CentralizerBasis(table.m, inputs))
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -425,7 +423,7 @@ def test_added_rows_match_reference(name):
     assert [row.as_strings() for row in extended.added_rows] == ADDED_ROWS_DERIVED[name]
     assert extended.rows == encoder.rows
     assert [row.as_strings() for row in context.s1_rows] == S1_ROWS[name]
-    assert context.s2_rows == extended.added_rows
+    assert tuple(context.s2_rows) == extended.added_rows
     # Each added row maps X on a fresh information qubit to a centralizer
     # element on the output memory, with no physical output.
     for row in context.s2_rows:
@@ -526,7 +524,7 @@ def test_synthesize_degree_one_code():
     result = synthesize(parse_code("n=2\nk=1\nh ZZ\n"))
     assert result.m == 0
     assert len(result.encoder.rows) == 1
-    assert result.encoder.added_rows == []
+    assert result.encoder.added_rows == ()
     row = result.encoder.rows[0]
     assert str(row.phys_out) == "ZZ"
     assert str(row.anc_in) == "Z"

@@ -35,6 +35,7 @@ from oracles import (
 )
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
 from qconvenc.errors import (
+    AssemblyError,
     CompletionError,
     GateError,
     MemoryBoundError,
@@ -253,6 +254,7 @@ def test_completion_rejects_dependent_rows():
 
 
 def test_completion_rejects_inconsistent_rows():
+    # The encoder refuses them when it is built, so no completion sees them.
     row_a = row_from_parts(
         mem_in=Pauli.identity(0),
         anc_in=Pauli.from_string("Z"),
@@ -267,9 +269,26 @@ def test_completion_rejects_inconsistent_rows():
         phys_out=Pauli.from_string("ZI"),
         mem_out=Pauli.identity(0),
     )
-    encoder = PartialEncoder(m=0, n=2, k=1, rows=[row_a, row_b])
-    with pytest.raises(CompletionError, match="consistently"):
-        complete_to_clifford(encoder)
+    with pytest.raises(
+        AssemblyError, match="^rows 1 and 2 disagree: inputs commute but outputs do not match$"
+    ):
+        PartialEncoder(m=0, n=2, k=1, rows=[row_a, row_b])
+
+
+def test_completion_checks_products_once(monkeypatch, running1):
+    # The encoder checked its rows' products when it was built; the
+    # completion's one pairwise pass is the symplectic check of its result.
+    encoder = synthesize(running1).encoder
+    calls = []
+    product_mismatch = tableau_module._product_mismatch
+
+    def counted(*args):
+        calls.append(args)
+        return product_mismatch(*args)
+
+    monkeypatch.setattr(tableau_module, "_product_mismatch", counted)
+    complete_to_clifford(encoder)
+    assert len(calls) == 1
 
 
 def test_completion_rejects_a_row_mapped_to_the_identity():
@@ -323,6 +342,19 @@ def test_circuit_past_the_gate_count_bound_is_refused(monkeypatch):
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["SynthesisFailureError"]
+
+
+@pytest.mark.parametrize(
+    "width,images",
+    [(1, [5, 2]), (1, [-1, 2]), (1, [1, 1 << 2]), (2, [1, 2, 4, 8 | 1 << 4])],
+    ids=["wide", "negative", "one-bit-past", "past-the-last-image"],
+)
+def test_a_tableau_refuses_images_that_do_not_fit_its_width(width, images):
+    # Bits past 2 * width met no product, so such a tableau passed as
+    # symplectic, and the state diagram read it as the identity.
+    with pytest.raises(WidthMismatchError, match="does not fit"):
+        CliffordTableau(width, images)
+    CliffordTableau(width, [image & (1 << 2 * width) - 1 for image in images])
 
 
 @pytest.mark.parametrize(
@@ -614,6 +646,26 @@ def test_corpus_non_recursive_with_checkable_path(name):
     assert pauli_to_vec(path[-1].mem_to) in loop_nodes
 
 
+def test_the_escape_path_skips_a_first_edge_on_a_zero_physical_cycle():
+    # From loop vertex XXI the X input gives a zero-physical edge into loop
+    # vertex XXZ: that edge lies on a zero-physical cycle, so it is no
+    # escape, and the walk goes on to the start IIZ.
+    gates = [
+        Gate("cz", (3, 1)), Gate("cz", (2, 3)), Gate("cz", (1, 2)), Gate("cz", (3, 1)),
+        Gate("h", (0,)), Gate("s", (2,)), Gate("cnot", (3, 2)), Gate("cz", (0, 1)),
+        Gate("h", (3,)), Gate("s", (0,)),
+    ]
+    tableau = replay_gates(4, gates)
+    assert detect_catastrophic(tableau, 1, 1, 3)[0] is True
+    ok, path = verify_non_recursive(tableau, 1, 1, 3)
+    assert ok is True
+    assert [tuple(edge.as_strings().values()) for edge in path] == [
+        ("IIZ", "", "X", "I", "IXZ"),
+        ("IXZ", "", "I", "Z", "XII"),
+        ("XII", "", "I", "Z", "III"),
+    ]
+
+
 def inflated_code(name, d=0):
     code = load_code(name)
     if d:  # g1 <- g1 * D^d g1 raises the memory to m + d
@@ -742,7 +794,7 @@ def test_random_completion_over_a_span_past_sys_maxsize():
     assert (result.m, len(result.context.centralizer.basis)) == (67, 65)
     assert len(result.encoder.added_rows) == 2
     assert not has_catastrophic_combination(
-        result.context.s1_rows + result.encoder.added_rows, result.encoder
+        [*result.context.s1_rows, *result.encoder.added_rows], result.encoder
     )
 
 
