@@ -80,7 +80,8 @@ def _code_json(code: ConvolutionalCode) -> Dict[str, object]:
 
 def _omega_json(omega: MemoryCommutativityMatrix, m: int) -> Dict[str, object]:
     entries = [[(row >> s) & 1 for s in range(omega.dim)] for row in omega.rows]
-    return {"omega": entries, "dim": omega.dim, "rank": omega.rank, "m": m}
+    # minimal_memory checked m = dim - rank / 2, so the rank is not eliminated again.
+    return {"omega": entries, "dim": omega.dim, "rank": 2 * (omega.dim - m), "m": m}
 
 
 def _omega(code: ConvolutionalCode) -> Tuple[MemoryCommutativityMatrix, int]:

@@ -69,11 +69,6 @@ class _Value(tuple):
     checked like a new record.  The sequence operators ``+`` and ``*`` are
     refused: a record is a value, not a sequence to concatenate or repeat.
     A list or dict field stays a list or dict, so such a record does not hash.
-
-    Two records stay classes on purpose.  ``MemoryCommutativityMatrix``
-    eliminates its ``rank`` once, when it is built, rather than taking it
-    as an argument or eliminating on every read.  ``CliffordTableau`` keeps
-    the state-diagram solve its verdicts share, which a tuple cannot hold.
     """
 
     __slots__ = ()

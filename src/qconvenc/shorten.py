@@ -14,7 +14,7 @@ XOR, and leading identity frames go by one right shift by whole frames.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError
@@ -28,13 +28,13 @@ __all__ = [
 ]
 
 
-class ShortenStep(NamedTuple):
-    """One rewrite: which pass fired, on which generator, using which others."""
+class ShortenStep(
+    _Value, namedtuple("ShortenStep", "action generator partners degree_after")
+):
+    """One rewrite: which pass fired ("normalize", "front" or "back"), on which
+    generator, multiplying in which ``partners`` (a tuple; indices are 1-based)."""
 
-    action: str  # "normalize", "front" or "back"
-    generator: int  # 1-based index of the rewritten generator
-    partners: Tuple[int, ...]  # 1-based indices of the generators multiplied in
-    degree_after: int
+    __slots__ = ()
 
 
 class ShorteningReport(_Value, namedtuple("ShorteningReport", "input_code output_code steps")):

@@ -69,7 +69,9 @@ __all__ = [
 ]
 
 
-class MemoryCommutativityMatrix:
+class MemoryCommutativityMatrix(
+    _Value, namedtuple("MemoryCommutativityMatrix", "rows index_map")
+):
     """Symmetric GF(2) matrix of deferred commutation obligations.
 
     ``index_map[r]`` gives the (generator, frame) pair, both 1-based, that row
@@ -77,19 +79,18 @@ class MemoryCommutativityMatrix:
     (r, s) is 1 exactly when the corresponding memory operators must
     anticommute for the streamed generators to commute across frames.
     ``rows`` holds the matrix as row words, bit s of rows[r] being entry
-    (r, s).  ``rank`` is eliminated once, when the matrix is built.
+    (r, s).  ``rank`` is eliminated on each read.
     """
 
-    __slots__ = ("rows", "index_map", "rank")
-
-    def __init__(self, rows: List[int], index_map: List[Tuple[int, int]]):
-        self.rows = rows
-        self.index_map = index_map
-        self.rank = gf2_rank(rows)
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def rank(self) -> int:
+        return gf2_rank(self.rows)
 
 
 def _memory_indices(code: ConvolutionalCode) -> List[Tuple[int, int]]:
@@ -177,12 +178,21 @@ def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
     return omega.dim - rank // 2
 
 
+def _check_memory_words(m: int, words: Iterable[int]) -> None:
+    """Refuse m < 0, then a word outside [0, 2^(2m)), with ``WidthMismatchError``."""
+    if m < 0:
+        raise WidthMismatchError(f"no memory has {m} qubits")
+    for word in words:
+        if word < 0 or word >> 2 * m:
+            raise WidthMismatchError(f"word {word:#x} does not fit {m} memory qubits")
+
+
 class MemoryOperatorTable(_Value, namedtuple("MemoryOperatorTable", "m ops index_map")):
     """Concrete memory operators g_{i,j} on m qubits, keyed by (i, j).
 
     ``ops`` maps (i, j) to a packed word in the ``pauli_to_vec`` layout on
-    m qubits; a negative word, or one that does not fit 2m bits, raises
-    ``WidthMismatchError``.  ``op`` reads one as a ``Pauli``, for text.
+    m qubits, checked by ``_check_memory_words``.  ``op`` reads one as a
+    ``Pauli``, for text.
     """
 
     __slots__ = ()
@@ -190,9 +200,7 @@ class MemoryOperatorTable(_Value, namedtuple("MemoryOperatorTable", "m ops index
     def __new__(
         cls, m: int, ops: Dict[Tuple[int, int], int], index_map: List[Tuple[int, int]]
     ) -> "MemoryOperatorTable":
-        for word in ops.values():
-            if m < 0 or word < 0 or word >> 2 * m:
-                raise WidthMismatchError(f"word {word:#x} does not fit {m} memory qubits")
+        _check_memory_words(m, ops.values())
         return tuple.__new__(cls, (m, ops, index_map))
 
     def op(self, i: int, j: int) -> Pauli:
@@ -359,10 +367,15 @@ def assemble_partial_encoder(
 class CentralizerBasis(_Value, namedtuple("CentralizerBasis", "m basis")):
     """Span of memory Paulis commuting with every memory operator.
 
-    ``basis`` holds packed words on m qubits, in the ``pauli_to_vec`` layout.
+    ``basis`` holds packed words on m qubits, in the ``pauli_to_vec`` layout,
+    checked by ``_check_memory_words``.
     """
 
     __slots__ = ()
+
+    def __new__(cls, m: int, basis: List[int]) -> "CentralizerBasis":
+        _check_memory_words(m, basis)
+        return tuple.__new__(cls, (m, basis))
 
 
 def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:

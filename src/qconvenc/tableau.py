@@ -12,15 +12,16 @@ per qubit holding that qubit's bits of all 2*width images, where a gate
 updates one or two whole columns.  The state diagram is read from one
 realisation of the encoder as a linear system over GF(2) (``_Realisation``),
 built from the images of the memory, ancilla Z and logical inputs.  It and
-its zero-physical solve are kept on the tableau, so both verdicts read one;
-the round trip reads a realisation of its own.
+its zero-physical solve are kept per tableau value and shape (``_solve``), so
+both verdicts read one; the round trip reads a realisation of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import namedtuple
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode
 from .errors import (
@@ -70,25 +71,26 @@ GATE_COUNT_FACTOR = 8
 DEFAULT_MEMORY_BOUND = 8
 
 
-class Gate(NamedTuple):
-    kind: str  # "h", "s", "cnot" or "cz"
-    qubits: Tuple[int, ...]
+class Gate(_Value, namedtuple("Gate", "kind qubits")):
+    """A gate ``kind``, "h", "s", "cnot" or "cz", on a tuple of ``qubits``."""
+
+    __slots__ = ()
 
     def as_json(self) -> Dict[str, object]:
         return {"kind": self.kind, "qubits": list(self.qubits)}
 
 
-class CliffordTableau:
+class CliffordTableau(_Value, namedtuple("CliffordTableau", "width images")):
     """Symplectic map given by the images of every input X_q and Z_q.
 
-    Each image is a packed Pauli on ``width`` qubits; a negative image, or
-    one that does not fit 2 * width bits, raises ``WidthMismatchError``.
-    ``_solved`` keeps the last state-diagram solve (``_state_diagram``).
+    ``images`` is a tuple of packed Paulis on ``width`` qubits; a negative
+    image, or one that does not fit 2 * width bits, raises ``WidthMismatchError``.
     """
 
-    __slots__ = ("width", "images", "_solved")
+    __slots__ = ()
 
-    def __init__(self, width: int, images: Sequence[int]):
+    def __new__(cls, width: int, images: Iterable[int]) -> "CliffordTableau":
+        images = tuple(images)
         if len(images) != 2 * width:
             raise WidthMismatchError(
                 f"tableau of width {width} needs {2 * width} images, got {len(images)}"
@@ -96,18 +98,11 @@ class CliffordTableau:
         for t, image in enumerate(images):
             if image >> 2 * width:  # also nonzero for a negative image
                 raise WidthMismatchError(f"image {t} = {image:#x} does not fit {width} qubits")
-        self.width = width
-        self.images = list(images)
-        self._solved: Optional[tuple] = None
+        return tuple.__new__(cls, (width, images))
 
     @classmethod
     def identity(cls, width: int) -> "CliffordTableau":
         return cls(width, [1 << t for t in range(2 * width)])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CliffordTableau):
-            return NotImplemented
-        return self.width == other.width and self.images == other.images
 
     def is_symplectic(self) -> bool:
         """Whether every pair of images has the product of its inputs, the
@@ -342,27 +337,19 @@ def replay_gates(width: int, gates: Iterable[Gate]) -> CliffordTableau:
     return CliffordTableau(width, _transpose(xs + zs, 2 * width))
 
 
-class StateDiagramEdge(NamedTuple):
-    """One transition: inputs (M, S_z, L) produce outputs (P, M')."""
+class StateDiagramEdge(
+    _Value, namedtuple("StateDiagramEdge", "mem_from anc logical physical mem_to")
+):
+    """One transition: inputs (M, S_z, L) produce outputs (P, M'), all Paulis."""
 
-    mem_from: Pauli
-    anc: Pauli
-    logical: Pauli
-    physical: Pauli
-    mem_to: Pauli
+    __slots__ = ()
 
     @property
     def logical_weight(self) -> int:
         return (self.logical.x | self.logical.z).bit_count()
 
     def as_strings(self) -> Dict[str, str]:
-        return {
-            "mem_from": str(self.mem_from),
-            "anc": str(self.anc),
-            "logical": str(self.logical),
-            "physical": str(self.physical),
-            "mem_to": str(self.mem_to),
-        }
+        return {name: str(pauli) for name, pauli in zip(self._fields, self)}
 
 
 class CycleWitness(_Value, namedtuple("CycleWitness", "edges")):
@@ -538,20 +525,22 @@ class _Realisation:
 def _state_diagram(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
 ) -> Tuple[_Realisation, List[int], List[int]]:
-    """The tableau's realisation, zero-physical basis and core, solved once
-    per ``(images, n, k, m)`` and kept on the tableau; a mutated image or
-    another shape is solved again.  The memory bound is checked first, on
-    every call.
-    """
+    """The tableau's realisation, zero-physical basis and core (``_solve``).
+    The memory bound is checked first, on every call."""
     if m > max_memory:
         raise MemoryBoundError(m, max_memory)
-    key = (tuple(tableau.images), n, k, m)
-    solved = tableau._solved
-    if solved is None or solved[0] != key:
-        realisation = _Realisation(tableau, n, k, m)
-        solved = (key, realisation, *realisation.zero_physical())
-        tableau._solved = solved
-    return solved[1:]
+    return _solve(tableau, n, k, m)
+
+
+@functools.lru_cache(maxsize=1)
+def _solve(
+    tableau: CliffordTableau, n: int, k: int, m: int
+) -> Tuple[_Realisation, List[int], List[int]]:
+    """A tableau's realisation and zero-physical solve, kept for the last
+    tableau value and shape: equal tableaux share it, another replaces it.  A
+    shape that does not split the tableau raises on every call."""
+    realisation = _Realisation(tableau, n, k, m)
+    return (realisation, *realisation.zero_physical())
 
 
 def zero_physical_edges(
@@ -590,7 +579,7 @@ def detect_catastrophic(
     core edges, keeping the edge that discovered each vertex, keeps the
     levels, frontier order and parents of one over all edges, up to u.
 
-    The basis and core are the tableau's one solve (``_state_diagram``),
+    The basis and core are the tableau's one solve (``_solve``),
     which ``verify_non_recursive`` and ``zero_physical_edges`` also read.
     """
     realisation, basis, core = _state_diagram(tableau, n, k, m, max_memory)

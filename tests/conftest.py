@@ -3,6 +3,7 @@ import os
 import pytest
 from hypothesis import strategies as st
 
+import qconvenc.tableau
 from qconvenc import parse_code
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -15,6 +16,13 @@ def corpus_path(name: str) -> str:
 def load_code(name: str):
     with open(corpus_path(name), "r", encoding="utf-8") as handle:
         return parse_code(handle.read())
+
+
+@pytest.fixture(autouse=True)
+def fresh_state_diagram_solve():
+    """Start each test without a kept state-diagram solve, so a test that
+    patches the solve's pieces or counts its calls sees its own solve."""
+    qconvenc.tableau._solve.cache_clear()
 
 
 @pytest.fixture

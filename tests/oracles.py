@@ -596,10 +596,10 @@ def parities(word: int, rows: Sequence[int]) -> int:
     return sum(_parity(word & row) << i for i, row in enumerate(rows))
 
 
-def apply_gate(tableau: CliffordTableau, gate: Gate) -> None:
-    """Conjugate every stored image of ``tableau`` by ``gate``, in place."""
+def apply_gate(tableau: CliffordTableau, gate: Gate) -> CliffordTableau:
+    """The tableau whose images are those of ``tableau`` conjugated by ``gate``."""
     w = tableau.width
-    images = tableau.images
+    images = list(tableau.images)
     if gate.kind == "h":
         (q,) = gate.qubits
         xbit, zbit = 1 << q, 1 << (w + q)
@@ -640,13 +640,14 @@ def apply_gate(tableau: CliffordTableau, gate: Gate) -> None:
             images[t] = vec
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return CliffordTableau(w, images)
 
 
 def replay_rows(width: int, gates: Sequence[Gate]) -> CliffordTableau:
     """``replay_gates`` on the rows: each gate updates every image."""
     tableau = CliffordTableau.identity(width)
     for gate in gates:
-        apply_gate(tableau, gate)
+        tableau = apply_gate(tableau, gate)
     return tableau
 
 

@@ -345,9 +345,11 @@ def test_criterion_11_circuit_replay_and_gate_bound():
                 for _ in range(40):
                     kind = rng.choice(["h", "s", "cnot", "cz"])
                     if kind in ("h", "s"):
-                        apply_gate(tableau, Gate(kind, (rng.randrange(width),)))
+                        tableau = apply_gate(tableau, Gate(kind, (rng.randrange(width),)))
                     else:
-                        apply_gate(tableau, Gate(kind, tuple(rng.sample(range(width), 2))))
+                        tableau = apply_gate(
+                            tableau, Gate(kind, tuple(rng.sample(range(width), 2)))
+                        )
                 gates = synthesize_circuit(tableau)
                 assert replay_gates(width, gates) == tableau
                 assert len(gates) <= GATE_COUNT_FACTOR * width**2

@@ -1,27 +1,33 @@
 """Value semantics of the immutable records, and the fields result types derive."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import qconvenc
 from conftest import load_code
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, ValidationResult, validate_code
-from qconvenc.errors import AssemblyError, CodeShapeError, WidthMismatchError
-from qconvenc.pauli import GramSchmidtResult, Pauli, symplectic_gram_schmidt
+from qconvenc.errors import AssemblyError, CodeShapeError, QconvError, WidthMismatchError
+from qconvenc.pauli import GramSchmidtResult, Pauli, _Value, symplectic_gram_schmidt
 from qconvenc.shorten import ShortenStep, ShorteningReport
 from qconvenc.synth import (
     CatastrophicityContext,
     CentralizerBasis,
     EncoderRow,
+    MemoryCommutativityMatrix,
     MemoryOperatorTable,
     PartialEncoder,
     SynthesisResult,
     assemble_partial_encoder,
+    compute_centralizer,
     minimal_memory,
     synthesize,
 )
 from qconvenc.tableau import (
+    CliffordTableau,
     CycleWitness,
     Gate,
     StateDiagramEdge,
@@ -43,6 +49,8 @@ CENTRALIZER = CentralizerBasis(1, [0b01, 0b10])
 ENCODER = PartialEncoder(1, 2, 1, (ROW,), (), None)
 CONTEXT = CatastrophicityContext(CENTRALIZER, [ROW], [])
 EDGE = StateDiagramEdge(*FIVE)
+# A hyperbolic pair: the rows of [[0, 1], [1, 0]].
+OMEGA = MemoryCommutativityMatrix([0b10, 0b01], [(1, 1), (1, 2)])
 
 # (type, field names, field values, a record differing in one field)
 RECORDS = [
@@ -111,14 +119,20 @@ RECORDS = [
         tuple(CONTEXT),
         CatastrophicityContext(CENTRALIZER, [ROW], [IDENTITY_ROW]),
     ),
-    # omega stands in as None: MemoryCommutativityMatrix stays a class that
-    # compares by identity, so no pickled or deep copy of one equals it.
     (
         SynthesisResult,
         ("code", "omega", "table", "encoder", "context"),
-        (CODE, None, TABLE, ENCODER, CONTEXT),
-        SynthesisResult(CODE, None, TABLE, ENCODER, CatastrophicityContext(CENTRALIZER, [], [])),
+        (CODE, OMEGA, TABLE, ENCODER, CONTEXT),
+        SynthesisResult(CODE, OMEGA, TABLE, ENCODER, CatastrophicityContext(CENTRALIZER, [], [])),
     ),
+    (
+        MemoryCommutativityMatrix,
+        ("rows", "index_map"),
+        tuple(OMEGA),
+        MemoryCommutativityMatrix(OMEGA.rows, [(1, 2), (1, 1)]),
+    ),
+    # The identity tableau on one qubit, and the Hadamard.
+    (CliffordTableau, ("width", "images"), (1, (0b01, 0b10)), CliffordTableau(1, (0b10, 0b01))),
     (CycleWitness, ("edges",), ([EDGE],), CycleWitness([EDGE, EDGE])),
 ]
 
@@ -176,6 +190,8 @@ def test_partial_encoder_stores_its_rows_as_tuples():
 
 RUNNING1 = load_code("running1")
 P = Pauli(1, 1, 0)
+STEP = ShortenStep("front", 1, (2,), 3)
+IDENTITY = CliffordTableau.identity(1)
 # X on the memory input, Z on the memory output: it commutes with ROW's
 # inputs but anticommutes with its outputs.
 CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
@@ -190,6 +206,17 @@ CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
         (lambda: RUNNING1._replace(k=5), CodeShapeError, None),
         (lambda: IDENTITY_ROW._replace(k=9), WidthMismatchError, None),
         (lambda: TABLE._replace(m=0), WidthMismatchError, None),
+        (lambda: TABLE._replace(m=-1, ops={}), WidthMismatchError, "^no memory has -1 qubits$"),
+        (lambda: MemoryOperatorTable(-1, {}, []), WidthMismatchError, "^no memory has -1"),
+        (lambda: MemoryOperatorTable(-1, {(1, 1): 0}, [(1, 1)]), WidthMismatchError, "^no memory"),
+        (lambda: MemoryOperatorTable(1, {(1, 1): -1}, [(1, 1)]), WidthMismatchError, "fit 1"),
+        (lambda: CentralizerBasis(-3, [1 << 40, -5]), WidthMismatchError, "^no memory has -3"),
+        (lambda: CentralizerBasis(-1, []), WidthMismatchError, "^no memory has -1 qubits$"),
+        (lambda: CentralizerBasis(1, [0b01, -5]), WidthMismatchError, "^word -0x5 does not fit 1"),
+        (lambda: CentralizerBasis(1, [0b100]), WidthMismatchError, "^word 0x4 does not fit 1"),
+        (lambda: CENTRALIZER._replace(m=0), WidthMismatchError, "^word 0x1 does not fit 0"),
+        (lambda: CENTRALIZER._replace(basis=[1 << 2]), WidthMismatchError, "^word 0x4 does"),
+        (lambda: CliffordTableau(1, (1, 2))._replace(width=2), WidthMismatchError, "needs 4"),
         (
             lambda: ENCODER._replace(added_rows=(CLASHING_ROW,)),
             AssemblyError,
@@ -202,12 +229,28 @@ CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
         (lambda: GEN + GEN, TypeError, "'GeneratorPolynomial'"),
         (lambda: RUNNING1 * 2, TypeError, "'ConvolutionalCode'"),
         (lambda: 3 * ROW, TypeError, "'EncoderRow'"),
+        (lambda: Gate("h", (0,)) + Gate("s", (0,)), TypeError, "'Gate' and 'Gate'"),
+        (lambda: 2 * Gate("h", (0,)), TypeError, "'int' and 'Gate'"),
+        (lambda: EDGE + EDGE, TypeError, "'StateDiagramEdge' and 'StateDiagramEdge'"),
+        (lambda: EDGE * 2, TypeError, "'StateDiagramEdge' and 'int'"),
+        (lambda: STEP + STEP, TypeError, "'ShortenStep' and 'ShortenStep'"),
+        (lambda: 2 * STEP, TypeError, "'int' and 'ShortenStep'"),
+        (lambda: IDENTITY + IDENTITY, TypeError, "'CliffordTableau' and 'CliffordTableau'"),
+        (lambda: IDENTITY * 2, TypeError, "'CliffordTableau' and 'int'"),
+        (lambda: OMEGA + OMEGA, TypeError, "'MemoryCommutativityMatrix'"),
+        (lambda: 2 * OMEGA, TypeError, "'int' and 'MemoryCommutativityMatrix'"),
     ],
     ids=[
         "pauli-replace", "pauli-make", "generator-replace", "code-replace", "row-replace",
-        "table-replace", "encoder-replace-rows", "encoder-replace-width",
+        "table-replace", "table-replace-negative-m", "table-negative-m-no-ops",
+        "table-negative-m", "table-negative-word", "centralizer-negative-m-wide-words",
+        "centralizer-negative-m", "centralizer-negative-word", "centralizer-wide-word",
+        "centralizer-replace-m", "centralizer-replace-basis", "tableau-replace-width",
+        "encoder-replace-rows", "encoder-replace-width",
         "pauli-times-int", "int-times-pauli", "pauli-plus-pauli", "generator-plus",
-        "code-times-int", "int-times-row",
+        "code-times-int", "int-times-row", "gate-plus-gate", "int-times-gate",
+        "edge-plus-edge", "edge-times-int", "step-plus-step", "int-times-step",
+        "tableau-plus-tableau", "tableau-times-int", "omega-plus-omega", "int-times-omega",
     ],
 )
 def test_validated_records_cannot_be_built_around_their_checks(call, error, match):
@@ -234,3 +277,34 @@ def test_derived_fields_equal_their_sources(name):
         if witness is not None:
             assert witness.vertices == [e.mem_from for e in witness.edges]
             assert witness.vertices == [e.mem_to for e in witness.edges[-1:] + witness.edges[:-1]]
+
+
+def test_a_centralizer_word_past_its_memory_is_refused_when_built(running2):
+    # A bit past 2m in a running2 centralizer word is refused as a width
+    # fault of the record, not blamed on S1 synthesis later.
+    centralizer = compute_centralizer(synthesize(running2).table)
+    m, basis = centralizer
+    assert m > 0 and basis
+    with pytest.raises(WidthMismatchError, match=f"does not fit {m} memory qubits$"):
+        CentralizerBasis(m, [basis[0] | 1 << 2 * m, *basis[1:]])
+    with pytest.raises(WidthMismatchError, match=f"does not fit {m} memory qubits$"):
+        centralizer._replace(basis=[*basis, 1 << 2 * m])
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_synthesis_result_compares_and_pickles_by_value(name):
+    code = load_code(name)
+    result = synthesize(code)
+    assert result == synthesize(code)
+    assert pickle.loads(pickle.dumps(result)) == result
+
+
+def test_every_public_class_but_the_errors_is_a_value_record():
+    modules = [qconvenc] + [
+        importlib.import_module(f"qconvenc.{module.name}")
+        for module in pkgutil.iter_modules(qconvenc.__path__)
+    ]
+    public = {getattr(module, name) for module in modules for name in getattr(module, "__all__", ())}
+    classes = [obj for obj in public if isinstance(obj, type) and not issubclass(obj, QconvError)]
+    assert len(classes) >= 18
+    assert sorted(cls.__name__ for cls in classes if not issubclass(cls, _Value)) == []

@@ -118,7 +118,7 @@ def random_gates(width, rng, count=30):
 def random_tableau(width, rng):
     tableau = CliffordTableau.identity(width)
     for gate in random_gates(width, rng):
-        apply_gate(tableau, gate)
+        tableau = apply_gate(tableau, gate)
     return tableau
 
 
@@ -129,7 +129,7 @@ def test_vec_roundtrip():
 
 def test_identity_tableau():
     t = CliffordTableau.identity(3)
-    assert t.images == [1 << q for q in range(6)]
+    assert t.images == tuple(1 << q for q in range(6))
     assert t.is_symplectic()
     p = Pauli.from_string("XYZ")
     assert image_of_pauli(t, p) == p
@@ -387,7 +387,7 @@ def test_completions_and_circuits_match_pinned_digest():
         for seed in range(4):
             tableau = complete_to_clifford(synthesize(code, seed=seed).encoder, seed=seed)
             gates = [(g.kind, list(g.qubits)) for g in synthesize_circuit(tableau)]
-            digest.update(f"{name} {seed} {tableau.images} {gates}\n".encode())
+            digest.update(f"{name} {seed} {list(tableau.images)} {gates}\n".encode())
     assert digest.hexdigest() == COMPLETION_CIRCUIT_DIGEST
 
 
@@ -445,8 +445,9 @@ def test_is_symplectic_rejects_every_breaking_bit_flip(width):
     kinds = set()
     for a in range(2 * width):
         for bit in range(2 * width):
-            flipped = CliffordTableau(width, tableau.images)
-            flipped.images[a] ^= 1 << bit
+            images = list(tableau.images)
+            images[a] ^= 1 << bit
+            flipped = CliffordTableau(width, images)
             broken = [
                 b
                 for b in range(2 * width)
@@ -901,8 +902,8 @@ def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
 
 
 def test_both_verdicts_share_one_state_diagram_solve(monkeypatch):
-    # The realisation and its cycle_core are kept on the tableau, so both
-    # verdicts and the edge listing solve the state diagram once.
+    # The realisation and its cycle_core are kept for the tableau value, so
+    # both verdicts and the edge listing solve the state diagram once.
     calls = []
     cycle_core = tableau_module.cycle_core
 
@@ -925,17 +926,35 @@ def verdicts_of(tableau, n, k, m):
     return cat, cycle, verify_non_recursive(tableau, n, k, m), zero_physical_edges(tableau, n, k, m)
 
 
-def test_a_mutated_tableau_is_solved_again():
-    # Flipping one image bit in place after a solve gives the verdicts of a
-    # fresh tableau with those images; this flip ends the catastrophe.
+def test_equal_tableaux_share_one_solve_and_another_is_solved_again(monkeypatch):
+    # The solve is kept by tableau value: a second, separately built equal
+    # tableau reads it, and a tableau with one image bit flipped is solved
+    # again and gets the verdicts of its own images; this flip ends the
+    # catastrophe.
+    calls = []
+    cycle_core = tableau_module.cycle_core
+
+    def counted(*args):
+        calls.append(args)
+        return cycle_core(*args)
+
+    monkeypatch.setattr(tableau_module, "cycle_core", counted)
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
+    twin = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
+    assert twin == tableau and twin is not tableau
     before = verdicts_of(tableau, n, k, m)
-    tableau.images[9] ^= 1
-    after = verdicts_of(tableau, n, k, m)
-    assert after == verdicts_of(CliffordTableau(tableau.width, tableau.images), n, k, m)
+    assert verdicts_of(twin, n, k, m) == before and len(calls) == 1
+    images = list(tableau.images)
+    images[9] ^= 1
+    flipped = CliffordTableau(tableau.width, images)
+    after = verdicts_of(flipped, n, k, m)
+    assert len(calls) == 2
     assert before[0] is True and after[0] is False
+    with pytest.raises(TypeError):
+        tableau.images[9] ^= 1
+    assert verdicts_of(tableau, n, k, m) == before and len(calls) == 3
 
 
 @pytest.mark.parametrize("entry", [detect_catastrophic, verify_non_recursive, zero_physical_edges])
