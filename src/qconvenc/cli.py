@@ -35,7 +35,9 @@ from .errors import (
 )
 from .shorten import shorten
 from .synth import (
+    EncoderRow,
     MemoryCommutativityMatrix,
+    PartialEncoder,
     build_commutativity_matrix,
     minimal_memory,
     synthesize,
@@ -82,6 +84,10 @@ def _omega_json(omega: MemoryCommutativityMatrix, m: int) -> Dict[str, object]:
     entries = [[(row >> s) & 1 for s in range(omega.dim)] for row in omega.rows]
     # minimal_memory checked m = dim - rank / 2, so the rank is not eliminated again.
     return {"omega": entries, "dim": omega.dim, "rank": 2 * (omega.dim - m), "m": m}
+
+
+def _row_json(encoder: PartialEncoder, row: EncoderRow) -> Dict[str, str]:
+    return {key: str(part) for key, part in encoder.parts(row).items()}
 
 
 def _omega(code: ConvolutionalCode) -> Tuple[MemoryCommutativityMatrix, int]:
@@ -131,12 +137,13 @@ def _run(args) -> Tuple[Dict[str, object], ConvolutionalCode]:
             report["synth"] = _omega_json(*timed("synth", _omega, code))
         elif last == "analysis":
             result = timed("synth", synthesize, code, args.seed)
-            table, encoder = result.table, result.encoder
+            encoder = result.encoder
+            table = encoder.memory_ops
             report["synth"] = {
                 **_omega_json(result.omega, result.m),
                 "memory_ops": {f"g_{i}_{j}": str(table.op(i, j)) for i, j in table.index_map},
-                "s1_rows": [row.as_strings() for row in result.context.s1_rows],
-                "added_rows": [row.as_strings() for row in encoder.added_rows],
+                "s1_rows": [_row_json(encoder, row) for row in result.context.s1_rows],
+                "added_rows": [_row_json(encoder, row) for row in encoder.added_rows],
             }
             tableau = timed("complete", complete_to_clifford, encoder, args.seed)
             gates = timed("circuit", synthesize_circuit, tableau)

@@ -6,13 +6,16 @@ lay out the frame-by-frame encoder rows, and append extra information-qubit
 rows that provably rule out catastrophic behavior.
 
 Encoder rows describe how one application of the (not yet completed) encoder
-unitary must transform Paulis.  ``EncoderRow`` holds each row as its input
-and output word, in the layout its docstring states; rows are built, checked,
-combined and completed on those words.  Memory operators and centralizer
-elements are packed words on the m memory qubits, in the ``pauli_to_vec``
-layout, from Gram-Schmidt to the added rows; ``_place`` widens one into a
-row.  ``Pauli`` objects are built only in the read-only views
-(``EncoderRow`` parts, ``MemoryOperatorTable.op``) for text, JSON and tests.
+unitary must transform Paulis.  An ``EncoderRow`` is two words, its input
+and its output.  The shape (m, n, k) is stated once, by the
+``PartialEncoder`` that holds the rows, m being its operator table's; the
+encoder checks the words and lays out their qubits.  Rows are built,
+checked, combined and completed on those words.  Memory operators and
+centralizer elements are packed words on the m memory qubits, in the
+``pauli_to_vec`` layout, from Gram-Schmidt to the added rows; ``_place``
+widens one into a row.  ``Pauli`` objects are built only in the read-only
+views (``PartialEncoder.parts``, ``MemoryOperatorTable.op``) for text, JSON
+and tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import namedtuple
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .code import ConvolutionalCode, validate_code
 from .errors import (
@@ -235,81 +238,49 @@ def _place(word: int, m: int, w: int, at: int) -> int:
     return (word & (1 << m) - 1 | word >> m << w) << at
 
 
-class EncoderRow(_Value, namedtuple("EncoderRow", "m n k inputs outputs")):
-    """One input-output Pauli constraint on an (m, n, k) encoder unitary.
+class EncoderRow(_Value, namedtuple("EncoderRow", "inputs outputs")):
+    """One input-output Pauli constraint on an encoder unitary, as two words.
 
-    ``inputs`` and ``outputs`` are packed Paulis on the w = m + n qubits,
-    laid out as ``pauli_to_vec``.  Input qubits are memory [0, m), ancilla
-    [m, w - k) and information [w - k, w); output qubits are physical
-    [0, n) and memory [n, w).  The five parts are restrictions of the words.
+    ``inputs`` and ``outputs`` are packed Paulis on the w = m + n qubits of
+    the ``PartialEncoder`` that holds the row, laid out as ``pauli_to_vec``.
+    Input qubits are memory [0, m), ancilla [m, w - k) and information
+    [w - k, w); output qubits are physical [0, n) and memory [n, w).  The
+    encoder checks the words and reads the five parts (``PartialEncoder.parts``).
     """
 
     __slots__ = ()
 
-    def __new__(cls, m: int, n: int, k: int, inputs: int, outputs: int) -> "EncoderRow":
-        if m < 0 or not 0 <= k <= n:
-            raise WidthMismatchError(f"no encoder row has m={m}, n={n}, k={k}")
-        if inputs < 0 or outputs < 0 or (inputs | outputs) >> 2 * (m + n):
-            raise WidthMismatchError(f"words {inputs:#x}, {outputs:#x} do not fit {m + n} qubits")
-        return tuple.__new__(cls, (m, n, k, inputs, outputs))
 
-    def _part(self, word: int, start: int, stop: int) -> Pauli:
-        return vec_to_pauli(_restrict(word, self.m + self.n, start, stop), stop - start)
+class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows added_rows")):
+    """Generator rows plus any added rows, on the memory of an operator table.
 
-    @property
-    def mem_in(self) -> Pauli:
-        return self._part(self.inputs, 0, self.m)
-
-    @property
-    def anc_in(self) -> Pauli:
-        return self._part(self.inputs, self.m, self.m + self.n - self.k)
-
-    @property
-    def info_in(self) -> Pauli:
-        return self._part(self.inputs, self.m + self.n - self.k, self.m + self.n)
-
-    @property
-    def phys_out(self) -> Pauli:
-        return self._part(self.outputs, 0, self.n)
-
-    @property
-    def mem_out(self) -> Pauli:
-        return self._part(self.outputs, self.n, self.m + self.n)
-
-    def as_strings(self) -> Dict[str, str]:
-        return {
-            "mem_in": str(self.mem_in),
-            "anc_in": str(self.anc_in),
-            "info_in": str(self.info_in),
-            "phys_out": str(self.phys_out),
-            "mem_out": str(self.mem_out),
-        }
-
-
-class PartialEncoder(_Value, namedtuple("PartialEncoder", "m n k rows added_rows memory_ops")):
-    """Generator rows plus any added rows, with the operator table used.
-
+    The shape is stated once: m is ``memory_ops.m``, n and k are fields.
     ``rows`` and ``added_rows`` are stored as tuples, and checked once,
-    here: a row that is not m + n qubits wide raises ``WidthMismatchError``,
-    and the first pair of ``all_rows``, in ``itertools.combinations`` order,
-    whose inputs and outputs have different products raises
-    ``AssemblyError``.  The stages that read an encoder trust its rows.
+    here: k outside 0..n, or a row word that is negative or does not fit
+    2(m + n) bits, raises ``WidthMismatchError``, and the first pair of
+    ``all_rows``, in ``itertools.combinations`` order, whose inputs and
+    outputs have different products raises ``AssemblyError``.  The stages
+    that read an encoder trust its rows.
     """
 
     __slots__ = ()
 
     def __new__(
         cls,
-        m: int,
+        memory_ops: MemoryOperatorTable,
         n: int,
         k: int,
         rows: Iterable[EncoderRow],
         added_rows: Iterable[EncoderRow] = (),
-        memory_ops: Optional[MemoryOperatorTable] = None,
     ) -> "PartialEncoder":
         rows, added_rows = tuple(rows), tuple(added_rows)
-        w = m + n
-        ins, outs = _encoder_words(rows + added_rows, w)
+        w = memory_ops.m + n
+        if not 0 <= k <= n:
+            raise WidthMismatchError(f"no encoder has n={n}, k={k}")
+        ins, outs = [x for x, _ in rows + added_rows], [y for _, y in rows + added_rows]
+        for x, y in zip(ins, outs):
+            if x < 0 or y < 0 or (x | y) >> 2 * w:
+                raise WidthMismatchError(f"words {x:#x}, {y:#x} do not fit {w} qubits")
         pair = _product_mismatch(ins, outs, w)
         if pair is not None:
             a, b = pair
@@ -318,7 +289,11 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "m n k rows added_rows
                 f"rows {a + 1} and {b + 1} disagree: inputs "
                 f"{'anticommute' if lhs else 'commute'} but outputs do not match"
             )
-        return tuple.__new__(cls, (m, n, k, rows, added_rows, memory_ops))
+        return tuple.__new__(cls, (memory_ops, n, k, rows, added_rows))
+
+    @property
+    def m(self) -> int:
+        return self.memory_ops.m
 
     @property
     def all_rows(self) -> Tuple[EncoderRow, ...]:
@@ -328,16 +303,20 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "m n k rows added_rows
     def width(self) -> int:
         return self.m + self.n
 
-
-def _encoder_words(rows: Sequence[EncoderRow], w: int) -> Tuple[List[int], List[int]]:
-    """Input and output words of rows of a ``w``-qubit encoder; a row of
-    another width raises ``WidthMismatchError``."""
-    for row in rows:
-        if row.m + row.n != w:
-            raise WidthMismatchError(
-                f"a row maps {row.m + row.n} to {row.m + row.n} qubits in a {w}-qubit encoder"
-            )
-    return [row.inputs for row in rows], [row.outputs for row in rows]
+    def parts(self, row: EncoderRow) -> Dict[str, Pauli]:
+        """The five Pauli parts of a row of this encoder, under their JSON keys."""
+        m, n, k, w = self.m, self.n, self.k, self.width
+        cuts = (
+            ("mem_in", row.inputs, 0, m),
+            ("anc_in", row.inputs, m, w - k),
+            ("info_in", row.inputs, w - k, w),
+            ("phys_out", row.outputs, 0, n),
+            ("mem_out", row.outputs, n, w),
+        )
+        return {
+            key: vec_to_pauli(_restrict(word, w, start, stop), stop - start)
+            for key, word, start, stop in cuts
+        }
 
 
 def assemble_partial_encoder(
@@ -360,8 +339,8 @@ def assemble_partial_encoder(
             handed = _place(table.ops[i, j], m, w, n) if j < gen.degree else 0
             block = gen.word >> 2 * n * (j - 1)
             emitted = block & low | (block >> n & low) << w
-            rows.append(EncoderRow(m, n, k, consumed, emitted | handed))
-    return PartialEncoder(m, n, k, rows, memory_ops=table)
+            rows.append(EncoderRow(consumed, emitted | handed))
+    return PartialEncoder(table, n, k, rows)
 
 
 class CentralizerBasis(_Value, namedtuple("CentralizerBasis", "m basis")):
@@ -415,15 +394,17 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     the output memory would leave the solution space, and with it the
     dependencies among the columns, unchanged.  ``PartialEncoder`` refuses
     inconsistent rows, so only a centralizer basis that is not the table's
-    can fail the output check.
+    can fail the output check.  A centralizer on another memory width than
+    the encoder's raises ``WidthMismatchError`` before any elimination.
     """
-    m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
+    m, n, w = encoder.m, encoder.n, encoder.width
+    if centralizer.m != m:
+        raise WidthMismatchError(f"a centralizer on {centralizer.m} memory qubits, not {m}")
     words = [row.inputs | row.outputs << 2 * w for row in encoder.rows]
-    table = encoder.memory_ops
-    ops = [_place(g, table.m, w, 0) for g in table.as_list()] if table else []
+    ops = [_place(g, m, w, 0) for g in encoder.memory_ops.as_list()]
     probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
     probes += [swap_halves(g, w) for g in ops]
-    span = _Echelon(_place(b, centralizer.m, w, 0) for b in centralizer.basis)
+    span = _Echelon(_place(b, m, w, 0) for b in centralizer.basis)
     physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
@@ -433,7 +414,7 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
             raise SynthesisFailureError("an S1 combination has physical output")
         if span.reduce(combo & memory)[0] or span.reduce(combo >> n + 2 * w & memory)[0]:
             raise SynthesisFailureError("an S1 combination leaves the centralizer")
-        combos.append(EncoderRow(m, n, k, combo & (1 << 2 * w) - 1, combo >> 2 * w))
+        combos.append(EncoderRow(combo & (1 << 2 * w) - 1, combo >> 2 * w))
     return combos
 
 
@@ -444,15 +425,16 @@ def has_catastrophic_combination(
 
     Treats each combination as a state-diagram edge mem_in -> mem_out and
     reports whether an edge with non-identity logical label lies on a cycle.
-    Each row's words give the edge mem_in | mem_out << 2m | info_in << 4m,
-    and ``cycle_core`` decides on those edges without listing the span.
+    Each row's words, in the encoder's layout, give the edge mem_in |
+    mem_out << 2m | info_in << 4m, and ``cycle_core`` decides on those
+    edges without listing the span.
     A row with physical output is no such edge and raises ``AssemblyError``.
     """
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
     bits = 2 * m
     physical = ((1 << n) - 1) * (1 | 1 << w)
     edges = []
-    for x, y in zip(*_encoder_words(rows, w)):
+    for x, y in rows:
         if y & physical:
             raise AssemblyError("a row given to the cycle oracle has physical output")
         edges.append(
@@ -486,8 +468,6 @@ def add_noncatastrophic_rows(
     - an empty centralizer stops the draws too: dim = 0 forces needed = 0;
     - a draw has ``needed`` entries: one per picked index.
     """
-    if encoder.memory_ops is None:
-        raise AssemblyError("the encoder has no memory operator table")
     centralizer = compute_centralizer(encoder.memory_ops)
     s1 = find_s1(encoder, centralizer)
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
@@ -500,7 +480,7 @@ def add_noncatastrophic_rows(
     def build_rows(cands: List[int]) -> List[EncoderRow]:
         # X on information qubit idx -> identity physical, the target on memory.
         return [
-            EncoderRow(m, n, k, 1 << w - k + idx, _place(t, m, w, n))
+            EncoderRow(1 << w - k + idx, _place(t, m, w, n))
             for idx, t in enumerate(cands)
         ]
 
@@ -560,15 +540,15 @@ def add_noncatastrophic_rows(
     )
 
 
-class SynthesisResult(_Value, namedtuple("SynthesisResult", "code omega table encoder context")):
+class SynthesisResult(_Value, namedtuple("SynthesisResult", "code omega encoder context")):
     """Every stage's product, from the code to the extended encoder."""
 
     __slots__ = ()
 
     @property
     def m(self) -> int:
-        """The memory-qubit count of the operator table."""
-        return self.table.m
+        """The memory-qubit count of the encoder."""
+        return self.encoder.m
 
 
 def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
@@ -582,6 +562,4 @@ def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
     table = assign_memory_operators(omega)
     encoder = assemble_partial_encoder(code, table)
     extended, context = add_noncatastrophic_rows(encoder, seed=seed)
-    return SynthesisResult(
-        code=code, omega=omega, table=table, encoder=extended, context=context
-    )
+    return SynthesisResult(code=code, omega=omega, encoder=extended, context=context)

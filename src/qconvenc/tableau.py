@@ -48,7 +48,7 @@ from .pauli import (
     swap_halves,
     vec_to_pauli,
 )
-from .synth import PartialEncoder
+from .synth import PartialEncoder, _restrict
 
 __all__ = [
     "Gate",
@@ -392,12 +392,8 @@ class _Realisation:
             *range(w + m, 2 * w - k),  # ancilla Z
             *range(w - k, w), *range(2 * w - k, 2 * w),  # logical X, Z
         )
-        low_n, all_w = (1 << n) - 1, (1 << w) - 1
-        self.columns = []
-        for t in inputs:
-            x, z = tableau.images[t] & all_w, tableau.images[t] >> w
-            mem_to = x >> n | (z >> n) << m
-            self.columns.append(x & low_n | (z & low_n) << n | mem_to << 2 * n)
+        images = [tableau.images[t] for t in inputs]
+        self.columns = [_restrict(v, w, 0, n) | _restrict(v, w, n, w) << 2 * n for v in images]
 
     def out(self, word: int) -> int:
         """The output ``physical | mem_to << 2n`` of a transition word."""

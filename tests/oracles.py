@@ -21,7 +21,7 @@ from qconvenc.pauli import (
     symplectic_product_vec,
     vec_to_pauli,
 )
-from qconvenc.synth import EncoderRow, _memory_indices
+from qconvenc.synth import EncoderRow, MemoryOperatorTable, PartialEncoder, _memory_indices
 from qconvenc.tableau import (
     DEFAULT_MEMORY_BOUND,
     CliffordTableau,
@@ -128,10 +128,11 @@ def row_from_parts(
 ) -> EncoderRow:
     """The encoder row of five Pauli parts, packed by shifts of their words.
 
-    m, k and n are the widths of ``mem_in``, ``info_in`` and ``anc_in`` plus
-    ``info_in``.  The output parts may split the m + n output qubits
-    otherwise; the row's own parts then differ from them.  Input and output
-    widths that differ raise ``WidthMismatchError``.
+    The row fits an encoder whose m, k and n are the widths of ``mem_in``,
+    ``info_in`` and ``anc_in`` plus ``info_in``.  The output parts may split
+    the m + n output qubits otherwise; that encoder's parts of the row then
+    differ from them.  Input and output widths that differ raise
+    ``WidthMismatchError``.
     """
     parts = mem_in, anc_in, info_in, phys_out, mem_out
     ((mem_w, mem_x, mem_z), (anc_w, anc_x, anc_z), (info_w, info_x, info_z),
@@ -143,13 +144,26 @@ def row_from_parts(
     in_x = mem_x | anc_x << mem_w | info_x << info_at
     in_z = mem_z | anc_z << mem_w | info_z << info_at
     out_x, out_z = phys_x | next_x << phys_w, phys_z | next_z << phys_w
-    return EncoderRow(mem_w, anc_w + info_w, info_w, in_x | in_z << w, out_x | out_z << w)
+    return EncoderRow(in_x | in_z << w, out_x | out_z << w)
 
 
-def row_paulis(row: EncoderRow) -> Tuple[Pauli, Pauli]:
-    """A row's input and output as Paulis, concatenated from its five parts."""
-    inputs = pauli_concat(pauli_concat(row.mem_in, row.anc_in), row.info_in)
-    return inputs, pauli_concat(row.phys_out, row.mem_out)
+def encoder_on(
+    m: int, n: int, k: int, rows: Sequence[EncoderRow] = (), added_rows: Sequence[EncoderRow] = ()
+) -> PartialEncoder:
+    """A ``PartialEncoder`` on m memory qubits whose operator table is empty."""
+    return PartialEncoder(MemoryOperatorTable(m, {}, []), n, k, rows, added_rows)
+
+
+def row_paulis(encoder: PartialEncoder, row: EncoderRow) -> Tuple[Pauli, Pauli]:
+    """A row's input and output as Paulis, concatenated from the encoder's
+    five parts of it."""
+    mem_in, anc_in, info_in, phys_out, mem_out = encoder.parts(row).values()
+    return pauli_concat(pauli_concat(mem_in, anc_in), info_in), pauli_concat(phys_out, mem_out)
+
+
+def row_strings(encoder: PartialEncoder, row: EncoderRow) -> Dict[str, str]:
+    """The encoder's five parts of a row as text, under their JSON keys."""
+    return {key: str(part) for key, part in encoder.parts(row).items()}
 
 
 def gram_matrix(words: Sequence[int], width: int) -> List[int]:

@@ -22,6 +22,7 @@ from oracles import (
     image_of_pauli,
     matrix_entries,
     pauli_concat,
+    row_strings,
 )
 from qconvenc.pauli import Pauli, gf2_rank, pauli_to_vec
 from qconvenc.synth import (
@@ -208,7 +209,7 @@ def test_criterion_05_centralizer_and_zero_output_rows():
             table = assign_memory_operators(build_commutativity_matrix(code))
             encoder = assemble_partial_encoder(code, table)
             s1 = find_s1(encoder, compute_centralizer(table))
-            assert [row.as_strings() for row in s1] == S1_ROWS[name], name
+            assert [row_strings(encoder, row) for row in s1] == S1_ROWS[name], name
 
 
 def test_criterion_06_sampled_completions_noncatastrophic():

@@ -64,7 +64,7 @@ from qconvenc.pauli import (
     symplectic_gram_schmidt,
     symplectic_product_vec,
 )
-from qconvenc.synth import EncoderRow, MemoryOperatorTable
+from qconvenc.synth import EncoderRow, MemoryOperatorTable, PartialEncoder
 from qconvenc.tableau import CliffordTableau, Gate, replay_gates
 
 
@@ -515,6 +515,10 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
     assert isinstance(info.value, QconvError)
 
 
+# A one-qubit memory with no operators, for encoders of one to three qubits.
+NO_OPS = MemoryOperatorTable(1, {}, [])
+
+
 @pytest.mark.parametrize(
     "call,error",
     [
@@ -527,10 +531,10 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
             lambda: operators_from_commutativity([0b10, 0b01], order=[0, 0]),
             InvalidMatrixError,
         ),
-        (lambda: EncoderRow(-1, 1, 0, 0, 0), WidthMismatchError),
-        (lambda: EncoderRow(1, 1, 2, 0, 0), WidthMismatchError),
-        (lambda: EncoderRow(1, 1, 0, 1 << 4, 0), WidthMismatchError),
-        (lambda: EncoderRow(1, 1, 0, 0, -1), WidthMismatchError),
+        (lambda: PartialEncoder(MemoryOperatorTable(-1, {}, []), 1, 0, []), WidthMismatchError),
+        (lambda: PartialEncoder(NO_OPS, 1, 2, []), WidthMismatchError),
+        (lambda: PartialEncoder(NO_OPS, 1, 0, [EncoderRow(1 << 4, 0)]), WidthMismatchError),
+        (lambda: PartialEncoder(NO_OPS, 1, 0, [EncoderRow(0, -1)]), WidthMismatchError),
         (lambda: CliffordTableau(2, [1, 2, 3]), WidthMismatchError),
         (lambda: Pauli.from_string("XW"), ParseError),
         (lambda: MemoryOperatorTable(1, {(1, 1): 1 << 2}, [(1, 1)]), WidthMismatchError),
@@ -569,10 +573,11 @@ def test_pauli_width_check_survives_optimized_mode():
         "from oracles import gf2_solve_dot_system\n"
         "from qconvenc.pauli import Pauli, operators_from_commutativity\n"
         "from qconvenc.synth import (\n"
-        "    EncoderRow, MemoryOperatorTable, PartialEncoder, add_noncatastrophic_rows)\n"
+        "    EncoderRow, MemoryOperatorTable, PartialEncoder)\n"
         "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
         "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
-        "wide_row = EncoderRow(2, 1, 0, 0, 0)\n"
+        "no_memory, no_ops = MemoryOperatorTable(0, {}, []), MemoryOperatorTable(1, {}, [])\n"
+        "wide_row = EncoderRow(1 << 6, 0)\n"
         "replay = tableau_module.replay_gates\n"
         "swapped = replay(1, [Gate('h', (0,))])\n"
         "# A replay that misses the tableau must be refused, not passed through.\n"
@@ -592,15 +597,14 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: operators_from_commutativity([0b10, 0b01], order=[0, 0]),\n"
         "    lambda: verify_non_recursive(CliffordTableau.identity(4), 2, 1, 1),\n"
         "    lambda: detect_catastrophic(CliffordTableau.identity(4), 2, 1, 1),\n"
-        "    lambda: complete_to_clifford(PartialEncoder(1, 1, 0, [wide_row])),\n"
-        "    lambda: add_noncatastrophic_rows(PartialEncoder(1, 1, 0, [])),\n"
+        "    lambda: complete_to_clifford(PartialEncoder(no_ops, 1, 0, [wide_row])),\n"
         "    lambda: synthesize_circuit(swapped),\n"
         "    lambda: synthesize_circuit(CliffordTableau(2, [1, 1, 4, 8])),\n"
-        "    lambda: complete_to_clifford(PartialEncoder(0, 1, 0, [])),\n"
-        "    lambda: EncoderRow(-1, 1, 0, 0, 0),\n"
-        "    lambda: EncoderRow(1, 1, 2, 0, 0),\n"
-        "    lambda: EncoderRow(1, 1, 0, 1 << 4, 0),\n"
-        "    lambda: EncoderRow(1, 1, 0, 0, -1),\n"
+        "    lambda: complete_to_clifford(PartialEncoder(no_memory, 1, 0, [])),\n"
+        "    lambda: PartialEncoder(MemoryOperatorTable(-1, {}, []), 1, 0, []),\n"
+        "    lambda: PartialEncoder(no_ops, 1, 2, []),\n"
+        "    lambda: PartialEncoder(no_ops, 1, 0, [EncoderRow(1 << 4, 0)]),\n"
+        "    lambda: PartialEncoder(no_ops, 1, 0, [EncoderRow(0, -1)]),\n"
         "    lambda: CliffordTableau(2, [1, 2, 3]),\n"
         "    lambda: CliffordTableau(1, [5, 2]),\n"
         "    lambda: CliffordTableau(1, [-1, 2]),\n"
@@ -632,7 +636,6 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",
-        "AssemblyError",
         "SynthesisFailureError",
         "SynthesisFailureError",
         "CompletionError",

@@ -42,11 +42,11 @@ GEN = GeneratorPolynomial.from_blocks((XZ, ZX))
 FIVE = (Pauli(1, 1, 0), Pauli(1), Pauli(0), Pauli(2, 0, 3), Pauli(1, 0, 1))
 CODE = ConvolutionalCode(2, 1, (GEN,))
 # Two rows of a (1, 2, 1) encoder; the identity row is consistent with any.
-ROW = EncoderRow(1, 2, 1, 0b100001, 0b110)
-IDENTITY_ROW = EncoderRow(1, 2, 1, 0, 0)
+ROW = EncoderRow(0b100001, 0b110)
+IDENTITY_ROW = EncoderRow(0, 0)
 TABLE = MemoryOperatorTable(1, {(1, 1): 0b01, (1, 2): 0b10}, [(1, 1), (1, 2)])
 CENTRALIZER = CentralizerBasis(1, [0b01, 0b10])
-ENCODER = PartialEncoder(1, 2, 1, (ROW,), (), None)
+ENCODER = PartialEncoder(TABLE, 2, 1, (ROW,), ())
 CONTEXT = CatastrophicityContext(CENTRALIZER, [ROW], [])
 EDGE = StateDiagramEdge(*FIVE)
 # A hyperbolic pair: the rows of [[0, 1], [1, 0]].
@@ -74,12 +74,7 @@ RECORDS = [
         ("front", 1, (2,), 3),
         ShortenStep("front", 1, (2,), 2),
     ),
-    (
-        EncoderRow,
-        ("m", "n", "k", "inputs", "outputs"),
-        (1, 2, 1, 0b100001, 0b110),
-        EncoderRow(1, 2, 1, 0b100001, 0b111),
-    ),
+    (EncoderRow, ("inputs", "outputs"), (0b100001, 0b110), EncoderRow(0b100001, 0b111)),
     (Gate, ("kind", "qubits"), ("cnot", (0, 1)), Gate("cnot", (1, 0))),
     (
         StateDiagramEdge,
@@ -108,9 +103,9 @@ RECORDS = [
     ),
     (
         PartialEncoder,
-        ("m", "n", "k", "rows", "added_rows", "memory_ops"),
+        ("memory_ops", "n", "k", "rows", "added_rows"),
         tuple(ENCODER),
-        PartialEncoder(1, 2, 1, (ROW,), (IDENTITY_ROW,), None),
+        PartialEncoder(TABLE, 2, 1, (ROW,), (IDENTITY_ROW,)),
     ),
     (CentralizerBasis, ("m", "basis"), tuple(CENTRALIZER), CentralizerBasis(1, [0b01])),
     (
@@ -121,9 +116,9 @@ RECORDS = [
     ),
     (
         SynthesisResult,
-        ("code", "omega", "table", "encoder", "context"),
-        (CODE, OMEGA, TABLE, ENCODER, CONTEXT),
-        SynthesisResult(CODE, OMEGA, TABLE, ENCODER, CatastrophicityContext(CENTRALIZER, [], [])),
+        ("code", "omega", "encoder", "context"),
+        (CODE, OMEGA, ENCODER, CONTEXT),
+        SynthesisResult(CODE, OMEGA, ENCODER, CatastrophicityContext(CENTRALIZER, [], [])),
     ),
     (
         MemoryCommutativityMatrix,
@@ -180,10 +175,13 @@ def test_constructor_defaults_and_keywords():
 
 
 def test_partial_encoder_stores_its_rows_as_tuples():
-    encoder = PartialEncoder(1, 2, 1, [ROW])
+    encoder = PartialEncoder(TABLE, 2, 1, [ROW])
     assert type(encoder.rows) is tuple and type(encoder.added_rows) is tuple
-    assert encoder.rows == (ROW,) and encoder.added_rows == () and encoder.memory_ops is None
-    extended = PartialEncoder(m=1, n=2, k=1, rows=iter([ROW]), added_rows=[IDENTITY_ROW])
+    assert encoder.rows == (ROW,) and encoder.added_rows == () and encoder.memory_ops is TABLE
+    assert (encoder.m, encoder.n, encoder.k, encoder.width) == (1, 2, 1, 3)
+    extended = PartialEncoder(
+        memory_ops=TABLE, n=2, k=1, rows=iter([ROW]), added_rows=[IDENTITY_ROW]
+    )
     assert extended.added_rows == (IDENTITY_ROW,)
     assert extended.all_rows == (ROW, IDENTITY_ROW)
 
@@ -194,7 +192,7 @@ STEP = ShortenStep("front", 1, (2,), 3)
 IDENTITY = CliffordTableau.identity(1)
 # X on the memory input, Z on the memory output: it commutes with ROW's
 # inputs but anticommutes with its outputs.
-CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
+CLASHING_ROW = EncoderRow(0b1, 0b100000)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +202,7 @@ CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
         (lambda: Pauli._make((1, 8, 0)), WidthMismatchError, None),
         (lambda: GeneratorPolynomial(2, 5)._replace(width=0), WidthMismatchError, None),
         (lambda: RUNNING1._replace(k=5), CodeShapeError, None),
-        (lambda: IDENTITY_ROW._replace(k=9), WidthMismatchError, None),
+        (lambda: ENCODER._replace(rows=(ROW._replace(outputs=1 << 6),)), WidthMismatchError, None),
         (lambda: TABLE._replace(m=0), WidthMismatchError, None),
         (lambda: TABLE._replace(m=-1, ops={}), WidthMismatchError, "^no memory has -1 qubits$"),
         (lambda: MemoryOperatorTable(-1, {}, []), WidthMismatchError, "^no memory has -1"),
@@ -222,7 +220,8 @@ CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
             AssemblyError,
             "^rows 1 and 2 disagree: inputs commute but outputs do not match$",
         ),
-        (lambda: ENCODER._replace(n=3), WidthMismatchError, "in a 4-qubit encoder"),
+        (lambda: ENCODER._replace(n=1, k=0), WidthMismatchError, "do not fit 2 qubits$"),
+        (lambda: ENCODER._replace(k=3), WidthMismatchError, "^no encoder has n=2, k=3$"),
         (lambda: P * 2, TypeError, "'Pauli' and 'int'"),
         (lambda: 2 * P, TypeError, "'int' and 'Pauli'"),
         (lambda: P + P, TypeError, "'Pauli' and 'Pauli'"),
@@ -246,7 +245,7 @@ CLASHING_ROW = EncoderRow(1, 2, 1, 0b1, 0b100000)
         "table-negative-m", "table-negative-word", "centralizer-negative-m-wide-words",
         "centralizer-negative-m", "centralizer-negative-word", "centralizer-wide-word",
         "centralizer-replace-m", "centralizer-replace-basis", "tableau-replace-width",
-        "encoder-replace-rows", "encoder-replace-width",
+        "encoder-replace-rows", "encoder-replace-width", "encoder-replace-k",
         "pauli-times-int", "int-times-pauli", "pauli-plus-pauli", "generator-plus",
         "code-times-int", "int-times-row", "gate-plus-gate", "int-times-gate",
         "edge-plus-edge", "edge-times-int", "step-plus-step", "int-times-step",
@@ -267,10 +266,10 @@ def test_derived_fields_equal_their_sources(name):
     result = synthesize(code)
     gs = symplectic_gram_schmidt(result.omega.rows)
     assert (gs.c, gs.d) == (len(gs.pairs), len(gs.isotropics))
-    assert gs.c + gs.d == result.m == result.table.m == minimal_memory(result.omega)
+    assert gs.c + gs.d == result.m == result.encoder.memory_ops.m == minimal_memory(result.omega)
     # The partial encoder, before its added rows, can be catastrophic: vertex
     # i of a witness is the state edge i leaves and edge i - 1 enters.
-    partial = assemble_partial_encoder(code, result.table)
+    partial = assemble_partial_encoder(code, result.encoder.memory_ops)
     for seed in range(4):
         tableau = complete_to_clifford(partial, seed=seed)
         _, witness = detect_catastrophic(tableau, code.n, code.k, result.m)
@@ -282,7 +281,7 @@ def test_derived_fields_equal_their_sources(name):
 def test_a_centralizer_word_past_its_memory_is_refused_when_built(running2):
     # A bit past 2m in a running2 centralizer word is refused as a width
     # fault of the record, not blamed on S1 synthesis later.
-    centralizer = compute_centralizer(synthesize(running2).table)
+    centralizer = compute_centralizer(synthesize(running2).encoder.memory_ops)
     m, basis = centralizer
     assert m > 0 and basis
     with pytest.raises(WidthMismatchError, match=f"does not fit {m} memory qubits$"):

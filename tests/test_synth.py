@@ -11,6 +11,7 @@ from oracles import (
     backward_matrix_by_blocks,
     centralizer_contains,
     centralizer_vectors,
+    encoder_on,
     enumerate_centralizer,
     forward_matrix_by_blocks,
     gram_matrix,
@@ -20,6 +21,7 @@ from oracles import (
     pauli_product,
     row_from_parts,
     row_paulis,
+    row_strings,
     symplectic_product,
     violations_by_blocks,
 )
@@ -173,18 +175,19 @@ def test_assemble_row_shape(running1):
     encoder = assemble_partial_encoder(running1, table)
     assert (encoder.m, encoder.n, encoder.k) == (3, 4, 2)
     assert len(encoder.rows) == 8
-    for idx, row in enumerate(encoder.rows):
+    parts = [encoder.parts(row) for row in encoder.rows]
+    for idx, row in enumerate(parts):
         i, j = divmod(idx, 4)
         if j == 0:
-            assert row.mem_in.is_identity
-            assert str(row.anc_in) == ("ZI" if i == 0 else "IZ")
+            assert row["mem_in"].is_identity
+            assert str(row["anc_in"]) == ("ZI" if i == 0 else "IZ")
         else:
-            assert row.anc_in.is_identity
-            assert row.mem_in == table.op(i + 1, j)
-        assert row.info_in.is_identity
-        assert row.phys_out == running1.generators[i].block(j + 1)
-    assert encoder.rows[3].mem_out.is_identity
-    assert encoder.rows[7].mem_out.is_identity
+            assert row["anc_in"].is_identity
+            assert row["mem_in"] == table.op(i + 1, j)
+        assert row["info_in"].is_identity
+        assert row["phys_out"] == running1.generators[i].block(j + 1)
+    assert parts[3]["mem_out"].is_identity
+    assert parts[7]["mem_out"].is_identity
 
 
 def test_assemble_rejects_mismatched_table(running1):
@@ -196,6 +199,20 @@ def test_assemble_rejects_mismatched_table(running1):
     )
     with pytest.raises(AssemblyError):
         assemble_partial_encoder(running1, bogus)
+
+
+def test_an_encoder_refuses_rows_wider_than_its_table(running1):
+    # running1's rows are laid out on m = 3 memory qubits.  A table of m = 1
+    # leaves them 1 + n = 5 qubits, so the encoder refuses them when it is
+    # built, before any later stage misreads their qubits.
+    encoder = assemble_partial_encoder(
+        running1, assign_memory_operators(build_commutativity_matrix(running1))
+    )
+    narrow = MemoryOperatorTable(1, {}, [])
+    with pytest.raises(WidthMismatchError, match="do not fit 5 qubits$"):
+        PartialEncoder(narrow, encoder.n, encoder.k, encoder.rows)
+    with pytest.raises(WidthMismatchError, match="do not fit 5 qubits$"):
+        encoder._replace(memory_ops=narrow)
 
 
 @pytest.mark.parametrize("word", [-1, 1 << 6, 1 << 9], ids=["negative", "bit-2m", "wider"])
@@ -221,15 +238,16 @@ def test_row_consistency_reports_the_first_offending_pair():
         AssemblyError,
         match=r"^rows 1 and 3 disagree: inputs commute but outputs do not match$",
     ):
-        PartialEncoder(0, 2, 1, rows)
+        encoder_on(0, 2, 1, rows)
     with pytest.raises(AssemblyError, match=r"^rows 1 and 3 disagree"):
-        PartialEncoder(0, 2, 1, rows[:1], rows[1:])
-    assert PartialEncoder(0, 2, 1, rows[:2]).rows == tuple(rows[:2])
+        encoder_on(0, 2, 1, rows[:1], rows[1:])
+    assert encoder_on(0, 2, 1, rows[:2]).rows == tuple(rows[:2])
 
 
-def first_disagreeing_pair(rows):
-    """The pairwise Pauli-product check the packed one must reproduce."""
-    paulis = [row_paulis(row) for row in rows]
+def first_disagreeing_pair(shape, rows):
+    """The pairwise Pauli-product check the packed one must reproduce, on
+    rows read in the layout of the encoder ``shape``."""
+    paulis = [row_paulis(shape, row) for row in rows]
     for a, b in itertools.combinations(range(len(rows)), 2):
         lhs = symplectic_product(paulis[a][0], paulis[b][0])
         rhs = symplectic_product(paulis[a][1], paulis[b][1])
@@ -252,13 +270,13 @@ def test_row_consistency_matches_pairwise_products(words):
         )
 
     rows = [row(*w) for w in words]
-    want = first_disagreeing_pair(rows)
+    want = first_disagreeing_pair(encoder_on(0, 2, 1), rows)
     if want is None:
-        PartialEncoder(0, 2, 1, rows)
+        encoder_on(0, 2, 1, rows)
         return
     a, b, lhs = want
     with pytest.raises(AssemblyError) as info:
-        PartialEncoder(0, 2, 1, rows)
+        encoder_on(0, 2, 1, rows)
     assert str(info.value) == (
         f"rows {a + 1} and {b + 1} disagree: inputs "
         f"{'anticommute' if lhs else 'commute'} but outputs do not match"
@@ -286,8 +304,8 @@ def row_parts(draw):
 @example([Pauli.from_string(text) for text in ("Z", "I", "X", "XZ", "YY")])
 @settings(max_examples=150)
 def test_row_words_match_the_concatenated_paulis(parts):
-    # The words are the concatenated Paulis, and the properties read the
-    # parts back whenever they fit the row's (m, n, k) layout.
+    # The words are the concatenated Paulis, and an encoder of the parts'
+    # (m, n, k) reads them back whenever they fit its layout.
     mem_in, anc_in, info_in, phys_out, mem_out = parts
     want_in = pauli_concat(pauli_concat(mem_in, anc_in), info_in)
     want_out = pauli_concat(phys_out, mem_out)
@@ -299,19 +317,17 @@ def test_row_words_match_the_concatenated_paulis(parts):
     assert (row.inputs, row.outputs) == (pauli_to_vec(want_in), pauli_to_vec(want_out))
     m, k = mem_in.width, info_in.width
     n = anc_in.width + k
-    assert row[:3] == (m, n, k)
+    encoder = encoder_on(m, n, k, [row])
+    assert encoder.rows == (row,)
+    assert list(encoder.parts(row)) == ["mem_in", "anc_in", "info_in", "phys_out", "mem_out"]
     if phys_out.width == n:
-        assert [row.mem_in, row.anc_in, row.info_in, row.phys_out, row.mem_out] == parts
-    assert synth_module._encoder_words([row], m + n) == ([row.inputs], [row.outputs])
-    with pytest.raises(WidthMismatchError, match=f"^a row maps {m + n} to {m + n} qubits in a"):
-        synth_module._encoder_words([row], m + n + 1)
-    assert PartialEncoder(m, n, k, [row]).rows == (row,)
-    wider = EncoderRow(m + 1, n, k, 0, 0)
-    refused = f"^a row maps {m + n + 1} to {m + n + 1} qubits in a {m + n}-qubit encoder$"
+        assert list(encoder.parts(row).values()) == parts
+    wider = EncoderRow(1 << 2 * (m + n), 0)
+    refused = f"^words {wider.inputs:#x}, 0x0 do not fit {m + n} qubits$"
     with pytest.raises(WidthMismatchError, match=refused):
-        PartialEncoder(m, n, k, [row, wider])
+        encoder_on(m, n, k, [row, wider])
     with pytest.raises(WidthMismatchError, match=refused):
-        PartialEncoder(m, n, k, [row], [wider])
+        encoder_on(m, n, k, [row], [wider])
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -381,7 +397,7 @@ def test_zero_output_row_combinations(name):
     encoder = assemble_partial_encoder(code, table)
     cent = compute_centralizer(table)
     s1 = find_s1(encoder, cent)
-    assert [row.as_strings() for row in s1] == S1_ROWS[name]
+    assert [row_strings(encoder, row) for row in s1] == S1_ROWS[name]
 
 
 def test_find_s1_refuses_a_combination_that_breaks_its_conditions(monkeypatch):
@@ -397,6 +413,23 @@ def test_find_s1_refuses_a_combination_that_breaks_its_conditions(monkeypatch):
         find_s1(encoder, cent)
 
 
+@pytest.mark.parametrize("step", [-1, 1], ids=["m-minus-1", "m-plus-1"])
+def test_find_s1_refuses_a_centralizer_on_another_memory(monkeypatch, running2, step):
+    # A caller's width fault, refused before any elimination; it once
+    # surfaced as an S1 combination leaving the centralizer.
+    table = assign_memory_operators(build_commutativity_matrix(running2))
+    encoder = assemble_partial_encoder(running2, table)
+    m = table.m
+
+    def refuse(columns):
+        raise AssertionError("columns eliminated")
+
+    monkeypatch.setattr(synth_module, "_dependencies", refuse)
+    refused = f"^a centralizer on {m + step} memory qubits, not {m}$"
+    with pytest.raises(WidthMismatchError, match=refused):
+        find_s1(encoder, CentralizerBasis(m + step, [1]))
+
+
 def test_find_s1_refuses_an_output_memory_outside_the_given_centralizer():
     # The encoder's rows are consistent, so with the table's centralizer an
     # S1 output memory lies in it whenever the input memory does.  A basis
@@ -407,9 +440,9 @@ def test_find_s1_refuses_an_output_memory_outside_the_given_centralizer():
     table = assign_memory_operators(build_commutativity_matrix(code))
     encoder = assemble_partial_encoder(code, table)
     s1 = find_s1(encoder, compute_centralizer(table))
-    inputs = [pauli_to_vec(row.mem_in) for row in s1]
+    inputs = [pauli_to_vec(encoder.parts(row)["mem_in"]) for row in s1]
     for row in s1:
-        assert gf2_rank(inputs + [pauli_to_vec(row.mem_out)]) > gf2_rank(inputs)
+        assert gf2_rank(inputs + [pauli_to_vec(encoder.parts(row)["mem_out"])]) > gf2_rank(inputs)
     with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
         find_s1(encoder, CentralizerBasis(table.m, inputs))
 
@@ -420,15 +453,15 @@ def test_added_rows_match_reference(name):
     table = assign_memory_operators(build_commutativity_matrix(code))
     encoder = assemble_partial_encoder(code, table)
     extended, context = add_noncatastrophic_rows(encoder)
-    assert [row.as_strings() for row in extended.added_rows] == ADDED_ROWS_DERIVED[name]
+    assert [row_strings(extended, row) for row in extended.added_rows] == ADDED_ROWS_DERIVED[name]
     assert extended.rows == encoder.rows
-    assert [row.as_strings() for row in context.s1_rows] == S1_ROWS[name]
+    assert [row_strings(extended, row) for row in context.s1_rows] == S1_ROWS[name]
     assert tuple(context.s2_rows) == extended.added_rows
     # Each added row maps X on a fresh information qubit to a centralizer
     # element on the output memory, with no physical output.
-    for row in context.s2_rows:
-        assert row.phys_out.is_identity
-        assert centralizer_contains(context.centralizer, row.mem_out)
+    for row in map(extended.parts, context.s2_rows):
+        assert row["phys_out"].is_identity
+        assert centralizer_contains(context.centralizer, row["mem_out"])
 
 
 def test_added_rows_span_centralizer(running2):
@@ -437,10 +470,8 @@ def test_added_rows_span_centralizer(running2):
     extended, context = add_noncatastrophic_rows(encoder)
     cent = context.centralizer
     m = extended.m
-    vecs = [
-        row.mem_out.x | (row.mem_out.z << m)
-        for row in context.s1_rows + context.s2_rows
-    ]
+    mem_outs = [extended.parts(row)["mem_out"] for row in context.s1_rows + context.s2_rows]
+    vecs = [mem_out.x | (mem_out.z << m) for mem_out in mem_outs]
     assert gf2_rank(vecs) == len(cent.basis)
 
 
@@ -488,10 +519,11 @@ def zero_physical_rows(draw):
 @given(zero_physical_rows())
 @settings(max_examples=60)
 def test_catastrophic_combination_matches_enumeration(rows):
-    encoder = PartialEncoder(m=6, n=4, k=2, rows=[])
+    encoder = encoder_on(6, 4, 2)
     packed = [
-        pauli_to_vec(r.mem_in) | pauli_to_vec(r.mem_out) << 12 | pauli_to_vec(r.info_in) << 24
-        for r in rows
+        pauli_to_vec(r["mem_in"]) | pauli_to_vec(r["mem_out"]) << 12
+        | pauli_to_vec(r["info_in"]) << 24
+        for r in map(encoder.parts, rows)
     ]
     expected = labelled_cycle_by_enumeration(packed, 12)
     assert has_catastrophic_combination(rows, encoder) == expected
@@ -502,8 +534,8 @@ def test_greedy_rows_accepted_without_drawing(monkeypatch, running1):
         raise AssertionError("random candidates drawn")
 
     monkeypatch.setattr(synth_module.random.Random, "sample", refuse)
-    result = synthesize(running1)
-    assert [row.as_strings() for row in result.encoder.added_rows] == ADDED_ROWS_DERIVED[
+    encoder = synthesize(running1).encoder
+    assert [row_strings(encoder, row) for row in encoder.added_rows] == ADDED_ROWS_DERIVED[
         "running1"
     ]
 
@@ -513,9 +545,8 @@ def test_synthesize_end_to_end(name):
     result = synthesize(load_code(name))
     assert result.m == M_STATED[name]
     assert matrix_entries(result.omega.rows) == OMEGA[name]
-    assert [row.as_strings() for row in result.encoder.added_rows] == ADDED_ROWS_DERIVED[
-        name
-    ]
+    encoder = result.encoder
+    assert [row_strings(encoder, row) for row in encoder.added_rows] == ADDED_ROWS_DERIVED[name]
     degrees = [g.degree for g in result.code.generators]
     assert len(result.encoder.rows) == sum(degrees)
 
@@ -525,9 +556,9 @@ def test_synthesize_degree_one_code():
     assert result.m == 0
     assert len(result.encoder.rows) == 1
     assert result.encoder.added_rows == ()
-    row = result.encoder.rows[0]
-    assert str(row.phys_out) == "ZZ"
-    assert str(row.anc_in) == "Z"
+    row = result.encoder.parts(result.encoder.rows[0])
+    assert str(row["phys_out"]) == "ZZ"
+    assert str(row["anc_in"]) == "Z"
 
 
 def test_synthesize_rejects_invalid_code():

@@ -22,6 +22,7 @@ from oracles import (
     _part,
     apply_gate,
     cycle_witness_by_enumeration,
+    encoder_on,
     escape_path_by_enumeration,
     image_of_pauli,
     is_symplectic_pairwise,
@@ -31,6 +32,7 @@ from oracles import (
     replay_rows,
     row_from_parts,
     row_paulis,
+    row_strings,
     zero_physical_graph,
 )
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
@@ -52,7 +54,6 @@ from qconvenc.pauli import (
 )
 from qconvenc.shorten import shorten
 from qconvenc.synth import (
-    PartialEncoder,
     assemble_partial_encoder,
     assign_memory_operators,
     build_commutativity_matrix,
@@ -205,7 +206,7 @@ def test_image_respects_products():
 
 
 def test_complete_empty_encoder_is_identity():
-    empty = PartialEncoder(m=1, n=0, k=0, rows=[])
+    empty = encoder_on(1, 0, 0)
     assert complete_to_clifford(empty, seed=0) == CliffordTableau.identity(1)
 
 
@@ -215,7 +216,7 @@ def test_completion_extends_rows_exactly(name):
     assert tableau.width == result.encoder.width
     assert tableau.is_symplectic()
     for row in result.encoder.all_rows:
-        want_in, want_out = row_paulis(row)
+        want_in, want_out = row_paulis(result.encoder, row)
         assert image_of_pauli(tableau, want_in) == want_out
 
 
@@ -235,7 +236,7 @@ def test_seeded_completions_agree_on_rows(running1):
     for tab in variants:
         assert tab.is_symplectic()
         for row in result.encoder.all_rows:
-            want_in, want_out = row_paulis(row)
+            want_in, want_out = row_paulis(result.encoder, row)
             assert image_of_pauli(tab, want_in) == want_out
     assert any(tab != base for tab in variants)
 
@@ -248,7 +249,7 @@ def test_completion_rejects_dependent_rows():
         phys_out=Pauli.from_string("ZZ"),
         mem_out=Pauli.identity(0),
     )
-    encoder = PartialEncoder(m=0, n=2, k=1, rows=[row, row])
+    encoder = encoder_on(0, 2, 1, [row, row])
     with pytest.raises(CompletionError, match="dependent"):
         complete_to_clifford(encoder)
 
@@ -272,7 +273,7 @@ def test_completion_rejects_inconsistent_rows():
     with pytest.raises(
         AssemblyError, match="^rows 1 and 2 disagree: inputs commute but outputs do not match$"
     ):
-        PartialEncoder(m=0, n=2, k=1, rows=[row_a, row_b])
+        encoder_on(0, 2, 1, [row_a, row_b])
 
 
 def test_completion_checks_products_once(monkeypatch, running1):
@@ -302,7 +303,7 @@ def test_completion_rejects_a_row_mapped_to_the_identity():
         phys_out=Pauli.from_string("I"),
         mem_out=Pauli.identity(0),
     )
-    encoder = PartialEncoder(m=0, n=1, k=0, rows=[row])
+    encoder = encoder_on(0, 1, 0, [row])
     with pytest.raises(CompletionError, match="not jointly symplectic"):
         complete_to_clifford(encoder)
 
@@ -742,8 +743,8 @@ def inflated_synthesis_digest() -> str:
         for seed in range(8):
             result = synthesize(code, seed=seed)
             tableau = complete_to_clifford(result.encoder, seed=seed)
-            s1 = [row.as_strings() for row in result.context.s1_rows]
-            added = [row.as_strings() for row in result.encoder.added_rows]
+            s1 = [row_strings(result.encoder, row) for row in result.context.s1_rows]
+            added = [row_strings(result.encoder, row) for row in result.encoder.added_rows]
             gates = [(g.kind, list(g.qubits)) for g in synthesize_circuit(tableau)]
             line = [name, d, seed, s1, added, tableau.images, gates]
             digest.update((json.dumps(line) + "\n").encode())
@@ -767,8 +768,8 @@ def random_completion_digest() -> str:
         code = inflated_code(name, d)
         for seed in range(8):
             result = synthesize(code, seed=seed)
-            s1 = [row.as_strings() for row in result.context.s1_rows]
-            added = [row.as_strings() for row in result.encoder.added_rows]
+            s1 = [row_strings(result.encoder, row) for row in result.context.s1_rows]
+            added = [row_strings(result.encoder, row) for row in result.encoder.added_rows]
             digest.update((json.dumps([name, d, seed, s1, added]) + "\n").encode())
     return digest.hexdigest()
 
