@@ -19,8 +19,8 @@ is the dependencies among the columns of its constraint rows, found by
 forward elimination alone (``_dependencies``, ``_annihilator``).  Everything
 else goes through one fully reduced echelon basis, ``_Echelon``.  The
 ``gf2_*`` functions build one per call; an incremental caller, such as the
-Clifford completion, grows its own a row at a time and queries it in
-between (membership, dependencies, dot-product systems, inverse tags).
+Clifford completion, grows its own a row at a time, tagging each row with
+any word that should combine along with it, and queries it in between.
 
 The zero-physical transitions of an encoder's state diagram form a GF(2)
 space of edges, so ``cycle_core`` finds the edges that lie on cycles by
@@ -227,39 +227,6 @@ class _Echelon:
         else:
             self.dependencies.append(tag)
         return vec, tag
-
-    def particular(self, rhs_mask: int) -> Optional[int]:
-        """A solution v of parity(row_i & v) = bit i of ``rhs_mask``, row i
-        being the one added with tag 1 << i: the one with free variables
-        zero, read off the tags.  None when some dependency has odd
-        right-hand side."""
-        if any(_parity(dep & rhs_mask) for dep in self.dependencies):
-            return None
-        solution = 0
-        for p, tag in self.tags.items():
-            if (tag & rhs_mask).bit_count() & 1:  # _parity, inline on this hot path
-                solution |= 1 << p
-        return solution
-
-
-def _add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag: int) -> None:
-    """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis of
-    the added rows that ``_annihilator`` lists, as free column f -> vector N_f.
-
-    ``nullspace`` starts as {f: 1 << f for f < ncols}, and rows fit in ncols
-    bits.  N_f is the one nullspace vector whose only free bit is f.  A
-    remainder with new pivot p pops N_p, whose product with it is odd: the
-    remainder holds no older pivot, so it meets N_p only in p.  Each N_f
-    with odd product takes N_p on, which evens the product and adds no free
-    bit.  A zero remainder changes nothing.  Keys stay ascending, the order
-    ``_annihilator`` lists.
-    """
-    rest, _ = basis.add(vec, tag)
-    if rest:
-        pivot = nullspace.pop((rest & -rest).bit_length() - 1)
-        for f, null in nullspace.items():
-            if (null & rest).bit_count() & 1:
-                nullspace[f] = null ^ pivot
 
 
 def gf2_basis(rows: Iterable[int]) -> List[int]:

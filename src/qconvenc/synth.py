@@ -256,9 +256,10 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows a
 
     The shape is stated once: m is ``memory_ops.m``, n and k are fields.
     ``rows`` and ``added_rows`` are stored as tuples, and checked once,
-    here: k outside 0..n, or a row word that is negative or does not fit
-    2(m + n) bits, raises ``WidthMismatchError``, and the first pair of
-    ``all_rows``, in ``itertools.combinations`` order, whose inputs and
+    here: a ``memory_ops`` that is not a ``MemoryOperatorTable`` raises
+    ``TypeError``; k outside 0..n, or a row word that is negative or does
+    not fit 2(m + n) bits, raises ``WidthMismatchError``, and the first pair
+    of ``all_rows``, in ``itertools.combinations`` order, whose inputs and
     outputs have different products raises ``AssemblyError``.  The stages
     that read an encoder trust its rows.
     """
@@ -273,6 +274,8 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows a
         rows: Iterable[EncoderRow],
         added_rows: Iterable[EncoderRow] = (),
     ) -> "PartialEncoder":
+        if not isinstance(memory_ops, MemoryOperatorTable):
+            raise TypeError(f"memory_ops {memory_ops!r} is not a MemoryOperatorTable")
         rows, added_rows = tuple(rows), tuple(added_rows)
         w = memory_ops.m + n
         if not 0 <= k <= n:

@@ -35,11 +35,9 @@ from .pauli import (
     Pauli,
     _Echelon,
     _Value,
-    _add_to_dot_system,
     _annihilator,
     _dependencies,
     _product_mismatch,
-    _products,
     _transpose,
     cycle_core,
     gf2_basis,
@@ -115,68 +113,27 @@ class CliffordTableau(_Value, namedtuple("CliffordTableau", "width images")):
         return gf2_combination(self.images, vec)
 
 
-def _apply_gate(xs: List[int], zs: List[int], gate: Gate) -> None:
-    """``_conjugate`` by a gate checked first: an unknown kind, a wrong
-    qubit count, a qubit outside [0, w) or a two-qubit gate on one qubit
-    raises ``GateError``."""
-    kind, qubits = gate
-    w = len(xs)
-    if kind == "h" or kind == "s":
-        q = qubits[0] if len(qubits) == 1 else -1
-        if not 0 <= q < w:
-            raise GateError(f"{kind} needs one qubit in [0, {w}), got {qubits}")
-    elif kind == "cnot" or kind == "cz":
-        a, b = qubits if len(qubits) == 2 else (-1, -1)
-        if not (0 <= a < w and 0 <= b < w and a != b):
-            raise GateError(f"{kind} needs two distinct qubits in [0, {w}), got {qubits}")
-    else:
-        raise GateError(f"unknown gate kind {kind!r}")
-    _conjugate(xs, zs, kind, qubits)
-
-
-def _conjugate(xs: List[int], zs: List[int], kind: str, qubits: Tuple[int, ...]) -> None:
-    """Conjugate every image by a valid gate, on the qubit columns of a tableau.
-
-    ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
-    bit t for image t.  Each primitive is an involution on vectors, which
-    circuit extraction relies on.  Nothing is checked here; ``_apply_gate``
-    checks a gate first.
-    """
-    if kind == "cnot":
-        a, b = qubits
-        xs[b] ^= xs[a]
-        zs[a] ^= zs[b]
-    elif kind == "cz":
-        a, b = qubits
-        zs[b] ^= xs[a]
-        zs[a] ^= xs[b]
-    elif kind == "h":
-        q = qubits[0]
-        xs[q], zs[q] = zs[q], xs[q]
-    else:
-        zs[qubits[0]] ^= xs[qubits[0]]
-
-
 def _not_in_span_solution(
     particular: int, null_basis: Sequence[int], swapped_span: _Echelon, w: int,
     rng: Optional[random.Random],
-) -> Optional[int]:
-    """A solution whose swapped halves lie outside ``swapped_span``."""
+) -> Optional[Tuple[int, int, int]]:
+    """A solution whose swapped halves lie outside ``swapped_span``, and
+    ``swapped_span.reduce`` of those swapped halves."""
 
-    def outside(cand: int) -> int:
-        return swapped_span.reduce(swap_halves(cand, w))[0]
+    def outside(cand: int) -> Optional[Tuple[int, int, int]]:
+        rest, tag = swapped_span.reduce(swap_halves(cand, w))
+        return (cand, rest, tag) if rest else None
 
     if rng is not None:
         for _ in range(64):
             mask = rng.getrandbits(len(null_basis))
-            cand = particular ^ gf2_combination(null_basis, mask)
-            if outside(cand):
-                return cand
-    if outside(particular):
-        return particular
-    for vec in null_basis:
-        if outside(particular ^ vec):
-            return particular ^ vec
+            found = outside(particular ^ gf2_combination(null_basis, mask))
+            if found:
+                return found
+    for vec in (0, *null_basis):
+        found = outside(particular ^ vec)
+        if found:
+            return found
     return None
 
 
@@ -189,76 +146,86 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     basis; other seeds randomize both the direction and the image choice.
 
     Each row is read as its input and output word; ``PartialEncoder``
-    checked their products when it was built.  Two echelons grow by
-    one row per pair: the inputs and the swapped outputs (an image is
-    outside span(outputs) iff its swap_halves is outside theirs).  They
-    answer every membership probe, solve each new image's commutation
-    constraints, report dependent given rows, and, once the inputs span
-    everything, the input tags give the inverse of the input basis.  The
-    nullspace of the swapped outputs grows with them
-    (``_add_to_dot_system``); a new image is a particular solution read off
-    the tags plus a combination of it.  Each is what a fresh build over the
-    same rows would give, so the choices made do not depend on the growing.
-    Seed 0's scan for a unit vector outside the input span resumes where it
-    stopped: a vector in the span stays there.
+    checked their products when it was built.  Two echelons grow by one
+    row per pair, each what a fresh build over the same rows would give,
+    so the choices made do not depend on the growing.
+    - The inputs, as rows ``input | image << 2w | tag << 4w`` (the tag,
+      bit i for given row i, names dependent given rows).  Pivots are
+      input bits, so once the 2w inputs have full rank their part is the
+      identity, and image t is the image part of pivot row t.
+    - The swapped outputs (an image is outside span(outputs) iff its
+      swap_halves is outside theirs), each pivot row p tagged with the
+      input word in_p that its combination of outputs maps from.  A new
+      image y for direction v needs <y, out_i> = <v, in_i>, a parity of
+      y & swap_halves(out_i), for each appended pair.  Pivot row p sums
+      the equations of its combination, and meets no other pivot, so the
+      solution with free bits zero has pivot bit p = <v, in_p> =
+      parity(swap_halves(v) & in_p).  A combination of outputs that is
+      zero asks <v, in> = 0 of its input word in, or there is no image.
+      So every right-hand side is one parity per tag, in one pass.
+    The nullspace of the swapped outputs grows with them, kept as free
+    column f -> N_f, the one nullspace vector whose only free bit is f,
+    keys ascending.  A remainder with new pivot p pops N_p, whose product
+    with it is odd: it holds no older pivot, so it meets N_p only in p.
+    Each N_f with odd product takes N_p on, which evens it and adds no free
+    bit.  A new image is the particular solution with free bits zero plus
+    a combination of it.  Seed 0's scan for a unit vector outside the input
+    span resumes where it stopped: a vector in the span stays there.
     """
     w = encoder.width
-    in_vecs = [row.inputs for row in encoder.all_rows]
-    out_vecs = [row.outputs for row in encoder.all_rows]
+    full = (1 << 2 * w) - 1
+    rows = encoder.all_rows
     inputs, swapped_outputs = _Echelon(), _Echelon()
     nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
-    basis_in: List[int] = []
-    basis_out: List[int] = []
 
-    def append(v: int, image: int) -> None:
-        tag = 1 << len(basis_in)
-        basis_in.append(v)
-        basis_out.append(image)
-        inputs.add(v, tag)
-        _add_to_dot_system(swapped_outputs, nullspace, swap_halves(image, w), tag)
+    def add_output(swapped: int, in_word: int) -> None:
+        rest = swapped_outputs.add(swapped, in_word)[0]
+        if rest:
+            pivot = nullspace.pop((rest & -rest).bit_length() - 1)
+            for f, null in nullspace.items():
+                if (null & rest).bit_count() & 1:
+                    nullspace[f] = null ^ pivot
 
-    for v, image in zip(in_vecs, out_vecs):
-        append(v, image)
-    if inputs.dependencies:
-        dep = inputs.dependencies[0]
-        members = [str(b + 1) for b in range(len(in_vecs)) if (dep >> b) & 1]
-        raise CompletionError(
-            "input rows are dependent: rows " + ", ".join(members)
-        )
+    for i, (v, image) in enumerate(rows):
+        rest = inputs.add(v | image << 2 * w | 1 << 4 * w + i, 0)[0]
+        if not rest & full:  # the input reduced to zero
+            members = [str(b + 1) for b in range(len(rows)) if rest >> 4 * w + b & 1]
+            raise CompletionError("input rows are dependent: rows " + ", ".join(members))
+        add_output(swap_halves(image, w), v)
     rng = random.Random(seed) if seed != 0 else None
     t = 0  # seed 0: every unit vector below t is in the input span
-    while len(basis_in) < 2 * w:
+    while len(inputs.rows) < 2 * w:
         if rng is not None:
             v = rng.getrandbits(2 * w)
-            while not inputs.reduce(v)[0]:
+            while not (rest := inputs.reduce(v)[0]) & full:
                 v = rng.getrandbits(2 * w)
         else:
-            while not inputs.reduce(1 << t)[0]:
+            while not (rest := inputs.reduce(1 << t)[0]) & full:
                 t += 1
             v = 1 << t
         swapped_v = swap_halves(v, w)
-        rhs_mask = _products([swapped_v], basis_in)[0]
-        particular = swapped_outputs.particular(rhs_mask)
-        image = None
-        if particular is not None:
-            image = _not_in_span_solution(
+        found = None
+        if not any((swapped_v & dep).bit_count() & 1 for dep in swapped_outputs.dependencies):
+            particular = 0
+            for p, in_p in swapped_outputs.tags.items():
+                if (swapped_v & in_p).bit_count() & 1:
+                    particular |= 1 << p
+            found = _not_in_span_solution(
                 particular, list(nullspace.values()), swapped_outputs, w, rng
             )
-        if image is None:
+        if found is None:
             raise CompletionError(
                 "no independent image for a new input direction; given rows are "
                 "not jointly symplectic"
             )
-        append(v, image)
-    # Every appended v raised the rank, so the 2w inputs have full rank: the
-    # reduced input basis is the identity, and unit vector t's tag is the
-    # combination of input rows equal to it.
-    tableau = CliffordTableau(
-        w, [gf2_combination(basis_out, inputs.tags[t]) for t in range(2 * w)]
-    )
+        # Both words are already reduced, so neither echelon reduces them again.
+        image, swapped_rest, swapped_tag = found
+        inputs.add(rest ^ image << 2 * w, 0)
+        add_output(swapped_rest, v ^ swapped_tag)
+    tableau = CliffordTableau(w, [inputs.rows[t] >> 2 * w & full for t in range(2 * w)])
     if not tableau.is_symplectic():
         raise CompletionError("the completed tableau is not symplectic")
-    for row, (in_vec, out_vec) in enumerate(zip(in_vecs, out_vecs), start=1):
+    for row, (in_vec, out_vec) in enumerate(rows, start=1):
         if tableau.image_of_vector(in_vec) != out_vec:
             raise CompletionError(f"the completed tableau does not map row {row} as given")
     return tableau
@@ -272,36 +239,46 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     its own inverse) is the circuit.  Gate count stays within
     GATE_COUNT_FACTOR * width**2, and a longer list raises
     ``SynthesisFailureError``.  The work runs on qubit columns, so a gate
-    costs one or two integer updates however wide the tableau is.  The
-    gates made here are conjugated unchecked (``_conjugate``); the replay
-    onto the identity checks every gate and compares the whole tableau.
-    The reduction reached the identity iff that replay gives the tableau
-    back, so no step is checked on the way.  A tableau that is not
-    symplectic is refused with ``SynthesisFailureError``: some X_q image
-    finds no pivot, or the replay differs.
+    costs one or two integer updates however wide the tableau is.  A sweep
+    applies each primitive inline, unchecked, as it reads its image's bits:
+    cnot(q, r) and cz(q, r) change column r and qubit q's z column only,
+    so every bit it reads past qubit q is the one the image had before the
+    sweep, as if all were listed first.  The replay onto the identity
+    checks every gate and compares the whole tableau.  The reduction
+    reached the identity iff that replay gives the tableau back, so no
+    step is checked on the way.  A tableau that is not symplectic is
+    refused with ``SynthesisFailureError``: some X_q image finds no pivot,
+    or the replay differs.
     """
     w = tableau.width
     columns = _transpose(tableau.images, 2 * w)
     xs, zs = columns[:w], columns[w:]
     applied: List[Gate] = []
 
-    def emit(kind: str, *qubits: int) -> None:
-        _conjugate(xs, zs, kind, qubits)
-        applied.append(Gate(kind, qubits))
+    def h(q: int) -> None:
+        xs[q], zs[q] = zs[q], xs[q]
+        applied.append(Gate("h", (q,)))
 
     def sweep(q: int, t: int) -> None:
         # Clear image t, which has an x component on qubit q, down to X_q:
         # CNOTs clear its other x bits, S its z bit on q, CZs its other z bits.
-        # cnot(q, r) and cz(q, r) change no column past r but column r, so
-        # the live bits each loop reads are those of image t before it.
+        # cnot(q, r) and cz(q, r) change no column past q but column r, so
+        # the live bits each loop reads are those of image t before the sweep.
+        x, z = xs[q], zs[q]
         for r in range(q + 1, w):
-            if (xs[r] >> t) & 1:
-                emit("cnot", q, r)
-        if (zs[q] >> t) & 1:
-            emit("s", q)
+            if xs[r] >> t & 1:  # cnot(q, r)
+                xs[r] ^= x
+                z ^= zs[r]
+                applied.append(Gate("cnot", (q, r)))
+        if z >> t & 1:  # s(q)
+            z ^= x
+            applied.append(Gate("s", (q,)))
         for r in range(q + 1, w):
-            if (zs[r] >> t) & 1:
-                emit("cz", q, r)
+            if zs[r] >> t & 1:  # cz(q, r)
+                zs[r] ^= x
+                z ^= xs[r]
+                applied.append(Gate("cz", (q, r)))
+        zs[q] = z
 
     for q in range(w):
         # Give the X_q image an x component on qubit q itself.
@@ -311,15 +288,17 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
                 pivot = next((r for r in range(q, w) if (zs[r] >> q) & 1), None)
                 if pivot is None:  # no bit on qubits q..w-1: never when symplectic
                     raise SynthesisFailureError("the tableau is not symplectic")
-                emit("h", pivot)
-            if pivot != q:
-                emit("cnot", pivot, q)
+                h(pivot)
+            if pivot != q:  # cnot(pivot, q)
+                xs[q] ^= xs[pivot]
+                zs[pivot] ^= zs[q]
+                applied.append(Gate("cnot", (pivot, q)))
         sweep(q, q)
         # Fix the Z_q image, conjugating through h so the same sweep applies.
         if [c for c in xs + zs if c >> w + q & 1] != [zs[q]]:  # image w + q is not Z_q
-            emit("h", q)
+            h(q)
             sweep(q, w + q)
-            emit("h", q)
+            h(q)
     gates = list(reversed(applied))
     if len(gates) > GATE_COUNT_FACTOR * w * w:
         raise SynthesisFailureError(f"{len(gates)} gates exceed {GATE_COUNT_FACTOR} * width**2")
@@ -329,12 +308,38 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
 
 
 def replay_gates(width: int, gates: Iterable[Gate]) -> CliffordTableau:
-    """The tableau of the gates applied in order, replayed on qubit columns."""
-    xs = [1 << q for q in range(width)]
-    zs = [1 << (width + q) for q in range(width)]
-    for gate in gates:
-        _apply_gate(xs, zs, gate)
-    return CliffordTableau(width, _transpose(xs + zs, 2 * width))
+    """The tableau of the gates applied in order, replayed on qubit columns.
+
+    ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
+    bit t for image t, and each gate is checked where it is applied: an
+    unknown kind, a wrong qubit count, a qubit outside [0, w) or a
+    two-qubit gate on one qubit raises ``GateError``.
+    """
+    w = width
+    xs = [1 << q for q in range(w)]
+    zs = [1 << (w + q) for q in range(w)]
+    for kind, qubits in gates:
+        if kind == "cnot" or kind == "cz":
+            a, b = qubits if len(qubits) == 2 else (-1, -1)
+            if not (0 <= a < w and 0 <= b < w and a != b):
+                raise GateError(f"{kind} needs two distinct qubits in [0, {w}), got {qubits}")
+            if kind == "cnot":
+                xs[b] ^= xs[a]
+                zs[a] ^= zs[b]
+            else:
+                zs[b] ^= xs[a]
+                zs[a] ^= xs[b]
+        elif kind == "h" or kind == "s":
+            q = qubits[0] if len(qubits) == 1 else -1
+            if not 0 <= q < w:
+                raise GateError(f"{kind} needs one qubit in [0, {w}), got {qubits}")
+            if kind == "h":
+                xs[q], zs[q] = zs[q], xs[q]
+            else:
+                zs[q] ^= xs[q]
+        else:
+            raise GateError(f"unknown gate kind {kind!r}")
+    return CliffordTableau(w, _transpose(xs + zs, 2 * w))
 
 
 class StateDiagramEdge(

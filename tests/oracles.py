@@ -1,34 +1,42 @@
 """Exhaustive search oracles that only the tests use."""
 
+import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
 from qconvenc.errors import (
+    CompletionError,
     DegenerateCodeError,
     InvalidMatrixError,
+    SynthesisFailureError,
     WidthMismatchError,
 )
 from qconvenc.pauli import (
     GramSchmidtResult,
     Pauli,
     _Echelon,
+    _products,
+    _transpose,
     gf2_combination,
     gf2_rank,
     gf2_span,
     pauli_to_vec,
+    swap_halves,
     symplectic_product_vec,
     vec_to_pauli,
 )
 from qconvenc.synth import EncoderRow, MemoryOperatorTable, PartialEncoder, _memory_indices
 from qconvenc.tableau import (
     DEFAULT_MEMORY_BOUND,
+    GATE_COUNT_FACTOR,
     CliffordTableau,
     CycleWitness,
     Gate,
     StateDiagramEdge,
     _weight_one_labels,
+    replay_gates,
     zero_physical_edges,
 )
 
@@ -114,13 +122,47 @@ def gf2_solve_dot_system(
     rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
     echelon = _Echelon(rows)
     # A homogeneous system always has the zero solution.
-    particular = echelon.particular(rhs_mask) if rhs_mask else 0
+    particular = echelon_particular(echelon, rhs_mask) if rhs_mask else 0
     if particular is None:
         return None
     free = [f for f in range(ncols) if not (echelon.pivots >> f) & 1]
     return particular, [
         1 << f | sum(((row >> f) & 1) << p for p, row in echelon.rows.items()) for f in free
     ]
+
+
+def echelon_particular(echelon: _Echelon, rhs_mask: int) -> Optional[int]:
+    """A solution v of parity(row_i & v) = bit i of ``rhs_mask``, row i
+    being the one added to ``echelon`` with tag 1 << i: the one with free
+    variables zero, read off the tags.  None when some dependency has odd
+    right-hand side."""
+    if any(_parity(dep & rhs_mask) for dep in echelon.dependencies):
+        return None
+    solution = 0
+    for p, tag in echelon.tags.items():
+        if _parity(tag & rhs_mask):
+            solution |= 1 << p
+    return solution
+
+
+def add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag: int) -> None:
+    """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis of
+    the added rows that ``_annihilator`` lists, as free column f -> vector N_f.
+
+    ``nullspace`` starts as {f: 1 << f for f < ncols}, and rows fit in ncols
+    bits.  N_f is the one nullspace vector whose only free bit is f.  A
+    remainder with new pivot p pops N_p, whose product with it is odd: the
+    remainder holds no older pivot, so it meets N_p only in p.  Each N_f
+    with odd product takes N_p on, which evens the product and adds no free
+    bit.  A zero remainder changes nothing.  Keys stay ascending, the order
+    ``_annihilator`` lists.
+    """
+    rest, _ = basis.add(vec, tag)
+    if rest:
+        pivot = nullspace.pop((rest & -rest).bit_length() - 1)
+        for f, null in nullspace.items():
+            if _parity(null & rest):
+                nullspace[f] = null ^ pivot
 
 
 def row_from_parts(
@@ -745,3 +787,159 @@ def symplectic_gram_schmidt_by_lists(rows: Sequence[int]) -> GramSchmidtResult:
     for r in isotropics:
         assert all(bit == 0 for bit in w[r])
     return GramSchmidtResult(pairs=pairs, isotropics=isotropics, inverse=gf2_invert(g, n))
+
+
+# --- Reference completion and extraction ----------------------------------------
+# The completion and the circuit extraction as they were before the package
+# read images off an augmented input echelon, solved each new direction in
+# one pass over input-word tags, and applied a sweep's gates inline.  Every
+# choice, rng draw and error is the same, so the package must agree with
+# them gate for gate.
+
+
+def not_in_span_solution(
+    particular: int, null_basis: Sequence[int], swapped_span: _Echelon, w: int,
+    rng: Optional[random.Random],
+) -> Optional[int]:
+    """A solution whose swapped halves lie outside ``swapped_span``."""
+
+    def outside(cand: int) -> int:
+        return swapped_span.reduce(swap_halves(cand, w))[0]
+
+    if rng is not None:
+        for _ in range(64):
+            mask = rng.getrandbits(len(null_basis))
+            cand = particular ^ gf2_combination(null_basis, mask)
+            if outside(cand):
+                return cand
+    if outside(particular):
+        return particular
+    for vec in null_basis:
+        if outside(particular ^ vec):
+            return particular ^ vec
+    return None
+
+
+def complete_to_clifford_reference(encoder: PartialEncoder, seed: int = 0) -> CliffordTableau:
+    """``complete_to_clifford`` on two echelons tagged 1 << row: each new
+    image solves the products with ``_products`` and ``echelon_particular``,
+    and image t is the output combination that input tag t names."""
+    w = encoder.width
+    in_vecs = [row.inputs for row in encoder.all_rows]
+    out_vecs = [row.outputs for row in encoder.all_rows]
+    inputs, swapped_outputs = _Echelon(), _Echelon()
+    nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
+    basis_in: List[int] = []
+    basis_out: List[int] = []
+
+    def append(v: int, image: int) -> None:
+        tag = 1 << len(basis_in)
+        basis_in.append(v)
+        basis_out.append(image)
+        inputs.add(v, tag)
+        add_to_dot_system(swapped_outputs, nullspace, swap_halves(image, w), tag)
+
+    for v, image in zip(in_vecs, out_vecs):
+        append(v, image)
+    if inputs.dependencies:
+        dep = inputs.dependencies[0]
+        members = [str(b + 1) for b in range(len(in_vecs)) if (dep >> b) & 1]
+        raise CompletionError("input rows are dependent: rows " + ", ".join(members))
+    rng = random.Random(seed) if seed != 0 else None
+    t = 0  # seed 0: every unit vector below t is in the input span
+    while len(basis_in) < 2 * w:
+        if rng is not None:
+            v = rng.getrandbits(2 * w)
+            while not inputs.reduce(v)[0]:
+                v = rng.getrandbits(2 * w)
+        else:
+            while not inputs.reduce(1 << t)[0]:
+                t += 1
+            v = 1 << t
+        rhs_mask = _products([swap_halves(v, w)], basis_in)[0]
+        particular = echelon_particular(swapped_outputs, rhs_mask)
+        image = None
+        if particular is not None:
+            image = not_in_span_solution(
+                particular, list(nullspace.values()), swapped_outputs, w, rng
+            )
+        if image is None:
+            raise CompletionError(
+                "no independent image for a new input direction; given rows are "
+                "not jointly symplectic"
+            )
+        append(v, image)
+    # The 2w inputs have full rank: the reduced input basis is the identity,
+    # and unit vector t's tag is the combination of input rows equal to it.
+    tableau = CliffordTableau(
+        w, [gf2_combination(basis_out, inputs.tags[t]) for t in range(2 * w)]
+    )
+    if not tableau.is_symplectic():
+        raise CompletionError("the completed tableau is not symplectic")
+    for row, (in_vec, out_vec) in enumerate(zip(in_vecs, out_vecs), start=1):
+        if tableau.image_of_vector(in_vec) != out_vec:
+            raise CompletionError(f"the completed tableau does not map row {row} as given")
+    return tableau
+
+
+def conjugate_columns(xs: List[int], zs: List[int], kind: str, qubits: Tuple[int, ...]) -> None:
+    """Conjugate every image by a gate, on the qubit columns of a tableau:
+    ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images."""
+    if kind == "cnot":
+        a, b = qubits
+        xs[b] ^= xs[a]
+        zs[a] ^= zs[b]
+    elif kind == "cz":
+        a, b = qubits
+        zs[b] ^= xs[a]
+        zs[a] ^= xs[b]
+    elif kind == "h":
+        q = qubits[0]
+        xs[q], zs[q] = zs[q], xs[q]
+    else:
+        zs[qubits[0]] ^= xs[qubits[0]]
+
+
+def synthesize_circuit_reference(tableau: CliffordTableau) -> List[Gate]:
+    """``synthesize_circuit`` with one ``conjugate_columns`` call per gate,
+    each sweep reading image t's bits live as it emits."""
+    w = tableau.width
+    columns = _transpose(tableau.images, 2 * w)
+    xs, zs = columns[:w], columns[w:]
+    applied: List[Gate] = []
+
+    def emit(kind: str, *qubits: int) -> None:
+        conjugate_columns(xs, zs, kind, qubits)
+        applied.append(Gate(kind, qubits))
+
+    def sweep(q: int, t: int) -> None:
+        for r in range(q + 1, w):
+            if (xs[r] >> t) & 1:
+                emit("cnot", q, r)
+        if (zs[q] >> t) & 1:
+            emit("s", q)
+        for r in range(q + 1, w):
+            if (zs[r] >> t) & 1:
+                emit("cz", q, r)
+
+    for q in range(w):
+        if not (xs[q] >> q) & 1:
+            pivot = next((r for r in range(q, w) if (xs[r] >> q) & 1), None)
+            if pivot is None:
+                pivot = next((r for r in range(q, w) if (zs[r] >> q) & 1), None)
+                if pivot is None:
+                    raise SynthesisFailureError("the tableau is not symplectic")
+                emit("h", pivot)
+            if pivot != q:
+                emit("cnot", pivot, q)
+        sweep(q, q)
+        if [c for c in xs + zs if c >> w + q & 1] != [zs[q]]:  # image w + q is not Z_q
+            emit("h", q)
+            sweep(q, w + q)
+            emit("h", q)
+    gates = list(reversed(applied))
+    if len(gates) > GATE_COUNT_FACTOR * w * w:
+        raise SynthesisFailureError(f"{len(gates)} gates exceed {GATE_COUNT_FACTOR} * width**2")
+    if replay_gates(w, gates) != tableau:
+        raise SynthesisFailureError("the extracted circuit does not replay to the tableau")
+    return gates

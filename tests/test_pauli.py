@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import corpus_path, symmetric_zero_diag
 from oracles import (
+    add_to_dot_system,
     check_commutativity_matrix_by_lists,
     component_index,
+    echelon_particular,
     exists_gram_realization,
     gf2_in_rowspan,
     gf2_invert,
@@ -47,7 +49,6 @@ from qconvenc.errors import (
 from qconvenc.pauli import (
     Pauli,
     _Echelon,
-    _add_to_dot_system,
     _annihilator,
     _dependencies,
     _product_mismatch,
@@ -535,6 +536,8 @@ NO_OPS = MemoryOperatorTable(1, {}, [])
         (lambda: PartialEncoder(NO_OPS, 1, 2, []), WidthMismatchError),
         (lambda: PartialEncoder(NO_OPS, 1, 0, [EncoderRow(1 << 4, 0)]), WidthMismatchError),
         (lambda: PartialEncoder(NO_OPS, 1, 0, [EncoderRow(0, -1)]), WidthMismatchError),
+        (lambda: PartialEncoder(0, 2, 1, []), TypeError),
+        (lambda: PartialEncoder(None, 2, 1, []), TypeError),
         (lambda: CliffordTableau(2, [1, 2, 3]), WidthMismatchError),
         (lambda: Pauli.from_string("XW"), ParseError),
         (lambda: MemoryOperatorTable(1, {(1, 1): 1 << 2}, [(1, 1)]), WidthMismatchError),
@@ -550,6 +553,7 @@ NO_OPS = MemoryOperatorTable(1, {}, [])
     ids=[
         "row-past-last-column", "rhs-length", "order-not-permutation",
         "row-negative-memory", "row-k-above-n", "row-word-too-wide", "row-negative-word",
+        "encoder-int-table", "encoder-none-table",
         "tableau-image-count", "pauli-character", "table-word-too-wide", "table-negative-word",
         "gate-negative-qubit", "gate-qubit-past-width", "gate-repeated-qubit",
         "gate-two-qubit-past-width", "gate-too-few-qubits", "gate-too-many-qubits",
@@ -557,9 +561,11 @@ NO_OPS = MemoryOperatorTable(1, {}, [])
     ],
 )
 def test_caller_input_raises_typed_errors(call, error):
+    # A value out of range raises a QconvError; a value of the wrong type
+    # raises a TypeError, which is not one.
     with pytest.raises(error) as info:
         call()
-    assert isinstance(info.value, QconvError)
+    assert isinstance(info.value, QconvError) == (error is not TypeError)
 
 
 def test_pauli_width_check_survives_optimized_mode():
@@ -605,6 +611,8 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: PartialEncoder(no_ops, 1, 2, []),\n"
         "    lambda: PartialEncoder(no_ops, 1, 0, [EncoderRow(1 << 4, 0)]),\n"
         "    lambda: PartialEncoder(no_ops, 1, 0, [EncoderRow(0, -1)]),\n"
+        "    lambda: PartialEncoder(0, 2, 1, []),\n"
+        "    lambda: PartialEncoder(None, 2, 1, []),\n"
         "    lambda: CliffordTableau(2, [1, 2, 3]),\n"
         "    lambda: CliffordTableau(1, [5, 2]),\n"
         "    lambda: CliffordTableau(1, [-1, 2]),\n"
@@ -643,6 +651,8 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",
+        "TypeError",
+        "TypeError",
         "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",
@@ -674,7 +684,7 @@ def test_grown_echelon_matches_fresh_solves(system):
         rhs_mask = sum(b << i for i, b in enumerate(rhs))
         assert echelon.dependencies == gf2_row_dependencies(rows)
         solved = gf2_solve_dot_system(rows, 5, rhs)
-        particular = echelon.particular(rhs_mask)
+        particular = echelon_particular(echelon, rhs_mask)
         assert particular == (None if solved is None else solved[0])
         # Independent check: None exactly when no 5-bit word solves the system.
         solvable = any(
@@ -698,13 +708,13 @@ def test_grown_nullspace_matches_fresh_solves(system):
     rhs: list = []
     for row, bit in system:
         before, dependencies = dict(nullspace), len(echelon.dependencies)
-        _add_to_dot_system(echelon, nullspace, row, 1 << len(rows))
+        add_to_dot_system(echelon, nullspace, row, 1 << len(rows))
         rows.append(row)
         rhs.append(bit)
         if len(echelon.dependencies) > dependencies:
             assert nullspace == before
         rhs_mask = sum(b << i for i, b in enumerate(rhs))
-        particular = echelon.particular(rhs_mask)
+        particular = echelon_particular(echelon, rhs_mask)
         solved = gf2_solve_dot_system(rows, 6, rhs)
         assert (particular is None) == (solved is None)
         if solved is not None:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qconvenc.synth as synth_module
@@ -21,6 +21,7 @@ from oracles import (
     _input_vec,
     _part,
     apply_gate,
+    complete_to_clifford_reference,
     cycle_witness_by_enumeration,
     encoder_on,
     escape_path_by_enumeration,
@@ -33,6 +34,7 @@ from oracles import (
     row_from_parts,
     row_paulis,
     row_strings,
+    synthesize_circuit_reference,
     zero_physical_graph,
 )
 from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
@@ -54,6 +56,7 @@ from qconvenc.pauli import (
 )
 from qconvenc.shorten import shorten
 from qconvenc.synth import (
+    EncoderRow,
     assemble_partial_encoder,
     assign_memory_operators,
     build_commutativity_matrix,
@@ -292,20 +295,62 @@ def test_completion_checks_products_once(monkeypatch, running1):
     assert len(calls) == 1
 
 
+# The ancilla Z of a one-qubit encoder mapped to the identity.
+Z_TO_IDENTITY = row_from_parts(
+    mem_in=Pauli.identity(0),
+    anc_in=Pauli.from_string("Z"),
+    info_in=Pauli.identity(0),
+    phys_out=Pauli.from_string("I"),
+    mem_out=Pauli.identity(0),
+)
+
+
 def test_completion_rejects_a_row_mapped_to_the_identity():
     # No image of X can anticommute with Z's image I: the commutation
     # system for the new direction is inconsistent.  A typed error, also
     # under python -O.
-    row = row_from_parts(
-        mem_in=Pauli.identity(0),
-        anc_in=Pauli.from_string("Z"),
-        info_in=Pauli.identity(0),
-        phys_out=Pauli.from_string("I"),
-        mem_out=Pauli.identity(0),
-    )
-    encoder = encoder_on(0, 1, 0, [row])
+    encoder = encoder_on(0, 1, 0, [Z_TO_IDENTITY])
     with pytest.raises(CompletionError, match="not jointly symplectic"):
         complete_to_clifford(encoder)
+
+
+@st.composite
+def consistent_partial_encoders(draw):
+    """(m, n, k, rows, seed): rows a random tableau maps, so every pair of
+    them has the same products on both sides, and a completion seed.
+
+    The rows are a random subset of the tableau's unit inputs and their
+    images, in random order, then up to two combinations of inputs with
+    their images, which may depend on the rows before them."""
+    width = draw(st.integers(1, 6))
+    m = draw(st.integers(0, width - 1))
+    k = draw(st.integers(0, width - m))
+    tableau = random_tableau(width, random.Random(draw(st.integers(0, 2**32 - 1))))
+    units = draw(st.lists(st.integers(0, 2 * width - 1), unique=True, max_size=2 * width))
+    inputs = [1 << t for t in units]
+    inputs += draw(st.lists(st.integers(1, (1 << 2 * width) - 1), max_size=2))
+    seed = draw(st.just(0) | st.integers(1, 2**16))
+    return m, width - m, k, [EncoderRow(v, tableau.image_of_vector(v)) for v in inputs], seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(consistent_partial_encoders())
+@example((0, 1, 0, [Z_TO_IDENTITY], 0))
+@example((0, 1, 0, [Z_TO_IDENTITY], 7))
+def test_completion_matches_the_reference_oracle(case):
+    # Same tableau, or same CompletionError message, as the completion on
+    # tagged echelons: every choice and rng draw is the reference's.
+    m, n, k, rows, seed = case
+    encoder = encoder_on(m, n, k, rows)
+    outcomes = []
+    for complete in (complete_to_clifford, complete_to_clifford_reference):
+        try:
+            outcomes.append(complete(encoder, seed))
+        except CompletionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if rows == [Z_TO_IDENTITY]:
+        assert "not jointly symplectic" in outcomes[0]
 
 
 def test_circuit_for_identity_is_empty():
@@ -429,6 +474,7 @@ def test_circuit_of_a_replayed_tableau_replays_to_it(case):
     width, gates = case
     tableau = replay_gates(width, gates)
     circuit = synthesize_circuit(tableau)
+    assert circuit == synthesize_circuit_reference(tableau)  # gate for gate
     assert replay_gates(width, circuit) == tableau
     assert replay_rows(width, circuit) == tableau
     assert len(circuit) <= GATE_COUNT_FACTOR * width**2
