@@ -15,8 +15,8 @@ GF(2) matrices are lists of packed row words, bit c of row r being entry
 (r, c); a square one, such as a commutativity matrix, has n = len(rows).
 The products of words with a row set are one masked parity per pair
 (``_products``).  Elimination does only what its reader uses.  A nullspace
-is the dependencies among the columns of its constraint rows, found by
-forward elimination alone (``_dependencies``, ``_annihilator``).  Everything
+is the dependencies among the columns (``_transpose``) of its constraint
+rows, found by forward elimination alone (``_dependencies``).  Everything
 else goes through one fully reduced echelon basis, ``_Echelon``.  The
 ``gf2_*`` functions build one per call; an incremental caller, such as the
 Clifford completion, grows its own a row at a time, tagging each row with
@@ -24,8 +24,8 @@ any word that should combine along with it, and queries it in between.
 
 The zero-physical transitions of an encoder's state diagram form a GF(2)
 space of edges, so ``cycle_core`` finds the edges that lie on cycles by
-linear algebra on a basis of that space, without listing it; the
-state-diagram verdicts rest on it.
+linear algebra on a basis of that space, one forward elimination per
+round, without listing it; the state-diagram verdicts rest on it.
 """
 
 from __future__ import annotations
@@ -150,8 +150,9 @@ def _product_mismatch(
     <a[i], a[j]> != <b[i], b[j]>, found as an odd product of the words
     a[i] | b[i] << 2 * width; None when every pair agrees.  Only the pairs
     i < j are scanned, and the scan stops at the first odd one."""
+    low = ((1 << width) - 1) * (1 | 1 << 2 * width)  # the low half of each word
     words = [x | y << 2 * width for x, y in zip(a, b)]
-    swapped = [swap_halves(x, width) | swap_halves(y, width) << 2 * width for x, y in zip(a, b)]
+    swapped = [(word & low) << width | word >> width & low for word in words]
     for i, word in enumerate(words):
         for j in range(i + 1, len(words)):
             if (word & swapped[j]).bit_count() & 1:  # _parity, inline on this hot path
@@ -428,17 +429,12 @@ def _dependencies(vectors: Iterable[int]) -> List[int]:
     return dependencies
 
 
-def _annihilator(rows: Sequence[int], bits: int) -> List[int]:
-    """Basis of the ``bits``-bit words c with parity(c & row) = 0 for every
-    row: the dependencies among the columns of the rows."""
-    return _dependencies(_transpose(rows, bits))
-
-
 def _transpose(rows: Sequence[int], bits: int) -> List[int]:
     """The ``bits`` columns of a row set: bit i of column b is bit b of rows[i].
 
-    Row bits at ``bits`` and above are dropped.  It gives ``_annihilator``
-    its columns, and circuit extraction and replay their qubit columns.
+    Row bits at ``bits`` and above are dropped.  It gives a nullspace its
+    columns (``_dependencies``), and circuit extraction and replay their
+    qubit columns.
     """
     columns = [0] * bits
     mask = (1 << bits) - 1
@@ -475,12 +471,16 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
         S_{i+1} = src N_i & dst N_i.
 
     N_{i+1} is the part of N_i whose sources lie in dst N_i and whose
-    targets lie in src N_i, so each round is two annihilators and one
-    nullspace over the current basis: the dependencies among one constraint
-    column per edge.  N_{i+1} differs from N_i only when S_{i+1} is smaller
-    than S_i, so the fixed point N* arrives within ``bits`` + 1 rounds; its
-    basis is returned.  A round whose constraint columns are all zero keeps
-    every edge, so it returns without the nullspace.
+    targets lie in src N_i.  So, over the current list e_1..e_N of N_i, the
+    masks c with sum c_j e_j in N_{i+1} are the projection onto c of the
+    relations sum a_l dst e_l = sum c_j src e_j, sum b_l src e_l = sum c_j
+    dst e_j.  One ``_dependencies`` of the vectors dst e_l, then src e_l <<
+    bits, then src e_j | dst e_j << bits is a basis of those relations.
+    One whose last vector is a c-vector has that vector's bit as its top
+    c-bit; any other has no c-part.  So the nonzero c-parts are a basis of
+    the projection, the next list.  All N are found iff N_{i+1} = N_i, the
+    fixed point N*, whose list is returned.  N_{i+1} differs from N_i only
+    when S_{i+1} is smaller than S_i, so within ``bits`` + 1 rounds.
 
     Theorem: an edge of E lies on a cycle iff both of its endpoints lie in
     the core S* = src N* & dst N*, that is, iff it lies in N*.
@@ -502,16 +502,14 @@ def cycle_core(edges: Sequence[int], bits: int) -> List[int]:
     f^(p-1)(v + K) = f^p(u + K) = u + K, so they are all of u + K, and v
     reaches u: the edge lies on a closed walk of p edges.
     """
-    mask = (1 << bits) - 1
+    mask, both = (1 << bits) - 1, (1 << 2 * bits) - 1
     edges = list(edges)
     while True:
-        src = [e & mask for e in edges]
-        dst = [(e >> bits) & mask for e in edges]
-        dst_perp, src_perp = _annihilator(dst, bits), _annihilator(src, bits)
-        shift = len(dst_perp)
-        columns = [
-            a | b << shift for a, b in zip(_products(src, dst_perp), _products(dst, src_perp))
-        ]
-        if not any(columns):  # every edge kept: the fixed point, no nullspace to take
+        count = len(edges)
+        vectors = [e >> bits & mask for e in edges]  # dst_l, for a_l
+        vectors += [(e & mask) << bits for e in edges]  # src_l, for b_l
+        vectors += [e & both for e in edges]  # src_j | dst_j, for c_j
+        combos = [tag >> 2 * count for tag in _dependencies(vectors) if tag >> 2 * count]
+        if len(combos) == count:  # every edge kept: the fixed point
             return edges
-        edges = [gf2_combination(edges, combo) for combo in _dependencies(columns)]
+        edges = [gf2_combination(edges, combo) for combo in combos]

@@ -38,10 +38,10 @@ from .pauli import (
     Pauli,
     _Echelon,
     _Value,
-    _annihilator,
     _dependencies,
     _product_mismatch,
     _products,
+    _transpose,
     cycle_core,
     gf2_combination,
     gf2_rank,
@@ -369,7 +369,7 @@ def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
     m = table.m
     # <w, g> depends linearly on w through the swapped word of g.
     constraint_rows = [swap_halves(g, m) for g in table.as_list()]
-    return CentralizerBasis(m, sorted(_annihilator(constraint_rows, 2 * m)))
+    return CentralizerBasis(m, sorted(_dependencies(_transpose(constraint_rows, 2 * m))))
 
 
 def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[EncoderRow]:
@@ -378,11 +378,11 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     Selected combinations of the generator rows must emit identity on all
     physical qubits and have both memory parts inside the centralizer span.
     Row r is the word in | out << 2w of its two words (w = m + n), with one
-    unknown GF(2) coefficient.  The probes are bits 2w + b and 3w + b for
-    each physical qubit b, then, with each memory operator word g placed on
-    the input memory qubits, swap_halves(g), so the input memory commutes
-    with every g.  Row r's constraint column is ``_products(words,
-    probes)[r]``, and the S1 combinations are the dependencies among the
+    unknown GF(2) coefficient.  Row r's constraint column holds, in this
+    order, its bits 2w + b, then 3w + b, for each physical qubit b, then its
+    products with swap_halves(g) for each memory operator word g placed on
+    the input memory qubits (``_products``), so the input memory commutes
+    with every g.  The S1 combinations are the dependencies among the
     columns (``_dependencies``).  An S1 row is one combination of the
     words, checked against the conditions again (both memory parts by one
     echelon over the centralizer basis), and kept as a row.
@@ -404,14 +404,17 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     if centralizer.m != m:
         raise WidthMismatchError(f"a centralizer on {centralizer.m} memory qubits, not {m}")
     words = [row.inputs | row.outputs << 2 * w for row in encoder.rows]
-    ops = [_place(g, m, w, 0) for g in encoder.memory_ops.as_list()]
-    probes = [1 << 2 * w + b for b in range(n)] + [1 << 3 * w + b for b in range(n)]
-    probes += [swap_halves(g, w) for g in ops]
+    probes = [swap_halves(_place(g, m, w, 0), w) for g in encoder.memory_ops.as_list()]
+    low = (1 << n) - 1
+    columns = [
+        word >> 2 * w & low | (word >> 3 * w & low) << n | products << 2 * n
+        for word, products in zip(words, _products(words, probes))
+    ]
     span = _Echelon(_place(b, m, w, 0) for b in centralizer.basis)
     physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
-    for mask in sorted(_dependencies(_products(words, probes))):
+    for mask in sorted(_dependencies(columns)):
         combo = gf2_combination(words, mask)
         if combo >> 2 * w & physical:
             raise SynthesisFailureError("an S1 combination has physical output")

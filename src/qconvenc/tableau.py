@@ -11,9 +11,9 @@ extraction and replay work on the transposed tableau, one x and one z column
 per qubit holding that qubit's bits of all 2*width images, where a gate
 updates one or two whole columns.  The state diagram is read from one
 realisation of the encoder as a linear system over GF(2) (``_Realisation``),
-built from the images of the memory, ancilla Z and logical inputs.  It and
-its zero-physical solve are kept per tableau value and shape (``_solve``), so
-both verdicts read one; the round trip reads a realisation of its own.
+built from the images of the memory, ancilla Z and logical inputs, and kept
+per tableau value and shape with its zero-physical solve (``_realisation``):
+both verdicts read one solve, and the round trip reads it without solving.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .pauli import (
     Pauli,
     _Echelon,
     _Value,
-    _annihilator,
     _dependencies,
     _product_mismatch,
     _transpose,
@@ -244,11 +243,11 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     cnot(q, r) and cz(q, r) change column r and qubit q's z column only,
     so every bit it reads past qubit q is the one the image had before the
     sweep, as if all were listed first.  The replay onto the identity
-    checks every gate and compares the whole tableau.  The reduction
-    reached the identity iff that replay gives the tableau back, so no
-    step is checked on the way.  A tableau that is not symplectic is
-    refused with ``SynthesisFailureError``: some X_q image finds no pivot,
-    or the replay differs.
+    checks every gate and compares its qubit columns with the tableau's,
+    transposing neither back.  The reduction reached the identity iff that
+    replay gives the tableau back, so no step is checked on the way.  A
+    tableau that is not symplectic is refused with ``SynthesisFailureError``:
+    some X_q image finds no pivot, or the replay differs.
     """
     w = tableau.width
     columns = _transpose(tableau.images, 2 * w)
@@ -302,20 +301,24 @@ def synthesize_circuit(tableau: CliffordTableau) -> List[Gate]:
     gates = list(reversed(applied))
     if len(gates) > GATE_COUNT_FACTOR * w * w:
         raise SynthesisFailureError(f"{len(gates)} gates exceed {GATE_COUNT_FACTOR} * width**2")
-    if replay_gates(w, gates) != tableau:
+    if _replay_columns(w, gates) != columns:
         raise SynthesisFailureError("the extracted circuit does not replay to the tableau")
     return gates
 
 
 def replay_gates(width: int, gates: Iterable[Gate]) -> CliffordTableau:
-    """The tableau of the gates applied in order, replayed on qubit columns.
+    """The tableau of the gates applied in order (``_replay_columns``)."""
+    return CliffordTableau(width, _transpose(_replay_columns(width, gates), 2 * width))
+
+
+def _replay_columns(w: int, gates: Iterable[Gate]) -> List[int]:
+    """The qubit columns ``xs + zs`` of the gates applied in order.
 
     ``xs[q]`` and ``zs[q]`` hold qubit q's x and z bits of all 2w images,
     bit t for image t, and each gate is checked where it is applied: an
     unknown kind, a wrong qubit count, a qubit outside [0, w) or a
     two-qubit gate on one qubit raises ``GateError``.
     """
-    w = width
     xs = [1 << q for q in range(w)]
     zs = [1 << (w + q) for q in range(w)]
     for kind, qubits in gates:
@@ -339,7 +342,7 @@ def replay_gates(width: int, gates: Iterable[Gate]) -> CliffordTableau:
                 zs[q] ^= xs[q]
         else:
             raise GateError(f"unknown gate kind {kind!r}")
-    return CliffordTableau(w, _transpose(xs + zs, 2 * w))
+    return xs + zs
 
 
 class StateDiagramEdge(
@@ -417,8 +420,9 @@ class _Realisation:
             mem_to=vec_to_pauli(out >> 2 * n, m),
         )
 
+    @functools.cached_property
     def zero_physical(self) -> Tuple[List[int], List[int]]:
-        """Basis of the zero-physical edges, and the ``cycle_core`` of its span.
+        """Basis of the zero-physical edges and the ``cycle_core`` of its span, kept.
 
         The zero-physical condition C mem + D u = 0 is linear, so its
         solutions are the span of a nullspace basis, taken over the
@@ -448,9 +452,7 @@ class _Realisation:
         ]
         return basis, cycle_core(packed, 2 * m)
 
-    def catastrophic(
-        self, basis: Sequence[int], core: Sequence[int]
-    ) -> Tuple[bool, Optional[CycleWitness]]:
+    def catastrophic(self) -> Tuple[bool, Optional[CycleWitness]]:
         """``detect_catastrophic``'s verdict and witness.
 
         A core edge's top field is its tag, the mask of the basis entries
@@ -460,6 +462,7 @@ class _Realisation:
         that misses u raises ``SynthesisFailureError``.
         """
         k, m = self.k, self.m
+        basis, core = self.zero_physical
         low_m, labels = (1 << 2 * m) - 1, (1 << 2 * k) - 1
         if not any((edge >> 4 * m) & labels for edge in core):
             return False, None
@@ -492,17 +495,17 @@ class _Realisation:
             [self.edge(gf2_combination(basis, edge >> 4 * m + 2 * k) & full) for edge in witness]
         )
 
-    def non_recursive(self, core: Sequence[int]) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
+    def non_recursive(self) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
         """``verify_non_recursive``'s verdict and escape path."""
         n, k, m = self.n, self.k, self.m
-        basis = gf2_basis(edge & ((1 << 2 * m) - 1) for edge in core)
-        perp = _annihilator(basis, 2 * m)
+        basis = gf2_basis(edge & ((1 << 2 * m) - 1) for edge in self.zero_physical[1])
+        tops = [(row.bit_length() - 1, row) for row in basis]
 
         def on_loop(vertex: int) -> bool:
-            for word in perp:
-                if (vertex & word).bit_count() & 1:
-                    return False
-            return True
+            for top, row in tops:  # no other basis row has bit top
+                if vertex >> top & 1:
+                    vertex ^= row
+            return not vertex
 
         stranded = set()  # vertices whose identity-input walk misses every loop
         for c in range(1 << len(basis)):  # the loop vertices, ascending, one at a time
@@ -523,25 +526,19 @@ class _Realisation:
         return False, None
 
 
+# The realisation of the last tableau value and shape, with the solve it
+# keeps: equal tableaux share it, another replaces it.  A shape that does
+# not split the tableau raises on every call.
+_realisation = functools.lru_cache(maxsize=1)(_Realisation)
+
+
 def _state_diagram(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
-) -> Tuple[_Realisation, List[int], List[int]]:
-    """The tableau's realisation, zero-physical basis and core (``_solve``).
-    The memory bound is checked first, on every call."""
+) -> _Realisation:
+    """The tableau's kept realisation, the memory bound checked first."""
     if m > max_memory:
         raise MemoryBoundError(m, max_memory)
-    return _solve(tableau, n, k, m)
-
-
-@functools.lru_cache(maxsize=1)
-def _solve(
-    tableau: CliffordTableau, n: int, k: int, m: int
-) -> Tuple[_Realisation, List[int], List[int]]:
-    """A tableau's realisation and zero-physical solve, kept for the last
-    tableau value and shape: equal tableaux share it, another replaces it.  A
-    shape that does not split the tableau raises on every call."""
-    realisation = _Realisation(tableau, n, k, m)
-    return (realisation, *realisation.zero_physical())
+    return _realisation(tableau, n, k, m)
 
 
 def zero_physical_edges(
@@ -551,7 +548,8 @@ def zero_physical_edges(
     listed from the zero-physical solve the verdicts share, in the mask
     order of its basis.
     Not in ``qconvenc.__all__``: no verdict lists edges; perfbench's probe does."""
-    realisation, basis, _ = _state_diagram(tableau, n, k, m, max_memory)
+    realisation = _state_diagram(tableau, n, k, m, max_memory)
+    basis, _ = realisation.zero_physical
     bits = len(realisation.columns)
     edges = []
     for entry in gf2_span(basis):
@@ -580,11 +578,10 @@ def detect_catastrophic(
     core edges, keeping the edge that discovered each vertex, keeps the
     levels, frontier order and parents of one over all edges, up to u.
 
-    The basis and core are the tableau's one solve (``_solve``),
+    The basis and core are the tableau's one solve (``_realisation``),
     which ``verify_non_recursive`` and ``zero_physical_edges`` also read.
     """
-    realisation, basis, core = _state_diagram(tableau, n, k, m, max_memory)
-    return realisation.catastrophic(basis, core)
+    return _state_diagram(tableau, n, k, m, max_memory).catastrophic()
 
 
 def verify_non_recursive(
@@ -603,16 +600,15 @@ def verify_non_recursive(
     behavior: the encoder is not recursive.
 
     The loop vertices are never listed.  The starts are walked in ascending
-    order, combination c of the core's ``gf2_basis`` at step c, and a
-    vertex is a loop vertex iff its product with every word of that
-    basis's annihilator is even.  So a verdict that escapes early costs no
-    more than its walk; only a recursive encoder, which is catastrophic,
-    visits every start.
+    order, combination c of the core's ``gf2_basis`` at step c.  That
+    basis is fully reduced on highest bits, so a vertex is a loop vertex
+    iff clearing its pivot bits, one basis row per set pivot bit, leaves
+    zero.  So a verdict that escapes early costs no more than its walk;
+    only a recursive encoder, which is catastrophic, visits every start.
 
     The core is the tableau's one solve, shared with ``detect_catastrophic``.
     """
-    realisation, _, core = _state_diagram(tableau, n, k, m, max_memory)
-    return realisation.non_recursive(core)
+    return _state_diagram(tableau, n, k, m, max_memory).non_recursive()
 
 
 def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
@@ -620,11 +616,12 @@ def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
 
     Ancilla i carries Z in the first frame and identity afterwards; the
     physical part emitted in frame j must be frame j of the generator's
-    stream word, and the memory must return to identity.
+    stream word, and the memory must return to identity.  It reads the
+    tableau's kept realisation (``_realisation``) and runs no solve.
     """
     n, k = code.n, code.k
     m = tableau.width - n
-    realisation = _Realisation(tableau, n, k, m)
+    realisation = _realisation(tableau, n, k, m)
     frame = 2 * n
     for i, gen in enumerate(code.generators):
         mem = 0

@@ -17,6 +17,7 @@ from qconvenc.pauli import (
     GramSchmidtResult,
     Pauli,
     _Echelon,
+    _dependencies,
     _products,
     _transpose,
     gf2_combination,
@@ -147,7 +148,8 @@ def echelon_particular(echelon: _Echelon, rhs_mask: int) -> Optional[int]:
 
 def add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag: int) -> None:
     """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis of
-    the added rows that ``_annihilator`` lists, as free column f -> vector N_f.
+    the added rows that ``_dependencies(_transpose(rows, ncols))`` lists, as
+    free column f -> vector N_f.
 
     ``nullspace`` starts as {f: 1 << f for f < ncols}, and rows fit in ncols
     bits.  N_f is the one nullspace vector whose only free bit is f.  A
@@ -155,7 +157,7 @@ def add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag:
     remainder holds no older pivot, so it meets N_p only in p.  Each N_f
     with odd product takes N_p on, which evens the product and adds no free
     bit.  A zero remainder changes nothing.  Keys stay ascending, the order
-    ``_annihilator`` lists.
+    ``_dependencies`` lists.
     """
     rest, _ = basis.add(vec, tag)
     if rest:
@@ -468,6 +470,27 @@ def span_edges(basis: Sequence[int], bits: int) -> List[Tuple[int, int, int]]:
 def labelled_cycle_by_enumeration(basis: Sequence[int], bits: int) -> bool:
     """Whether a labelled edge of the span lies on a cycle, listing the span."""
     return logical_cycle(span_edges(basis, bits)) is not None
+
+
+def cycle_core_by_annihilators(edges: Sequence[int], bits: int) -> List[int]:
+    """``cycle_core`` as the library computed it before: each round takes
+    the annihilators of the sources and of the targets, and keeps the
+    combinations of the current basis whose sources annihilate with the
+    targets' annihilator and whose targets with the sources' one."""
+    mask = (1 << bits) - 1
+    edges = list(edges)
+    while True:
+        src = [e & mask for e in edges]
+        dst = [(e >> bits) & mask for e in edges]
+        dst_perp = _dependencies(_transpose(dst, bits))
+        src_perp = _dependencies(_transpose(src, bits))
+        shift = len(dst_perp)
+        columns = [
+            a | b << shift for a, b in zip(_products(src, dst_perp), _products(dst, src_perp))
+        ]
+        if not any(columns):
+            return edges
+        edges = [gf2_combination(edges, combo) for combo in _dependencies(columns)]
 
 
 def component_index(graph: nx.MultiDiGraph) -> Dict[int, int]:

@@ -15,6 +15,7 @@ from oracles import (
     add_to_dot_system,
     check_commutativity_matrix_by_lists,
     component_index,
+    cycle_core_by_annihilators,
     echelon_particular,
     exists_gram_realization,
     gf2_in_rowspan,
@@ -49,7 +50,6 @@ from qconvenc.errors import (
 from qconvenc.pauli import (
     Pauli,
     _Echelon,
-    _annihilator,
     _dependencies,
     _product_mismatch,
     _products,
@@ -99,6 +99,15 @@ def packed_relations(draw):
     bits = draw(st.integers(min_value=0, max_value=4))
     word = st.integers(0, (1 << (2 * bits + 2)) - 1)
     return draw(st.lists(word, max_size=7)), bits
+
+
+@st.composite
+def relations_with_repeats(draw):
+    # A packed relation's edges with repeated and zero edges mixed in, so
+    # that the list is dependent, as the added-row oracle's rows may be.
+    edges, bits = draw(packed_relations())
+    extra = draw(st.lists(st.sampled_from(edges + [0]), min_size=1, max_size=4))
+    return draw(st.permutations(edges + extra)), bits
 
 
 @st.composite
@@ -505,6 +514,17 @@ def test_cycle_core_matches_enumeration_and_networkx(relation):
     assert any(e >> 2 * bits for e in core) == labelled_cycle_by_enumeration(basis, bits)
 
 
+@given(st.one_of(packed_relations(), relations_with_repeats()))
+# 1 -> 2 twice and a zero edge beside 2 -> 0 (labelled): the rounds shrink
+# the core to {0} and keep the list's dependencies.
+@example(([1 | 2 << 2, 0, 1 | 2 << 2, 2 | 1 << 4], 2))
+def test_cycle_core_matches_the_annihilator_reference(relation):
+    # One elimination per round keeps the span that two annihilators and a
+    # nullspace per round keep.
+    edges, bits = relation
+    assert gf2_basis(cycle_core(edges, bits)) == gf2_basis(cycle_core_by_annihilators(edges, bits))
+
+
 @pytest.mark.parametrize(
     "width,x,z",
     [(-1, 0, 0), (2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1)],
@@ -584,10 +604,10 @@ def test_pauli_width_check_survives_optimized_mode():
         "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
         "no_memory, no_ops = MemoryOperatorTable(0, {}, []), MemoryOperatorTable(1, {}, [])\n"
         "wide_row = EncoderRow(1 << 6, 0)\n"
-        "replay = tableau_module.replay_gates\n"
-        "swapped = replay(1, [Gate('h', (0,))])\n"
+        "replay = tableau_module._replay_columns\n"
+        "swapped = tableau_module.replay_gates(1, [Gate('h', (0,))])\n"
         "# A replay that misses the tableau must be refused, not passed through.\n"
-        "tableau_module.replay_gates = lambda w, gates: CliffordTableau.identity(w)\n"
+        "tableau_module._replay_columns = lambda w, gates: replay(w, [])\n"
         "# So must a completion that fails its symplectic post-condition.\n"
         "CliffordTableau.is_symplectic = lambda self: False\n"
         "gen = GeneratorPolynomial.from_blocks((Pauli.from_string('XZ'),))\n"
@@ -751,7 +771,8 @@ def test_transposed_products_match_parities(rows, words, extra):
 def test_annihilator_matches_fresh_solve(rows, bits):
     # The column dependencies are the fully reduced echelon's nullspace
     # basis, vector for vector and in the same order.
-    assert _annihilator(rows, bits) == gf2_solve_dot_system(rows, bits, [0] * len(rows))[1]
+    nullspace = gf2_solve_dot_system(rows, bits, [0] * len(rows))[1]
+    assert _dependencies(_transpose(rows, bits)) == nullspace
 
 
 @given(st.lists(st.integers(0, 2**6 - 1), max_size=10))

@@ -22,6 +22,7 @@ from oracles import (
     _part,
     apply_gate,
     complete_to_clifford_reference,
+    cycle_core_by_annihilators,
     cycle_witness_by_enumeration,
     encoder_on,
     escape_path_by_enumeration,
@@ -48,6 +49,7 @@ from qconvenc.errors import (
 )
 from qconvenc.pauli import (
     Pauli,
+    cycle_core,
     gf2_basis,
     gf2_span,
     pauli_to_vec,
@@ -572,7 +574,7 @@ def test_listing_refuses_an_edge_with_physical_output(monkeypatch):
     def solve(self):
         return [1 << len(self.columns)], []  # one entry, output X on qubit 0
 
-    monkeypatch.setattr(tableau_module._Realisation, "zero_physical", solve)
+    monkeypatch.setattr(tableau_module._Realisation, "zero_physical", property(solve))
     with pytest.raises(SynthesisFailureError, match="physical output"):
         zero_physical_edges(CliffordTableau.identity(2), 1, 1, 1)
 
@@ -846,11 +848,35 @@ def test_random_completion_over_a_span_past_sys_maxsize():
     )
 
 
+def test_cycle_core_matches_the_reference_for_both_callers_at_m_63(monkeypatch):
+    # running1 d = 60, seed 0: every edge list the added-row oracle and the
+    # state-diagram solve hand to cycle_core at m = 63, far past the
+    # enumeration oracles, gives the span the reference rounds give.
+    calls = []
+
+    def compared(edges, bits):
+        core = cycle_core(edges, bits)
+        assert gf2_basis(core) == gf2_basis(cycle_core_by_annihilators(edges, bits))
+        calls.append(bits)
+        return core
+
+    monkeypatch.setattr(synth_module, "cycle_core", compared)
+    monkeypatch.setattr(tableau_module, "cycle_core", compared)
+    result = synthesize(inflated_code("running1", 60))
+    encoder = result.encoder
+    n, k, m = encoder.n, encoder.k, encoder.m
+    assert m == 63 and calls == [2 * m]
+    tableau = complete_to_clifford(encoder, seed=0)
+    assert detect_catastrophic(tableau, n, k, m, max_memory=m) == (False, None)
+    assert verify_non_recursive(tableau, n, k, m, max_memory=m)[0] is True
+    assert calls == [2 * m, 2 * m]
+
+
 def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
-    basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical()
+    basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical
     listed = []
     span = tableau_module.gf2_span
 
@@ -903,7 +929,7 @@ def test_the_witness_search_keeps_the_first_listed_parent(monkeypatch):
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag is True
     realisation = tableau_module._Realisation(tableau, n, k, m)
-    basis, _ = realisation.zero_physical()
+    basis, _ = realisation.zero_physical
     full = (1 << len(realisation.columns)) - 1
     assert witness.edges == [realisation.edge(basis[t] & full) for t in range(3)]
 
@@ -916,7 +942,7 @@ def test_core_span_lists_edges_in_ascending_tag_order():
         n, k, m = encoder.n, encoder.k, encoder.m
         for seed in range(16):
             tableau = complete_to_clifford(encoder, seed=seed)
-            _, core = tableau_module._Realisation(tableau, n, k, m).zero_physical()
+            _, core = tableau_module._Realisation(tableau, n, k, m).zero_physical
             tags = [e >> 4 * m + 2 * k for e in gf2_span(gf2_basis(core))]
             assert tags == gf2_span(gf2_basis(e >> 4 * m + 2 * k for e in core))
             assert all(a < b for a, b in zip(tags, tags[1:]))
