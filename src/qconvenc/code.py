@@ -29,6 +29,7 @@ leading identity blocks are kept.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from typing import Iterator, List, Tuple
 
@@ -59,6 +60,7 @@ class GeneratorPolynomial(_Value, namedtuple("GeneratorPolynomial", "width word"
     __slots__ = ()
 
     def __new__(cls, width: int, word: int) -> "GeneratorPolynomial":
+        width, word = operator.index(width), operator.index(word)
         if width < 1 or word < 0:
             raise WidthMismatchError(f"stream word {word:#x} on frames of {width} qubits")
         return tuple.__new__(cls, (width, word))
@@ -115,6 +117,7 @@ class ConvolutionalCode(_Value, namedtuple("ConvolutionalCode", "n k generators"
     def __new__(
         cls, n: int, k: int, generators: Tuple[GeneratorPolynomial, ...]
     ) -> "ConvolutionalCode":
+        n, k = operator.index(n), operator.index(k)
         if not 1 <= k < n:
             raise CodeShapeError(f"k={k} is outside 1..n-1 for n={n}")
         if len(generators) != n - k:

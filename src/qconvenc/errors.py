@@ -14,7 +14,6 @@ __all__ = [
     "AssemblyError",
     "CompletionError",
     "SynthesisFailureError",
-    "ConsistencyError",
     "MemoryBoundError",
     "GateError",
 ]
@@ -76,12 +75,9 @@ class CompletionError(QconvError, ValueError):
 
 
 class SynthesisFailureError(QconvError, RuntimeError):
-    """No non-catastrophic row completion was found, a tableau given for circuit
-    extraction is not symplectic, or a result failed its own check."""
-
-
-class ConsistencyError(SynthesisFailureError):
-    """Forward and backward memory obligations disagree on a valid code."""
+    """No non-catastrophic row completion was found, a centralizer given to
+    ``find_s1`` is not the table's, or a tableau given for circuit
+    extraction is not symplectic."""
 
 
 class MemoryBoundError(QconvError, RuntimeError):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InvalidMatrixError, ParseError, SynthesisFailureError, WidthMismatchError
+from .errors import InvalidMatrixError, ParseError, WidthMismatchError
 
 __all__ = [
     "Pauli",
@@ -69,6 +69,9 @@ class _Value(tuple):
     checked like a new record.  The sequence operators ``+`` and ``*`` are
     refused: a record is a value, not a sequence to concatenate or repeat.
     A list or dict field stays a list or dict, so such a record does not hash.
+    A wrong-typed field raises ``TypeError``, a value out of range a
+    ``QconvError``.  An integer field is checked through ``operator.index``,
+    so a bool or an int subclass passes as its int value.
     """
 
     __slots__ = ()
@@ -364,8 +367,12 @@ def operators_from_commutativity(rows: Sequence[int], order: Sequence[int]) -> L
     hyperbolic pair takes one qubit at the first touch of either member
     (scan anchor gets X, partner Z); each isotropic row takes one qubit for
     a Z.  Those standard operators are the reduced rows' operators, so word
-    r combines them by row r of the Gram-Schmidt ``inverse``.  Words whose
-    products are not ``rows`` raise ``SynthesisFailureError``.
+    r combines them by row r of the Gram-Schmidt ``inverse``.  A matrix
+    that is not a commutativity matrix, or an ``order`` that is not a
+    permutation of the rows, raises ``InvalidMatrixError``.  The words
+    reproduce ``rows`` unchecked: each anchor and isotropic row claims its
+    own qubit, so the standard operators have the standard form as Gram
+    matrix, and ``inverse`` combines them as it does the v'_s into the v_r.
     """
     gs = symplectic_gram_schmidt(rows)
     n, m = len(rows), gs.c + gs.d
@@ -384,10 +391,7 @@ def operators_from_commutativity(rows: Sequence[int], order: Sequence[int]) -> L
     for i in gs.isotropics:
         standard[i] = 1 << m + qubit[i]
 
-    ops = [gf2_combination(standard, combo) for combo in gs.inverse]
-    if _products(ops, [swap_halves(op, m) for op in ops]) != list(rows):
-        raise SynthesisFailureError("the memory operators do not reproduce the matrix")
-    return ops
+    return [gf2_combination(standard, combo) for combo in gs.inverse]
 
 
 def _dependencies(vectors: Iterable[int]) -> List[int]:

@@ -20,6 +20,7 @@ and tests.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 from collections import namedtuple
@@ -28,7 +29,6 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .code import ConvolutionalCode, validate_code
 from .errors import (
     AssemblyError,
-    ConsistencyError,
     InvalidCodeError,
     InvalidMatrixError,
     SynthesisFailureError,
@@ -156,7 +156,7 @@ def verify_consistency(code: ConvolutionalCode) -> int:
 
     Agreement for every pair is equivalent to the code's validity, so this is
     an independent route to the same verdict as validate_code.
-    Not in ``qconvenc.__all__``: ``synthesize`` compares inline; perfbench times this.
+    Not in ``qconvenc.__all__``: ``synthesize`` proves it; perfbench times this.
     """
     if not validate_code(code).valid:
         return 0
@@ -181,13 +181,16 @@ def minimal_memory(omega: MemoryCommutativityMatrix) -> int:
     return omega.dim - rank // 2
 
 
-def _check_memory_words(m: int, words: Iterable[int]) -> None:
-    """Refuse m < 0, then a word outside [0, 2^(2m)), with ``WidthMismatchError``."""
+def _check_memory_words(m: int, words: Iterable[int]) -> int:
+    """int m; refuse a non-integer m (``TypeError``), then m < 0 or a word
+    outside [0, 2^(2m)) (``WidthMismatchError``)."""
+    m = operator.index(m)
     if m < 0:
         raise WidthMismatchError(f"no memory has {m} qubits")
     for word in words:
         if word < 0 or word >> 2 * m:
             raise WidthMismatchError(f"word {word:#x} does not fit {m} memory qubits")
+    return m
 
 
 class MemoryOperatorTable(_Value, namedtuple("MemoryOperatorTable", "m ops index_map")):
@@ -203,8 +206,7 @@ class MemoryOperatorTable(_Value, namedtuple("MemoryOperatorTable", "m ops index
     def __new__(
         cls, m: int, ops: Dict[Tuple[int, int], int], index_map: List[Tuple[int, int]]
     ) -> "MemoryOperatorTable":
-        _check_memory_words(m, ops.values())
-        return tuple.__new__(cls, (m, ops, index_map))
+        return tuple.__new__(cls, (_check_memory_words(m, ops.values()), ops, index_map))
 
     def op(self, i: int, j: int) -> Pauli:
         return vec_to_pauli(self.ops[(i, j)], self.m)
@@ -356,8 +358,7 @@ class CentralizerBasis(_Value, namedtuple("CentralizerBasis", "m basis")):
     __slots__ = ()
 
     def __new__(cls, m: int, basis: List[int]) -> "CentralizerBasis":
-        _check_memory_words(m, basis)
-        return tuple.__new__(cls, (m, basis))
+        return tuple.__new__(cls, (_check_memory_words(m, basis), basis))
 
 
 def compute_centralizer(table: MemoryOperatorTable) -> CentralizerBasis:
@@ -384,8 +385,10 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     the input memory qubits (``_products``), so the input memory commutes
     with every g.  The S1 combinations are the dependencies among the
     columns (``_dependencies``).  An S1 row is one combination of the
-    words, checked against the conditions again (both memory parts by one
-    echelon over the centralizer basis), and kept as a row.
+    words, its memory parts checked against the given centralizer basis
+    (one echelon over it), and kept as a row.  Its physical output is zero
+    unchecked: the first 2n bits of each column are that row's physical
+    output, and a dependency's columns XOR to zero.
 
     The output memory needs no constraint of its own.  Consistent rows keep
     products: <in(c), in(r)> = <out(c), out(r)> for a combination c and
@@ -397,8 +400,9 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     the output memory would leave the solution space, and with it the
     dependencies among the columns, unchanged.  ``PartialEncoder`` refuses
     inconsistent rows, so only a centralizer basis that is not the table's
-    can fail the output check.  A centralizer on another memory width than
-    the encoder's raises ``WidthMismatchError`` before any elimination.
+    can fail the memory check, which raises ``SynthesisFailureError``.  A
+    centralizer on another memory width than the encoder's raises
+    ``WidthMismatchError`` before any elimination.
     """
     m, n, w = encoder.m, encoder.n, encoder.width
     if centralizer.m != m:
@@ -411,13 +415,10 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
         for word, products in zip(words, _products(words, probes))
     ]
     span = _Echelon(_place(b, m, w, 0) for b in centralizer.basis)
-    physical = ((1 << n) - 1) * (1 | 1 << w)
     memory = ((1 << m) - 1) * (1 | 1 << w)
     combos: List[EncoderRow] = []
     for mask in sorted(_dependencies(columns)):
         combo = gf2_combination(words, mask)
-        if combo >> 2 * w & physical:
-            raise SynthesisFailureError("an S1 combination has physical output")
         if span.reduce(combo & memory)[0] or span.reduce(combo >> n + 2 * w & memory)[0]:
             raise SynthesisFailureError("an S1 combination leaves the centralizer")
         combos.append(EncoderRow(combo & (1 << 2 * w) - 1, combo >> 2 * w))
@@ -558,13 +559,14 @@ class SynthesisResult(_Value, namedtuple("SynthesisResult", "code omega encoder 
 
 
 def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
-    """Full synthesis chain for an already-shortened valid code."""
+    """Full synthesis chain for an already-shortened valid code.
+
+    omega equals ``_backward_matrix`` on a valid code, so it is not compared.
+    Proof: entry ((i,j),(i2,j2)) of their sum is <h_{i,a}, h_{i2,a+j2-j}>
+    summed over a > j (forward) and a <= j (backward), for every a >= 1 with
+    a + j2 - j >= 1: generator i delayed by j2 - j frames against i2, 0.
+    """
     omega = build_commutativity_matrix(code)
-    # verify_consistency's cross-check, on the matrix and validation above.
-    if omega.rows != _backward_matrix(code):
-        raise ConsistencyError(
-            "forward and backward accumulation of the memory obligations disagree"
-        )
     table = assign_memory_operators(omega)
     encoder = assemble_partial_encoder(code, table)
     extended, context = add_noncatastrophic_rows(encoder, seed=seed)

