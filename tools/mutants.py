@@ -18,10 +18,11 @@ none inside a type annotation.
 For each mutant one subprocess runs pytest with ``-x`` (by default over
 ``tests``, the tier-1 suite) under a per-mutant timeout and a 4 GiB
 address-space limit, since a mutated loop can run forever or grow without
-bound.  A mutant is killed when pytest fails, runs out of time or memory.  The script prints each survivor as
-``path:line  old -> new`` with its source line, then the kill rate per
-module.  It uses only the standard library, and it is not part of tier-1
-or CI: a full census of one module takes tens of minutes.
+bound.  A mutant is killed when pytest fails, runs out of time or memory.
+The script prints each survivor as ``path:line  old -> new`` with its
+source line, then the kill rate per module.  It uses only the standard
+library, and it is not part of tier-1 or CI: a full census of one module
+takes tens of minutes.
 """
 
 from __future__ import annotations
