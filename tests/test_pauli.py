@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import symmetric_zero_diag
+from conftest import load_code, shift_invariant_codes, symmetric_zero_diag
 from oracles import (
     add_to_dot_system,
     check_commutativity_matrix_by_lists,
@@ -65,8 +65,17 @@ from qconvenc.pauli import (
     symplectic_gram_schmidt,
     symplectic_product_vec,
 )
-from qconvenc.synth import CentralizerBasis, EncoderRow, MemoryOperatorTable, PartialEncoder
+from qconvenc.shorten import shorten
+from qconvenc.synth import (
+    CentralizerBasis,
+    EncoderRow,
+    MemoryOperatorTable,
+    PartialEncoder,
+    assign_memory_operators,
+    build_commutativity_matrix,
+)
 from qconvenc.tableau import CliffordTableau, Gate, replay_gates
+from reference_data import CORPUS
 
 
 @st.composite
@@ -352,6 +361,26 @@ def test_operators_reproduce_any_commutativity_matrix(mat, data):
         assert len(ops) == len(mat)
         assert all(0 <= op < 1 << 2 * m for op in ops)
         assert gram_matrix(ops, m) == mat
+
+
+def assert_operators_reproduce_the_matrix_of(code):
+    omega = build_commutativity_matrix(shorten(code).output_code)
+    table = assign_memory_operators(omega)
+    assert gram_matrix(table.as_list(), table.m) == omega.rows
+
+
+def test_memory_operators_reproduce_the_matrix_of_every_corpus_code():
+    # operators_from_commutativity no longer re-checks its words; its proof
+    # is in its docstring, and the Gram matrix is checked here instead.
+    for name in CORPUS:
+        assert_operators_reproduce_the_matrix_of(load_code(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shift_invariant_codes(min_generators=3))
+def test_memory_operators_reproduce_the_matrix_of_generated_codes(code):
+    # Codes give matrices larger than symmetric_zero_diag draws (m up to 15).
+    assert_operators_reproduce_the_matrix_of(code)
 
 
 def test_exists_gram_realization_small():

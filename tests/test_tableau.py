@@ -8,12 +8,12 @@ from types import SimpleNamespace
 
 import networkx as nx
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qconvenc.synth as synth_module
 import qconvenc.tableau as tableau_module
-from conftest import load_code
+from conftest import load_code, shift_invariant_codes
 from oracles import (
     _edge,
     _input_vec,
@@ -222,6 +222,21 @@ def test_completion_extends_rows_exactly(name):
         assert image_of_pauli(tableau, want_in) == want_out
 
 
+@settings(max_examples=60, deadline=None)
+@given(shift_invariant_codes(min_generators=3), st.integers(0, 3))
+def test_completions_of_generated_partial_encoders_map_every_given_row(code, seed):
+    # complete_to_clifford no longer re-checks its tableau; its proof is in
+    # its docstring.  Partial encoders carry no added rows, so every
+    # generated code reaches one.
+    code = shorten(code).output_code
+    table = assign_memory_operators(build_commutativity_matrix(code))
+    encoder = assemble_partial_encoder(code, table)
+    tableau = complete_to_clifford(encoder, seed=seed)
+    assert is_symplectic_pairwise(tableau)
+    for row in encoder.all_rows:
+        assert tableau.image_of_vector(row.inputs) == row.outputs
+
+
 def test_completion_row_counts(running1, running2):
     r1 = synthesize(running1)
     assert len(r1.encoder.all_rows) == 8
@@ -382,6 +397,21 @@ def test_circuit_replays_to_pipeline_tableau(name):
     gates = synthesize_circuit(tableau)
     assert replay_gates(tableau.width, gates) == tableau
     assert len(gates) <= 2 * tableau.width**2 + 4 * tableau.width
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_circuits_of_partial_encoder_completions_stay_within_the_gate_bound(name):
+    # synthesize_circuit no longer refuses a long list: it emits at most
+    # 6 + 4(w - q - 1) gates for qubit q, so 2w^2 + 4w in all.
+    code = shorten(load_code(name)).output_code
+    encoder = assemble_partial_encoder(
+        code, assign_memory_operators(build_commutativity_matrix(code))
+    )
+    for seed in range(4):
+        tableau = complete_to_clifford(encoder, seed=seed)
+        gates = synthesize_circuit(tableau)
+        assert replay_gates(tableau.width, gates) == tableau
+        assert len(gates) <= 2 * tableau.width**2 + 4 * tableau.width
 
 
 def test_completions_and_circuits_match_pinned_digest():
@@ -550,6 +580,22 @@ def test_realisation_matches_row_reference(case):
         image = tableau.image_of_vector(vin)
         assert realisation.out(word) == _part(image, w, 0, n) | _part(image, w, n, w) << 2 * n
         assert realisation.edge(word) == _edge(tableau, n, k, m, vin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(realisation_cases(max_width=8))
+def test_listed_zero_physical_edges_have_identity_physical_output(case):
+    # zero_physical_edges no longer checks each edge: its basis is a
+    # nullspace of the physical images.  Each listed edge is the tableau's
+    # own transition on its inputs, and they are all distinct.
+    tableau, n, k, m = case[:4]
+    assume(len(tableau_module._Realisation(tableau, n, k, m).zero_physical[0]) <= 12)
+    edges = zero_physical_edges(tableau, n, k, m)
+    for edge in edges:
+        assert edge.physical.is_identity
+        mem, logical = pauli_to_vec(edge.mem_from), pauli_to_vec(edge.logical)
+        assert _edge(tableau, n, k, m, _input_vec(n, k, m, mem, edge.anc.z, logical)) == edge
+    assert len(set(edges)) == len(edges)
 
 
 @pytest.mark.parametrize("name", CORPUS)
