@@ -122,15 +122,7 @@ def _run(args) -> Tuple[Dict[str, object], ConvolutionalCode]:
             shortening = timed("shorten", shorten, code)
             code = shortening.output_code
             report["shorten"] = {
-                "steps": [
-                    {
-                        "action": s.action,
-                        "generator": s.generator,
-                        "partners": list(s.partners),
-                        "degree_after": s.degree_after,
-                    }
-                    for s in shortening.steps
-                ],
+                "steps": [step._asdict() for step in shortening.steps],
                 "output": _code_json(code),
             }
         if last == "omega":
@@ -168,7 +160,7 @@ def _run(args) -> Tuple[Dict[str, object], ConvolutionalCode]:
                     "edges": [e.as_strings() for e in rec_path],
                 },
                 "gate_count": len(gates),
-                "gates": [g.as_json() for g in gates],
+                "gates": [gate._asdict() for gate in gates],
             }
     report["timing"] = timing
     return report, code

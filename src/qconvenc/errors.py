@@ -75,8 +75,9 @@ class CompletionError(QconvError, ValueError):
 
 
 class SynthesisFailureError(QconvError, RuntimeError):
-    """No non-catastrophic row completion was found, a centralizer given to
-    ``find_s1`` is not the table's, or a tableau given for circuit
+    """No non-catastrophic row completion was found, an S1 combination in
+    ``find_s1`` leaves the given centralizer (one that is not the table's,
+    or rows of a hand-built encoder), or a tableau given for circuit
     extraction is not symplectic."""
 
 

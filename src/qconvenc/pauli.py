@@ -141,6 +141,17 @@ def swap_halves(vec: int, width: int) -> int:
     return ((vec & mask) << width) | ((vec >> width) & mask)
 
 
+def _restrict(word: int, w: int, start: int, stop: int) -> int:
+    """The packed restriction of a packed ``w``-qubit word to qubits [start, stop)."""
+    mask = (1 << stop - start) - 1
+    return word >> start & mask | (word >> w + start & mask) << stop - start
+
+
+def _place(word: int, m: int, w: int, at: int) -> int:
+    """The packed ``m``-qubit ``word`` on qubits [at, at + m) of a packed ``w``-qubit word."""
+    return (word & (1 << m) - 1 | word >> m << w) << at
+
+
 def symplectic_product_vec(a: int, b: int, width: int) -> int:
     """Symplectic product of two packed ``width``-qubit vectors."""
     return _parity(a & swap_halves(b, width))

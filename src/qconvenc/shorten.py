@@ -60,8 +60,11 @@ def _rewrite(
     end blocks of the other generators of degree at most deg_i.  On the
     stream words, a front partner j is placed at frame 1 and a back partner
     end-aligned, shifted left by 2n(deg_i - deg_j), and the product is the
-    XOR of the placed words.  Its end frame is then clear, and its leading
-    identity frames go by one right shift by whole frames.
+    XOR of the placed words.  Its end frame is clear, unchecked: each
+    partner has deg_j <= deg_i, so its end frame lands on generator i's
+    (frame 1 in front, frame deg_i in back), and the solve picks partners
+    whose end frames XOR to it.  Dependent generators can still cancel every
+    frame, which raises.  Leading identity frames go by one right shift.
     """
     gens = code.generators
     frame = 2 * code.n
@@ -87,11 +90,6 @@ def _rewrite(
                 "generator is the all-identity stream"
                 if front
                 else f"back rewrite collapsed generator {i + 1} to identity"
-            )
-        if word >> frame * (0 if front else gen.degree - 1) & (1 << frame) - 1:
-            raise DegenerateCodeError(
-                f"{action} rewrite of generator {i + 1} failed to clear the "
-                f"{'first' if front else 'last'} block"
             )
         new_gen = _without_leading(word, code.n)
         steps.append(

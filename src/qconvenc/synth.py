@@ -39,8 +39,10 @@ from .pauli import (
     _Echelon,
     _Value,
     _dependencies,
+    _place,
     _product_mismatch,
     _products,
+    _restrict,
     _transpose,
     cycle_core,
     gf2_combination,
@@ -229,17 +231,6 @@ def assign_memory_operators(omega: MemoryCommutativityMatrix) -> MemoryOperatorT
     return MemoryOperatorTable(minimal_memory(omega), table, list(omega.index_map))
 
 
-def _restrict(word: int, w: int, start: int, stop: int) -> int:
-    """The packed restriction of a packed ``w``-qubit word to qubits [start, stop)."""
-    mask = (1 << stop - start) - 1
-    return word >> start & mask | (word >> w + start & mask) << stop - start
-
-
-def _place(word: int, m: int, w: int, at: int) -> int:
-    """The packed ``m``-qubit ``word`` on qubits [at, at + m) of a packed ``w``-qubit word."""
-    return (word & (1 << m) - 1 | word >> m << w) << at
-
-
 class EncoderRow(_Value, namedtuple("EncoderRow", "inputs outputs")):
     """One input-output Pauli constraint on an encoder unitary, as two words.
 
@@ -258,12 +249,13 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows a
 
     The shape is stated once: m is ``memory_ops.m``, n and k are fields.
     ``rows`` and ``added_rows`` are stored as tuples, and checked once,
-    here: a ``memory_ops`` that is not a ``MemoryOperatorTable`` raises
-    ``TypeError``; k outside 0..n, or a row word that is negative or does
-    not fit 2(m + n) bits, raises ``WidthMismatchError``, and the first pair
-    of ``all_rows``, in ``itertools.combinations`` order, whose inputs and
-    outputs have different products raises ``AssemblyError``.  The stages
-    that read an encoder trust its rows.
+    here: a ``memory_ops`` that is not a ``MemoryOperatorTable``, or a
+    non-integer n or k, raises ``TypeError``; k outside 0..n, or a row word
+    that is negative or does not fit 2(m + n) bits, raises
+    ``WidthMismatchError``, and the first pair of ``all_rows``, in
+    ``itertools.combinations`` order, whose inputs and outputs have
+    different products raises ``AssemblyError``.  The stages that read an
+    encoder trust its rows.
     """
 
     __slots__ = ()
@@ -279,6 +271,7 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows a
         if not isinstance(memory_ops, MemoryOperatorTable):
             raise TypeError(f"memory_ops {memory_ops!r} is not a MemoryOperatorTable")
         rows, added_rows = tuple(rows), tuple(added_rows)
+        n, k = operator.index(n), operator.index(k)
         w = memory_ops.m + n
         if not 0 <= k <= n:
             raise WidthMismatchError(f"no encoder has n={n}, k={k}")
@@ -336,15 +329,13 @@ def assemble_partial_encoder(
     n, k, m = code.n, code.k, table.m
     w = m + n
     rows: List[EncoderRow] = []
-    low = (1 << n) - 1
     for i, gen in enumerate(code.generators, start=1):
         for j in range(1, gen.degree + 1):
             # Ancilla Z_i is input qubit m + i - 1.
             consumed = _place(table.ops[i, j - 1], m, w, 0) if j > 1 else 1 << w + m + i - 1
             handed = _place(table.ops[i, j], m, w, n) if j < gen.degree else 0
-            block = gen.word >> 2 * n * (j - 1)
-            emitted = block & low | (block >> n & low) << w
-            rows.append(EncoderRow(consumed, emitted | handed))
+            block = gen.word >> 2 * n * (j - 1) & (1 << 2 * n) - 1
+            rows.append(EncoderRow(consumed, _place(block, n, w, 0) | handed))
     return PartialEncoder(table, n, k, rows)
 
 
@@ -379,13 +370,13 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     Selected combinations of the generator rows must emit identity on all
     physical qubits and have both memory parts inside the centralizer span.
     Row r is the word in | out << 2w of its two words (w = m + n), with one
-    unknown GF(2) coefficient.  Row r's constraint column holds, in this
-    order, its bits 2w + b, then 3w + b, for each physical qubit b, then its
-    products with swap_halves(g) for each memory operator word g placed on
-    the input memory qubits (``_products``), so the input memory commutes
-    with every g.  The S1 combinations are the dependencies among the
-    columns (``_dependencies``).  An S1 row is one combination of the
-    words, its memory parts checked against the given centralizer basis
+    unknown GF(2) coefficient.  Row r's constraint column holds its packed
+    physical output (``_restrict``), then its products with swap_halves(g)
+    for each memory operator word g placed on the input memory qubits
+    (``_products``), so the input memory commutes with every g.  The S1
+    combinations are the dependencies among the columns
+    (``_dependencies``).  An S1 row is one combination of the words, its
+    memory parts cut out and checked against the given centralizer basis
     (one echelon over it), and kept as a row.  Its physical output is zero
     unchecked: the first 2n bits of each column are that row's physical
     output, and a dependency's columns XOR to zero.
@@ -398,30 +389,30 @@ def find_s1(encoder: PartialEncoder, centralizer: CentralizerBasis) -> List[Enco
     mem_in(c) commutes with every g.  The rows' mem_out range over every
     g_{i,j}, so mem_out(c) then commutes with every g too.  Constraints on
     the output memory would leave the solution space, and with it the
-    dependencies among the columns, unchanged.  ``PartialEncoder`` refuses
-    inconsistent rows, so only a centralizer basis that is not the table's
-    can fail the memory check, which raises ``SynthesisFailureError``.  A
-    centralizer on another memory width than the encoder's raises
-    ``WidthMismatchError`` before any elimination.
+    dependencies among the columns, unchanged.  This needs an assembled
+    encoder, whose rows hand on the table's operators: only a foreign
+    centralizer fails the memory check there, but a hand-built row handing
+    on X against a table of one Z fails it with the table's own.  Either
+    raises ``SynthesisFailureError``.  A centralizer on another memory
+    width raises ``WidthMismatchError`` before any elimination.
     """
     m, n, w = encoder.m, encoder.n, encoder.width
     if centralizer.m != m:
         raise WidthMismatchError(f"a centralizer on {centralizer.m} memory qubits, not {m}")
     words = [row.inputs | row.outputs << 2 * w for row in encoder.rows]
     probes = [swap_halves(_place(g, m, w, 0), w) for g in encoder.memory_ops.as_list()]
-    low = (1 << n) - 1
     columns = [
-        word >> 2 * w & low | (word >> 3 * w & low) << n | products << 2 * n
+        _restrict(word >> 2 * w, w, 0, n) | products << 2 * n
         for word, products in zip(words, _products(words, probes))
     ]
-    span = _Echelon(_place(b, m, w, 0) for b in centralizer.basis)
-    memory = ((1 << m) - 1) * (1 | 1 << w)
+    span = _Echelon(centralizer.basis)
     combos: List[EncoderRow] = []
     for mask in sorted(_dependencies(columns)):
         combo = gf2_combination(words, mask)
-        if span.reduce(combo & memory)[0] or span.reduce(combo >> n + 2 * w & memory)[0]:
+        x, y = combo & (1 << 2 * w) - 1, combo >> 2 * w
+        if span.reduce(_restrict(x, w, 0, m))[0] or span.reduce(_restrict(y, w, n, w))[0]:
             raise SynthesisFailureError("an S1 combination leaves the centralizer")
-        combos.append(EncoderRow(combo & (1 << 2 * w) - 1, combo >> 2 * w))
+        combos.append(EncoderRow(x, y))
     return combos
 
 
@@ -439,10 +430,9 @@ def has_catastrophic_combination(
     """
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
     bits = 2 * m
-    physical = ((1 << n) - 1) * (1 | 1 << w)
     edges = []
     for x, y in rows:
-        if y & physical:
+        if _restrict(y, w, 0, n):
             raise AssemblyError("a row given to the cycle oracle has physical output")
         edges.append(
             _restrict(x, w, 0, m) | _restrict(y, w, n, w) << bits | _restrict(x, w, w - k, w) << 2 * bits
@@ -469,8 +459,8 @@ def add_noncatastrophic_rows(
     canonical choice is tried first, then seeded random completions.
 
     Why the attempts need no checks of their size:
-    - the greedy set always has ``needed`` members: S1's memory outputs lie
-      in the centralizer (``find_s1`` checks it), so its basis completes the rank;
+    - the greedy set has exactly ``needed`` members: S1's memory outputs lie
+      in the centralizer (``find_s1`` checks it), so needed basis words add rank;
     - a draw can take ``needed`` distinct elements: needed <= dim <= 2^dim - 1;
     - an empty centralizer stops the draws too: dim = 0 forces needed = 0;
     - a draw has ``needed`` entries: one per picked index.
@@ -499,15 +489,9 @@ def add_noncatastrophic_rows(
         )
 
     def attempts() -> Iterator[List[int]]:
-        # Greedy canonical completion from the centralizer basis.
-        # b raises the rank iff it leaves a nonzero remainder.
-        candidates: List[int] = []
-        for b in centralizer.basis:
-            if len(candidates) == needed:
-                break
-            if span.add(b, 0)[0]:
-                candidates.append(b)
-        yield candidates
+        # Greedy canonical completion from the centralizer basis: b raises
+        # the rank iff it leaves a nonzero remainder.
+        yield [b for b in centralizer.basis if span.add(b, 0)[0]]
         # Seeded random draws, made only once the sets before them failed,
         # from the nonidentity centralizer elements.  Element c is the
         # combination c of the reversed basis (last basis element fastest).

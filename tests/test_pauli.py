@@ -520,8 +520,11 @@ def test_cycle_core_matches_the_annihilator_reference(relation):
 
 @pytest.mark.parametrize(
     "width,x,z",
-    [(-1, 0, 0), (2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1)],
-    ids=["negative-width", "x-too-wide", "z-too-wide", "negative-x", "negative-z"],
+    [(-1, 0, 0), (2, 4, 0), (2, 0, 4), (2, -1, 0), (2, 0, -1), (1, 2, 2)],
+    ids=[
+        "negative-width", "x-too-wide", "z-too-wide", "negative-x", "negative-z",
+        "x-and-z-share-a-bit-past-the-width",
+    ],
 )
 def test_pauli_rejects_words_outside_its_width(width, x, z):
     with pytest.raises(WidthMismatchError) as info:
@@ -568,6 +571,8 @@ GEN = GeneratorPolynomial(2, 0b0101)  # XX
         (lambda: ConvolutionalCode(2.0, 1, (GEN,)), TypeError),
         (lambda: MemoryOperatorTable(1.0, {}, []), TypeError),
         (lambda: CentralizerBasis(1.0, []), TypeError),
+        (lambda: PartialEncoder(NO_OPS, 2, 1.0, []), TypeError),
+        (lambda: CliffordTableau(0.0, []), TypeError),
     ],
     ids=[
         "row-past-last-column", "rhs-length", "order-not-permutation",
@@ -577,7 +582,8 @@ GEN = GeneratorPolynomial(2, 0b0101)  # XX
         "gate-negative-qubit", "gate-qubit-past-width", "gate-repeated-qubit",
         "gate-two-qubit-past-width", "gate-too-few-qubits", "gate-too-many-qubits",
         "gate-unknown-kind", "generator-float-word", "generator-float-width",
-        "code-float-n", "table-float-m", "centralizer-float-m",
+        "code-float-n", "table-float-m", "centralizer-float-m", "encoder-float-k",
+        "tableau-float-width",
     ],
 )
 def test_caller_input_raises_typed_errors(call, error):
@@ -645,6 +651,8 @@ def test_pauli_width_check_survives_optimized_mode():
         "    lambda: ConvolutionalCode(2.0, 1, (GeneratorPolynomial(2, 0b0101),)),\n"
         "    lambda: MemoryOperatorTable(1.0, {}, []),\n"
         "    lambda: CentralizerBasis(1.0, []),\n"
+        "    lambda: PartialEncoder(no_ops, 2, 1.0, []),\n"
+        "    lambda: CliffordTableau(0.0, []),\n"
         "]\n"
         "for call in calls:\n"
         "    try:\n        call()\n        print('accepted')\n"
@@ -684,6 +692,8 @@ def test_pauli_width_check_survives_optimized_mode():
         "GateError",
         "GateError",
         "GateError",
+        "TypeError",
+        "TypeError",
         "TypeError",
         "TypeError",
         "TypeError",

@@ -17,7 +17,7 @@ from oracles import (
     group_equivalent_on_strip_paulis,
     normalize_leading_delay,
 )
-from qconvenc.code import ConvolutionalCode, parse_code, serialize_code
+from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, parse_code, serialize_code
 from qconvenc.code import delay_generator, multiply_generators, validate_code
 from qconvenc.errors import (
     DegenerateCodeError,
@@ -207,6 +207,18 @@ def test_group_equivalent_matches_strip_pauli_oracle(data):
         b = data.draw(rewritten_codes(data.draw(st.sampled_from(SAME_WIDTH))))
     # group_equivalent's strip: the larger degree plus the larger generator count plus 2.
     window = max(a.max_degree, b.max_degree) + max(len(a.generators), len(b.generators)) + 2
+    assert group_equivalent(a, b) == group_equivalent_on_strip_paulis(a, b, window)
+
+
+def test_group_equivalent_projects_out_only_the_end_frames():
+    # A generated code (conftest.shift_invariant_codes) and its shortened
+    # form: the verdict changes if any bit past the strip's first and last
+    # frames is projected out too, such as the x half of the second frame.
+    a = ConvolutionalCode(
+        7, 5, (GeneratorPolynomial(7, 34898706432), GeneratorPolynomial(7, 103620329600))
+    )
+    b = shorten(a).output_code
+    window = max(a.max_degree, b.max_degree) + 2 + 2
     assert group_equivalent(a, b) == group_equivalent_on_strip_paulis(a, b, window)
 
 

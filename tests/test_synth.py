@@ -400,8 +400,9 @@ def test_zero_output_row_combinations(name):
 
 def test_find_s1_refuses_a_combination_that_breaks_its_conditions():
     # A typed error, not an assert, so the check also holds under python -O.
-    # Only a foreign centralizer reaches it: no S1 combination has physical
-    # output (find_s1 proves it; tests/test_postconditions.py checks it).
+    # On an assembled encoder only a foreign centralizer reaches it: no S1
+    # combination has physical output (find_s1 proves it;
+    # tests/test_postconditions.py checks it).
     code = load_code("running2")
     table = assign_memory_operators(build_commutativity_matrix(code))
     encoder = assemble_partial_encoder(code, table)
@@ -442,6 +443,18 @@ def test_find_s1_refuses_an_output_memory_outside_the_given_centralizer():
         assert gf2_rank(inputs + [pauli_to_vec(encoder.parts(row)["mem_out"])]) > gf2_rank(inputs)
     with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
         find_s1(encoder, CentralizerBasis(table.m, inputs))
+
+
+def test_find_s1_refuses_a_hand_built_row_that_hands_on_an_x_memory_part():
+    # The memory check is unreachable with the table's own centralizer only
+    # for assembled encoders.  Here the table's one operator is Z, and the
+    # one row takes ancilla Z to X on the output memory, with no physical
+    # output: its X memory part leaves the table's centralizer, span{Z}.
+    table = MemoryOperatorTable(1, {(1, 1): 2}, [(1, 1)])
+    encoder = PartialEncoder(table, 1, 0, [EncoderRow(8, 2)])
+    assert encoder.parts(encoder.rows[0])["mem_out"] == Pauli.from_string("X")
+    with pytest.raises(SynthesisFailureError, match="leaves the centralizer"):
+        find_s1(encoder, compute_centralizer(table))
 
 
 @pytest.mark.parametrize("name", CORPUS)
