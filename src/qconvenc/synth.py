@@ -460,7 +460,7 @@ def add_noncatastrophic_rows(
 
     Why the attempts need no checks of their size:
     - the greedy set has exactly ``needed`` members: S1's memory outputs lie
-      in the centralizer (``find_s1`` checks it), so needed basis words add rank;
+      in the centralizer (``find_s1`` checks it), so exactly that many basis words raise the rank;
     - a draw can take ``needed`` distinct elements: needed <= dim <= 2^dim - 1;
     - an empty centralizer stops the draws too: dim = 0 forces needed = 0;
     - a draw has ``needed`` entries: one per picked index.

@@ -563,6 +563,7 @@ GEN = GeneratorPolynomial(2, 0b0101)  # XX
         (lambda: replay_gates(2, [Gate("s", (2,))]), GateError),
         (lambda: replay_gates(2, [Gate("cnot", (0, 0))]), GateError),
         (lambda: replay_gates(2, [Gate("cz", (0, 2))]), GateError),
+        (lambda: replay_gates(2, [Gate("cnot", (2, 0))]), GateError),
         (lambda: replay_gates(2, [Gate("cnot", (0,))]), GateError),
         (lambda: replay_gates(2, [Gate("h", (0, 1))]), GateError),
         (lambda: replay_gates(2, [Gate("t", (0,))]), GateError),
@@ -580,8 +581,9 @@ GEN = GeneratorPolynomial(2, 0b0101)  # XX
         "encoder-int-table", "encoder-none-table",
         "tableau-image-count", "pauli-character", "table-word-too-wide", "table-negative-word",
         "gate-negative-qubit", "gate-qubit-past-width", "gate-repeated-qubit",
-        "gate-two-qubit-past-width", "gate-too-few-qubits", "gate-too-many-qubits",
-        "gate-unknown-kind", "generator-float-word", "generator-float-width",
+        "gate-two-qubit-past-width", "gate-first-qubit-past-width", "gate-too-few-qubits",
+        "gate-too-many-qubits", "gate-unknown-kind", "generator-float-word",
+        "generator-float-width",
         "code-float-n", "table-float-m", "centralizer-float-m", "encoder-float-k",
         "tableau-float-width",
     ],
