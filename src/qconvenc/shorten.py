@@ -64,7 +64,10 @@ def _rewrite(
     partner has deg_j <= deg_i, so its end frame lands on generator i's
     (frame 1 in front, frame deg_i in back), and the solve picks partners
     whose end frames XOR to it.  Dependent generators can still cancel every
-    frame, which raises.  Leading identity frames go by one right shift.
+    frame, which raises, but only in front: had a back rewrite cancelled
+    generator i, its nonzero first frame would be the XOR of its
+    equal-degree partners' first frames, and the front rewrite would have
+    fired first.  Leading identity frames go by one right shift.
     """
     gens = code.generators
     frame = 2 * code.n
@@ -86,11 +89,7 @@ def _rewrite(
             shift = 0 if front else gen.degree - gens[j].degree
             word ^= gens[j].word << frame * shift
         if not word:
-            raise DegenerateCodeError(
-                "generator is the all-identity stream"
-                if front
-                else f"back rewrite collapsed generator {i + 1} to identity"
-            )
+            raise DegenerateCodeError("generator is the all-identity stream")
         new_gen = _without_leading(word, code.n)
         steps.append(
             ShortenStep(action, i + 1, tuple(j + 1 for j in partners), new_gen.degree)

@@ -104,24 +104,32 @@ class CliffordTableau(_Value, namedtuple("CliffordTableau", "width images")):
 
 
 def _not_in_span_solution(
-    particular: int, null_basis: Sequence[int], swapped_span: _Echelon, w: int,
+    particular: int, swapped_span: _Echelon, free: Sequence[int], w: int,
     rng: Optional[random.Random],
 ) -> Optional[Tuple[int, int, int]]:
     """A solution whose swapped halves lie outside ``swapped_span``, and
-    ``swapped_span.reduce`` of those swapped halves."""
+    ``swapped_span.reduce`` of those swapped halves.
 
-    def outside(cand: int) -> Optional[Tuple[int, int, int]]:
+    A solution is ``particular`` plus S, a word over the ``free`` columns,
+    plus each pivot p whose row meets S oddly: that row holds no other pivot.
+    """
+
+    def outside(free_word: int) -> Optional[Tuple[int, int, int]]:
+        cand = particular ^ free_word
+        for p, row in swapped_span.rows.items():
+            if (row & free_word).bit_count() & 1:
+                cand ^= 1 << p
         rest, tag = swapped_span.reduce(swap_halves(cand, w))
         return (cand, rest, tag) if rest else None
 
     if rng is not None:
         for _ in range(64):
-            mask = rng.getrandbits(len(null_basis))
-            found = outside(particular ^ gf2_combination(null_basis, mask))
+            mask = rng.getrandbits(len(free))
+            found = outside(sum(1 << f for j, f in enumerate(free) if mask >> j & 1))
             if found:
                 return found
-    for vec in (0, *null_basis):
-        found = outside(particular ^ vec)
+    for free_word in (0, *(1 << f for f in free)):
+        found = outside(free_word)
         if found:
             return found
     return None
@@ -153,13 +161,9 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
       parity(swap_halves(v) & in_p).  A combination of outputs that is
       zero asks <v, in> = 0 of its input word in, or there is no image.
       So every right-hand side is one parity per tag, in one pass.
-    The nullspace of the swapped outputs grows with them, kept as free
-    column f -> N_f, the one nullspace vector whose only free bit is f,
-    keys ascending.  A remainder with new pivot p pops N_p, whose product
-    with it is odd: it holds no older pivot, so it meets N_p only in p.
-    Each N_f with odd product takes N_p on, which evens it and adds no free
-    bit.  A new image is the particular solution with free bits zero plus
-    a combination of it.  Seed 0's scan for a unit vector outside the input
+    The swapped outputs' non-pivot columns are kept in ascending order.
+    Bit j of an rng mask picks free column j; seed 0 tries no free column,
+    then each in turn.  Seed 0's scan for a unit vector outside the input
     span resumes where it stopped: a vector in the span stays there.
 
     The result is unchecked: it is symplectic and maps every given row.
@@ -173,15 +177,12 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     full = (1 << 2 * w) - 1
     rows = encoder.all_rows
     inputs, swapped_outputs = _Echelon(), _Echelon()
-    nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
+    free = list(range(2 * w))  # the swapped outputs' non-pivot columns
 
     def add_output(swapped: int, in_word: int) -> None:
         rest = swapped_outputs.add(swapped, in_word)[0]
         if rest:
-            pivot = nullspace.pop((rest & -rest).bit_length() - 1)
-            for f, null in nullspace.items():
-                if (null & rest).bit_count() & 1:
-                    nullspace[f] = null ^ pivot
+            free.remove((rest & -rest).bit_length() - 1)
 
     for i, (v, image) in enumerate(rows):
         rest, tag = inputs.add(v | image << 2 * w, 1 << i)
@@ -207,9 +208,7 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
             for p, in_p in swapped_outputs.tags.items():
                 if (swapped_v & in_p).bit_count() & 1:
                     particular |= 1 << p
-            found = _not_in_span_solution(
-                particular, list(nullspace.values()), swapped_outputs, w, rng
-            )
+            found = _not_in_span_solution(particular, swapped_outputs, free, w, rng)
         if found is None:
             raise CompletionError(
                 "no independent image for a new input direction; given rows are "

@@ -816,7 +816,8 @@ def symplectic_gram_schmidt_by_lists(rows: Sequence[int]) -> GramSchmidtResult:
 # --- Reference completion and extraction ----------------------------------------
 # The completion and the circuit extraction as they were before the package
 # read images off an augmented input echelon, solved each new direction in
-# one pass over input-word tags, and applied a sweep's gates inline.  Every
+# one pass over input-word tags, read the nullspace off the reduced output
+# rows instead of keeping it, and applied a sweep's gates inline.  Every
 # choice, rng draw and error is the same, so the package must agree with
 # them gate for gate.
 

@@ -36,7 +36,13 @@ from oracles import (
     synthesize_circuit_reference,
     zero_physical_graph,
 )
-from qconvenc.code import ConvolutionalCode, delay_generator, multiply_generators, parse_code
+from qconvenc.code import (
+    ConvolutionalCode,
+    GeneratorPolynomial,
+    delay_generator,
+    multiply_generators,
+    parse_code,
+)
 from qconvenc.errors import (
     AssemblyError,
     CompletionError,
@@ -337,6 +343,10 @@ def consistent_partial_encoders(draw):
 @given(consistent_partial_encoders())
 @example((0, 1, 0, [Z_TO_IDENTITY], 0))
 @example((0, 1, 0, [Z_TO_IDENTITY], 7))
+# Seed 0's particular solution lies in the output span here, so the scan
+# goes on to a nullspace vector read off a reduced row.
+@example((1, 1, 0, [EncoderRow(0b0010, 0b1111)], 0))
+@example((1, 1, 0, [EncoderRow(0b1000, 0b1100)], 0))
 def test_completion_matches_the_reference_oracle(case):
     # Same tableau, or same CompletionError message, as the completion on
     # tagged echelons: every choice and rng draw is the reference's.
@@ -1035,3 +1045,13 @@ def test_roundtrip_rejects_swapped_generators(running1):
         running1.n, running1.k, (running1.generators[1], running1.generators[0])
     )
     assert roundtrip_verify(tableau, swapped) == 0
+
+
+def test_roundtrip_rejects_a_generator_whose_memory_is_left_set(running1):
+    # Generator 1 cut to its first frame: that frame's physical output still
+    # matches, but the memory it leaves behind is never flushed.
+    _result, tableau = pipeline("running1")
+    g1 = running1.generators[0]
+    cut = GeneratorPolynomial(g1.width, g1.word & (1 << 2 * g1.width) - 1)
+    assert g1.degree > 1 and cut.degree == 1
+    assert roundtrip_verify(tableau, running1.with_generator(0, cut)) == 0
