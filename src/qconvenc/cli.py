@@ -24,32 +24,19 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .code import ConvolutionalCode, parse_code, serialize_code, validate_code
 from .errors import (
+    DEFAULT_MEMORY_BOUND,
     MemoryBoundError,
     ParseError,
     QconvError,
     SynthesisFailureError,
 )
-from .shorten import shorten
-from .synth import (
-    EncoderRow,
-    MemoryCommutativityMatrix,
-    PartialEncoder,
-    build_commutativity_matrix,
-    minimal_memory,
-    synthesize,
-)
-from .tableau import (
-    DEFAULT_MEMORY_BOUND,
-    complete_to_clifford,
-    detect_catastrophic,
-    roundtrip_verify,
-    synthesize_circuit,
-    verify_non_recursive,
-)
+
+if TYPE_CHECKING:
+    from .synth import EncoderRow, MemoryCommutativityMatrix, PartialEncoder
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -90,15 +77,12 @@ def _row_json(encoder: PartialEncoder, row: EncoderRow) -> Dict[str, str]:
     return {key: str(part) for key, part in encoder.parts(row).items()}
 
 
-def _omega(code: ConvolutionalCode) -> Tuple[MemoryCommutativityMatrix, int]:
-    omega = build_commutativity_matrix(code)
-    return omega, minimal_memory(omega)
-
-
 def _run(args) -> Tuple[Dict[str, object], ConvolutionalCode]:
     """The report of ``args.command`` and the code its last stage read.
 
     Runs the stages in order up to the command's last one, timing each.
+    Each stage's module is imported where the run reaches it, outside its
+    timing, so a command compiles only the stages it runs.
     """
     last = _LAST_STAGE[args.command]
     report: Dict[str, object] = {}
@@ -119,6 +103,8 @@ def _run(args) -> Tuple[Dict[str, object], ConvolutionalCode]:
     }
     if check.valid and last != "code":
         if last == "shorten" or not args.skip_shorten:
+            from .shorten import shorten
+
             shortening = timed("shorten", shorten, code)
             code = shortening.output_code
             report["shorten"] = {
@@ -126,8 +112,21 @@ def _run(args) -> Tuple[Dict[str, object], ConvolutionalCode]:
                 "output": _code_json(code),
             }
         if last == "omega":
-            report["synth"] = _omega_json(*timed("synth", _omega, code))
+            from .synth import build_commutativity_matrix, minimal_memory
+
+            report["synth"] = _omega_json(*timed(
+                "synth", lambda: (omega := build_commutativity_matrix(code), minimal_memory(omega))
+            ))
         elif last == "analysis":
+            from .synth import synthesize
+            from .tableau import (
+                complete_to_clifford,
+                detect_catastrophic,
+                roundtrip_verify,
+                synthesize_circuit,
+                verify_non_recursive,
+            )
+
             result = timed("synth", synthesize, code, args.seed)
             encoder = result.encoder
             table = encoder.memory_ops

@@ -81,6 +81,10 @@ class SynthesisFailureError(QconvError, RuntimeError):
     extraction is not symplectic."""
 
 
+# The default --max-memory bound of the state-diagram analysis.
+DEFAULT_MEMORY_BOUND = 8
+
+
 class MemoryBoundError(QconvError, RuntimeError):
     """Analysis refused: memory-qubit count exceeds the configured bound."""
 

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .code import ConvolutionalCode
 from .errors import (
+    DEFAULT_MEMORY_BOUND,
     CompletionError,
     GateError,
     MemoryBoundError,
@@ -65,8 +66,6 @@ __all__ = [
 
 # A synthesized circuit has at most 2 * width**2 + 4 * width <= 8 * width**2 gates.
 GATE_COUNT_FACTOR = 8
-
-DEFAULT_MEMORY_BOUND = 8
 
 
 class Gate(_Value, namedtuple("Gate", "kind qubits")):

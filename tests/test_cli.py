@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -227,6 +228,27 @@ def test_json_deterministic_for_fixed_seed(capsys):
     assert json.dumps(a, indent=2) == json.dumps(b, indent=2)
 
 
+TIMED_STAGES = {
+    "validate": ["parse", "validate"],
+    "shorten": ["parse", "validate", "shorten"],
+    "omega": ["parse", "validate", "shorten", "synth"],
+    "synthesize": ["parse", "validate", "shorten", "synth", "complete", "circuit", "analyze"],
+}
+
+
+@pytest.mark.parametrize("command", TIMED_STAGES)
+def test_a_json_report_is_indented_by_two_and_times_each_stage_run(capsys, command):
+    start = time.perf_counter()
+    assert main([command, "--json", corpus_path("running1")]) == 0
+    wall = time.perf_counter() - start
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    timing = report["timing"]
+    assert list(timing) == TIMED_STAGES[command]
+    assert min(timing.values()) >= 0 and sum(timing.values()) <= wall
+
+
 @pytest.mark.parametrize("seed", ["-3", str(2**64), "3.5"], ids=["negative", "2**64", "fraction"])
 def test_seed_outside_u64_is_a_usage_error(capsys, seed):
     # random.Random reads a seed -s as s, so a negative seed would alias a
@@ -360,19 +382,53 @@ def test_cli_import_leaves_networkx_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_dataclasses_machinery_unloaded():
-    # Only what the import adds counts, whatever the host preloads; -S keeps
-    # site's own imports out as well.
+def _modules_added(statement: str) -> set:
+    """The modules a fresh interpreter loads to run ``statement``.
+
+    Only what the statement adds counts, whatever the host preloads; -S
+    keeps site's own imports out as well.
+    """
     package_root = os.path.dirname(os.path.dirname(sys.modules["qconvenc"].__file__))
     probe = (
         f"import sys; sys.path.insert(0, {package_root!r}); before = set(sys.modules); "
-        "import qconvenc.cli; print(*sorted(set(sys.modules) - before))"
+        f"{statement}; print('loaded:', *sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
-    assert "qconvenc.cli" in added
+    return set(proc.stdout.rpartition("loaded:")[2].split())
+
+
+def _cli_run(command: str) -> str:
+    argv = [command, "--json", corpus_path("running1")]
+    return f"from qconvenc.cli import main; main({argv!r})"
+
+
+def test_cli_import_leaves_dataclasses_machinery_unloaded():
+    # A full-pipeline run loads every stage module.
+    added = _modules_added(_cli_run("synthesize"))
+    assert "qconvenc.tableau" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+CLI_CORE = ("cli", "code", "errors", "pauli")
+FULL_PIPELINE = (*CLI_CORE, "shorten", "synth", "tableau")
+# The submodules each command loads; None is the bare package import.
+LOADED_BY = {
+    None: (),
+    "validate": CLI_CORE,
+    "shorten": (*CLI_CORE, "shorten"),
+    "omega": (*CLI_CORE, "shorten", "synth"),
+    "synthesize": FULL_PIPELINE,
+    "analyze": FULL_PIPELINE,
+    "circuit": FULL_PIPELINE,
+}
+
+
+@pytest.mark.parametrize("command", LOADED_BY, ids=str)
+def test_each_command_loads_only_the_modules_of_its_stages(command):
+    added = _modules_added("import qconvenc" if command is None else _cli_run(command))
+    loaded = {name for name in added if name.split(".")[0] == "qconvenc"}
+    assert loaded == {"qconvenc", *(f"qconvenc.{module}" for module in LOADED_BY[command])}
 
 
 def test_analysis_builds_one_state_diagram(monkeypatch):

@@ -2,13 +2,17 @@
 
 import copy
 import importlib
+import inspect
 import pickle
 import pkgutil
+import sys
 
 import pytest
 
 import qconvenc
+import qconvenc.tableau as tableau_module
 from conftest import load_code
+from qconvenc.cli import build_parser
 from qconvenc.code import ConvolutionalCode, GeneratorPolynomial, ValidationResult, validate_code
 from qconvenc.errors import AssemblyError, CodeShapeError, QconvError, WidthMismatchError
 from qconvenc.pauli import GramSchmidtResult, Pauli, _Value, symplectic_gram_schmidt
@@ -33,6 +37,7 @@ from qconvenc.tableau import (
     StateDiagramEdge,
     complete_to_clifford,
     detect_catastrophic,
+    verify_non_recursive,
 )
 from reference_data import CORPUS
 
@@ -307,3 +312,40 @@ def test_every_public_class_but_the_errors_is_a_value_record():
     classes = [obj for obj in public if isinstance(obj, type) and not issubclass(obj, QconvError)]
     assert len(classes) >= 18
     assert sorted(cls.__name__ for cls in classes if not issubclass(cls, _Value)) == []
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    for name in qconvenc.__all__[1:]:
+        obj = getattr(qconvenc, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_loading_a_submodule_keeps_the_public_name_it_shares(monkeypatch):
+    # Loading qconvenc.shorten sets the package attribute "shorten" to the
+    # module; the public name stays the function.
+    monkeypatch.delitem(vars(qconvenc), "shorten", raising=False)
+    setattr(qconvenc, "shorten", sys.modules["qconvenc.shorten"])
+    assert qconvenc.shorten is sys.modules["qconvenc.shorten"].shorten
+
+
+def test_a_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qconvenc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qconvenc.__all__)
+    assert len(namespace) == 31
+
+
+def test_dir_lists_the_public_names_and_an_unknown_one_is_missing():
+    assert set(qconvenc.__all__) <= set(dir(qconvenc))
+    with pytest.raises(AttributeError, match="module 'qconvenc' has no attribute 'encode'"):
+        qconvenc.encode
+    assert not hasattr(qconvenc, "encode")
+
+
+def test_the_cli_and_the_verdicts_share_one_memory_bound_default():
+    args = build_parser().parse_args(["analyze", "code.qcc"])
+    assert args.max_memory == tableau_module.DEFAULT_MEMORY_BOUND
+    for verdict in (detect_catastrophic, verify_non_recursive):
+        default = inspect.signature(verdict).parameters["max_memory"].default
+        assert default == tableau_module.DEFAULT_MEMORY_BOUND
