@@ -9,11 +9,11 @@ component), so composing and comparing maps is pure integer arithmetic.
 Those rows serve the completion, which asks for images of inputs.  Circuit
 extraction and replay work on the transposed tableau, one x and one z column
 per qubit holding that qubit's bits of all 2*width images, where a gate
-updates one or two whole columns.  The state diagram is read from one
-realisation of the encoder as a linear system over GF(2) (``_Realisation``),
-built from the images of the memory, ancilla Z and logical inputs, and kept
-per tableau value and shape with its zero-physical solve (``_realisation``):
-both verdicts read one solve, and the round trip reads it without solving.
+updates one or two whole columns.  The state diagram reads the images as its
+transition map: a transition is an input word on the memory, ancilla Z and
+logical qubits, and its output, physical frame then memory, is the XOR of
+their images.  One zero-physical solve is kept per tableau value and shape
+(``_solve``); both verdicts read it, and the round trip runs none.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .pauli import (
     _Echelon,
     _Value,
     _dependencies,
+    _place,
     _restrict,
     _transpose,
     cycle_core,
@@ -364,171 +365,79 @@ class CycleWitness(_Value, namedtuple("CycleWitness", "edges")):
         return sum(edge.logical_weight for edge in self.edges)
 
 
-def _weight_one_labels(k: int) -> List[int]:
-    return [x << q | z << k + q for q in range(k) for x, z in ((1, 0), (0, 1), (1, 1))]
+def _split(tableau: CliffordTableau, n: int, k: int, m: int) -> int:
+    """The tableau's width, once (n, k, m) is checked to split it."""
+    w = tableau.width
+    if not (0 <= k <= n and m >= 0 and w == m + n):
+        raise WidthMismatchError(f"(n, k, m) = ({n}, {k}, {m}) does not split width {w}")
+    return w
 
 
-class _Realisation:
-    """The encoder as a linear system over GF(2): memory' = A mem + B u and
-    physical = C mem + D u, read once from the tableau.
+def _edge(tableau: CliffordTableau, n: int, k: int, m: int, word: int) -> StateDiagramEdge:
+    """The transition an input word takes, as Paulis."""
+    w = tableau.width
+    out = gf2_combination(tableau.images, word)
+    return StateDiagramEdge(
+        mem_from=vec_to_pauli(_restrict(word, w, 0, m), m),
+        anc=vec_to_pauli(_restrict(word, w, m, w - k), n - k),
+        logical=vec_to_pauli(_restrict(word, w, w - k, w), k),
+        physical=vec_to_pauli(_restrict(out, w, 0, n), n),
+        mem_to=vec_to_pauli(_restrict(out, w, n, w), m),
+    )
 
-    A transition word is ``s | u << 2m``: the packed memory s (x bits, then
-    z bits), then u, the ancilla Z bits and the packed logical x and z bits.
-    ``columns[i]`` is the output of input bit i, ``physical | mem_to << 2n``,
-    so a word's output is the XOR of the columns of its set bits.
+
+# Kept for the last tableau value and shape: equal tableaux share it,
+# another replaces it.
+@functools.lru_cache(maxsize=1)
+def _solve(tableau: CliffordTableau, n: int, k: int, m: int) -> Tuple[List[int], List[int]]:
+    """Basis of the zero-physical transitions and the ``cycle_core`` of its span.
+
+    The zero-physical condition is linear in the input word, so its
+    solutions are the span of a nullspace of the physical images, taken
+    over the directions memory X_q, Z_q per qubit, ancilla Z, then logical
+    X_q, Z_q per qubit.  Each basis entry is an input word.  A core edge is
+    ``mem_from | mem_to << 2m | label << 4m``, the label being the 2k
+    logical bits, then a tag whose bit t marks basis entry t.
     """
-
-    def __init__(self, tableau: CliffordTableau, n: int, k: int, m: int):
-        w = tableau.width
-        if not (0 <= k <= n and m >= 0 and w == m + n):
-            raise WidthMismatchError(f"(n, k, m) = ({n}, {k}, {m}) does not split width {w}")
-        self.n, self.k, self.m = n, k, m
-        self.physical = (1 << 2 * n) - 1  # mask of an output's physical bits
-        inputs = (
-            *range(m), *range(w, w + m),  # memory X, Z
-            *range(w + m, 2 * w - k),  # ancilla Z
-            *range(w - k, w), *range(2 * w - k, 2 * w),  # logical X, Z
-        )
-        images = [tableau.images[t] for t in inputs]
-        self.columns = [_restrict(v, w, 0, n) | _restrict(v, w, n, w) << 2 * n for v in images]
-
-    def out(self, word: int) -> int:
-        """The output ``physical | mem_to << 2n`` of a transition word."""
-        return gf2_combination(self.columns, word)
-
-    def edge(self, word: int) -> StateDiagramEdge:
-        """The transition a word takes, as Paulis."""
-        n, k, m = self.n, self.k, self.m
-        out = self.out(word)
-        u = word >> 2 * m
-        return StateDiagramEdge(
-            mem_from=vec_to_pauli(word, m),
-            anc=Pauli(n - k, 0, u & ((1 << n - k) - 1)),
-            logical=vec_to_pauli(u >> n - k, k),
-            physical=vec_to_pauli(out, n),
-            mem_to=vec_to_pauli(out >> 2 * n, m),
-        )
-
-    @functools.cached_property
-    def zero_physical(self) -> Tuple[List[int], List[int]]:
-        """Basis of the zero-physical edges and the ``cycle_core`` of its span, kept.
-
-        The zero-physical condition C mem + D u = 0 is linear, so its
-        solutions are the span of a nullspace basis, taken over the
-        directions memory X_q, Z_q per qubit, ancilla Z, then logical X_q,
-        Z_q per qubit.  Each basis entry is a transition word, and its
-        output is read back through ``out`` where it is needed.  A core edge
-        is ``mem_from | mem_to << 2m | label << 4m``, the label being the 2k
-        logical bits, then a tag whose bit t marks basis entry t.
-        """
-        n, k, m = self.n, self.k, self.m
-        order = [b for q in range(m) for b in (q, m + q)]
-        order += range(2 * m, 2 * m + n - k)
-        order += [b for q in range(k) for b in (2 * m + n - k + q, 2 * m + n + q)]
-        directions = [1 << b for b in order]
-        basis = [
-            gf2_combination(directions, combo)
-            for combo in _dependencies([self.columns[b] & self.physical for b in order])
-        ]
-        low_m, logical = (1 << 2 * m) - 1, (1 << 2 * k) - 1
-        packed = [
-            word & low_m
-            | (self.out(word) >> 2 * n) << 2 * m
-            | ((word >> 2 * m + n - k) & logical | 1 << 2 * k + t) << 4 * m
-            for t, word in enumerate(basis)
-        ]
-        return basis, cycle_core(packed, 2 * m)
-
-    def catastrophic(self) -> Tuple[bool, Optional[CycleWitness]]:
-        """``detect_catastrophic``'s verdict and witness.
-
-        A core edge's top field is its tag, the mask of the basis entries
-        summing to it, so ``gf2_span(gf2_basis(core))`` ascends in tag order,
-        the mask order of the basis.  The search from v keeps the edge that
-        discovered each vertex, the first listed from its parent, in one
-        first-in-first-out pass over a growing list, which ends.  It finds u:
-        a core edge lies on a cycle (``cycle_core``), and so does every edge
-        of the way back from v to u (``detect_catastrophic``).
-        """
-        k, m = self.k, self.m
-        basis, core = self.zero_physical
-        low_m, labels = (1 << 2 * m) - 1, (1 << 2 * k) - 1
-        if not any((edge >> 4 * m) & labels for edge in core):
-            return False, None
-        edges = gf2_span(gf2_basis(core))
-        first = next(edge for edge in edges if (edge >> 4 * m) & labels)
-        u, v = first & low_m, (first >> 2 * m) & low_m
-        leaving: Dict[int, List[int]] = {}
-        for edge in edges:
-            leaving.setdefault(edge & low_m, []).append(edge)
-        discovered: Dict[int, int] = {v: first}  # vertex -> the edge that reached it
-        queue = [v]  # grows while the loop reads it
-        for x in queue:
-            if u in discovered:
-                break
-            for edge in leaving.get(x, ()):
-                y = (edge >> 2 * m) & low_m
-                if y not in discovered:
-                    discovered[y] = edge
-                    queue.append(y)
-        walk = []  # the way back, from u's discovering edge to v
-        while u != v:
-            walk.append(discovered[u])
-            u = walk[-1] & low_m
-        witness = [first] + walk[::-1]
-        return True, CycleWitness(
-            [self.edge(gf2_combination(basis, edge >> 4 * m + 2 * k)) for edge in witness]
-        )
-
-    def non_recursive(self) -> Tuple[bool, Optional[List[StateDiagramEdge]]]:
-        """``verify_non_recursive``'s verdict and escape path."""
-        n, k, m = self.n, self.k, self.m
-        basis = gf2_basis(edge & ((1 << 2 * m) - 1) for edge in self.zero_physical[1])
-        loops = _Echelon(basis)  # a vertex is a loop vertex iff it reduces to zero
-        stranded = set()  # vertices whose identity-input walk misses every loop
-        for c in range(1 << len(basis)):  # the loop vertices, ascending, one at a time
-            start = gf2_combination(basis, c)
-            for logical in _weight_one_labels(k):
-                for anc_mask in range(1 << (n - k)):
-                    words = [start | (anc_mask | logical << n - k) << 2 * m]
-                    out = self.out(words[0])
-                    vertex = out >> 2 * n
-                    if not out & self.physical and not loops.reduce(vertex)[0]:
-                        continue  # first edge lies on a zero-physical cycle
-                    while vertex not in stranded and loops.reduce(vertex)[0]:
-                        stranded.add(vertex)
-                        words.append(vertex)  # identity input: the word is the state
-                        vertex = self.out(vertex) >> 2 * n
-                    if vertex not in stranded:  # the walk met a loop vertex
-                        return True, [self.edge(x) for x in words]
-        return False, None
-
-
-# The realisation of the last tableau value and shape, with the solve it
-# keeps: equal tableaux share it, another replaces it.  A shape that does
-# not split the tableau raises on every call.
-_realisation = functools.lru_cache(maxsize=1)(_Realisation)
+    w, images = tableau.width, tableau.images
+    physical = ((1 << n) - 1) * (1 | 1 << w)
+    order = [b for q in range(m) for b in (q, w + q)]
+    order += range(w + m, 2 * w - k)
+    order += [b for q in range(w - k, w) for b in (q, w + q)]
+    directions = [1 << b for b in order]
+    basis = [
+        gf2_combination(directions, combo)
+        for combo in _dependencies([images[b] & physical for b in order])
+    ]
+    packed = [
+        _restrict(word, w, 0, m)
+        | _restrict(gf2_combination(images, word), w, n, w) << 2 * m
+        | (_restrict(word, w, w - k, w) | 1 << 2 * k + t) << 4 * m
+        for t, word in enumerate(basis)
+    ]
+    return basis, cycle_core(packed, 2 * m)
 
 
 def _state_diagram(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int
-) -> _Realisation:
-    """The tableau's kept realisation, the memory bound checked first."""
+) -> Tuple[List[int], List[int]]:
+    """The tableau's kept solve, the memory bound and the shape checked first."""
     if m > max_memory:
         raise MemoryBoundError(m, max_memory)
-    return _realisation(tableau, n, k, m)
+    _split(tableau, n, k, m)
+    return _solve(tableau, n, k, m)
 
 
 def zero_physical_edges(
     tableau: CliffordTableau, n: int, k: int, m: int, max_memory: int = DEFAULT_MEMORY_BOUND
 ) -> List[StateDiagramEdge]:
     """Every state-diagram edge whose physical output is the identity,
-    listed from the zero-physical solve the verdicts share: each transition
+    listed from the zero-physical solve the verdicts share: each input
     word of the span of its basis, a nullspace of the physical images, in
     mask order.  No edge needs a check.
     Not in ``qconvenc.__all__``: no verdict lists edges; perfbench's probe does."""
-    realisation = _state_diagram(tableau, n, k, m, max_memory)
-    return [realisation.edge(word) for word in gf2_span(realisation.zero_physical[0])]
+    basis, _ = _state_diagram(tableau, n, k, m, max_memory)
+    return [_edge(tableau, n, k, m, word) for word in gf2_span(basis)]
 
 
 def detect_catastrophic(
@@ -550,10 +459,37 @@ def detect_catastrophic(
     core edges, keeping the edge that discovered each vertex, keeps the
     levels, frontier order and parents of one over all edges, up to u.
 
-    The basis and core are the tableau's one solve (``_realisation``),
-    which ``verify_non_recursive`` and ``zero_physical_edges`` also read.
+    The basis and core are the tableau's one solve (``_solve``), which
+    ``verify_non_recursive`` and ``zero_physical_edges`` also read.
     """
-    return _state_diagram(tableau, n, k, m, max_memory).catastrophic()
+    basis, core = _state_diagram(tableau, n, k, m, max_memory)
+    low_m, labels = (1 << 2 * m) - 1, (1 << 2 * k) - 1
+    if not any((edge >> 4 * m) & labels for edge in core):
+        return False, None
+    edges = gf2_span(gf2_basis(core))
+    first = next(edge for edge in edges if (edge >> 4 * m) & labels)
+    u, v = first & low_m, (first >> 2 * m) & low_m
+    leaving: Dict[int, List[int]] = {}
+    for edge in edges:
+        leaving.setdefault(edge & low_m, []).append(edge)
+    discovered: Dict[int, int] = {v: first}  # vertex -> the edge that reached it
+    queue = [v]  # grows while the loop reads it
+    for x in queue:
+        if u in discovered:
+            break
+        for edge in leaving.get(x, ()):
+            y = (edge >> 2 * m) & low_m
+            if y not in discovered:
+                discovered[y] = edge
+                queue.append(y)
+    walk = []  # the way back, from u's discovering edge to v
+    while u != v:
+        walk.append(discovered[u])
+        u = walk[-1] & low_m
+    witness = [first] + walk[::-1]
+    return True, CycleWitness(
+        [_edge(tableau, n, k, m, gf2_combination(basis, edge >> 4 * m + 2 * k)) for edge in witness]
+    )
 
 
 def verify_non_recursive(
@@ -571,15 +507,42 @@ def verify_non_recursive(
     later walks stop at a marked vertex.  Success exhibits finite-impulse
     behavior: the encoder is not recursive.
 
+    A vertex is kept as the identity-input word on it, the memory qubits
+    of an input word, so the memory an output leaves is the next input.
     The loop vertices are never listed.  The starts are walked in ascending
     order, combination c of the core's ``gf2_basis`` at step c, and a
     vertex is a loop vertex iff an ``_Echelon`` over that basis reduces it
-    to zero.  So a verdict that escapes early costs no more than its walk;
-    only a recursive encoder, which is catastrophic, visits every start.
+    to zero.  Placing the basis on the memory qubits keeps the order of its
+    bits, so neither the order nor the echelon changes.  So a verdict that
+    escapes early costs no more than its walk; only a recursive encoder,
+    which is catastrophic, visits every start.
 
     The core is the tableau's one solve, shared with ``detect_catastrophic``.
     """
-    return _state_diagram(tableau, n, k, m, max_memory).non_recursive()
+    core = _state_diagram(tableau, n, k, m, max_memory)[1]
+    w, images = tableau.width, tableau.images
+    physical = ((1 << n) - 1) * (1 | 1 << w)
+    memory = ((1 << m) - 1) * (1 | 1 << w)
+    basis = [_place(s, m, w, 0) for s in gf2_basis(edge & ((1 << 2 * m) - 1) for edge in core)]
+    loops = _Echelon(basis)  # a vertex is a loop vertex iff it reduces to zero
+    stranded = set()  # vertices whose identity-input walk misses every loop
+    labels = [x << q | z << w + q for q in range(w - k, w) for x, z in ((1, 0), (0, 1), (1, 1))]
+    for c in range(1 << len(basis)):  # the loop vertices, ascending, one at a time
+        start = gf2_combination(basis, c)
+        for logical in labels:
+            for anc_mask in range(1 << (n - k)):
+                words = [start | anc_mask << w + m | logical]
+                out = gf2_combination(images, words[0])
+                vertex = out >> n & memory
+                if not out & physical and not loops.reduce(vertex)[0]:
+                    continue  # first edge lies on a zero-physical cycle
+                while vertex not in stranded and loops.reduce(vertex)[0]:
+                    stranded.add(vertex)
+                    words.append(vertex)  # identity input: the word is the state
+                    vertex = gf2_combination(images, vertex) >> n & memory
+                if vertex not in stranded:  # the walk met a loop vertex
+                    return True, [_edge(tableau, n, k, m, x) for x in words]
+    return False, None
 
 
 def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
@@ -588,20 +551,21 @@ def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
     Ancilla i carries Z in the first frame and identity afterwards; the
     physical part emitted in frame j must be frame j of the generator's
     stream word, and the memory must return to identity.  It reads the
-    tableau's kept realisation (``_realisation``) and runs no solve.
+    tableau's images directly and runs no solve.
     """
     n, k = code.n, code.k
     m = tableau.width - n
-    realisation = _realisation(tableau, n, k, m)
+    w = _split(tableau, n, k, m)
+    memory = ((1 << m) - 1) * (1 | 1 << w)
     frame = 2 * n
     for i, gen in enumerate(code.generators):
         mem = 0
         for j in range(gen.degree):
-            anc_mask = (1 << i) if j == 0 else 0
-            out = realisation.out(mem | anc_mask << 2 * m)
-            if out & realisation.physical != gen.word >> frame * j & (1 << frame) - 1:
+            anc = 1 << w + m + i if j == 0 else 0
+            out = gf2_combination(tableau.images, mem | anc)
+            if _restrict(out, w, 0, n) != gen.word >> frame * j & (1 << frame) - 1:
                 return 0
-            mem = out >> 2 * n
+            mem = out >> n & memory
         if mem:
             return 0
     return 1

@@ -22,7 +22,7 @@ def load_code(name: str):
 def fresh_state_diagram_solve():
     """Start each test without a kept state-diagram solve, so a test that
     patches the solve's pieces or counts its calls sees its own solve."""
-    qconvenc.tableau._realisation.cache_clear()
+    qconvenc.tableau._solve.cache_clear()
 
 
 @pytest.fixture

@@ -36,7 +36,6 @@ from qconvenc.tableau import (
     CycleWitness,
     Gate,
     StateDiagramEdge,
-    _weight_one_labels,
     replay_gates,
     zero_physical_edges,
 )
@@ -531,9 +530,14 @@ def _part(vec: int, w: int, start: int, stop: int) -> int:
     return ((vec >> start) & mask) | ((vec >> (w + start)) & mask) << (stop - start)
 
 
+def _weight_one_labels(k: int) -> List[int]:
+    """The packed weight-one logical labels: qubit by qubit, X, Z, then Y."""
+    return [x << q | z << k + q for q in range(k) for x, z in ((1, 0), (0, 1), (1, 1))]
+
+
 def _edge(tableau, n: int, k: int, m: int, vin: int) -> StateDiagramEdge:
     """The transition taken on the packed input ``vin``, read off the image
-    rows: the layout reference for the state-space realisation."""
+    rows through ``Pauli`` cuts: the reference for ``tableau._edge``."""
     w = tableau.width
     inp = vec_to_pauli(vin, w)
     out = vec_to_pauli(tableau.image_of_vector(vin), w)

@@ -432,7 +432,7 @@ def test_each_command_loads_only_the_modules_of_its_stages(command):
 
 
 def test_analysis_builds_one_state_diagram(monkeypatch):
-    # Both verdicts read one realisation, so one cycle_core per tableau.
+    # Both verdicts read one kept solve, so one cycle_core per tableau.
     calls = []
     cycle_core = tableau_module.cycle_core
 

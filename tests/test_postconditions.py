@@ -12,9 +12,12 @@ partial encoders (no added rows, so often catastrophic) and codes from
    (``complete_to_clifford``);
 5. a circuit has at most 2w^2 + 4w gates (``synthesize_circuit``);
 6. a catastrophic encoder's witness is a closed zero-physical walk
-   (``_Realisation.catastrophic``);
+   (``detect_catastrophic``);
 7. every listed zero-physical edge has identity physical output
    (``zero_physical_edges``).
+Every synthesized encoder that the memory bound lets through also streams
+each generator back (``roundtrip_verify``) and is non-recursive, its
+escape path made of the tableau's own transitions.
 A code whose synthesis finds no non-catastrophic completion is checked up
 to the partial encoder, the stage it reached.
 """
@@ -43,7 +46,9 @@ from qconvenc.tableau import (
     DEFAULT_MEMORY_BOUND,
     complete_to_clifford,
     detect_catastrophic,
+    roundtrip_verify,
     synthesize_circuit,
+    verify_non_recursive,
     zero_physical_edges,
 )
 from reference_data import CORPUS
@@ -80,10 +85,24 @@ def assert_closed_walk(tableau, n, k, m, witness):
     assert witness.logical_weight >= 1
 
 
-def tableau_checked(encoder, seed):
+def assert_escape_path(tableau, n, k, m):
+    """The encoder is non-recursive, and its escape path chains the
+    tableau's own transitions: a weight-one logical label first, then
+    identity inputs."""
+    ok, path = verify_non_recursive(tableau, n, k, m)
+    assert ok is True
+    for i, edge in enumerate(path):
+        mem, logical = pauli_to_vec(edge.mem_from), pauli_to_vec(edge.logical)
+        assert _edge(tableau, n, k, m, _input_vec(n, k, m, mem, edge.anc.z, logical)) == edge
+        assert edge.logical_weight == (1 if i == 0 else 0)
+        assert i == 0 or edge.anc.is_identity
+    for edge, after in zip(path, path[1:]):
+        assert edge.mem_to == after.mem_from
+
+
+def tableau_checked(encoder, tableau):
     """Facts 4-7 on the encoder's completion; whether it is catastrophic,
     or None when its state diagram is too large to decide here."""
-    tableau = complete_to_clifford(encoder, seed=seed)
     assert is_symplectic_pairwise(tableau)
     for row in encoder.all_rows:
         assert tableau.image_of_vector(row.inputs) == row.outputs
@@ -92,7 +111,7 @@ def tableau_checked(encoder, seed):
     n, k, m = encoder.n, encoder.k, encoder.m
     if m > DEFAULT_MEMORY_BOUND:
         return None
-    basis, core = tableau_module._realisation(tableau, n, k, m).zero_physical
+    basis, core = tableau_module._solve(tableau, n, k, m)
     if len(basis) <= LISTED_DIMENSION:
         assert all(edge.physical.is_identity for edge in zero_physical_edges(tableau, n, k, m))
     if len(core) > LISTED_DIMENSION:
@@ -109,13 +128,18 @@ def pipeline_checked(code, seed):
     partial encoder's completion, and whether synthesis completed."""
     code = shorten(code).output_code
     partial = partial_encoder_checked(code)
-    partial_flag = tableau_checked(partial, seed)
+    partial_flag = tableau_checked(partial, complete_to_clifford(partial, seed=seed))
     try:
         result = synthesize(code, seed=seed)
     except SynthesisFailureError as exc:  # exit 3: no non-catastrophic completion
         assert "information qubits" in str(exc) or "no non-catastrophic" in str(exc)
         return partial_flag, False
-    assert tableau_checked(result.encoder, seed) in (False, None)  # the added rows rule it out
+    encoder = result.encoder
+    tableau = complete_to_clifford(encoder, seed=seed)
+    assert tableau_checked(encoder, tableau) in (False, None)  # the added rows rule it out
+    if encoder.m <= DEFAULT_MEMORY_BOUND:
+        assert roundtrip_verify(tableau, result.code) == 1
+        assert_escape_path(tableau, encoder.n, encoder.k, encoder.m)
     return partial_flag, True
 
 

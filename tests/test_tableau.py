@@ -17,7 +17,6 @@ from conftest import load_code, shift_invariant_codes
 from oracles import (
     _edge,
     _input_vec,
-    _part,
     apply_gate,
     complete_to_clifford_reference,
     cycle_core_by_annihilators,
@@ -583,15 +582,13 @@ def realisation_cases(draw, max_width=10):
 @settings(max_examples=150, deadline=None)
 @given(realisation_cases())
 def test_realisation_matches_row_reference(case):
+    # Each drawn word is memory, ancilla Z bits and logical bits, placed as
+    # an input word; its transition matches the reference read off the rows.
     tableau, n, k, m = case[:4]
-    realisation = tableau_module._Realisation(tableau, n, k, m)
-    w = tableau.width
     for word in case[4]:
         mem, u = word & ((1 << 2 * m) - 1), word >> 2 * m
         vin = _input_vec(n, k, m, mem, u & ((1 << n - k) - 1), u >> n - k)
-        image = tableau.image_of_vector(vin)
-        assert realisation.out(word) == _part(image, w, 0, n) | _part(image, w, n, w) << 2 * n
-        assert realisation.edge(word) == _edge(tableau, n, k, m, vin)
+        assert tableau_module._edge(tableau, n, k, m, vin) == _edge(tableau, n, k, m, vin)
 
 
 @settings(max_examples=100, deadline=None)
@@ -601,7 +598,7 @@ def test_listed_zero_physical_edges_have_identity_physical_output(case):
     # nullspace of the physical images.  Each listed edge is the tableau's
     # own transition on its inputs, and they are all distinct.
     tableau, n, k, m = case[:4]
-    assume(len(tableau_module._Realisation(tableau, n, k, m).zero_physical[0]) <= 12)
+    assume(len(tableau_module._solve(tableau, n, k, m)[0]) <= 12)
     edges = zero_physical_edges(tableau, n, k, m)
     for edge in edges:
         assert edge.physical.is_identity
@@ -720,6 +717,18 @@ def test_the_escape_path_skips_a_first_edge_on_a_zero_physical_cycle():
         ("IXZ", "", "I", "Z", "XII"),
         ("XII", "", "I", "Z", "III"),
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(realisation_cases(max_width=6))
+# The only loop vertex is II.  From it the X input alone leads to IX, whose
+# identity-input walk misses every loop; X with Z on the ancilla escapes.
+@example((replay_gates(4, [Gate("cnot", (2, 0)), Gate("cz", (1, 2))]), 2, 1, 2, [0]))
+def test_escape_path_matches_enumeration_on_replayed_tableaux(case):
+    # Replayed tableaux, split every way, give first edges whose physical
+    # output is only X or only Z, and escapes that need an ancilla Z input.
+    tableau, n, k, m = case[:4]
+    assert verify_non_recursive(tableau, n, k, m) == escape_path_by_enumeration(tableau, n, k, m)
 
 
 def inflated_code(name, d=0):
@@ -882,7 +891,7 @@ def test_catastrophic_witness_lists_only_core_edges(monkeypatch):
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
-    basis, core = tableau_module._Realisation(tableau, n, k, m).zero_physical
+    basis, core = tableau_module._solve(tableau, n, k, m)
     listed = []
     span = tableau_module.gf2_span
 
@@ -916,10 +925,8 @@ def test_the_witness_search_keeps_the_first_listed_parent(monkeypatch):
     monkeypatch.setattr(tableau_module, "cycle_core", lambda edges, bits: core)
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag is True
-    realisation = tableau_module._Realisation(tableau, n, k, m)
-    basis, _ = realisation.zero_physical
-    full = (1 << len(realisation.columns)) - 1
-    assert witness.edges == [realisation.edge(basis[t] & full) for t in range(3)]
+    basis, _ = tableau_module._solve(tableau, n, k, m)
+    assert witness.edges == [tableau_module._edge(tableau, n, k, m, basis[t]) for t in range(3)]
 
 
 def test_core_span_lists_edges_in_ascending_tag_order():
@@ -930,7 +937,7 @@ def test_core_span_lists_edges_in_ascending_tag_order():
         n, k, m = encoder.n, encoder.k, encoder.m
         for seed in range(16):
             tableau = complete_to_clifford(encoder, seed=seed)
-            _, core = tableau_module._Realisation(tableau, n, k, m).zero_physical
+            _, core = tableau_module._solve(tableau, n, k, m)
             tags = [e >> 4 * m + 2 * k for e in gf2_span(gf2_basis(core))]
             assert tags == gf2_span(gf2_basis(e >> 4 * m + 2 * k for e in core))
             assert all(a < b for a, b in zip(tags, tags[1:]))
@@ -963,7 +970,7 @@ def test_verdicts_list_no_edges_when_not_catastrophic(monkeypatch):
 
 
 def test_both_verdicts_share_one_state_diagram_solve(monkeypatch):
-    # The realisation and its cycle_core are kept for the tableau value, so
+    # The zero-physical solve and its cycle_core are kept for the tableau value, so
     # both verdicts and the edge listing solve the state diagram once.
     calls = []
     cycle_core = tableau_module.cycle_core
