@@ -14,7 +14,7 @@ XOR, and leading identity frames go by one right shift by whole frames.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .code import ConvolutionalCode, GeneratorPolynomial, validate_code
 from .errors import DegenerateCodeError, InvalidCodeError, WidthMismatchError
@@ -37,8 +37,8 @@ class ShortenStep(
     __slots__ = ()
 
 
-class ShorteningReport(_Value, namedtuple("ShorteningReport", "input_code output_code steps")):
-    """The code before and after ``shorten``, and the steps between them."""
+class ShorteningReport(_Value, namedtuple("ShorteningReport", "output_code steps")):
+    """The code after ``shorten``, and the steps that led to it."""
 
     __slots__ = ()
 
@@ -121,7 +121,7 @@ def shorten(code: ConvolutionalCode) -> ShorteningReport:
             steps.append(ShortenStep("normalize", i + 1, (), stripped.degree))
     while nxt := _rewrite(current, steps, "front") or _rewrite(current, steps, "back"):
         current = nxt
-    return ShorteningReport(input_code=code, output_code=current, steps=steps)
+    return ShorteningReport(output_code=current, steps=steps)
 
 
 def _strip_rows(code: ConvolutionalCode, window: int) -> List[int]:

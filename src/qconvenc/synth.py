@@ -7,15 +7,13 @@ rows that provably rule out catastrophic behavior.
 
 Encoder rows describe how one application of the (not yet completed) encoder
 unitary must transform Paulis.  An ``EncoderRow`` is two words, its input
-and its output.  The shape (m, n, k) is stated once, by the
-``PartialEncoder`` that holds the rows, m being its operator table's; the
-encoder checks the words and lays out their qubits.  Rows are built,
-checked, combined and completed on those words.  Memory operators and
-centralizer elements are packed words on the m memory qubits, in the
-``pauli_to_vec`` layout, from Gram-Schmidt to the added rows; ``_place``
-widens one into a row.  ``Pauli`` objects are built only in the read-only
-views (``PartialEncoder.parts``, ``MemoryOperatorTable.op``) for text, JSON
-and tests.
+and its output, in the encoder layout its docstring states; the shape
+(m, n, k) is stated once, by the ``PartialEncoder`` that holds the rows, m
+being its operator table's.  Rows are built, checked, combined and
+completed on those words.  Memory operators and centralizer elements are
+packed words on the m memory qubits, in the ``pauli_to_vec`` layout;
+``_place`` widens one into a row.  ``Pauli`` objects are built only for
+text, JSON and tests (``_parts``, ``MemoryOperatorTable.op``).
 """
 
 from __future__ import annotations
@@ -237,11 +235,40 @@ class EncoderRow(_Value, namedtuple("EncoderRow", "inputs outputs")):
     ``inputs`` and ``outputs`` are packed Paulis on the w = m + n qubits of
     the ``PartialEncoder`` that holds the row, laid out as ``pauli_to_vec``.
     Input qubits are memory [0, m), ancilla [m, w - k) and information
-    [w - k, w); output qubits are physical [0, n) and memory [n, w).  The
-    encoder checks the words and reads the five parts (``PartialEncoder.parts``).
+    [w - k, w); output qubits are physical [0, n) and memory [n, w).  This
+    is the one statement of the encoder layout, which tableaux and their
+    state diagrams share; ``_parts`` cuts a pair of words, ``_core`` packs it.
     """
 
     __slots__ = ()
+
+
+def _parts(inputs: int, outputs: int, n: int, k: int, m: int) -> Tuple[Pauli, ...]:
+    """The five Paulis of an (input, output) word pair, cut as ``EncoderRow`` lays it out."""
+    w = m + n
+    return (
+        vec_to_pauli(_restrict(inputs, w, 0, m), m),
+        vec_to_pauli(_restrict(inputs, w, m, w - k), n - k),
+        vec_to_pauli(_restrict(inputs, w, w - k, w), k),
+        vec_to_pauli(_restrict(outputs, w, 0, n), n),
+        vec_to_pauli(_restrict(outputs, w, n, w), m),
+    )
+
+
+def _core(pairs: Iterable[Tuple[int, int]], n: int, k: int, m: int) -> List[int]:
+    """``cycle_core`` of the edges of zero-physical (input, output) word pairs.
+
+    Pair t, in the ``EncoderRow`` layout, is the edge ``mem_in | mem_out <<
+    2m | label << 4m``, the label being the 2k information bits, then a tag
+    whose bit t marks pair t.  The physical output is not read.
+    """
+    w = m + n
+    edges = [
+        _restrict(x, w, 0, m) | _restrict(y, w, n, w) << 2 * m
+        | (_restrict(x, w, w - k, w) | 1 << 2 * k + t) << 4 * m
+        for t, (x, y) in enumerate(pairs)
+    ]
+    return cycle_core(edges, 2 * m)
 
 
 class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows added_rows")):
@@ -302,19 +329,9 @@ class PartialEncoder(_Value, namedtuple("PartialEncoder", "memory_ops n k rows a
         return self.m + self.n
 
     def parts(self, row: EncoderRow) -> Dict[str, Pauli]:
-        """The five Pauli parts of a row of this encoder, under their JSON keys."""
-        m, n, k, w = self.m, self.n, self.k, self.width
-        cuts = (
-            ("mem_in", row.inputs, 0, m),
-            ("anc_in", row.inputs, m, w - k),
-            ("info_in", row.inputs, w - k, w),
-            ("phys_out", row.outputs, 0, n),
-            ("mem_out", row.outputs, n, w),
-        )
-        return {
-            key: vec_to_pauli(_restrict(word, w, start, stop), stop - start)
-            for key, word, start, stop in cuts
-        }
+        """The ``_parts`` of a row of this encoder, under their JSON keys."""
+        keys = ("mem_in", "anc_in", "info_in", "phys_out", "mem_out")
+        return dict(zip(keys, _parts(*row, self.n, self.k, self.m)))
 
 
 def assemble_partial_encoder(
@@ -422,22 +439,16 @@ def has_catastrophic_combination(
     """Cycle oracle on the span of the given zero-physical rows.
 
     Treats each combination as a state-diagram edge mem_in -> mem_out and
-    reports whether an edge with non-identity logical label lies on a cycle.
-    Each row's words, in the encoder's layout, give the edge mem_in |
-    mem_out << 2m | info_in << 4m, and ``cycle_core`` decides on those
-    edges without listing the span.
+    reports whether one with a non-identity logical label lies on a cycle,
+    that is, whether an edge of the rows' ``_core`` carries one; the tags
+    above the label do not matter, as ``cycle_core`` only passes labels on.
     A row with physical output is no such edge and raises ``AssemblyError``.
     """
     m, n, k, w = encoder.m, encoder.n, encoder.k, encoder.width
-    bits = 2 * m
-    edges = []
-    for x, y in rows:
-        if _restrict(y, w, 0, n):
-            raise AssemblyError("a row given to the cycle oracle has physical output")
-        edges.append(
-            _restrict(x, w, 0, m) | _restrict(y, w, n, w) << bits | _restrict(x, w, w - k, w) << 2 * bits
-        )
-    return any(edge >> 2 * bits for edge in cycle_core(edges, bits))
+    physical, labels = ((1 << n) - 1) * (1 | 1 << w), (1 << 2 * k) - 1
+    if any(y & physical for _, y in rows):
+        raise AssemblyError("a row given to the cycle oracle has physical output")
+    return any(edge >> 4 * m & labels for edge in _core(rows, n, k, m))
 
 
 class CatastrophicityContext(

@@ -1,19 +1,18 @@
 """Clifford completion, circuit extraction, and state-diagram analysis.
 
-The encoder acts on width = memory + frame qubits.  Input qubits are laid out
-as memory, then ancilla, then information; output qubits as physical frame,
-then memory.  A tableau stores the image of each input X_q and Z_q as a
-packed 2*width-bit vector (bit q = x component on qubit q, bit width+q = z
-component), so composing and comparing maps is pure integer arithmetic.
+The encoder acts on width = memory + frame qubits, laid out as
+``synth.EncoderRow`` states.  A tableau stores the image of each input X_q
+and Z_q as a packed 2*width-bit Pauli (``pauli_to_vec``), so composing and
+comparing maps is pure integer arithmetic.
 
 Those rows serve the completion, which asks for images of inputs.  Circuit
 extraction and replay work on the transposed tableau, one x and one z column
 per qubit holding that qubit's bits of all 2*width images, where a gate
 updates one or two whole columns.  The state diagram reads the images as its
-transition map: a transition is an input word on the memory, ancilla Z and
-logical qubits, and its output, physical frame then memory, is the XOR of
-their images.  One zero-physical solve is kept per tableau value and shape
-(``_solve``); both verdicts read it, and the round trip runs none.
+transition map: a transition is an input word, and its output is the XOR of
+the images of its bits; ``synth._parts`` cuts the pair into Paulis.  One
+zero-physical solve is kept per tableau value and shape (``_solve``); both
+verdicts read it, and the round trip runs none.
 """
 
 from __future__ import annotations
@@ -41,14 +40,12 @@ from .pauli import (
     _place,
     _restrict,
     _transpose,
-    cycle_core,
     gf2_basis,
     gf2_combination,
     gf2_span,
     swap_halves,
-    vec_to_pauli,
 )
-from .synth import PartialEncoder
+from .synth import PartialEncoder, _core, _parts
 
 __all__ = [
     "Gate",
@@ -375,29 +372,20 @@ def _split(tableau: CliffordTableau, n: int, k: int, m: int) -> int:
 
 def _edge(tableau: CliffordTableau, n: int, k: int, m: int, word: int) -> StateDiagramEdge:
     """The transition an input word takes, as Paulis."""
-    w = tableau.width
-    out = gf2_combination(tableau.images, word)
-    return StateDiagramEdge(
-        mem_from=vec_to_pauli(_restrict(word, w, 0, m), m),
-        anc=vec_to_pauli(_restrict(word, w, m, w - k), n - k),
-        logical=vec_to_pauli(_restrict(word, w, w - k, w), k),
-        physical=vec_to_pauli(_restrict(out, w, 0, n), n),
-        mem_to=vec_to_pauli(_restrict(out, w, n, w), m),
-    )
+    return StateDiagramEdge(*_parts(word, gf2_combination(tableau.images, word), n, k, m))
 
 
 # Kept for the last tableau value and shape: equal tableaux share it,
 # another replaces it.
 @functools.lru_cache(maxsize=1)
 def _solve(tableau: CliffordTableau, n: int, k: int, m: int) -> Tuple[List[int], List[int]]:
-    """Basis of the zero-physical transitions and the ``cycle_core`` of its span.
+    """Basis of the zero-physical transitions and the ``synth._core`` of its span.
 
     The zero-physical condition is linear in the input word, so its
     solutions are the span of a nullspace of the physical images, taken
     over the directions memory X_q, Z_q per qubit, ancilla Z, then logical
-    X_q, Z_q per qubit.  Each basis entry is an input word.  A core edge is
-    ``mem_from | mem_to << 2m | label << 4m``, the label being the 2k
-    logical bits, then a tag whose bit t marks basis entry t.
+    X_q, Z_q per qubit.  Each basis entry is an input word; a core edge's
+    tag bit t marks basis entry t (``synth._core`` states the edge format).
     """
     w, images = tableau.width, tableau.images
     physical = ((1 << n) - 1) * (1 | 1 << w)
@@ -409,13 +397,7 @@ def _solve(tableau: CliffordTableau, n: int, k: int, m: int) -> Tuple[List[int],
         gf2_combination(directions, combo)
         for combo in _dependencies([images[b] & physical for b in order])
     ]
-    packed = [
-        _restrict(word, w, 0, m)
-        | _restrict(gf2_combination(images, word), w, n, w) << 2 * m
-        | (_restrict(word, w, w - k, w) | 1 << 2 * k + t) << 4 * m
-        for t, word in enumerate(basis)
-    ]
-    return basis, cycle_core(packed, 2 * m)
+    return basis, _core([(word, gf2_combination(images, word)) for word in basis], n, k, m)
 
 
 def _state_diagram(
@@ -458,9 +440,6 @@ def detect_catastrophic(
     component is a core edge, and a breadth-first search from v over the
     core edges, keeping the edge that discovered each vertex, keeps the
     levels, frontier order and parents of one over all edges, up to u.
-
-    The basis and core are the tableau's one solve (``_solve``), which
-    ``verify_non_recursive`` and ``zero_physical_edges`` also read.
     """
     basis, core = _state_diagram(tableau, n, k, m, max_memory)
     low_m, labels = (1 << 2 * m) - 1, (1 << 2 * k) - 1
@@ -516,8 +495,6 @@ def verify_non_recursive(
     bits, so neither the order nor the echelon changes.  So a verdict that
     escapes early costs no more than its walk; only a recursive encoder,
     which is catastrophic, visits every start.
-
-    The core is the tableau's one solve, shared with ``detect_catastrophic``.
     """
     core = _state_diagram(tableau, n, k, m, max_memory)[1]
     w, images = tableau.width, tableau.images
@@ -550,8 +527,7 @@ def roundtrip_verify(tableau: CliffordTableau, code: ConvolutionalCode) -> int:
 
     Ancilla i carries Z in the first frame and identity afterwards; the
     physical part emitted in frame j must be frame j of the generator's
-    stream word, and the memory must return to identity.  It reads the
-    tableau's images directly and runs no solve.
+    stream word, and the memory must return to identity.
     """
     n, k = code.n, code.k
     m = tableau.width - n

@@ -1,5 +1,6 @@
 """Value semantics of the immutable records, and the fields result types derive."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -96,9 +97,9 @@ RECORDS = [
     (ValidationResult, ("violations",), ([(1, 1, 1)],), ValidationResult([])),
     (
         ShorteningReport,
-        ("input_code", "output_code", "steps"),
-        (CODE, CODE, []),
-        ShorteningReport(CODE, CODE, [ShortenStep("normalize", 1, (), 1)]),
+        ("output_code", "steps"),
+        (CODE, []),
+        ShorteningReport(CODE, [ShortenStep("normalize", 1, (), 1)]),
     ),
     (
         MemoryOperatorTable,
@@ -303,15 +304,36 @@ def test_a_synthesis_result_compares_and_pickles_by_value(name):
     assert pickle.loads(pickle.dumps(result)) == result
 
 
+PACKAGE_MODULES = [qconvenc] + [
+    importlib.import_module(f"qconvenc.{module.name}")
+    for module in pkgutil.iter_modules(qconvenc.__path__)
+]
+
+
 def test_every_public_class_but_the_errors_is_a_value_record():
-    modules = [qconvenc] + [
-        importlib.import_module(f"qconvenc.{module.name}")
-        for module in pkgutil.iter_modules(qconvenc.__path__)
-    ]
-    public = {getattr(module, name) for module in modules for name in getattr(module, "__all__", ())}
+    public = {
+        getattr(module, name) for module in PACKAGE_MODULES for name in getattr(module, "__all__", ())
+    }
     classes = [obj for obj in public if isinstance(obj, type) and not issubclass(obj, QconvError)]
     assert len(classes) >= 18
     assert sorted(cls.__name__ for cls in classes if not issubclass(cls, _Value)) == []
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES, ids=lambda module: module.__name__)
+def test_every_imported_name_is_used_or_exported(module):
+    # A name an import binds must be read somewhere in the module, or be
+    # one of the names the module exports.
+    with open(module.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

@@ -326,6 +326,9 @@ def test_row_words_match_the_concatenated_paulis(parts):
         encoder_on(m, n, k, [row, wider])
     with pytest.raises(WidthMismatchError, match=refused):
         encoder_on(m, n, k, [row], [wider])
+    # Both words past the width, on the same bit, are refused too.
+    with pytest.raises(WidthMismatchError, match="do not fit"):
+        encoder_on(m, n, k, [EncoderRow(wider.inputs, wider.inputs)])
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -501,17 +504,19 @@ def test_catastrophic_combination_detects_logical_self_loop(running2):
 
 def test_catastrophic_combination_refuses_a_row_with_physical_output(running2):
     # A typed error, not an assert, so the check also holds under python -O.
+    # The output reaches the first and the last physical qubit, in either half.
     table = assign_memory_operators(build_commutativity_matrix(running2))
     encoder = assemble_partial_encoder(running2, table)
-    leaky = row_from_parts(
-        mem_in=Pauli.from_string("ZIIIII"),
-        anc_in=Pauli.identity(2),
-        info_in=Pauli.from_string("XI"),
-        phys_out=Pauli.from_string("IIXI"),
-        mem_out=Pauli.from_string("ZIIIII"),
-    )
-    with pytest.raises(AssemblyError, match="physical output"):
-        has_catastrophic_combination([leaky], encoder)
+    for phys_out in ("XIII", "IIXI", "IIIZ"):
+        leaky = row_from_parts(
+            mem_in=Pauli.from_string("ZIIIII"),
+            anc_in=Pauli.identity(2),
+            info_in=Pauli.from_string("XI"),
+            phys_out=Pauli.from_string(phys_out),
+            mem_out=Pauli.from_string("ZIIIII"),
+        )
+        with pytest.raises(AssemblyError, match="physical output"):
+            has_catastrophic_combination([leaky], encoder)
 
 
 @st.composite
@@ -548,6 +553,15 @@ def test_greedy_rows_accepted_without_drawing(monkeypatch, running1):
     assert [row_strings(encoder, row) for row in encoder.added_rows] == ADDED_ROWS_DERIVED[
         "running1"
     ]
+
+
+def test_a_refused_synthesis_counts_every_candidate_set_it_tried():
+    # One information qubit, so one centralizer direction to cover: the
+    # greedy set and the 238 seeded draws that span the centralizer each
+    # leave a catastrophic cycle.
+    code = parse_code("n=2\nk=1\nh IZ|XZ|XI|IZ|XZ|IZ|IZ|XI|XZ|IZ|II|XZ|XI\n")
+    with pytest.raises(SynthesisFailureError, match="found after 239 candidate sets$"):
+        synthesize(code, seed=0)
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -866,7 +866,8 @@ def test_random_completion_over_a_span_past_sys_maxsize():
 def test_cycle_core_matches_the_reference_for_both_callers_at_m_63(monkeypatch):
     # running1 d = 60, seed 0: every edge list the added-row oracle and the
     # state-diagram solve hand to cycle_core at m = 63, far past the
-    # enumeration oracles, gives the span the reference rounds give.
+    # enumeration oracles, gives the span the reference rounds give.  Both
+    # callers reach it through synth._core.
     calls = []
 
     def compared(edges, bits):
@@ -876,7 +877,6 @@ def test_cycle_core_matches_the_reference_for_both_callers_at_m_63(monkeypatch):
         return core
 
     monkeypatch.setattr(synth_module, "cycle_core", compared)
-    monkeypatch.setattr(tableau_module, "cycle_core", compared)
     result = synthesize(inflated_code("running1", 60))
     encoder = result.encoder
     n, k, m = encoder.n, encoder.k, encoder.m
@@ -922,7 +922,7 @@ def test_the_witness_search_keeps_the_first_listed_parent(monkeypatch):
         u | v << 2 * m | (label | 1 << 2 * k + t) << 4 * m
         for t, (u, v, label) in enumerate(arcs)
     ]
-    monkeypatch.setattr(tableau_module, "cycle_core", lambda edges, bits: core)
+    monkeypatch.setattr(synth_module, "cycle_core", lambda edges, bits: core)
     flag, witness = detect_catastrophic(tableau, n, k, m)
     assert flag is True
     basis, _ = tableau_module._solve(tableau, n, k, m)
@@ -973,13 +973,13 @@ def test_both_verdicts_share_one_state_diagram_solve(monkeypatch):
     # The zero-physical solve and its cycle_core are kept for the tableau value, so
     # both verdicts and the edge listing solve the state diagram once.
     calls = []
-    cycle_core = tableau_module.cycle_core
+    cycle_core = synth_module.cycle_core
 
     def counted(*args):
         calls.append(args)
         return cycle_core(*args)
 
-    monkeypatch.setattr(tableau_module, "cycle_core", counted)
+    monkeypatch.setattr(synth_module, "cycle_core", counted)
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     n, k, m = encoder.n, encoder.k, encoder.m
@@ -1000,13 +1000,13 @@ def test_equal_tableaux_share_one_solve_and_another_is_solved_again(monkeypatch)
     # again and gets the verdicts of its own images; this flip ends the
     # catastrophe.
     calls = []
-    cycle_core = tableau_module.cycle_core
+    cycle_core = synth_module.cycle_core
 
     def counted(*args):
         calls.append(args)
         return cycle_core(*args)
 
-    monkeypatch.setattr(tableau_module, "cycle_core", counted)
+    monkeypatch.setattr(synth_module, "cycle_core", counted)
     encoder = partial_encoder("forney8")
     tableau = complete_to_clifford(encoder, seed=0)
     twin = complete_to_clifford(encoder, seed=0)

@@ -19,8 +19,9 @@ For each mutant one subprocess runs pytest with ``-x`` (by default over
 ``tests``, the tier-1 suite) under a per-mutant timeout and a 4 GiB
 address-space limit, since a mutated loop can run forever or grow without
 bound.  A mutant is killed when pytest fails, runs out of time or memory.
-The script prints each survivor as ``path:line  old -> new`` with its
-source line, then the kill rate per module.  It uses only the standard
+The script prints each survivor as ``path:line:col  old -> new`` with its
+source line, col being the 0-based offset of the mutated token in that
+line, then the kill rate per module.  It uses only the standard
 library, and it is not part of tier-1 or CI: a full census of one module
 takes tens of minutes.
 """
@@ -163,8 +164,9 @@ def main(argv: List[str]) -> int:
                         handle.write(apply(source, mutant))
                     if not killed(copy, tests, args.timeout):
                         survivors.append(mutant)
+                        col = mutant.offset - source.rfind("\n", 0, mutant.offset) - 1
                         text = source.splitlines()[mutant.line - 1].strip()
-                        print(f"{module}:{mutant.line}  {mutant.old} -> {mutant.new}  | {text}")
+                        print(f"{module}:{mutant.line}:{col}  {mutant.old} -> {mutant.new}  | {text}")
                     print(f"  {module}: {number}/{len(sites)} run, {len(survivors)} survived,"
                           f" {time.monotonic() - start:.0f} s", file=sys.stderr, flush=True)
             finally:
