@@ -71,7 +71,7 @@ class AssemblyError(QconvError, ValueError):
 
 
 class CompletionError(QconvError, ValueError):
-    """Partial encoder rows are not independent, so no extension exists."""
+    """Partial encoder rows have dependent inputs or outputs: no extension exists."""
 
 
 class SynthesisFailureError(QconvError, RuntimeError):

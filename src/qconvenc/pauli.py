@@ -198,7 +198,6 @@ class _Echelon:
     has that bit set.  That reduced form of a row space is unique, and
     reducing a vector may visit the pivots in any order.  Each basis row
     carries a tag: the XOR of the tags of the added rows that sum to it.
-    An added row that reduces to zero leaves its tag in ``dependencies``.
     The state after a sequence of ``add`` calls depends only on that
     sequence, so a caller that grows one echelon row by row gets exactly
     what a fresh echelon over the same rows would give.
@@ -208,7 +207,6 @@ class _Echelon:
         self.rows: Dict[int, int] = {}  # pivot -> basis row
         self.tags: Dict[int, int] = {}  # pivot -> combination tag
         self.pivots = 0  # mask of pivot bits
-        self.dependencies: List[int] = []  # tags of added rows that reduced to zero
         for i, row in enumerate(rows):
             self.add(row, 1 << i)
 
@@ -239,8 +237,6 @@ class _Echelon:
             self.rows[p] = vec
             self.tags[p] = tag
             self.pivots |= low
-        else:
-            self.dependencies.append(tag)
         return vec, tag
 
 

@@ -452,9 +452,9 @@ def has_catastrophic_combination(
 
 
 class CatastrophicityContext(
-    _Value, namedtuple("CatastrophicityContext", "centralizer s1_rows s2_rows")
+    _Value, namedtuple("CatastrophicityContext", "s1_rows s2_rows")
 ):
-    """Everything needed to audit the added-row choice afterwards."""
+    """The S1 rows and the added rows, which an audit of the added-row choice reads."""
 
     __slots__ = ()
 
@@ -535,15 +535,14 @@ def add_noncatastrophic_rows(
         if has_catastrophic_combination(s1 + s2, encoder):
             continue
         extended = encoder._replace(added_rows=encoder.added_rows + tuple(s2))
-        context = CatastrophicityContext(centralizer=centralizer, s1_rows=s1, s2_rows=s2)
-        return extended, context
+        return extended, CatastrophicityContext(s1_rows=s1, s2_rows=s2)
     raise SynthesisFailureError(
         f"no non-catastrophic completion found after {tried} candidate sets"
     )
 
 
-class SynthesisResult(_Value, namedtuple("SynthesisResult", "code omega encoder context")):
-    """Every stage's product, from the code to the extended encoder."""
+class SynthesisResult(_Value, namedtuple("SynthesisResult", "omega encoder context")):
+    """Every stage's product, from omega to the extended encoder."""
 
     __slots__ = ()
 
@@ -565,4 +564,4 @@ def synthesize(code: ConvolutionalCode, seed: int = 0) -> SynthesisResult:
     table = assign_memory_operators(omega)
     encoder = assemble_partial_encoder(code, table)
     extended, context = add_noncatastrophic_rows(encoder, seed=seed)
-    return SynthesisResult(code=code, omega=omega, encoder=extended, context=context)
+    return SynthesisResult(omega=omega, encoder=extended, context=context)

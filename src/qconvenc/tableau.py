@@ -103,12 +103,14 @@ class CliffordTableau(_Value, namedtuple("CliffordTableau", "width images")):
 def _not_in_span_solution(
     particular: int, swapped_span: _Echelon, free: Sequence[int], w: int,
     rng: Optional[random.Random],
-) -> Optional[Tuple[int, int, int]]:
+) -> Tuple[int, int, int]:
     """A solution whose swapped halves lie outside ``swapped_span``, and
     ``swapped_span.reduce`` of those swapped halves.
 
     A solution is ``particular`` plus S, a word over the ``free`` columns,
     plus each pivot p whose row meets S oddly: that row holds no other pivot.
+    The closing scan (all of seed 0's) tries S = 0, then each S = 1 << f,
+    f free: one of them always lies outside, as ``complete_to_clifford`` proves.
     """
 
     def outside(free_word: int) -> Optional[Tuple[int, int, int]]:
@@ -125,11 +127,7 @@ def _not_in_span_solution(
             found = outside(sum(1 << f for j, f in enumerate(free) if mask >> j & 1))
             if found:
                 return found
-    for free_word in (0, *(1 << f for f in free)):
-        found = outside(free_word)
-        if found:
-            return found
-    return None
+    return next(filter(None, map(outside, (0, *(1 << f for f in free)))))
 
 
 def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTableau:
@@ -155,13 +153,20 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
       y & swap_halves(out_i), for each appended pair.  Pivot row p sums
       the equations of its combination, and meets no other pivot, so the
       solution with free bits zero has pivot bit p = <v, in_p> =
-      parity(swap_halves(v) & in_p).  A combination of outputs that is
-      zero asks <v, in> = 0 of its input word in, or there is no image.
-      So every right-hand side is one parity per tag, in one pass.
+      parity(swap_halves(v) & in_p): one parity per tag, in one pass.
     The swapped outputs' non-pivot columns are kept in ascending order.
     Bit j of an rng mask picks free column j; seed 0 tries no free column,
     then each in turn.  Seed 0's scan for a unit vector outside the input
     span resumes where it stopped: a vector in the span stays there.
+
+    Solvability is decided once, from the given rows: with independent
+    inputs, a completion exists iff the outputs are independent.  Were
+    out_c = 0, in_c != 0 would commute with each given input (products
+    match) and each new direction v (<v, in_c> = <y, out_c> = 0), so with
+    all 2w inputs, as no nonzero word does.  Else the pairs so far extend to
+    a symplectic phi (Witt); phi(v) solves v's system outside span(outputs),
+    so the in-span solutions, a proper affine subspace, miss the particular
+    solution or the one with just free bit f, for some f: the closing scan.
 
     The result is unchecked: it is symplectic and maps every given row.
     The added pairs (v, y), given rows then new directions, have
@@ -174,19 +179,18 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
     full = (1 << 2 * w) - 1
     rows = encoder.all_rows
     inputs, swapped_outputs = _Echelon(), _Echelon()
-    free = list(range(2 * w))  # the swapped outputs' non-pivot columns
-
-    def add_output(swapped: int, in_word: int) -> None:
-        rest = swapped_outputs.add(swapped, in_word)[0]
-        if rest:
-            free.remove((rest & -rest).bit_length() - 1)
-
     for i, (v, image) in enumerate(rows):
         rest, tag = inputs.add(v | image << 2 * w, 1 << i)
         if not rest & full:  # the input reduced to zero
             members = [str(b + 1) for b in range(len(rows)) if tag >> b & 1]
             raise CompletionError("input rows are dependent: rows " + ", ".join(members))
-        add_output(swap_halves(image, w), v)
+        swapped_outputs.add(swap_halves(image, w), v)
+    if len(swapped_outputs.rows) < len(rows):
+        raise CompletionError(
+            "no independent image for a new input direction; given rows are "
+            "not jointly symplectic"
+        )
+    free = [f for f in range(2 * w) if not swapped_outputs.pivots >> f & 1]
     rng = random.Random(seed) if seed != 0 else None
     t = 0  # seed 0: every unit vector below t is in the input span
     while len(inputs.rows) < 2 * w:
@@ -199,22 +203,18 @@ def complete_to_clifford(encoder: PartialEncoder, seed: int = 0) -> CliffordTabl
                 t += 1
             v = 1 << t
         swapped_v = swap_halves(v, w)
-        found = None
-        if not any((swapped_v & dep).bit_count() & 1 for dep in swapped_outputs.dependencies):
-            particular = 0
-            for p, in_p in swapped_outputs.tags.items():
-                if (swapped_v & in_p).bit_count() & 1:
-                    particular |= 1 << p
-            found = _not_in_span_solution(particular, swapped_outputs, free, w, rng)
-        if found is None:
-            raise CompletionError(
-                "no independent image for a new input direction; given rows are "
-                "not jointly symplectic"
-            )
-        # Both words are already reduced, so neither echelon reduces them again.
-        image, swapped_rest, swapped_tag = found
+        particular = 0
+        for p, in_p in swapped_outputs.tags.items():
+            if (swapped_v & in_p).bit_count() & 1:
+                particular |= 1 << p
+        image, swapped_rest, swapped_tag = _not_in_span_solution(
+            particular, swapped_outputs, free, w, rng
+        )
+        # Both words are already reduced, so neither echelon reduces them
+        # again, and the swapped one's lowest bit is its new pivot.
         inputs.add(rest ^ image << 2 * w, 0)
-        add_output(swapped_rest, v ^ swapped_tag)
+        swapped_outputs.add(swapped_rest, v ^ swapped_tag)
+        free.remove((swapped_rest & -swapped_rest).bit_length() - 1)
     return CliffordTableau(w, [inputs.rows[t] >> 2 * w for t in range(2 * w)])
 
 

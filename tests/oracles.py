@@ -71,6 +71,22 @@ def generator_from_strings(parts: Sequence[str]) -> GeneratorPolynomial:
     return GeneratorPolynomial.from_blocks(tuple(Pauli.from_string(p) for p in parts))
 
 
+class TrackedEchelon(_Echelon):
+    """``_Echelon`` that also records, in ``dependencies``, the tag of each
+    added row that reduced to zero: it names a combination of added rows
+    that XORs to zero.  No code in the package reads such tags."""
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self.dependencies: List[int] = []
+        super().__init__(rows)
+
+    def add(self, vec: int, tag: int) -> Tuple[int, int]:
+        vec, tag = super().add(vec, tag)
+        if not vec:
+            self.dependencies.append(tag)
+        return vec, tag
+
+
 def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
     """Basis of coefficient masks c with XOR of {rows[i] : bit i of c} = 0.
 
@@ -78,7 +94,7 @@ def gf2_row_dependencies(rows: Sequence[int]) -> List[int]:
     gives one mask: bit i plus the unique combination of earlier
     independent rows equal to it.
     """
-    return _Echelon(rows).dependencies
+    return TrackedEchelon(rows).dependencies
 
 
 def gf2_in_rowspan(vec: int, rows: Sequence[int]) -> bool:
@@ -120,7 +136,7 @@ def gf2_solve_dot_system(
     if len(rows) != len(rhs):
         raise InvalidMatrixError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     rhs_mask = sum((int(b) & 1) << i for i, b in enumerate(rhs))
-    echelon = _Echelon(rows)
+    echelon = TrackedEchelon(rows)
     # A homogeneous system always has the zero solution.
     particular = echelon_particular(echelon, rhs_mask) if rhs_mask else 0
     if particular is None:
@@ -131,7 +147,7 @@ def gf2_solve_dot_system(
     ]
 
 
-def echelon_particular(echelon: _Echelon, rhs_mask: int) -> Optional[int]:
+def echelon_particular(echelon: TrackedEchelon, rhs_mask: int) -> Optional[int]:
     """A solution v of parity(row_i & v) = bit i of ``rhs_mask``, row i
     being the one added to ``echelon`` with tag 1 << i: the one with free
     variables zero, read off the tags.  None when some dependency has odd
@@ -145,7 +161,9 @@ def echelon_particular(echelon: _Echelon, rhs_mask: int) -> Optional[int]:
     return solution
 
 
-def add_to_dot_system(basis: _Echelon, nullspace: Dict[int, int], vec: int, tag: int) -> None:
+def add_to_dot_system(
+    basis: TrackedEchelon, nullspace: Dict[int, int], vec: int, tag: int
+) -> None:
     """``basis.add(vec, tag)``, keeping ``nullspace`` the nullspace basis of
     the added rows that ``_dependencies(_transpose(rows, ncols))`` lists, as
     free column f -> vector N_f.
@@ -821,9 +839,10 @@ def symplectic_gram_schmidt_by_lists(rows: Sequence[int]) -> GramSchmidtResult:
 # The completion and the circuit extraction as they were before the package
 # read images off an augmented input echelon, solved each new direction in
 # one pass over input-word tags, read the nullspace off the reduced output
-# rows instead of keeping it, and applied a sweep's gates inline.  Every
-# choice, rng draw and error is the same, so the package must agree with
-# them gate for gate.
+# rows instead of keeping it, refused dependent outputs once instead of
+# checking each new direction against them, and applied a sweep's gates
+# inline.  Every choice, rng draw and error is the same, so the package must
+# agree with them gate for gate.
 
 
 def not_in_span_solution(
@@ -856,7 +875,7 @@ def complete_to_clifford_reference(encoder: PartialEncoder, seed: int = 0) -> Cl
     w = encoder.width
     in_vecs = [row.inputs for row in encoder.all_rows]
     out_vecs = [row.outputs for row in encoder.all_rows]
-    inputs, swapped_outputs = _Echelon(), _Echelon()
+    inputs, swapped_outputs = TrackedEchelon(), TrackedEchelon()
     nullspace = {f: 1 << f for f in range(2 * w)}  # of the swapped outputs
     basis_in: List[int] = []
     basis_out: List[int] = []

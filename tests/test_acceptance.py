@@ -217,11 +217,11 @@ def test_criterion_06_sampled_completions_noncatastrophic():
     with report(6):
         start = time.perf_counter()
         result, tableaux = seeded_completions_running1()
-        code = result.code
+        encoder = result.encoder
         assert len(tableaux) == 25
         for tableau in tableaux:
             assert is_symplectic_pairwise(tableau)
-            flag, witness = detect_catastrophic(tableau, code.n, code.k, result.m)
+            flag, witness = detect_catastrophic(tableau, encoder.n, encoder.k, encoder.m)
             assert flag is False
             assert witness is None
         assert time.perf_counter() - start < 10.0
@@ -231,11 +231,11 @@ def test_criterion_07_sampled_completions_noncatastrophic_with_added_rows():
     with report(7):
         start = time.perf_counter()
         result, tableaux = seeded_completions_running2()
-        code = result.code
-        assert len(result.encoder.added_rows) == 2
+        encoder = result.encoder
+        assert len(encoder.added_rows) == 2
         assert len(tableaux) == 10
         for tableau in tableaux:
-            flag, witness = detect_catastrophic(tableau, code.n, code.k, result.m)
+            flag, witness = detect_catastrophic(tableau, encoder.n, encoder.k, encoder.m)
             assert flag is False
             assert witness is None
         assert time.perf_counter() - start < 120.0
@@ -306,31 +306,20 @@ def test_criterion_08_catastrophic_positive_control():
 
 def test_criterion_09_non_recursive_witnesses_for_sampled_completions():
     with report(9):
-        result1, tableaux1 = seeded_completions_running1()
-        for tableau in tableaux1:
-            ok, path = verify_non_recursive(
-                tableau, result1.code.n, result1.code.k, result1.m
-            )
-            assert ok is True
-            assert_checkable_escape_path(
-                tableau, result1.code.n, result1.code.k, result1.m, path
-            )
-        result2, tableaux2 = seeded_completions_running2()
-        for tableau in tableaux2:
-            ok, path = verify_non_recursive(
-                tableau, result2.code.n, result2.code.k, result2.m
-            )
-            assert ok is True
-            assert_checkable_escape_path(
-                tableau, result2.code.n, result2.code.k, result2.m, path
-            )
+        for seeded in (seeded_completions_running1, seeded_completions_running2):
+            result, tableaux = seeded()
+            n, k, m = result.encoder.n, result.encoder.k, result.m
+            for tableau in tableaux:
+                ok, path = verify_non_recursive(tableau, n, k, m)
+                assert ok is True
+                assert_checkable_escape_path(tableau, n, k, m, path)
 
 
 def test_criterion_10_roundtrip_encoding():
     with report(10):
         for name in CORPUS:
             result, tableau = pipeline(name)
-            assert roundtrip_verify(tableau, result.code) == 1, name
+            assert roundtrip_verify(tableau, load_code(name)) == 1, name
 
 
 def test_criterion_11_circuit_replay_and_gate_bound():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import load_code, shift_invariant_codes, symmetric_zero_diag
 from oracles import (
+    TrackedEchelon,
     add_to_dot_system,
     check_commutativity_matrix_by_lists,
     component_index,
@@ -49,7 +50,6 @@ from qconvenc.errors import (
 )
 from qconvenc.pauli import (
     Pauli,
-    _Echelon,
     _dependencies,
     _product_mismatch,
     _products,
@@ -712,7 +712,7 @@ def test_pauli_width_check_survives_optimized_mode():
 def test_grown_echelon_matches_fresh_solves(system):
     # One echelon grown a row at a time answers, after every row, what the
     # fresh solvers answer over the rows so far.
-    echelon = _Echelon()
+    echelon = TrackedEchelon()
     rows: list = []
     rhs: list = []
     for row, bit in system:
@@ -740,7 +740,7 @@ def test_grown_nullspace_matches_fresh_solves(system):
     # The nullspace kept beside a growing echelon, and the particular
     # solution read off its tags, equal a fresh solve after every row, the
     # nullspace in the same order; a dependent row leaves it unchanged.
-    echelon = _Echelon()
+    echelon = TrackedEchelon()
     nullspace = {f: 1 << f for f in range(6)}
     rows: list = []
     rhs: list = []

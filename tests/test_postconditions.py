@@ -138,7 +138,7 @@ def pipeline_checked(code, seed):
     tableau = complete_to_clifford(encoder, seed=seed)
     assert tableau_checked(encoder, tableau) in (False, None)  # the added rows rule it out
     if encoder.m <= DEFAULT_MEMORY_BOUND:
-        assert roundtrip_verify(tableau, result.code) == 1
+        assert roundtrip_verify(tableau, code) == 1
         assert_escape_path(tableau, encoder.n, encoder.k, encoder.m)
     return partial_flag, True
 

@@ -53,7 +53,7 @@ IDENTITY_ROW = EncoderRow(0, 0)
 TABLE = MemoryOperatorTable(1, {(1, 1): 0b01, (1, 2): 0b10}, [(1, 1), (1, 2)])
 CENTRALIZER = CentralizerBasis(1, [0b01, 0b10])
 ENCODER = PartialEncoder(TABLE, 2, 1, (ROW,), ())
-CONTEXT = CatastrophicityContext(CENTRALIZER, [ROW], [])
+CONTEXT = CatastrophicityContext([ROW], [])
 EDGE = StateDiagramEdge(*FIVE)
 # A hyperbolic pair: the rows of [[0, 1], [1, 0]].
 OMEGA = MemoryCommutativityMatrix([0b10, 0b01], [(1, 1), (1, 2)])
@@ -116,15 +116,15 @@ RECORDS = [
     (CentralizerBasis, ("m", "basis"), tuple(CENTRALIZER), CentralizerBasis(1, [0b01])),
     (
         CatastrophicityContext,
-        ("centralizer", "s1_rows", "s2_rows"),
+        ("s1_rows", "s2_rows"),
         tuple(CONTEXT),
-        CatastrophicityContext(CENTRALIZER, [ROW], [IDENTITY_ROW]),
+        CatastrophicityContext([ROW], [IDENTITY_ROW]),
     ),
     (
         SynthesisResult,
-        ("code", "omega", "encoder", "context"),
-        (CODE, OMEGA, ENCODER, CONTEXT),
-        SynthesisResult(CODE, OMEGA, ENCODER, CatastrophicityContext(CENTRALIZER, [], [])),
+        ("omega", "encoder", "context"),
+        (OMEGA, ENCODER, CONTEXT),
+        SynthesisResult(OMEGA, ENCODER, CatastrophicityContext([], [])),
     ),
     (
         MemoryCommutativityMatrix,

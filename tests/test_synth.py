@@ -45,6 +45,7 @@ from qconvenc.pauli import (
     Pauli,
     gf2_rank,
     pauli_to_vec,
+    swap_halves,
     symplectic_product_vec,
     vec_to_pauli,
 )
@@ -460,6 +461,24 @@ def test_find_s1_refuses_a_hand_built_row_that_hands_on_an_x_memory_part():
         find_s1(encoder, compute_centralizer(table))
 
 
+@pytest.mark.parametrize("name", ["running2", "gr07-third"])
+def test_s1_rows_with_x_outputs_fit_the_encoder_width(name):
+    # Assigned operators are Z-only, so pipeline S1 outputs carry no X bits.
+    # Swapping each operator's halves keeps omega and gives both S1 rows an
+    # X output memory part; the cut between a row's two words must keep
+    # those bits out of its input word.
+    code = load_code(name)
+    table = assign_memory_operators(build_commutativity_matrix(code))
+    swapped = table._replace(ops={key: swap_halves(g, table.m) for key, g in table.ops.items()})
+    encoder = assemble_partial_encoder(code, swapped)
+    s1 = find_s1(encoder, compute_centralizer(swapped))
+    w = encoder.width
+    assert len(s1) == 2
+    assert all(row.outputs & (1 << w) - 1 for row in s1)  # X bits
+    assert all(not (row.inputs | row.outputs) >> 2 * w for row in s1)
+    assert encoder._replace(added_rows=s1).added_rows == tuple(s1)
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_added_rows_match_reference(name):
     code = load_code(name)
@@ -472,16 +491,17 @@ def test_added_rows_match_reference(name):
     assert tuple(context.s2_rows) == extended.added_rows
     # Each added row maps X on a fresh information qubit to a centralizer
     # element on the output memory, with no physical output.
+    centralizer = compute_centralizer(table)
     for row in map(extended.parts, context.s2_rows):
         assert row["phys_out"].is_identity
-        assert centralizer_contains(context.centralizer, row["mem_out"])
+        assert centralizer_contains(centralizer, row["mem_out"])
 
 
 def test_added_rows_span_centralizer(running2):
     table = assign_memory_operators(build_commutativity_matrix(running2))
     encoder = assemble_partial_encoder(running2, table)
     extended, context = add_noncatastrophic_rows(encoder)
-    cent = context.centralizer
+    cent = compute_centralizer(table)
     m = extended.m
     mem_outs = [extended.parts(row)["mem_out"] for row in context.s1_rows + context.s2_rows]
     vecs = [mem_out.x | (mem_out.z << m) for mem_out in mem_outs]
@@ -566,12 +586,13 @@ def test_a_refused_synthesis_counts_every_candidate_set_it_tried():
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_synthesize_end_to_end(name):
-    result = synthesize(load_code(name))
+    code = load_code(name)
+    result = synthesize(code)
     assert result.m == M_STATED[name]
     assert matrix_entries(result.omega.rows) == OMEGA[name]
     encoder = result.encoder
     assert [row_strings(encoder, row) for row in encoder.added_rows] == ADDED_ROWS_DERIVED[name]
-    degrees = [g.degree for g in result.code.generators]
+    degrees = [g.degree for g in code.generators]
     assert len(result.encoder.rows) == sum(degrees)
 
 

@@ -23,6 +23,8 @@ from oracles import (
     cycle_witness_by_enumeration,
     encoder_on,
     escape_path_by_enumeration,
+    gf2_in_rowspan,
+    gf2_solve_dot_system,
     image_of_pauli,
     is_symplectic_pairwise,
     loop_vertices,
@@ -54,8 +56,11 @@ from qconvenc.pauli import (
     Pauli,
     cycle_core,
     gf2_basis,
+    gf2_combination,
+    gf2_rank,
     gf2_span,
     pauli_to_vec,
+    swap_halves,
     symplectic_product_vec,
     vec_to_pauli,
 )
@@ -65,6 +70,7 @@ from qconvenc.synth import (
     assemble_partial_encoder,
     assign_memory_operators,
     build_commutativity_matrix,
+    compute_centralizer,
     has_catastrophic_combination,
     synthesize,
 )
@@ -362,6 +368,76 @@ def test_completion_matches_the_reference_oracle(case):
         assert "not jointly symplectic" in outcomes[0]
 
 
+NOT_JOINTLY_SYMPLECTIC = (
+    "no independent image for a new input direction; given rows are not jointly symplectic"
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dependent_outputs_are_refused_before_any_direction_is_solved(monkeypatch, seed):
+    # Z_1 -> I on two ancillas: X_0 commutes with Z_1 and has images, X_1
+    # has none.  The refusal comes as the rows are read, so no direction is
+    # solved first, whichever the seed draws.
+    row = row_from_parts(
+        mem_in=Pauli.identity(0),
+        anc_in=Pauli.from_string("IZ"),
+        info_in=Pauli.identity(0),
+        phys_out=Pauli.from_string("II"),
+        mem_out=Pauli.identity(0),
+    )
+    calls = []
+    solve = tableau_module._not_in_span_solution
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(tableau_module, "_not_in_span_solution", counted)
+    with pytest.raises(CompletionError, match=f"^{NOT_JOINTLY_SYMPLECTIC}$"):
+        complete_to_clifford(encoder_on(0, 2, 0, [row]), seed=seed)
+    assert calls == []
+
+
+@st.composite
+def encoders_with_a_row_mapped_to_the_identity(draw):
+    """(encoder, independent): a ``consistent_partial_encoders`` case with
+    one more row (v, 0), v outside the given inputs' span and commuting
+    with each of them, and whether the given inputs are independent."""
+    m, n, k, rows, _ = draw(consistent_partial_encoders())
+    w = m + n
+    inputs = [row.inputs for row in rows]
+    swapped = [swap_halves(v, w) for v in inputs]
+    commuting = gf2_solve_dot_system(swapped, 2 * w, [0] * len(rows))[1]
+    outside = [c for c in commuting if not gf2_in_rowspan(c, inputs)]
+    assume(outside)  # every word commuting with the inputs is in their span
+    v = gf2_combination(commuting, draw(st.integers(0, (1 << len(commuting)) - 1)))
+    if gf2_in_rowspan(v, inputs):
+        v ^= outside[0]
+    independent = gf2_rank(inputs) == len(inputs)
+    return encoder_on(m, n, k, rows + [EncoderRow(v, 0)]), independent
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoders_with_a_row_mapped_to_the_identity())
+# X_0 given twice, then X_1 -> I: the dependent inputs are named first.
+@example((encoder_on(0, 2, 0, [EncoderRow(1, 1), EncoderRow(1, 1), EncoderRow(2, 0)]), False))
+def test_a_row_mapped_to_the_identity_is_refused_like_the_reference(case):
+    # Its outputs are dependent and its inputs, if the given ones are, are
+    # not: both completions give the same refusal, dependent inputs first.
+    encoder, independent = case
+    for seed in range(4):
+        messages = []
+        for complete in (complete_to_clifford, complete_to_clifford_reference):
+            with pytest.raises(CompletionError) as refused:
+                complete(encoder, seed)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        if independent:
+            assert messages[0] == NOT_JOINTLY_SYMPLECTIC
+        else:
+            assert messages[0].startswith("input rows are dependent: rows ")
+
+
 def test_circuit_for_identity_is_empty():
     assert synthesize_circuit(CliffordTableau.identity(4)) == []
 
@@ -610,8 +686,8 @@ def test_listed_zero_physical_edges_have_identity_physical_output(case):
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_not_catastrophic(name):
     result, tableau = pipeline(name)
-    code = result.code
-    flag, witness = detect_catastrophic(tableau, code.n, code.k, result.m)
+    encoder = result.encoder
+    flag, witness = detect_catastrophic(tableau, encoder.n, encoder.k, encoder.m)
     assert flag is False
     assert witness is None
 
@@ -682,8 +758,7 @@ def test_catastrophic_agrees_with_path_search():
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_non_recursive_with_checkable_path(name):
     result, tableau = pipeline(name)
-    code = result.code
-    n, k, m = code.n, code.k, result.m
+    n, k, m = result.encoder.n, result.encoder.k, result.m
     ok, path = verify_non_recursive(tableau, n, k, m)
     assert ok is True
     assert path
@@ -856,7 +931,8 @@ def test_random_completion_over_a_span_past_sys_maxsize():
     code = code.with_generator(1, multiply_generators(g2, delay_generator(g2, 60)))
     assert shorten(code).steps == []
     result = synthesize(code)
-    assert (result.m, len(result.context.centralizer.basis)) == (67, 65)
+    centralizer = compute_centralizer(result.encoder.memory_ops)
+    assert (result.m, len(centralizer.basis)) == (67, 65)
     assert len(result.encoder.added_rows) == 2
     assert not has_catastrophic_combination(
         [*result.context.s1_rows, *result.encoder.added_rows], result.encoder
@@ -1042,8 +1118,7 @@ def test_a_solved_tableau_still_checks_bound_and_shape(entry):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_roundtrip_matches_generators(name):
-    result, tableau = pipeline(name)
-    assert roundtrip_verify(tableau, result.code) == 1
+    assert roundtrip_verify(pipeline(name)[1], load_code(name)) == 1
 
 
 def test_roundtrip_rejects_swapped_generators(running1):
